@@ -13,11 +13,15 @@ Things worth noticing in the output:
   - rows frozen at layer k compare bit-equal across all later layers
   - with a table that sends every bucket to the last layer, the traced
     forward reproduces the no-exit forward exactly
+  - several documents run as one packed batch give the same states as
+    one-by-one runs; a corpus is cut into batches of at most BATCH_ROWS rows
 """
 
 import numpy as np
 
-from hashexit import HashTable, forward, random_model, schedule
+from hashexit import (HashTable, forward, forward_batch, random_model,
+                      row_batches, schedule)
+from hashexit.encoder import BATCH_ROWS
 
 L, d, heads, d_ff = 4, 8, 2, 16
 model = random_model(vocab_size=10, num_layers=L, d=d, heads=heads,
@@ -40,7 +44,8 @@ for layer in range(1, L + 1):
     print(f"  layer {layer}: active positions {active.tolist()}")
 
 trace = forward(model, token_ids, sched)
-print("\nper-layer (n, m) =", trace.flops_inputs)
+print("\nper-layer (n, m) =",
+      [(sched.valid_count, sched.active_at(t).size) for t in range(1, L + 1)])
 
 # position 0 (token d) exits at layer 4, position 1 (token a) at layer 1
 states = trace.hidden  # (L+1, n, d) stack, entry 0 is the embedding
@@ -64,3 +69,20 @@ no_exit = forward(model, token_ids, late_sched)
 print("no-exit forward repeated:",
       "bit-identical" if np.array_equal(no_exit.final, late_trace.final)
       else "MISMATCH")
+
+# several documents in one packed batch: each layer runs one matmul per
+# projection over the active rows of all of them, attention stays inside
+# each document, and the result matches one-by-one forwards
+docs = [token_ids, np.array([0, 1]), np.array([5, 4, 3, 2, 1, 0, 2])]
+scheds = [schedule(ids, table, pin_first=True) for ids in docs]
+packed = forward_batch(model, docs, scheds)
+gap = max(np.abs(p - forward(model, ids, s).final).max()
+          for p, ids, s in zip(packed, docs, scheds))
+print(f"\npacked batch of {len(docs)} docs vs one-by-one: max |diff| {gap:.1e}")
+
+# a corpus is walked in batches of at most BATCH_ROWS rows, shortest first
+lengths = [int(n) for n in np.random.default_rng(0).integers(5, 500, size=40)]
+batches = row_batches(lengths)
+print(f"{len(lengths)} docs, {sum(lengths)} rows -> {len(batches)} batches "
+      f"of <= {BATCH_ROWS} rows:",
+      [sum(lengths[i] for i in b) for b in batches])

@@ -45,12 +45,14 @@ from .encoder import (
     classify,
     embed,
     forward,
+    forward_batch,
     forward_layer,
     head_loss_and_grad,
     load_model,
     positional_encoding,
     predict_class,
     random_model,
+    row_batches,
     save_model,
     schedule,
     train_toy,

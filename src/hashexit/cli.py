@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus, zipf_corpus
-from .encoder import classify, forward, load_model, schedule
+# forward and classify are not called here, but stay importable from this
+# module: bench/tracing.py wraps them (and schedule) at these names.
+from .encoder import classify, cls_features, forward, load_model, schedule  # noqa: F401
 from .flops import ModelDims, report
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
@@ -125,20 +127,14 @@ def cmd_infer(args):
     corpus = load_corpus(args.corpus, labeled=args.labeled)
     _report_skipped(corpus)
     vocab = _table_vocab(table)
-    lines = []
-    hits = 0
-    for i, doc in enumerate(corpus.documents):
-        ids = _doc_ids(doc, vocab)
-        sched = schedule(ids, table, model.num_layers, pin_first=True)
-        scores = classify(model, forward(model, ids, sched).final)
-        pred = int(np.argmax(scores))
-        lines.append(f"{i}\t{pred}")
-        if corpus.labeled and str(pred) == corpus.labels[i]:
-            hits += 1
+    ids_list = [_doc_ids(doc, vocab) for doc in corpus.documents]
+    preds = np.argmax(cls_features(model, ids_list, table) @ model.head, axis=1)
+    lines = [f"{i}\t{pred}" for i, pred in enumerate(preds)]
     path = out_dir / "predictions.tsv"
     _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     if corpus.labeled and corpus.documents:
+        hits = sum(str(pred) == label for pred, label in zip(preds, corpus.labels))
         print(f"accuracy: {hits / len(corpus.documents):.4f}")
 
 

@@ -6,9 +6,16 @@ bit. Exited positions stop producing queries but stay visible to the rest of
 the sequence as keys and values, so later layers still attend over the full
 (non-padding) sequence. Setting every exit to the top layer reproduces a
 plain post-norm encoder exactly.
+
+Because the schedule is known before layer 1 runs, several documents run
+as one packed batch: their non-padding rows are stacked into one matrix,
+the per-row work of each layer is one matmul over the stacked active rows,
+and attention stays inside each document. A single sequence is a batch of
+one.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -17,6 +24,12 @@ from .errors import ConfigError, InputError, ParseError, ShapeError, TrainingErr
 from .linalg import layer_norm, relu, softmax_rows
 
 MAX_SEQUENCE_LEN = 512
+
+# Rows (tokens) per packed batch when a corpus is walked in batches: large
+# enough that per-layer Python overhead is shared by many documents, small
+# enough to bound a layer's temporaries (about 40 KB per row at d=256,
+# d_ff=1024).
+BATCH_ROWS = 2048
 
 _MODEL_MAGIC = "#hashee-model v1"
 
@@ -131,11 +144,9 @@ class ExitSchedule:
 
 @dataclass
 class ForwardTrace:
-    """Everything a forward pass produced: states H^0..H^L plus accounting."""
+    """The states H^0..H^L of one forward pass; H^0 is the embedding."""
 
     hidden: list
-    remaining: list = field(default_factory=list)
-    flops_inputs: list = field(default_factory=list)
 
     @property
     def final(self):
@@ -147,8 +158,8 @@ def schedule(token_ids, table, num_layers=None, *, pin_first=False, valid_len=No
 
     pin_first forces position 0 to the top layer (it hosts the classifier
     readout). Positions at index >= valid_len are padding: exit layer 1,
-    masked out of attention. Unknown ids (< 0 or beyond the table) already
-    resolve to the top layer inside the table.
+    masked out of attention. Unknown ids (< 0 or beyond the table) run to
+    the top layer.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1:
@@ -161,7 +172,9 @@ def schedule(token_ids, table, num_layers=None, *, pin_first=False, valid_len=No
         valid_len = n
     if not 0 <= valid_len <= n:
         raise ConfigError(f"valid_len={valid_len} out of range for length {n}")
-    exits = np.array([table.layer_of(int(t)) for t in ids], dtype=np.int64)
+    exits = np.full(n, table.num_layers, dtype=np.int64)
+    known = (ids >= 0) & (ids < len(table.tokens))
+    exits[known] = table.layers[ids[known]]
     mask = np.zeros(n, dtype=bool)
     mask[:valid_len] = True
     if pin_first and valid_len >= 1:
@@ -181,76 +194,200 @@ def positional_encoding(n, d):
     return pe
 
 
-def embed(model, token_ids):
-    """Token embeddings plus position signal; ids < 0 embed as zero vectors."""
+def embed(model, token_ids, positions=None):
+    """Token embeddings plus position signal; ids < 0 embed as zero vectors.
+
+    `positions` gives each row's position (default 0..n-1), so the rows of
+    several documents can be embedded in one call.
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size and ids.max() >= model.vocab_size:
         raise InputError(f"token id {int(ids.max())} outside vocabulary "
                          f"of size {model.vocab_size}")
     rows = np.where(ids[:, None] >= 0, model.embedding[np.maximum(ids, 0)], 0.0)
-    return rows + positional_encoding(ids.size, model.d)
+    if positions is None:
+        return rows + positional_encoding(ids.size, model.d)
+    positions = np.asarray(positions, dtype=np.int64)
+    longest = int(positions.max()) + 1 if positions.size else 0
+    return rows + positional_encoding(longest, model.d)[positions]
 
 
-def forward_layer(h, weights, active, *, heads, key_mask=None):
-    """One exit-aware encoder layer.
+def _slots(doc, count):
+    """Rank of each entry among the entries of its own document."""
+    order = np.argsort(doc, kind="stable")
+    sizes = np.bincount(doc, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    slot = np.empty_like(doc)
+    slot[order] = np.arange(doc.size) - starts[doc[order]]
+    return slot, sizes
 
-    Queries come from the `active` rows only; keys and values span every
-    key_mask row (default: all). Rows outside `active` are copied verbatim,
-    so an empty active set makes the layer an exact identity.
+
+def _attention(q, k, v, heads, q_doc=None, k_doc=None, docs=1):
+    """Multi-head attention of each query row over its own document's keys.
+
+    q_doc and k_doc number the document (0..docs-1) of each query and key
+    row; None means all rows belong to one document. With several
+    documents, queries and keys are padded per document to the largest
+    count in the batch; padded key slots score -inf and so get zero
+    weight, and padded query slots are dropped.
+    """
+    d = q.shape[1]
+    qp, kp, vp, bias = q, k, v, None
+    if docs > 1:
+        q_slot, _ = _slots(q_doc, docs)
+        k_slot, k_sizes = _slots(k_doc, docs)
+        qp = np.zeros((docs, int(q_slot.max()) + 1, d))
+        qp[q_doc, q_slot] = q
+        kp = np.zeros((docs, int(k_sizes.max()), d))
+        vp = np.zeros_like(kp)
+        kp[k_doc, k_slot] = k
+        vp[k_doc, k_slot] = v
+        bias = np.where(np.arange(kp.shape[1]) < k_sizes[:, None], 0.0, -np.inf)
+        bias = bias[:, None, :]
+    d_k = d // heads
+    ctx = np.empty_like(qp)
+    for i in range(heads):
+        sl = slice(i * d_k, (i + 1) * d_k)
+        scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
+        scores /= np.sqrt(d_k)
+        if bias is not None:
+            scores += bias
+        weights = softmax_rows(scores.reshape(-1, scores.shape[-1]))
+        ctx[..., sl] = weights.reshape(scores.shape) @ vp[..., sl]
+    return ctx if docs == 1 else ctx[q_doc, q_slot]
+
+
+def forward_layer(h, weights, active, *, heads, key_mask=None, segments=None):
+    """One exit-aware encoder layer over one or more packed documents.
+
+    `segments` lists the start row of each document packed into h followed
+    by h's row count (default: all of h is one document). Queries come from
+    the `active` rows only; keys and values span the key_mask rows (default:
+    all) of every document that has an active row, and each query attends
+    to its own document only. Rows outside `active` are copied verbatim, so
+    an empty active set makes the layer an exact identity.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
         raise ShapeError("hidden states must be a 2-D matrix")
-    d = h.shape[1]
+    n, d = h.shape
     if weights.wq.shape[0] != d:
         raise ShapeError(f"weights expect d={weights.wq.shape[0]}, states have d={d}")
-    out = h.copy()
+    if segments is not None:
+        segments = np.asarray(segments, dtype=np.int64)
+        sizes = segments[1:] - segments[:-1]
+        if segments[0] != 0 or segments[-1] != n or (sizes < 0).any():
+            raise ShapeError(f"segments must rise from 0 to the row count {n}")
     active = np.asarray(active, dtype=np.int64)
     if active.size == 0:
-        return out
-    if key_mask is None:
-        keys_idx = np.arange(h.shape[0])
-    else:
-        keys_idx = np.flatnonzero(np.asarray(key_mask, dtype=bool))
+        return h.copy()
+    keys = None if key_mask is None else np.asarray(key_mask, dtype=bool)
+    docs, q_doc, k_doc = 1, None, None
+    if segments is not None and sizes.size > 1:
+        # documents without an active row need no keys; number the rest
+        doc_of = np.repeat(np.arange(sizes.size), sizes)
+        live = np.zeros(sizes.size, dtype=bool)
+        live[doc_of[active]] = True
+        if not live.all():
+            keys = live[doc_of] if keys is None else keys & live[doc_of]
+        rank = np.cumsum(live) - 1
+        docs, q_doc = int(rank[-1]) + 1, rank[doc_of[active]]
+        k_doc = rank[doc_of if keys is None else doc_of[keys]]
+    hk = h if keys is None else h[keys]
     hq = h[active]
-    q = hq @ weights.wq
-    k = h[keys_idx] @ weights.wk
-    v = h[keys_idx] @ weights.wv
-    d_k = d // heads
-    ctx = np.empty_like(hq)
-    for i in range(heads):
-        sl = slice(i * d_k, (i + 1) * d_k)
-        scores = (q[:, sl] @ k[:, sl].T) / np.sqrt(d_k)
-        ctx[:, sl] = softmax_rows(scores) @ v[:, sl]
+    ctx = _attention(hq @ weights.wq, hk @ weights.wk, hk @ weights.wv,
+                     heads, q_doc, k_doc, docs)
     x = layer_norm(hq + ctx @ weights.wo, weights.ln1_gain, weights.ln1_bias)
+    del hq, ctx  # a packed batch's temporaries dominate its memory
     ffn = relu(x @ weights.w1) @ weights.w2
+    out = h.copy()
     out[active] = layer_norm(x + ffn, weights.ln2_gain, weights.ln2_bias)
     return out
 
 
+def _run_packed(model, ids_list, schedules, keep_hidden):
+    """Run documents as one packed batch.
+
+    Returns the states after every layer (H^0..H^L) if keep_hidden, else
+    only H^L; each entry is a list of per-document (n_i, d) matrices.
+    Padding rows are left out of the packed matrix and come back carrying
+    their embeddings.
+    """
+    if len(ids_list) != len(schedules):
+        raise ShapeError(f"{len(ids_list)} sequences but {len(schedules)} schedules")
+    if not ids_list:
+        return [[]]
+    ids_list = [np.asarray(ids, dtype=np.int64) for ids in ids_list]
+    for ids, sched in zip(ids_list, schedules):
+        if ids.size == 0:
+            raise InputError("cannot run a forward pass on an empty sequence")
+        if ids.size > MAX_SEQUENCE_LEN:
+            raise InputError(f"sequence length {ids.size} exceeds {MAX_SEQUENCE_LEN}")
+        if ids.size != len(sched):
+            raise ShapeError(f"schedule covers {len(sched)} positions, "
+                             f"sequence has {ids.size}")
+    exits = np.concatenate([sched.exit_layer for sched in schedules])
+    if exits.max() > model.num_layers:
+        raise ConfigError("schedule assigns layers beyond the model depth")
+    lengths = [ids.size for ids in ids_list]
+    bounds = list(accumulate(lengths, initial=0))
+    positions, segments = None, None
+    if len(ids_list) > 1:
+        positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
+        segments = np.cumsum([0] + [sched.valid_count for sched in schedules])
+    full = embed(model, np.concatenate(ids_list), positions)
+    mask = np.concatenate([sched.attn_mask for sched in schedules])
+    padded = not mask.all()
+    h, exits = (full[mask], exits[mask]) if padded else (full, exits)
+    states = [h]
+    for t, weights in enumerate(model.layers, start=1):
+        h = forward_layer(h, weights, np.flatnonzero(exits >= t),
+                          heads=model.heads, segments=segments)
+        states = states + [h] if keep_hidden else [h]
+
+    def unpack(packed):
+        if padded:
+            packed, rows = full.copy(), packed
+            packed[mask] = rows
+        return [packed[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    return [unpack(packed) for packed in states]
+
+
+def forward_batch(model, ids_list, schedules):
+    """Final states of several documents run as one packed batch.
+
+    Entry i is document i's (n_i, d) final states and matches
+    forward(model, ids_list[i], schedules[i]).final up to the summation
+    order of the packed matmuls. Memory grows with the batch's rows, so
+    split a corpus with row_batches.
+    """
+    return _run_packed(model, ids_list, schedules, keep_hidden=False)[0]
+
+
 def forward(model, token_ids, sched):
     """Run all layers under the schedule; returns the full ForwardTrace."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size == 0:
-        raise InputError("cannot run a forward pass on an empty sequence")
-    if ids.size > MAX_SEQUENCE_LEN:
-        raise InputError(f"sequence length {ids.size} exceeds {MAX_SEQUENCE_LEN}")
-    if ids.size != len(sched):
-        raise ShapeError(f"schedule covers {len(sched)} positions, "
-                         f"sequence has {ids.size}")
-    if sched.exit_layer.max() > model.num_layers:
-        raise ConfigError("schedule assigns layers beyond the model depth")
-    h = embed(model, ids)
-    n_valid = sched.valid_count
-    trace = ForwardTrace(hidden=[h])
-    for t in range(1, model.num_layers + 1):
-        active = sched.active_at(t)
-        h = forward_layer(h, model.layers[t - 1], active,
-                          heads=model.heads, key_mask=sched.attn_mask)
-        trace.hidden.append(h)
-        trace.remaining.append(active)
-        trace.flops_inputs.append((n_valid, int(active.size)))
-    return trace
+    states = _run_packed(model, [token_ids], [sched], keep_hidden=True)
+    return ForwardTrace(hidden=[per_doc[0] for per_doc in states])
+
+
+def row_batches(lengths):
+    """Split documents into packed batches of at most BATCH_ROWS rows.
+
+    Returns index arrays. Documents are taken shortest first, so each
+    batch holds documents of similar length and pads little; a document
+    longer than the budget gets a batch of its own.
+    """
+    order = np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
+    batches, start, rows = [], 0, 0
+    for i, doc in enumerate(order):
+        if rows and rows + lengths[doc] > BATCH_ROWS:
+            batches.append(order[start:i])
+            start, rows = i, 0
+        rows += lengths[doc]
+    if rows:
+        batches.append(order[start:])
+    return batches
 
 
 def classify(model, final_states):
@@ -291,11 +428,16 @@ def _resolve_table(tables, phase):
 
 
 def cls_features(model, sequences, table):
-    """Frozen-encoder features: final state of position 0 per sequence."""
+    """Frozen-encoder features: final state of position 0 per sequence.
+
+    Sequences run in packed batches of at most BATCH_ROWS rows.
+    """
     feats = np.empty((len(sequences), model.d))
-    for i, seq in enumerate(sequences):
-        sched = schedule(seq, table, model.num_layers, pin_first=True)
-        feats[i] = forward(model, seq, sched).final[0]
+    for batch in row_batches([len(seq) for seq in sequences]):
+        seqs = [sequences[i] for i in batch]
+        scheds = [schedule(seq, table, model.num_layers, pin_first=True)
+                  for seq in seqs]
+        feats[batch] = [final[0] for final in forward_batch(model, seqs, scheds)]
     return feats
 
 
@@ -332,9 +474,13 @@ def accuracy(model, sequences, labels, table):
     """Fraction of sequences whose argmax class matches the label."""
     if len(sequences) == 0:
         raise InputError("evaluation set is empty")
-    hits = sum(predict_class(model, seq, table) == int(lab)
-               for seq, lab in zip(sequences, labels))
-    return hits / len(sequences)
+    if len(sequences) != len(labels):
+        raise ShapeError("sequences and labels differ in length")
+    if model.head is None:
+        raise ConfigError("model has no classifier head")
+    preds = np.argmax(cls_features(model, sequences, table) @ model.head, axis=1)
+    hits = np.count_nonzero(preds == [int(lab) for lab in labels])
+    return int(hits) / len(sequences)
 
 
 def random_model(vocab_size, num_layers, d, heads, d_ff, *, seed=0,
@@ -391,7 +537,11 @@ def parse_model(text):
     meta = {}
     for part in lines[0][len(_MODEL_MAGIC) + 1:].split():
         key, _, val = part.partition("=")
-        meta[key] = int(val)
+        try:
+            meta[key] = int(val)
+        except ValueError:
+            raise ParseError(f"model header field {part!r} is not "
+                             "key=integer") from None
     for key in ("L", "d", "h", "d_ff", "V"):
         if key not in meta:
             raise ParseError(f"model header is missing {key}")
@@ -407,7 +557,11 @@ def parse_model(text):
         parts = line[1:-1].split()
         if len(parts) != 4:
             raise ParseError(f"malformed tensor header on line {i + 1}")
-        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+        try:
+            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+        except ValueError:
+            raise ParseError(f"non-integer shape in tensor header on line "
+                             f"{i + 1}") from None
         block = lines[i + 1:i + 1 + rows]
         if len(block) != rows:
             raise ParseError(f"tensor {name} is truncated")
@@ -417,6 +571,8 @@ def parse_model(text):
             raise ParseError(f"bad number in tensor {name}: {exc}") from exc
         if arr.shape != (rows, cols):
             raise ParseError(f"tensor {name} rows do not match header shape")
+        if not np.isfinite(arr).all():
+            raise ParseError(f"tensor {name} holds a non-finite weight")
         tensors[name] = arr
         i += 1 + rows
     layers = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hashexit import encoder
 from hashexit.cli import main
 from hashexit.corpus import Corpus, save_corpus
 from hashexit.encoder import predict_class, random_model, save_model, schedule
@@ -174,6 +175,49 @@ class TestInfer:
                     "--corpus", tmp_path / "nope.txt", "--out-dir", tmp_path])
         assert code == 1
         assert "no such file" in capsys.readouterr().err
+
+
+    @staticmethod
+    def set_first_weight(text, value):
+        # line 1 is the header, line 2 the first row of the embedding tensor
+        lines = text.splitlines()
+        lines[2] = value + " " + lines[2].split(" ", 1)[1]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace(" L=3 ", " L=x ", 1), "L=x"),
+        (lambda text: text.replace("[tensor embedding 6 8]",
+                                   "[tensor embedding a b]"), "non-integer shape"),
+        (lambda text: TestInfer.set_first_weight(text, "nan"), "non-finite"),
+        (lambda text: TestInfer.set_first_weight(text, "-inf"), "non-finite"),
+    ], ids=["header-field", "tensor-shape", "nan-weight", "inf-weight"])
+    def test_malformed_model_is_a_typed_error(self, tmp_path, capsys, edit,
+                                              message):
+        _, model_path, _, table_path, _ = make_model_and_table(tmp_path)
+        model_path.write_text(edit(model_path.read_text()))
+        corpus_path = tmp_path / "docs.txt"
+        save_corpus(Corpus(documents=[["a"]]), corpus_path)
+        code = run(["infer", "--model", model_path, "--table", table_path,
+                    "--corpus", corpus_path, "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_corpus_beyond_row_budget_matches_library(self, tmp_path, capsys):
+        model, model_path, table, table_path, vocab = make_model_and_table(tmp_path)
+        rng = np.random.default_rng(5)
+        docs = [[vocab.tokens[i] for i in rng.integers(0, 6, size=rng.integers(1, 30))]
+                for _ in range(400)]
+        assert sum(len(doc) for doc in docs) > encoder.BATCH_ROWS
+        corpus_path = tmp_path / "docs.txt"
+        save_corpus(Corpus(documents=docs), corpus_path)
+        code = run(["infer", "--model", model_path, "--table", table_path,
+                    "--corpus", corpus_path, "--out-dir", tmp_path])
+        assert code == 0
+        lines = (tmp_path / "predictions.tsv").read_text().splitlines()
+        want = [f"{i}\t{predict_class(model, vocab.ids_for(doc), table)}"
+                for i, doc in enumerate(docs)]
+        assert lines == want
 
 
 class TestFlopsReport:

@@ -9,18 +9,21 @@ from hashexit.encoder import (
     classify,
     embed,
     forward,
+    forward_batch,
     forward_layer,
     head_loss_and_grad,
     parse_model,
     positional_encoding,
     predict_class,
     random_model,
+    row_batches,
     save_model,
     load_model,
     schedule,
     serialize_model,
     train_toy,
 )
+from hashexit import encoder
 from hashexit.hashing import CorpusStats, HashTable, Vocab, build_frequency, build_random
 
 from helpers import vanilla_forward, sinusoidal_positions
@@ -71,6 +74,21 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             ExitSchedule(np.array([2, 2]), np.array([True, False]))
 
+    def test_gather_matches_layer_of(self):
+        rng = np.random.default_rng(3)
+        table = build_random(Vocab(tuple(f"t{i}" for i in range(40))), 3, 6, seed=1)
+        for _ in range(20):
+            ids = rng.integers(-5, 50, size=int(rng.integers(1, 30)))
+            valid_len = int(rng.integers(0, ids.size + 1))
+            pin = bool(rng.integers(0, 2))
+            sched = schedule(ids, table, pin_first=pin, valid_len=valid_len)
+            want = [table.layer_of(int(t)) for t in ids]
+            if pin and valid_len:
+                want[0] = 6
+            want[valid_len:] = [1] * (ids.size - valid_len)
+            assert list(sched.exit_layer) == want
+            assert list(sched.attn_mask) == [i < valid_len for i in range(ids.size)]
+
     def test_active_sets_shrink(self):
         sched = ExitSchedule(np.array([1, 3, 2, 3]), np.ones(4, dtype=bool))
         actives = [set(sched.active_at(t)) for t in (1, 2, 3)]
@@ -107,6 +125,23 @@ class TestForwardLayer:
         h2[1] += 1.0
         out_b = forward_layer(h2, model.layers[0], [0, 2], heads=2)
         assert not np.allclose(out_a[0], out_b[0])
+
+    def test_segments_keep_documents_apart(self):
+        rng = np.random.default_rng(3)
+        model = random_model(5, 1, 8, 2, 16, seed=5)
+        h = rng.normal(size=(5, 8))
+        packed = forward_layer(h, model.layers[0], [0, 2, 3], heads=2,
+                               segments=[0, 3, 5])
+        first = forward_layer(h[:3], model.layers[0], [0, 2], heads=2)
+        second = forward_layer(h[3:], model.layers[0], [0], heads=2)
+        assert np.max(np.abs(packed - np.vstack([first, second]))) <= 1e-12
+        assert np.array_equal(packed[[1, 4]], h[[1, 4]])
+
+    def test_bad_segments(self):
+        model = random_model(5, 1, 8, 2, 16, seed=4)
+        with pytest.raises(ShapeError):
+            forward_layer(np.zeros((3, 8)), model.layers[0], [0], heads=2,
+                          segments=[0, 2])
 
     def test_shape_mismatch(self):
         model = random_model(5, 1, 8, 2, 16, seed=4)
@@ -150,17 +185,22 @@ class TestForward:
                 for t in range(k, 5):
                     assert np.array_equal(trace.hidden[t][p], trace.hidden[k][p])
 
-    def test_flops_inputs_and_remaining(self):
+    def test_active_counts_and_nested_sets(self):
         model = random_model(8, 3, 8, 2, 16, seed=7)
         ids = np.array([0, 1, 2, 3])
         sched = ExitSchedule(np.array([1, 2, 3, 1]), np.ones(4, dtype=bool))
-        trace = forward(model, ids, sched)
-        assert trace.flops_inputs == [(4, 4), (4, 2), (4, 1)]
-        assert [list(r) for r in trace.remaining] == [[0, 1, 2, 3], [1, 2], [2]]
+        actives = [sched.active_at(t) for t in (1, 2, 3)]
+        assert [(sched.valid_count, a.size) for a in actives] == [(4, 4), (4, 2), (4, 1)]
+        assert [list(a) for a in actives] == [[0, 1, 2, 3], [1, 2], [2]]
         prev = set(range(4))
-        for r in trace.remaining:
-            assert set(r) <= prev
-            prev = set(r)
+        for a in actives:
+            assert set(a) <= prev
+            prev = set(a)
+        # layer t rewrites exactly the rows of active_at(t)
+        trace = forward(model, ids, sched)
+        for t, a in enumerate(actives, start=1):
+            changed = np.flatnonzero(np.any(trace.hidden[t] != trace.hidden[t - 1], axis=1))
+            assert list(changed) == list(a)
 
     def test_padding_is_invisible(self):
         model = random_model(8, 3, 8, 2, 16, seed=8)
@@ -206,6 +246,102 @@ class TestForward:
         model = random_model(8, 2, 8, 2, 16, seed=14)
         with pytest.raises(InputError):
             embed(model, [8])
+
+
+def random_batch(rng, model, docs, padded=True):
+    """Ragged documents with random exits and, if padded, random padding."""
+    L, V = model.num_layers, model.vocab_size
+    ids_list, schedules = [], []
+    for _ in range(docs):
+        n = int(rng.integers(1, 12))
+        valid = int(rng.integers(1, n + 1)) if padded else n
+        exits = rng.integers(1, L + 1, size=n)
+        exits[valid:] = 1
+        ids_list.append(rng.integers(-1, V, size=n))
+        schedules.append(ExitSchedule(exits, np.arange(n) < valid))
+    return ids_list, schedules
+
+
+class TestForwardBatch:
+    def test_matches_per_document_forward(self):
+        rng = np.random.default_rng(40)
+        model = random_model(12, 4, 8, 2, 16, seed=41)
+        for _ in range(10):
+            ids_list, schedules = random_batch(rng, model, int(rng.integers(1, 9)))
+            finals = forward_batch(model, ids_list, schedules)
+            assert len(finals) == len(ids_list)
+            for ids, sched, got in zip(ids_list, schedules, finals):
+                want = forward(model, ids, sched).final
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_frozen_rows_bit_exact(self):
+        # a row exiting at k equals, bit for bit, a packed run of k layers
+        rng = np.random.default_rng(42)
+        model = random_model(12, 4, 8, 2, 16, seed=43)
+        ids_list, schedules = random_batch(rng, model, 8)
+        finals = forward_batch(model, ids_list, schedules)
+        for k in range(1, 4):
+            head = EncoderModel(d=8, heads=2, d_ff=16, layers=model.layers[:k],
+                                embedding=model.embedding)
+            capped = [ExitSchedule(np.minimum(s.exit_layer, k), s.attn_mask)
+                      for s in schedules]
+            short = forward_batch(head, ids_list, capped)
+            for sched, got, ref in zip(schedules, finals, short):
+                rows = sched.attn_mask & (sched.exit_layer == k)
+                assert np.array_equal(got[rows], ref[rows])
+
+    def test_no_exit_matches_vanilla(self):
+        rng = np.random.default_rng(44)
+        model = random_model(12, 3, 8, 2, 16, seed=45)
+        ids_list = [rng.integers(0, 12, size=int(rng.integers(1, 15))) for _ in range(9)]
+        schedules = [all_last_schedule(ids.size, 3) for ids in ids_list]
+        for ids, got in zip(ids_list, forward_batch(model, ids_list, schedules)):
+            assert np.max(np.abs(got - vanilla_forward(model, ids))) < 1e-9
+
+    def test_documents_do_not_see_each_other(self):
+        model = random_model(12, 2, 8, 2, 16, seed=46)
+        a, b = np.array([1, 2, 3]), np.array([4, 5])
+        sched_a, sched_b = all_last_schedule(3, 2), all_last_schedule(2, 2)
+        alone = forward_batch(model, [a], [sched_a])[0]
+        for other in (b, np.array([9, 9]), np.array([0, 7])):
+            packed = forward_batch(model, [other, a], [sched_b, sched_a])[1]
+            assert np.max(np.abs(packed - alone)) <= 1e-12
+
+    def test_empty_batch(self):
+        model = random_model(12, 2, 8, 2, 16, seed=47)
+        assert forward_batch(model, [], []) == []
+
+    def test_length_mismatch(self):
+        model = random_model(12, 2, 8, 2, 16, seed=48)
+        with pytest.raises(ShapeError):
+            forward_batch(model, [[0, 1]], [])
+        with pytest.raises(ShapeError):
+            forward_batch(model, [[0, 1], [2]], [all_last_schedule(2, 2),
+                                                 all_last_schedule(2, 2)])
+
+    def test_row_batches_respect_budget(self, monkeypatch):
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 10)
+        lengths = [4, 12, 3, 3, 5, 1, 9]
+        batches = row_batches(lengths)
+        assert sorted(i for b in batches for i in b) == list(range(len(lengths)))
+        for batch in batches:
+            rows = sum(lengths[i] for i in batch)
+            assert rows <= 10 or len(batch) == 1
+
+    def test_cls_features_cross_batches(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        model = random_model(11, 2, 8, 2, 16, seed=50)
+        table = build_random(Vocab(tuple(f"w{i}" for i in range(11))), 2, 2, seed=3)
+        seqs = [list(rng.integers(0, 11, size=int(rng.integers(1, 9)))) for _ in range(30)]
+        whole = encoder.cls_features(model, seqs, table)
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 16)
+        assert len(row_batches([len(s) for s in seqs])) > 3
+        split = encoder.cls_features(model, seqs, table)
+        for seq, got in zip(seqs, split):
+            sched = schedule(seq, table, 2, pin_first=True)
+            assert np.max(np.abs(got - forward(model, seq, sched).final[0])) <= 1e-12
+        assert np.max(np.abs(split - whole)) <= 1e-12
 
 
 class TestPositionalEncoding:
