@@ -21,7 +21,7 @@ import numpy as np
 
 from hashexit import (HashTable, forward, forward_batch, random_model,
                       row_batches, schedule)
-from hashexit.encoder import BATCH_ROWS
+from hashexit.encoder import batch_rows
 
 L, d, heads, d_ff = 4, 8, 2, 16
 model = random_model(vocab_size=10, num_layers=L, d=d, heads=heads,
@@ -80,9 +80,11 @@ gap = max(np.abs(p - forward(model, ids, s).final).max()
           for p, ids, s in zip(packed, docs, scheds))
 print(f"\npacked batch of {len(docs)} docs vs one-by-one: max |diff| {gap:.1e}")
 
-# a corpus is walked in batches of at most BATCH_ROWS rows, shortest first
+# a corpus is walked in batches of at most batch_rows(model) rows, shortest
+# first; the budget shrinks as the model's widest layer grows
 lengths = [int(n) for n in np.random.default_rng(0).integers(5, 500, size=40)]
-batches = row_batches(lengths)
-print(f"{len(lengths)} docs, {sum(lengths)} rows -> {len(batches)} batches "
-      f"of <= {BATCH_ROWS} rows:",
-      [sum(lengths[i] for i in b) for b in batches])
+for dims in ((256, 4, 1024), (768, 12, 3072)):
+    budget = batch_rows(random_model(8, 1, *dims))
+    batches = row_batches(lengths, budget)
+    print(f"d={dims[0]}, d_ff={dims[2]}: {len(lengths)} docs, {sum(lengths)} "
+          f"rows -> {len(batches)} batches of <= {budget} rows")

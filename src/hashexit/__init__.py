@@ -42,6 +42,7 @@ from .encoder import (
     ForwardTrace,
     LayerWeights,
     accuracy,
+    batch_rows,
     classify,
     embed,
     forward,

@@ -13,9 +13,10 @@ import numpy as np
 
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus, zipf_corpus
-# forward and classify are not called here, but stay importable from this
-# module: bench/tracing.py wraps them (and schedule) at these names.
-from .encoder import classify, cls_features, forward, load_model, schedule  # noqa: F401
+# classify is not called here, but stays importable from this module:
+# bench/tracing.py wraps it (and forward and schedule) at these names.
+from .encoder import (batch_rows, classify, forward, load_model,  # noqa: F401
+                      row_batches, schedule)
 from .flops import ModelDims, report
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
@@ -128,7 +129,16 @@ def cmd_infer(args):
     _report_skipped(corpus)
     vocab = _table_vocab(table)
     ids_list = [_doc_ids(doc, vocab) for doc in corpus.documents]
-    preds = np.argmax(cls_features(model, ids_list, table) @ model.head, axis=1)
+    # one forward call per packed batch, looked up here, so that wrappers
+    # placed at hashexit.cli.forward see each pass (bench/ times and
+    # traces them)
+    feats = np.empty((len(ids_list), model.d))
+    for batch in row_batches([len(ids) for ids in ids_list], batch_rows(model)):
+        seqs = [ids_list[i] for i in batch]
+        scheds = [schedule(ids, table, model.num_layers, pin_first=True)
+                  for ids in seqs]
+        feats[batch] = [final[0] for final in forward(model, seqs, scheds)]
+    preds = np.argmax(feats @ model.head, axis=1)
     lines = [f"{i}\t{pred}" for i, pred in enumerate(preds)]
     path = out_dir / "predictions.tsv"
     _write_text(path, "\n".join(lines) + "\n")

@@ -25,11 +25,16 @@ from .linalg import layer_norm, relu, softmax_rows
 
 MAX_SEQUENCE_LEN = 512
 
-# Rows (tokens) per packed batch when a corpus is walked in batches: large
-# enough that per-layer Python overhead is shared by many documents, small
-# enough to bound a layer's temporaries (about 40 KB per row at d=256,
-# d_ff=1024).
+# Budget of a packed batch when a corpus is walked in batches. Rows are
+# capped at BATCH_ROWS, enough to share per-layer Python overhead among
+# many short documents, and a layer's widest temporary (rows x max(d,
+# d_ff) float64s) at BATCH_FLOATS, 3 MiB, below the 4 MiB from which numpy
+# asks for huge pages. Larger temporaries are mapped and page-faulted
+# afresh on every layer: at d=256, d_ff=1024, 2048-row batches took about
+# 40 times the page faults of 384-row ones (this budget there) and ran
+# no faster.
 BATCH_ROWS = 2048
+BATCH_FLOATS = 3 << 17
 
 _MODEL_MAGIC = "#hashee-model v1"
 
@@ -366,13 +371,26 @@ def forward_batch(model, ids_list, schedules):
 
 
 def forward(model, token_ids, sched):
-    """Run all layers under the schedule; returns the full ForwardTrace."""
+    """One forward pass under the exit schedule.
+
+    For one document (an id sequence and its ExitSchedule) returns the
+    ForwardTrace of every layer's states. For a packed batch (a list of
+    id sequences and a list of schedules) returns the documents' final
+    states, as forward_batch does.
+    """
+    if not isinstance(sched, ExitSchedule):
+        return forward_batch(model, token_ids, sched)
     states = _run_packed(model, [token_ids], [sched], keep_hidden=True)
     return ForwardTrace(hidden=[per_doc[0] for per_doc in states])
 
 
-def row_batches(lengths):
-    """Split documents into packed batches of at most BATCH_ROWS rows.
+def batch_rows(model):
+    """Row budget of one packed batch for this model's widths."""
+    return max(1, min(BATCH_ROWS, BATCH_FLOATS // max(model.d, model.d_ff)))
+
+
+def row_batches(lengths, max_rows):
+    """Split documents into packed batches of at most max_rows rows.
 
     Returns index arrays. Documents are taken shortest first, so each
     batch holds documents of similar length and pads little; a document
@@ -381,7 +399,7 @@ def row_batches(lengths):
     order = np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
     batches, start, rows = [], 0, 0
     for i, doc in enumerate(order):
-        if rows and rows + lengths[doc] > BATCH_ROWS:
+        if rows and rows + lengths[doc] > max_rows:
             batches.append(order[start:i])
             start, rows = i, 0
         rows += lengths[doc]
@@ -430,10 +448,11 @@ def _resolve_table(tables, phase):
 def cls_features(model, sequences, table):
     """Frozen-encoder features: final state of position 0 per sequence.
 
-    Sequences run in packed batches of at most BATCH_ROWS rows.
+    Sequences run in packed batches of at most batch_rows(model) rows.
     """
     feats = np.empty((len(sequences), model.d))
-    for batch in row_batches([len(seq) for seq in sequences]):
+    lengths = [len(seq) for seq in sequences]
+    for batch in row_batches(lengths, batch_rows(model)):
         seqs = [sequences[i] for i in batch]
         scheds = [schedule(seq, table, model.num_layers, pin_first=True)
                   for seq in seqs]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hashexit import encoder
+from hashexit import cli, encoder
 from hashexit.cli import main
 from hashexit.corpus import Corpus, save_corpus
 from hashexit.encoder import predict_class, random_model, save_model, schedule
@@ -203,12 +203,14 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    def test_corpus_beyond_row_budget_matches_library(self, tmp_path, capsys):
+    def test_corpus_beyond_row_budget_matches_library(self, tmp_path, capsys,
+                                                      monkeypatch):
         model, model_path, table, table_path, vocab = make_model_and_table(tmp_path)
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 200)
         rng = np.random.default_rng(5)
         docs = [[vocab.tokens[i] for i in rng.integers(0, 6, size=rng.integers(1, 30))]
                 for _ in range(400)]
-        assert sum(len(doc) for doc in docs) > encoder.BATCH_ROWS
+        assert sum(len(doc) for doc in docs) > 10 * encoder.batch_rows(model)
         corpus_path = tmp_path / "docs.txt"
         save_corpus(Corpus(documents=docs), corpus_path)
         code = run(["infer", "--model", model_path, "--table", table_path,
@@ -218,6 +220,29 @@ class TestInfer:
         want = [f"{i}\t{predict_class(model, vocab.ids_for(doc), table)}"
                 for i, doc in enumerate(docs)]
         assert lines == want
+
+    def test_infer_calls_cli_forward_once_per_batch(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # bench/ times and traces infer through the hashexit.cli.forward name
+        model, model_path, table, table_path, vocab = make_model_and_table(tmp_path)
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 40)
+        rng = np.random.default_rng(6)
+        docs = [[vocab.tokens[i] for i in rng.integers(0, 6, size=rng.integers(1, 20))]
+                for _ in range(60)]
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return encoder.forward(*args)
+
+        monkeypatch.setattr(cli, "forward", counted)
+        corpus_path = tmp_path / "docs.txt"
+        save_corpus(Corpus(documents=docs), corpus_path)
+        code = run(["infer", "--model", model_path, "--table", table_path,
+                    "--corpus", corpus_path, "--out-dir", tmp_path])
+        assert code == 0
+        batches = encoder.row_batches([len(d) for d in docs], 40)
+        assert calls == [len(b) for b in batches]
 
 
 class TestFlopsReport:

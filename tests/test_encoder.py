@@ -308,6 +308,20 @@ class TestForwardBatch:
             packed = forward_batch(model, [other, a], [sched_b, sched_a])[1]
             assert np.max(np.abs(packed - alone)) <= 1e-12
 
+    def test_forward_takes_a_batch(self):
+        rng = np.random.default_rng(51)
+        model = random_model(12, 3, 8, 2, 16, seed=52)
+        ids_list, schedules = random_batch(rng, model, 5)
+        got = forward(model, ids_list, schedules)
+        for a, b in zip(got, forward_batch(model, ids_list, schedules)):
+            assert np.array_equal(a, b)
+
+    def test_batch_rows_follow_widest_layer(self):
+        assert encoder.batch_rows(random_model(12, 2, 256, 4, 1024)) == 384
+        assert encoder.batch_rows(random_model(12, 2, 8, 2, 16)) == encoder.BATCH_ROWS
+        wide = random_model(12, 1, 4, 2, 2 * encoder.BATCH_FLOATS)
+        assert encoder.batch_rows(wide) == 1
+
     def test_empty_batch(self):
         model = random_model(12, 2, 8, 2, 16, seed=47)
         assert forward_batch(model, [], []) == []
@@ -320,10 +334,9 @@ class TestForwardBatch:
             forward_batch(model, [[0, 1], [2]], [all_last_schedule(2, 2),
                                                  all_last_schedule(2, 2)])
 
-    def test_row_batches_respect_budget(self, monkeypatch):
-        monkeypatch.setattr(encoder, "BATCH_ROWS", 10)
+    def test_row_batches_respect_budget(self):
         lengths = [4, 12, 3, 3, 5, 1, 9]
-        batches = row_batches(lengths)
+        batches = row_batches(lengths, 10)
         assert sorted(i for b in batches for i in b) == list(range(len(lengths)))
         for batch in batches:
             rows = sum(lengths[i] for i in batch)
@@ -335,8 +348,9 @@ class TestForwardBatch:
         table = build_random(Vocab(tuple(f"w{i}" for i in range(11))), 2, 2, seed=3)
         seqs = [list(rng.integers(0, 11, size=int(rng.integers(1, 9)))) for _ in range(30)]
         whole = encoder.cls_features(model, seqs, table)
-        monkeypatch.setattr(encoder, "BATCH_ROWS", 16)
-        assert len(row_batches([len(s) for s in seqs])) > 3
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 16)
+        assert encoder.batch_rows(model) == 16
+        assert len(row_batches([len(s) for s in seqs], 16)) > 3
         split = encoder.cls_features(model, seqs, table)
         for seq, got in zip(seqs, split):
             sched = schedule(seq, table, 2, pin_first=True)
