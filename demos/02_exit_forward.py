@@ -13,14 +13,14 @@ Things worth noticing in the output:
   - rows frozen at layer k compare bit-equal across all later layers
   - with a table that sends every bucket to the last layer, the traced
     forward reproduces the no-exit forward exactly
-  - several documents run as one packed batch give the same states as
-    one-by-one runs; a corpus is cut into batches of at most BATCH_ROWS rows
+  - forward on lists of documents and schedules runs them as one packed
+    batch and gives the same states as one-by-one runs; a corpus is cut
+    into batches of at most batch_rows(model) rows
 """
 
 import numpy as np
 
-from hashexit import (HashTable, forward, forward_batch, random_model,
-                      row_batches, schedule)
+from hashexit import HashTable, forward, random_model, row_batches, schedule
 from hashexit.encoder import batch_rows
 
 L, d, heads, d_ff = 4, 8, 2, 16
@@ -70,12 +70,13 @@ print("no-exit forward repeated:",
       "bit-identical" if np.array_equal(no_exit.final, late_trace.final)
       else "MISMATCH")
 
-# several documents in one packed batch: each layer runs one matmul per
-# projection over the active rows of all of them, attention stays inside
-# each document, and the result matches one-by-one forwards
+# forward given lists runs the documents as one packed batch: each layer
+# runs one matmul per projection over the active rows of all of them,
+# attention stays inside each document, and the final states match
+# one-by-one forwards
 docs = [token_ids, np.array([0, 1]), np.array([5, 4, 3, 2, 1, 0, 2])]
 scheds = [schedule(ids, table, pin_first=True) for ids in docs]
-packed = forward_batch(model, docs, scheds)
+packed = forward(model, docs, scheds)
 gap = max(np.abs(p - forward(model, ids, s).final).max()
           for p, ids, s in zip(packed, docs, scheds))
 print(f"\npacked batch of {len(docs)} docs vs one-by-one: max |diff| {gap:.1e}")

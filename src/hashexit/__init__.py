@@ -15,7 +15,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .linalg import as_matrix, layer_norm, matmul, relu, softmax_rows
+from .linalg import layer_norm, relu, softmax_rows
 from .hashing import (
     HASH_METHODS,
     CorpusStats,
@@ -46,7 +46,6 @@ from .encoder import (
     classify,
     embed,
     forward,
-    forward_batch,
     forward_layer,
     head_loss_and_grad,
     load_model,

@@ -22,6 +22,7 @@ from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
     CorpusStats,
     Vocab,
+    bucket_to_layer,
     build_clustered,
     build_frequency,
     build_mi,
@@ -38,18 +39,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _corpus_vocab(corpus):
-    return Vocab.from_documents(corpus.documents)
-
-
-def _doc_ids(doc, vocab):
-    return vocab.ids_for(doc)
-
-
-def _table_vocab(table):
-    return Vocab(table.tokens)
-
-
 def _report_skipped(corpus):
     if corpus.skipped_empty:
         print(f"skipped {corpus.skipped_empty} empty corpus lines",
@@ -57,11 +46,10 @@ def _report_skipped(corpus):
 
 
 def _histogram_text(table):
-    sizes = table.bucket_sizes()
     lines = []
-    for b, size in enumerate(sizes):
-        lines.append(f"bucket {b} -> layer {1 + (table.num_layers * b) // table.num_buckets}: "
-                     f"{size} tokens")
+    for b, size in enumerate(table.bucket_sizes()):
+        layer = bucket_to_layer(b, table.num_buckets, table.num_layers)
+        lines.append(f"bucket {b} -> layer {layer}: {size} tokens")
     return "\n".join(lines)
 
 
@@ -83,7 +71,7 @@ def cmd_build_hash(args):
             raise ConfigError("method mi needs a labeled corpus; pass --labeled")
         corpus = load_corpus(args.corpus, labeled=labeled)
         _report_skipped(corpus)
-        vocab = _corpus_vocab(corpus)
+        vocab = Vocab.from_documents(corpus.documents)
         if args.method == "random":
             if args.consistent:
                 table = build_random(vocab, args.buckets, args.layers,
@@ -127,8 +115,8 @@ def cmd_infer(args):
                           f"model has L={model.num_layers}")
     corpus = load_corpus(args.corpus, labeled=args.labeled)
     _report_skipped(corpus)
-    vocab = _table_vocab(table)
-    ids_list = [_doc_ids(doc, vocab) for doc in corpus.documents]
+    vocab = Vocab(table.tokens)
+    ids_list = [vocab.ids_for(doc) for doc in corpus.documents]
     # one forward call per packed batch, looked up here, so that wrappers
     # placed at hashexit.cli.forward see each pass (bench/ times and
     # traces them)
@@ -157,8 +145,8 @@ def cmd_flops_report(args):
                           f"table's L={table.num_layers}")
     corpus = load_corpus(args.corpus)
     _report_skipped(corpus)
-    vocab = _table_vocab(table)
-    schedules = [schedule(_doc_ids(doc, vocab), table)
+    vocab = Vocab(table.tokens)
+    schedules = [schedule(vocab.ids_for(doc), table)
                  for doc in corpus.documents]
     dims = ModelDims(num_layers=table.num_layers, d=args.d, heads=args.heads,
                      d_ff=args.d_ff)
@@ -177,7 +165,11 @@ def cmd_flops_report(args):
 def cmd_ablate_consistency(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"--seeds takes comma-separated integers, "
+                          f"got {args.seeds!r}") from None
     result = run_consistency_ablation(
         seeds, buckets=args.buckets, num_layers=args.layers, d=args.d,
         heads=args.heads, d_ff=args.d_ff, epochs=args.epochs, lr=args.lr,

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, TrainingError
-from .encoder import ExitSchedule, forward, head_loss_and_grad
+from .errors import ConfigError, InputError, ParseError
+from .encoder import ExitSchedule, fit, forward, head_loss_and_grad
 
 
 @dataclass
@@ -120,11 +120,9 @@ def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
     heads = []
     for l in range(L):
         head = rng.normal(0.0, 0.01, size=(d, num_classes))
-        for _ in range(epochs):
-            loss, grad = head_loss_and_grad(head, feats[l], labels)
-            if not np.isfinite(loss):
-                raise TrainingError(f"annotator head {l + 1} diverged")
-            head = head - lr * grad
+        head, = fit(lambda head: head_loss_and_grad(head, feats[l], labels),
+                    (head,), epochs=epochs, lr=lr,
+                    what=f"annotator head {l + 1}")
         heads.append(head)
     return MultiExitAnnotator(model=model, heads=heads)
 
@@ -283,13 +281,9 @@ def linear_b(dataset, *, per_layer=False, epochs=300, lr=0.5, seed=0):
             feats = dataset.features[:, slot]
             targets = dataset.bits[:, slot].astype(np.float64)
         w = rng.normal(0.0, 0.01, size=d)
-        b = 0.0
-        for _ in range(epochs):
-            loss, gw, gb = bce_loss_and_grad(w, b, feats, targets)
-            if not np.isfinite(loss):
-                raise TrainingError("linear difficulty predictor diverged")
-            w = w - lr * gw
-            b = b - lr * gb
+        w, b = fit(lambda w, b: bce_loss_and_grad(w, b, feats, targets),
+                   (w, 0.0), epochs=epochs, lr=lr,
+                   what="linear difficulty predictor")
         weights.append(w)
         biases.append(b)
     return LinearBPredictor(weights=np.array(weights), biases=np.array(biases),
@@ -328,11 +322,8 @@ def linear_m(dataset, *, epochs=300, lr=0.5, seed=0):
     num_classes = dataset.num_layers + 1
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 0.01, size=(dataset.pooled.shape[1], num_classes))
-    for _ in range(epochs):
-        loss, grad = head_loss_and_grad(w, dataset.pooled, targets)
-        if not np.isfinite(loss):
-            raise TrainingError("multinomial exit predictor diverged")
-        w = w - lr * grad
+    w, = fit(lambda w: head_loss_and_grad(w, dataset.pooled, targets), (w,),
+             epochs=epochs, lr=lr, what="multinomial exit predictor")
     return LinearMPredictor(weights=w)
 
 

@@ -262,15 +262,15 @@ def _attention(q, k, v, heads, q_doc=None, k_doc=None, docs=1):
     return ctx if docs == 1 else ctx[q_doc, q_slot]
 
 
-def forward_layer(h, weights, active, *, heads, key_mask=None, segments=None):
+def forward_layer(h, weights, active, *, heads, segments=None):
     """One exit-aware encoder layer over one or more packed documents.
 
     `segments` lists the start row of each document packed into h followed
     by h's row count (default: all of h is one document). Queries come from
-    the `active` rows only; keys and values span the key_mask rows (default:
-    all) of every document that has an active row, and each query attends
-    to its own document only. Rows outside `active` are copied verbatim, so
-    an empty active set makes the layer an exact identity.
+    the `active` rows only; keys and values span every row of each document
+    that has an active row, and each query attends to its own document
+    only. Rows outside `active` are copied verbatim, so an empty active set
+    makes the layer an exact identity.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
@@ -286,15 +286,14 @@ def forward_layer(h, weights, active, *, heads, key_mask=None, segments=None):
     active = np.asarray(active, dtype=np.int64)
     if active.size == 0:
         return h.copy()
-    keys = None if key_mask is None else np.asarray(key_mask, dtype=bool)
-    docs, q_doc, k_doc = 1, None, None
+    docs, q_doc, k_doc, keys = 1, None, None, None
     if segments is not None and sizes.size > 1:
         # documents without an active row need no keys; number the rest
         doc_of = np.repeat(np.arange(sizes.size), sizes)
         live = np.zeros(sizes.size, dtype=bool)
         live[doc_of[active]] = True
         if not live.all():
-            keys = live[doc_of] if keys is None else keys & live[doc_of]
+            keys = live[doc_of]
         rank = np.cumsum(live) - 1
         docs, q_doc = int(rank[-1]) + 1, rank[doc_of[active]]
         k_doc = rank[doc_of if keys is None else doc_of[keys]]
@@ -359,27 +358,18 @@ def _run_packed(model, ids_list, schedules, keep_hidden):
     return [unpack(packed) for packed in states]
 
 
-def forward_batch(model, ids_list, schedules):
-    """Final states of several documents run as one packed batch.
-
-    Entry i is document i's (n_i, d) final states and matches
-    forward(model, ids_list[i], schedules[i]).final up to the summation
-    order of the packed matmuls. Memory grows with the batch's rows, so
-    split a corpus with row_batches.
-    """
-    return _run_packed(model, ids_list, schedules, keep_hidden=False)[0]
-
-
 def forward(model, token_ids, sched):
     """One forward pass under the exit schedule.
 
     For one document (an id sequence and its ExitSchedule) returns the
     ForwardTrace of every layer's states. For a packed batch (a list of
-    id sequences and a list of schedules) returns the documents' final
-    states, as forward_batch does.
+    id sequences and a list of schedules) returns a list whose entry i is
+    document i's (n_i, d) final states; it matches the one-document pass
+    up to the summation order of the packed matmuls. Memory grows with the
+    batch's rows, so split a corpus with row_batches.
     """
     if not isinstance(sched, ExitSchedule):
-        return forward_batch(model, token_ids, sched)
+        return _run_packed(model, token_ids, sched, keep_hidden=False)[0]
     states = _run_packed(model, [token_ids], [sched], keep_hidden=True)
     return ForwardTrace(hidden=[per_doc[0] for per_doc in states])
 
@@ -420,6 +410,24 @@ def predict_class(model, token_ids, table):
     return int(np.argmax(classify(model, forward(model, token_ids, sched).final)))
 
 
+def fit(loss_and_grad, params, *, epochs, lr, what):
+    """Full-batch gradient descent from the parameter tuple `params`.
+
+    loss_and_grad(*params) returns the loss followed by one gradient per
+    parameter, and each epoch steps every parameter p to p - lr * g. A
+    non-finite loss raises TrainingError naming `what`. Returns the final
+    parameters as a tuple.
+    """
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    for _ in range(epochs):
+        loss, *grads = loss_and_grad(*params)
+        if not np.isfinite(loss):
+            raise TrainingError(f"{what} diverged: loss {loss}")
+        params = tuple(p - lr * g for p, g in zip(params, grads))
+    return params
+
+
 def head_loss_and_grad(head, feats, label_ids):
     """Mean cross entropy of feats @ head and its gradient in head."""
     feats = np.asarray(feats, dtype=np.float64)
@@ -456,7 +464,7 @@ def cls_features(model, sequences, table):
         seqs = [sequences[i] for i in batch]
         scheds = [schedule(seq, table, model.num_layers, pin_first=True)
                   for seq in seqs]
-        feats[batch] = [final[0] for final in forward_batch(model, seqs, scheds)]
+        feats[batch] = [final[0] for final in forward(model, seqs, scheds)]
     return feats
 
 
@@ -481,11 +489,8 @@ def train_toy(model, sequences, labels, tables, phase="train", *,
         num_classes = int(labels.max()) + 1
         rng = np.random.default_rng(seed)
         head = rng.normal(0.0, 0.01, size=(model.d, num_classes))
-    for _ in range(epochs):
-        loss, grad = head_loss_and_grad(head, feats, labels)
-        if not np.isfinite(loss):
-            raise TrainingError(f"loss diverged to {loss}")
-        head = head - lr * grad
+    head, = fit(lambda head: head_loss_and_grad(head, feats, labels), (head,),
+                epochs=epochs, lr=lr, what="classifier head")
     return replace(model, layers=list(model.layers), head=head)
 
 

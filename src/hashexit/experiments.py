@@ -44,6 +44,8 @@ def make_separable_task(*, num_train=40, num_eval=40, vocab_size=11,
                         seq_len=5, seed=0):
     if vocab_size < 3:
         raise ConfigError("need at least a class token and two word tokens")
+    if seq_len < 1:
+        raise ConfigError(f"seq_len must be at least 1, got {seq_len}")
     rng = np.random.default_rng(seed)
     vocab = Vocab(tuple(["cls"] + [f"w{i}" for i in range(vocab_size - 1)]))
     half = 1 + (vocab_size - 1) // 2

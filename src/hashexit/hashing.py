@@ -139,12 +139,16 @@ class CorpusStats:
         return self.cooccur is not None
 
 
-def bucket_to_layer(b: int, num_buckets: int, num_layers: int) -> int:
-    """Exit layer of bucket b: 1 + floor(L*b/B); bucket 0 is always layer 1."""
+def _check_buckets(num_buckets: int, num_layers: int) -> None:
     if num_buckets < 1 or num_buckets > num_layers:
         raise ConfigError(
             f"need 1 <= buckets <= layers, got B={num_buckets} L={num_layers}"
         )
+
+
+def bucket_to_layer(b: int, num_buckets: int, num_layers: int) -> int:
+    """Exit layer of bucket b: 1 + floor(L*b/B); bucket 0 is always layer 1."""
+    _check_buckets(num_buckets, num_layers)
     if b < 0 or b >= num_buckets:
         raise ConfigError(f"bucket {b} out of range 0..{num_buckets - 1}")
     return 1 + (num_layers * b) // num_buckets
@@ -170,11 +174,7 @@ class HashTable:
             raise ConfigError(f"unknown hash method {self.method!r}")
         if not self.tokens:
             raise ConfigError("empty vocab")
-        if self.num_buckets < 1 or self.num_buckets > self.num_layers:
-            raise ConfigError(
-                f"need 1 <= buckets <= layers, got "
-                f"B={self.num_buckets} L={self.num_layers}"
-            )
+        _check_buckets(self.num_buckets, self.num_layers)
         buckets = np.asarray(self.buckets, dtype=np.int64)
         if buckets.shape != (len(self.tokens),):
             raise ConfigError("one bucket per token required")
@@ -228,8 +228,10 @@ def _chunk_sizes(count: int, num_chunks: int) -> list[int]:
     return [base + 1] * extra + [base] * (num_chunks - extra)
 
 
-def _buckets_from_order(order: np.ndarray, num_buckets: int) -> np.ndarray:
+def _buckets_from_order(order: np.ndarray, num_buckets: int,
+                        num_layers: int) -> np.ndarray:
     """Assign chunk index by position in `order` (best-ranked first)."""
+    _check_buckets(num_buckets, num_layers)
     buckets = np.empty(len(order), dtype=np.int64)
     start = 0
     for b, size in enumerate(_chunk_sizes(len(order), num_buckets)):
@@ -247,7 +249,7 @@ def _random_table(vocab, num_buckets, num_layers, seed, method) -> HashTable:
         num_layers=num_layers,
         seed=seed,
         tokens=vocab.tokens,
-        buckets=_buckets_from_order(order, num_buckets),
+        buckets=_buckets_from_order(order, num_buckets, num_layers),
     )
 
 
@@ -289,7 +291,7 @@ def build_frequency(vocab: Vocab, stats: CorpusStats, num_buckets: int,
         num_layers=num_layers,
         seed=0,
         tokens=vocab.tokens,
-        buckets=_buckets_from_order(order, num_buckets),
+        buckets=_buckets_from_order(order, num_buckets, num_layers),
     )
 
 
@@ -334,7 +336,7 @@ def build_mi(vocab: Vocab, stats: CorpusStats, num_buckets: int,
         num_layers=num_layers,
         seed=0,
         tokens=vocab.tokens,
-        buckets=_buckets_from_order(order, num_buckets),
+        buckets=_buckets_from_order(order, num_buckets, num_layers),
     )
 
 
@@ -435,6 +437,7 @@ def build_clustered(vocab: Vocab, emb: EmbeddingTable, num_buckets: int,
     embedding norm exits first. Unlike the frequency/MI builders, bucket
     sizes follow the clustering and may be unequal.
     """
+    _check_buckets(num_buckets, num_layers)
     vectors = np.stack([emb.vector_for(t) for t in vocab.tokens])
     labels, _ = kmeans(vectors, num_buckets, seed)
     norms = np.linalg.norm(vectors, axis=1)

@@ -8,10 +8,10 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["as_matrix", "matmul", "softmax_rows", "layer_norm", "relu"]
+__all__ = ["softmax_rows", "layer_norm", "relu"]
 
 
-def as_matrix(a) -> np.ndarray:
+def _as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D float64 array, raising ShapeError otherwise."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
@@ -19,18 +19,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product; dims must agree as (p,q) x (q,r)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_rows(a) -> np.ndarray:
     """Row-wise softmax, computed with max-subtraction for stability."""
-    a = as_matrix(a)
+    a = _as_matrix(a)
     shifted = a - a.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -43,7 +34,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> np.ndarray:
     is the population variance of the row. gain and bias are length-d
     vectors broadcast across rows.
     """
-    a = as_matrix(a)
+    a = _as_matrix(a)
     gain = np.asarray(gain, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if gain.shape != (a.shape[1],) or bias.shape != (a.shape[1],):
@@ -59,4 +50,4 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> np.ndarray:
 
 def relu(a) -> np.ndarray:
     """Elementwise max(0, x)."""
-    return np.maximum(as_matrix(a), 0.0)
+    return np.maximum(_as_matrix(a), 0.0)

@@ -102,6 +102,22 @@ class TestBuildHash:
         assert code == 0
         assert load_hash_table(tmp_path / "table.hash").method == "clustered"
 
+    def test_clustered_checks_buckets_first(self, tmp_path, capsys,
+                                            monkeypatch):
+        emb_path = tmp_path / "emb.txt"
+        save_embeddings(EmbeddingTable(tuple("abc"), np.eye(3)), emb_path)
+
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("k-means ran on a rejected bucket count")
+
+        monkeypatch.setattr("hashexit.hashing.kmeans", no_kmeans)
+        for buckets in (0, 3):
+            code = run(["build-hash", "--method", "clustered", "--buckets",
+                        buckets, "--layers", 2, "--embeddings", emb_path,
+                        "--out-dir", tmp_path])
+            assert code == 1
+            assert "need 1 <= buckets <= layers" in capsys.readouterr().err
+
     def test_missing_corpus_flag(self, tmp_path, capsys):
         code = run(["build-hash", "--method", "frequency", "--buckets", 2,
                     "--layers", 4, "--out-dir", tmp_path])
@@ -319,6 +335,31 @@ class TestAblateCli:
                     "--out-dir", tmp_path])
         assert code == 1
         assert "seeds" in capsys.readouterr().err
+
+
+class TestMalformedFlags:
+    @pytest.mark.parametrize("argv, says", [
+        pytest.param(["ablate-consistency", "--seeds", "0,x"], "--seeds",
+                     id="ablate-seeds-not-int"),
+        pytest.param(["ablate-consistency", "--seq-len", 0], "seq_len",
+                     id="ablate-seq-len-0"),
+        pytest.param(["ablate-consistency", "--seeds", "0,1", "--epochs", -1],
+                     "epochs", id="ablate-negative-epochs"),
+        pytest.param(["difficulty", "--seq-len", 0], "seq_len",
+                     id="difficulty-seq-len-0"),
+        pytest.param(["build-hash", "--method", "frequency", "--buckets", 0,
+                      "--layers", 4], "buckets", id="frequency-buckets-0"),
+        pytest.param(["build-hash", "--method", "random", "--buckets", 0,
+                      "--layers", 4], "buckets", id="random-buckets-0"),
+    ])
+    def test_typed_error(self, tmp_path, capsys, argv, says):
+        corpus = tmp_path / "c.txt"
+        write_fixture_corpus(corpus)
+        if argv[0] == "build-hash":
+            argv = argv + ["--corpus", corpus]
+        assert run(argv + ["--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and says in err
 
 
 class TestDifficultyCli:

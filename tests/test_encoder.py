@@ -8,8 +8,8 @@ from hashexit.encoder import (
     accuracy,
     classify,
     embed,
+    fit,
     forward,
-    forward_batch,
     forward_layer,
     head_loss_and_grad,
     parse_model,
@@ -24,6 +24,8 @@ from hashexit.encoder import (
     train_toy,
 )
 from hashexit import encoder
+from hashexit.difficulty import annotate, linear_b, linear_m, train_annotator
+from hashexit.experiments import make_separable_task
 from hashexit.hashing import CorpusStats, HashTable, Vocab, build_frequency, build_random
 
 from helpers import vanilla_forward, sinusoidal_positions
@@ -268,7 +270,7 @@ class TestForwardBatch:
         model = random_model(12, 4, 8, 2, 16, seed=41)
         for _ in range(10):
             ids_list, schedules = random_batch(rng, model, int(rng.integers(1, 9)))
-            finals = forward_batch(model, ids_list, schedules)
+            finals = forward(model, ids_list, schedules)
             assert len(finals) == len(ids_list)
             for ids, sched, got in zip(ids_list, schedules, finals):
                 want = forward(model, ids, sched).final
@@ -280,13 +282,13 @@ class TestForwardBatch:
         rng = np.random.default_rng(42)
         model = random_model(12, 4, 8, 2, 16, seed=43)
         ids_list, schedules = random_batch(rng, model, 8)
-        finals = forward_batch(model, ids_list, schedules)
+        finals = forward(model, ids_list, schedules)
         for k in range(1, 4):
             head = EncoderModel(d=8, heads=2, d_ff=16, layers=model.layers[:k],
                                 embedding=model.embedding)
             capped = [ExitSchedule(np.minimum(s.exit_layer, k), s.attn_mask)
                       for s in schedules]
-            short = forward_batch(head, ids_list, capped)
+            short = forward(head, ids_list, capped)
             for sched, got, ref in zip(schedules, finals, short):
                 rows = sched.attn_mask & (sched.exit_layer == k)
                 assert np.array_equal(got[rows], ref[rows])
@@ -296,25 +298,26 @@ class TestForwardBatch:
         model = random_model(12, 3, 8, 2, 16, seed=45)
         ids_list = [rng.integers(0, 12, size=int(rng.integers(1, 15))) for _ in range(9)]
         schedules = [all_last_schedule(ids.size, 3) for ids in ids_list]
-        for ids, got in zip(ids_list, forward_batch(model, ids_list, schedules)):
+        for ids, got in zip(ids_list, forward(model, ids_list, schedules)):
             assert np.max(np.abs(got - vanilla_forward(model, ids))) < 1e-9
 
     def test_documents_do_not_see_each_other(self):
         model = random_model(12, 2, 8, 2, 16, seed=46)
         a, b = np.array([1, 2, 3]), np.array([4, 5])
         sched_a, sched_b = all_last_schedule(3, 2), all_last_schedule(2, 2)
-        alone = forward_batch(model, [a], [sched_a])[0]
+        alone = forward(model, [a], [sched_a])[0]
         for other in (b, np.array([9, 9]), np.array([0, 7])):
-            packed = forward_batch(model, [other, a], [sched_b, sched_a])[1]
+            packed = forward(model, [other, a], [sched_b, sched_a])[1]
             assert np.max(np.abs(packed - alone)) <= 1e-12
 
     def test_forward_takes_a_batch(self):
+        # a single sequence is a batch of one: both forms run one path
         rng = np.random.default_rng(51)
         model = random_model(12, 3, 8, 2, 16, seed=52)
         ids_list, schedules = random_batch(rng, model, 5)
-        got = forward(model, ids_list, schedules)
-        for a, b in zip(got, forward_batch(model, ids_list, schedules)):
-            assert np.array_equal(a, b)
+        for ids, sched in zip(ids_list, schedules):
+            got, = forward(model, [ids], [sched])
+            assert np.array_equal(got, forward(model, ids, sched).final)
 
     def test_batch_rows_follow_widest_layer(self):
         assert encoder.batch_rows(random_model(12, 2, 256, 4, 1024)) == 384
@@ -324,15 +327,15 @@ class TestForwardBatch:
 
     def test_empty_batch(self):
         model = random_model(12, 2, 8, 2, 16, seed=47)
-        assert forward_batch(model, [], []) == []
+        assert forward(model, [], []) == []
 
     def test_length_mismatch(self):
         model = random_model(12, 2, 8, 2, 16, seed=48)
         with pytest.raises(ShapeError):
-            forward_batch(model, [[0, 1]], [])
+            forward(model, [[0, 1]], [])
         with pytest.raises(ShapeError):
-            forward_batch(model, [[0, 1], [2]], [all_last_schedule(2, 2),
-                                                 all_last_schedule(2, 2)])
+            forward(model, [[0, 1], [2]], [all_last_schedule(2, 2),
+                                           all_last_schedule(2, 2)])
 
     def test_row_batches_respect_budget(self):
         lengths = [4, 12, 3, 3, 5, 1, 9]
@@ -479,6 +482,48 @@ class TestTrainToy:
             denom = np.maximum(np.abs(num), np.abs(grad))
             denom[denom == 0] = 1.0
             assert np.max(np.abs(num - grad) / denom) < 1e-4
+
+
+def _diverging_trainers():
+    """Each trainer of the package run at a learning rate that blows up."""
+    task = make_separable_task(num_train=30, seed=0)
+    model = random_model(11, 2, 8, 2, 16, seed=2)
+    table = build_random(task.vocab, 2, 2, seed=3)
+    data = (task.train_seqs, task.train_labels)
+    annotator = train_annotator(model, *data, epochs=20)
+    dataset = annotate(annotator, *data)
+    return {
+        "train_toy": lambda: train_toy(model, *data, table, epochs=50, lr=1e30),
+        "train_annotator": lambda: train_annotator(model, *data, epochs=50,
+                                                   lr=1e30),
+        "linear_b": lambda: linear_b(dataset, epochs=80, lr=1e308),
+        "linear_m": lambda: linear_m(dataset, epochs=80, lr=1e30),
+    }
+
+
+class TestFit:
+    def test_steps_every_parameter(self):
+        # loss a^2 + b^2 has gradients (2a, 2b); half a step lands on 0
+        got = fit(lambda a, b: (a * a + b * b, 2 * a, 2 * b), (1.0, -2.0),
+                  epochs=1, lr=0.5, what="bowl")
+        assert got == (0.0, 0.0)
+
+    def test_zero_epochs_keep_params(self):
+        head = np.ones((2, 2))
+        got, = fit(lambda h: (0.0, h), (head,), epochs=0, lr=1.0, what="head")
+        assert got is head
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ConfigError):
+            fit(lambda h: (0.0, h), (np.ones(2),), epochs=-1, lr=1.0,
+                what="head")
+
+    @pytest.mark.parametrize("trainer", ["train_toy", "train_annotator",
+                                         "linear_b", "linear_m"])
+    def test_divergence_raises_in_fit(self, trainer):
+        with pytest.raises(TrainingError) as excinfo:
+            _diverging_trainers()[trainer]()
+        assert excinfo.traceback[-1].name == "fit"
 
 
 class TestModelIO:
