@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, open_text
 
 
 @dataclass
@@ -52,7 +52,7 @@ def parse_corpus(text, labeled=False):
 
 
 def load_corpus(path, labeled=False):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_corpus(fh.read(), labeled=labeled)
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, open_text
 from .encoder import ExitSchedule, fit, forward, head_loss_and_grad
 
 
@@ -391,5 +391,5 @@ def save_difficulty_dataset(dataset, path):
 
 
 def load_difficulty_dataset(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_difficulty_dataset(fh.read())

@@ -14,6 +14,7 @@ and attention stays inside each document. A single sequence is a batch of
 one.
 """
 
+import os
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Optional
@@ -36,7 +37,9 @@ MAX_SEQUENCE_LEN = 512
 BATCH_ROWS = 2048
 BATCH_FLOATS = 3 << 17
 
-_MODEL_MAGIC = "#hashee-model v1"
+_MODEL_MAGIC = "#hashee-model v2"
+_MODEL_FIELDS = ("L", "d", "h", "d_ff", "V", "C")
+_MODEL_HEADER_MAX = 256
 
 _LAYER_FIELDS = ("wq", "wk", "wv", "wo", "w1", "w2",
                  "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")
@@ -534,93 +537,90 @@ def random_model(vocab_size, num_layers, d, heads, d_ff, *, seed=0,
                         embedding=embedding, head=head)
 
 
-def _format_tensor(name, arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    lines = [f"[tensor {name} {arr.shape[0]} {arr.shape[1]}]"]
-    for row in arr:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return lines
+def save_model(model, path):
+    """Write `model` as one ASCII header line, then every tensor as raw
+    little-endian float64: the embedding, each layer's `_LAYER_FIELDS` in
+    order, then the head if there is one. Shapes follow from the header,
+    and reruns are byte-identical."""
+    classes = 0 if model.head is None else model.head.shape[1]
+    header = (f"{_MODEL_MAGIC} L={model.num_layers} d={model.d} "
+              f"h={model.heads} d_ff={model.d_ff} V={model.vocab_size} "
+              f"C={classes}\n")
+    blocks = [model.embedding]
+    blocks += [getattr(lw, name) for lw in model.layers for name in _LAYER_FIELDS]
+    if classes:
+        blocks.append(model.head)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for arr in blocks:
+            fh.write(np.ascontiguousarray(arr, "<f8").tobytes())
 
 
-def serialize_model(model):
-    lines = [f"{_MODEL_MAGIC} L={model.num_layers} d={model.d} "
-             f"h={model.heads} d_ff={model.d_ff} V={model.vocab_size}"]
-    lines += _format_tensor("embedding", model.embedding)
-    for i, lw in enumerate(model.layers):
-        for name in _LAYER_FIELDS:
-            lines += _format_tensor(f"layer{i}.{name}", getattr(lw, name))
-    if model.head is not None:
-        lines += _format_tensor("head", model.head)
-    return "\n".join(lines) + "\n"
-
-
-def parse_model(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_MODEL_MAGIC + " "):
+def _read_model_header(fh):
+    line = fh.readline(_MODEL_HEADER_MAX)
+    if line.startswith(b"#hashee-model v1 "):
+        raise ParseError("text model format v1 is no longer read; "
+                         "re-save it with save_model")
+    if not line.startswith(_MODEL_MAGIC.encode() + b" "):
         raise ParseError("not a model file (bad magic header)")
+    if not line.endswith(b"\n"):
+        raise ParseError(f"model header line does not end within "
+                         f"{_MODEL_HEADER_MAX} bytes")
     meta = {}
-    for part in lines[0][len(_MODEL_MAGIC) + 1:].split():
+    for part in line[len(_MODEL_MAGIC) + 1:].decode("ascii", "replace").split():
         key, _, val = part.partition("=")
         try:
             meta[key] = int(val)
         except ValueError:
             raise ParseError(f"model header field {part!r} is not "
                              "key=integer") from None
-    for key in ("L", "d", "h", "d_ff", "V"):
+    for key in _MODEL_FIELDS:
         if key not in meta:
             raise ParseError(f"model header is missing {key}")
-    tensors = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
-            i += 1
-            continue
-        if not (line.startswith("[tensor ") and line.endswith("]")):
-            raise ParseError(f"expected a tensor header on line {i + 1}")
-        parts = line[1:-1].split()
-        if len(parts) != 4:
-            raise ParseError(f"malformed tensor header on line {i + 1}")
-        try:
-            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-        except ValueError:
-            raise ParseError(f"non-integer shape in tensor header on line "
-                             f"{i + 1}") from None
-        block = lines[i + 1:i + 1 + rows]
-        if len(block) != rows:
-            raise ParseError(f"tensor {name} is truncated")
-        try:
-            arr = np.array([[float(x) for x in row.split()] for row in block])
-        except ValueError as exc:
-            raise ParseError(f"bad number in tensor {name}: {exc}") from exc
-        if arr.shape != (rows, cols):
-            raise ParseError(f"tensor {name} rows do not match header shape")
-        if not np.isfinite(arr).all():
-            raise ParseError(f"tensor {name} holds a non-finite weight")
-        tensors[name] = arr
-        i += 1 + rows
-    layers = []
-    for li in range(meta["L"]):
-        fields = {}
-        for name in _LAYER_FIELDS:
-            key = f"layer{li}.{name}"
-            if key not in tensors:
-                raise ParseError(f"model file is missing tensor {key}")
-            arr = tensors[key]
-            fields[name] = arr[0] if name.startswith("ln") else arr
-        layers.append(LayerWeights(**fields))
-    if "embedding" not in tensors:
-        raise ParseError("model file is missing the embedding tensor")
-    return EncoderModel(d=meta["d"], heads=meta["h"], d_ff=meta["d_ff"],
-                        layers=layers, embedding=tensors["embedding"],
-                        head=tensors.get("head"))
-
-
-def save_model(model, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_model(model))
+        if meta[key] < (0 if key == "C" else 1):
+            raise ParseError(f"model header field {key}={meta[key]} is out "
+                             "of range")
+    if len(meta) != len(_MODEL_FIELDS):
+        raise ParseError("model header has unknown fields")
+    return meta, len(line)
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    """Read a `save_model` file. The header is checked against the file
+    size before any weight is read, then each tensor is read straight
+    into its own array."""
+    with open(path, "rb") as fh:
+        meta, header_len = _read_model_header(fh)
+        L, d, d_ff, V, C = (meta[k] for k in ("L", "d", "d_ff", "V", "C"))
+        want = 8 * (V * d + L * (4 * d * d + 2 * d * d_ff + 4 * d) + d * C)
+        got = os.fstat(fh.fileno()).st_size - header_len
+        if got < want:
+            raise ParseError(f"model file is truncated: its header declares "
+                             f"{want} bytes of weights, the file holds {got}")
+        if got > want:
+            raise ParseError(f"model file has {got - want} trailing bytes "
+                             "after the last tensor")
+
+        def read(name, *shape):
+            count = int(np.prod(shape))
+            arr = np.fromfile(fh, "<f8", count)
+            if arr.size != count:
+                raise ParseError(f"tensor {name} is truncated")
+            if not np.isfinite(arr).all():
+                raise ParseError(f"tensor {name} holds a non-finite weight")
+            return arr.reshape(shape)
+
+        shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+                  "w1": (d, d_ff), "w2": (d_ff, d)}
+        embedding = read("embedding", V, d)
+        layers = []
+        for i in range(L):
+            layers.append(LayerWeights(**{
+                name: read(f"layer{i}.{name}", *shapes.get(name, (d,)))
+                for name in _LAYER_FIELDS}))
+        head = read("head", d, C) if C else None
+    try:
+        return EncoderModel(d=d, heads=meta["h"], d_ff=d_ff, layers=layers,
+                            embedding=embedding, head=head)
+    except (ConfigError, ShapeError) as exc:
+        raise ParseError(f"model header: {exc}") from None

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader that turns a
+text file's decode failure into one of them."""
+
+from contextlib import contextmanager
 
 
 class HashExitError(Exception):
@@ -18,8 +21,19 @@ class InputError(HashExitError, ValueError):
 
 
 class ParseError(HashExitError, ValueError):
-    """A text artifact (table, model, corpus file) is malformed."""
+    """An input artifact (table, model, corpus file) is malformed."""
 
 
 class TrainingError(HashExitError, RuntimeError):
     """Training diverged (non-finite loss)."""
+
+
+@contextmanager
+def open_text(path):
+    """`path` opened for reading as UTF-8; bytes that do not decode raise
+    ParseError instead of UnicodeDecodeError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None

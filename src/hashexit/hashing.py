@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, open_text
 
 __all__ = [
     "Vocab",
@@ -521,7 +521,7 @@ def save_hash_table(table: HashTable, path) -> None:
 
 
 def load_hash_table(path) -> HashTable:
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         return parse_hash_table(f.read())
 
 
@@ -534,7 +534,7 @@ def save_embeddings(emb: EmbeddingTable, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         head = f.readline().split()
         if len(head) != 2:
             raise ParseError("embedding file must start with `V d`")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,7 @@ class TestBuildHash:
 def make_model_and_table(tmp_path, seed=0):
     vocab = Vocab(tuple("abcdef"))
     model = random_model(6, 3, 8, 2, 16, seed=seed, num_classes=2)
-    model_path = tmp_path / "model.txt"
+    model_path = tmp_path / "model.bin"
     save_model(model, model_path)
     table = HashTable(method="rand-cons", num_buckets=3, num_layers=3,
                       seed=0, tokens=vocab.tokens,
@@ -176,7 +178,7 @@ class TestInfer:
     def test_headless_model_rejected(self, tmp_path, capsys):
         _, _, _, table_path, _ = make_model_and_table(tmp_path)
         headless = random_model(6, 3, 8, 2, 16, seed=1)
-        headless_path = tmp_path / "headless.txt"
+        headless_path = tmp_path / "headless.bin"
         save_model(headless, headless_path)
         corpus_path = tmp_path / "docs.txt"
         save_corpus(Corpus(documents=[["a"]]), corpus_path)
@@ -194,23 +196,22 @@ class TestInfer:
 
 
     @staticmethod
-    def set_first_weight(text, value):
-        # line 1 is the header, line 2 the first row of the embedding tensor
-        lines = text.splitlines()
-        lines[2] = value + " " + lines[2].split(" ", 1)[1]
-        return "\n".join(lines) + "\n"
+    def set_first_weight(data, value):
+        # the first weight of the embedding follows the header line
+        out = bytearray(data)
+        struct.pack_into("<d", out, data.index(b"\n") + 1, value)
+        return bytes(out)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda text: text.replace(" L=3 ", " L=x ", 1), "L=x"),
-        (lambda text: text.replace("[tensor embedding 6 8]",
-                                   "[tensor embedding a b]"), "non-integer shape"),
-        (lambda text: TestInfer.set_first_weight(text, "nan"), "non-finite"),
-        (lambda text: TestInfer.set_first_weight(text, "-inf"), "non-finite"),
-    ], ids=["header-field", "tensor-shape", "nan-weight", "inf-weight"])
+        (lambda data: data.replace(b" L=3 ", b" L=x ", 1), "L=x"),
+        (lambda data: data[:-8], "truncated"),
+        (lambda data: TestInfer.set_first_weight(data, float("nan")), "non-finite"),
+        (lambda data: TestInfer.set_first_weight(data, float("-inf")), "non-finite"),
+    ], ids=["header-field", "truncated-payload", "nan-weight", "inf-weight"])
     def test_malformed_model_is_a_typed_error(self, tmp_path, capsys, edit,
                                               message):
         _, model_path, _, table_path, _ = make_model_and_table(tmp_path)
-        model_path.write_text(edit(model_path.read_text()))
+        model_path.write_bytes(edit(model_path.read_bytes()))
         corpus_path = tmp_path / "docs.txt"
         save_corpus(Corpus(documents=[["a"]]), corpus_path)
         code = run(["infer", "--model", model_path, "--table", table_path,
@@ -360,6 +361,48 @@ class TestMalformedFlags:
         assert run(argv + ["--out-dir", tmp_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and says in err
+
+
+class TestUnreadableInput:
+    """An input file of random bytes, or a directory, is an `error:` line
+    and exit 1 for every command that reads one."""
+
+    @staticmethod
+    def argv(command, bad, tmp_path):
+        _, model_path, _, table_path, _ = make_model_and_table(tmp_path)
+        corpus = tmp_path / "c.txt"
+        write_fixture_corpus(corpus)
+        dims = ["--d", 8, "--heads", 2, "--d-ff", 16]
+        return {
+            "infer-model": ["infer", "--model", bad, "--table", table_path,
+                            "--corpus", corpus],
+            "infer-table": ["infer", "--model", model_path, "--table", bad,
+                            "--corpus", corpus],
+            "flops-report-table": ["flops-report", "--table", bad,
+                                   "--corpus", corpus] + dims,
+            "build-hash-corpus": ["build-hash", "--method", "frequency",
+                                  "--buckets", 2, "--layers", 4,
+                                  "--corpus", bad],
+            "build-hash-embeddings": ["build-hash", "--method", "clustered",
+                                      "--buckets", 2, "--layers", 4,
+                                      "--embeddings", bad],
+        }[command]
+
+    @pytest.mark.parametrize("kind", ["random-bytes", "directory"])
+    @pytest.mark.parametrize("command", ["infer-model", "infer-table",
+                                         "flops-report-table",
+                                         "build-hash-corpus",
+                                         "build-hash-embeddings"])
+    def test_typed_error(self, tmp_path, capsys, command, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(np.random.default_rng(0).bytes(2000))
+        argv = self.argv(command, bad, tmp_path)
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestDifficultyCli:

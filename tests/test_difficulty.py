@@ -407,6 +407,12 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_difficulty_dataset("0\t10\ta\n1\t100\tb\n")
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "ds.tsv"
+        path.write_bytes(b"0\t10\t\xff\xfe\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_difficulty_dataset(path)
+
     def test_tokens_required_to_write(self):
         ds = DifficultyDataset(bits=np.array([[1]], dtype=np.int8))
         with pytest.raises(ConfigError):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hashexit.errors import ConfigError, InputError, ParseError, ShapeError, TrainingError
+from hashexit.errors import (ConfigError, HashExitError, InputError, ParseError,
+                             ShapeError, TrainingError)
 from hashexit.encoder import (
     EncoderModel,
     ExitSchedule,
@@ -12,7 +16,6 @@ from hashexit.encoder import (
     forward,
     forward_layer,
     head_loss_and_grad,
-    parse_model,
     positional_encoding,
     predict_class,
     random_model,
@@ -20,7 +23,6 @@ from hashexit.encoder import (
     save_model,
     load_model,
     schedule,
-    serialize_model,
     train_toy,
 )
 from hashexit import encoder
@@ -526,10 +528,16 @@ class TestFit:
         assert excinfo.traceback[-1].name == "fit"
 
 
+def saved_model_bytes(tmp_path, model):
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    return path, path.read_bytes()
+
+
 class TestModelIO:
     def test_round_trip_exact(self, tmp_path):
         model = random_model(7, 2, 6, 2, 10, seed=31, num_classes=3)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.bin"
         save_model(model, path)
         back = load_model(path)
         assert back.d == model.d and back.heads == model.heads
@@ -541,31 +549,126 @@ class TestModelIO:
                          "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
                 assert np.array_equal(getattr(lw_a, name), getattr(lw_b, name))
 
-    def test_headless_round_trip(self):
-        model = random_model(4, 1, 4, 1, 8, seed=32)
-        back = parse_model(serialize_model(model))
-        assert back.head is None
+    def test_headless_round_trip(self, tmp_path):
+        path, _ = saved_model_bytes(tmp_path, random_model(4, 1, 4, 1, 8, seed=32))
+        assert load_model(path).head is None
 
-    def test_header(self):
-        model = random_model(4, 2, 6, 2, 10, seed=33)
-        first = serialize_model(model).splitlines()[0]
-        assert first == "#hashee-model v1 L=2 d=6 h=2 d_ff=10 V=4"
+    def test_header(self, tmp_path):
+        _, data = saved_model_bytes(tmp_path, random_model(4, 2, 6, 2, 10, seed=33))
+        first = data.split(b"\n", 1)[0]
+        assert first == b"#hashee-model v2 L=2 d=6 h=2 d_ff=10 V=4 C=0"
 
-    def test_byte_stable(self):
-        model = random_model(4, 1, 4, 1, 8, seed=34)
-        text = serialize_model(model)
-        assert serialize_model(parse_model(text)) == text
+    def test_byte_stable(self, tmp_path):
+        model = random_model(4, 1, 4, 1, 8, seed=34, num_classes=2)
+        path, data = saved_model_bytes(tmp_path, model)
+        again = tmp_path / "again.bin"
+        save_model(model, again)
+        assert again.read_bytes() == data
+        save_model(load_model(path), again)
+        assert again.read_bytes() == data
 
-    def test_bad_magic(self):
-        with pytest.raises(ParseError):
-            parse_model("#nope v1 L=1 d=4 h=1 d_ff=8 V=2\n")
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"#nope v2 L=1 d=4 h=1 d_ff=8 V=2 C=0\n")
+        with pytest.raises(ParseError, match="bad magic"):
+            load_model(path)
 
-    def test_missing_tensor(self):
-        model = random_model(4, 1, 4, 1, 8, seed=35)
-        text = serialize_model(model)
-        cut = text.split("[tensor layer0.wq")[0]
-        with pytest.raises(ParseError):
-            parse_model(cut)
+    def test_missing_tensor(self, tmp_path):
+        path, data = saved_model_bytes(tmp_path, random_model(4, 1, 4, 1, 8, seed=35))
+        # cut inside layer0.wq, right after the 4x4 embedding
+        path.write_bytes(data[:data.index(b"\n") + 1 + 8 * (16 + 3)])
+        with pytest.raises(ParseError, match="truncated"):
+            load_model(path)
+
+    def test_text_format_v1_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("#hashee-model v1 L=1 d=4 h=1 d_ff=8 V=2\n"
+                        "[tensor embedding 2 4]\n0.0 0.0 0.0 0.0\n")
+        with pytest.raises(ParseError, match="re-save it with save_model"):
+            load_model(path)
+
+    def test_huge_header_is_rejected_before_reading(self, tmp_path):
+        path, data = saved_model_bytes(tmp_path, random_model(4, 1, 4, 1, 8, seed=35))
+        path.write_bytes(data.replace(b" V=4 ", b" V=1000000000000 ", 1))
+        with pytest.raises(ParseError, match="truncated"):
+            load_model(path)
+
+    def test_load_memory_stays_near_parameter_bytes(self, tmp_path):
+        model = random_model(2000, 4, 64, 2, 256, seed=36)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        params = model.embedding.nbytes + sum(
+            getattr(lw, name).nbytes for lw in model.layers
+            for name in encoder._LAYER_FIELDS)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * params
+
+
+FUZZ = settings(derandomize=True, database=None, max_examples=100,
+                deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestModelFuzz:
+    """Mangled model files raise HashExitError and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+        save_model(random_model(5, 2, 4, 2, 6, seed=37, num_classes=2), path)
+        data = path.read_bytes()
+        return path, data, data.index(b"\n") + 1
+
+    @staticmethod
+    def load_or_typed_error(path, data):
+        path.write_bytes(data)
+        try:
+            load_model(path)
+        except HashExitError:
+            pass
+
+    @FUZZ
+    @given(cut=st.integers(0, 10 ** 6))
+    def test_truncation(self, saved, cut):
+        path, data, _ = saved
+        self.load_or_typed_error(path, data[:cut % len(data)])
+
+    @FUZZ
+    @given(at=st.integers(0, 10 ** 6), mask=st.integers(1, 255),
+           in_header=st.booleans())
+    def test_byte_flip(self, saved, at, mask, in_header):
+        path, data, header_len = saved
+        at = at % header_len if in_header else header_len + at % (len(data) - header_len)
+        flipped = bytearray(data)
+        flipped[at] ^= mask
+        self.load_or_typed_error(path, bytes(flipped))
+
+    @FUZZ
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_appended_bytes(self, saved, extra):
+        path, data, _ = saved
+        path.write_bytes(data + extra)
+        with pytest.raises(ParseError, match="trailing"):
+            load_model(path)
+
+    @FUZZ
+    @given(key=st.sampled_from(["L", "d", "h", "d_ff", "V", "C"]),
+           value=st.one_of(st.integers(-10 ** 13, -1).map(str),
+                           st.just(str(10 ** 12)),
+                           st.integers(0, 10 ** 13).map(str),
+                           st.text(max_size=12)))
+    def test_header_field(self, saved, key, value):
+        path, data, header_len = saved
+        fields = data[:header_len].decode("ascii").split()
+        fields = [f"{key}={value}" if f.startswith(key + "=") else f
+                  for f in fields]
+        header = " ".join(fields).encode("utf-8", "replace") + b"\n"
+        self.load_or_typed_error(path, header + data[header_len:])
 
 
 class TestModelValidation:
