@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError, open_text
-from .encoder import ExitSchedule, fit, forward, head_loss_and_grad
+from .encoder import (ExitSchedule, batch_rows, fit, forward,
+                      head_loss_and_grad, row_batches)
 
 
 @dataclass
@@ -97,11 +98,17 @@ def _full_run_schedule(n, num_layers):
     return ExitSchedule(np.full(n, num_layers), np.ones(n, dtype=bool))
 
 
-def _layer_states(model, token_ids):
-    """Hidden states H^1..H^L of a full, no-exit forward."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    trace = forward(model, ids, _full_run_schedule(ids.size, model.num_layers))
-    return trace.hidden[1:], trace.hidden[0]
+def _traces(model, sequences):
+    """(index, ForwardTrace) of a full, no-exit forward per sequence.
+
+    Sequences run in packed batches of at most batch_rows(model) rows, one
+    forward call each, so they come back shortest first, not in order.
+    """
+    lengths = [len(seq) for seq in sequences]
+    for batch in row_batches(lengths, batch_rows(model)):
+        seqs = [sequences[i] for i in batch]
+        scheds = [_full_run_schedule(len(seq), model.num_layers) for seq in seqs]
+        yield from zip(batch, forward(model, seqs, scheds, traces=True))
 
 
 def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
@@ -111,10 +118,8 @@ def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
     labels = np.asarray(labels, dtype=np.int64)
     L, d = model.num_layers, model.d
     feats = np.empty((L, len(sequences), d))
-    for i, seq in enumerate(sequences):
-        states, _ = _layer_states(model, seq)
-        for l in range(L):
-            feats[l, i] = states[l][0]
+    for i, trace in _traces(model, sequences):
+        feats[:, i] = [h[0] for h in trace.hidden[1:]]
     num_classes = int(labels.max()) + 1
     rng = np.random.default_rng(seed)
     heads = []
@@ -134,7 +139,8 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
     compares argmax to the instance label. Token mode does the same at
     every position against per-token labels, producing one instance per
     token. Also records per-layer states (features) and the mean input
-    embedding (pooled) for the downstream predictors.
+    embedding (pooled) for the downstream predictors. Instances keep the
+    order of `sequences`.
     """
     if mode not in ("sentence", "token"):
         raise ConfigError(f"unknown annotation mode {mode!r}")
@@ -142,29 +148,27 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
         raise InputError("nothing to annotate")
     model = annotator.model
     L = model.num_layers
-    bits, feats, pooled, out_tokens, ids = [], [], [], [], []
-    for i, seq in enumerate(sequences):
-        states, h0 = _layer_states(model, seq)
-        mean_embed = h0.mean(axis=0)
-        positions = [0] if mode == "sentence" else range(len(seq))
-        for p in positions:
-            gold = labels[i] if mode == "sentence" else labels[i][p]
-            row = np.empty(L, dtype=np.int8)
-            frow = np.empty((L, model.d))
-            for l in range(L):
-                state = states[l][p]
-                row[l] = int(np.argmax(state @ annotator.heads[l]) == int(gold))
-                frow[l] = state
-            bits.append(row)
-            feats.append(frow)
-            pooled.append(mean_embed)
-            ids.append(str(i) if mode == "sentence" else f"{i}.{p}")
-            if tokens is not None:
-                out_tokens.append(list(tokens[i]))
-    return DifficultyDataset(bits=np.array(bits), features=np.array(feats),
-                             pooled=np.array(pooled),
-                             tokens=out_tokens if tokens is not None else None,
-                             ids=ids)
+    sentence = mode == "sentence"
+    counts = [1 if sentence else len(seq) for seq in sequences]
+    starts = np.cumsum([0] + counts)
+    feats = np.empty((starts[-1], L, model.d))
+    pooled = np.empty((starts[-1], model.d))
+    for i, trace in _traces(model, sequences):
+        rows = slice(starts[i], starts[i + 1])
+        feats[rows] = np.stack(trace.hidden[1:], axis=1)[:counts[i]]
+        pooled[rows] = trace.hidden[0].mean(axis=0)
+    instances = [(i, p) for i, n in enumerate(counts) for p in range(n)]
+    gold = np.array([labels[i] if sentence else labels[i][p]
+                     for i, p in instances], dtype=np.int64)
+    ids = [str(i) if sentence else f"{i}.{p}" for i, p in instances]
+    bits = np.empty((starts[-1], L), dtype=np.int8)
+    for l, head in enumerate(annotator.heads):
+        bits[:, l] = np.argmax(feats[:, l] @ head, axis=1) == gold
+    out_tokens = None
+    if tokens is not None:
+        out_tokens = [list(tokens[i]) for i, _ in instances]
+    return DifficultyDataset(bits=bits, features=feats, pooled=pooled,
+                             tokens=out_tokens, ids=ids)
 
 
 def oversample(dataset, seed=0, floor=0.3):

@@ -361,18 +361,22 @@ def _run_packed(model, ids_list, schedules, keep_hidden):
     return [unpack(packed) for packed in states]
 
 
-def forward(model, token_ids, sched):
+def forward(model, token_ids, sched, *, traces=False):
     """One forward pass under the exit schedule.
 
     For one document (an id sequence and its ExitSchedule) returns the
     ForwardTrace of every layer's states. For a packed batch (a list of
     id sequences and a list of schedules) returns a list whose entry i is
-    document i's (n_i, d) final states; it matches the one-document pass
-    up to the summation order of the packed matmuls. Memory grows with the
-    batch's rows, so split a corpus with row_batches.
+    document i's (n_i, d) final states, or with traces=True document i's
+    ForwardTrace; it matches the one-document pass up to the summation
+    order of the packed matmuls. Memory grows with the batch's rows, times
+    L+1 with traces, so split a corpus with row_batches.
     """
     if not isinstance(sched, ExitSchedule):
-        return _run_packed(model, token_ids, sched, keep_hidden=False)[0]
+        states = _run_packed(model, token_ids, sched, keep_hidden=traces)
+        if not traces:
+            return states[0]
+        return [ForwardTrace(hidden=list(per_doc)) for per_doc in zip(*states)]
     states = _run_packed(model, [token_ids], [sched], keep_hidden=True)
     return ForwardTrace(hidden=[per_doc[0] for per_doc in states])
 

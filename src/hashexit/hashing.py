@@ -534,6 +534,9 @@ def save_embeddings(emb: EmbeddingTable, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingTable:
+    """Read a `save_embeddings` file. The `V d` header is checked against
+    the rows as they are read: the vector array grows with the rows and is
+    never sized from the header alone."""
     with open_text(path) as f:
         head = f.readline().split()
         if len(head) != 2:
@@ -542,12 +545,20 @@ def load_embeddings(path) -> EmbeddingTable:
             count, dim = int(head[0]), int(head[1])
         except ValueError as exc:
             raise ParseError("embedding file must start with `V d`") from exc
+        if count < 0 or dim < 1:
+            raise ParseError(f"embedding header `{count} {dim}` is out of range")
         tokens = []
-        vectors = np.empty((count, dim))
+        vectors = np.empty((0, dim))
         for i in range(count):
             parts = f.readline().split()
             if len(parts) != dim + 1:
                 raise ParseError(f"embedding line {i + 2}: expected token + {dim} values")
+            if i == len(vectors):
+                vectors.resize((min(count, 2 * i + 1024), dim), refcheck=False)
             tokens.append(parts[0])
-            vectors[i] = [float(x) for x in parts[1:]]
+            try:
+                vectors[i] = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise ParseError(f"embedding line {i + 2}: a value is not "
+                                 "a number") from None
     return EmbeddingTable(tuple(tokens), vectors)

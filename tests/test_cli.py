@@ -404,6 +404,19 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "2 2\na 1 x\nb 1 2\n",  # a value that is not a number
+        "-2 2\n",  # a negative count
+        "1000000000000 64\n",  # a count far beyond the rows that follow
+    ], ids=["non-numeric-value", "negative-count", "huge-count"])
+    def test_malformed_embeddings(self, tmp_path, capsys, text):
+        bad = tmp_path / "emb.txt"
+        bad.write_text(text)
+        argv = self.argv("build-hash-embeddings", bad, tmp_path)
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestDifficultyCli:
     def test_byte_identical_across_runs(self, tmp_path):

@@ -22,7 +22,9 @@ from hashexit.difficulty import (
     serialize_difficulty_dataset,
     train_annotator,
 )
-from hashexit.encoder import ExitSchedule, forward, random_model
+from hashexit import difficulty, encoder
+from hashexit.encoder import (ExitSchedule, batch_rows, forward, random_model,
+                              row_batches)
 
 import helpers  # noqa: F401  (sys.path side effect when run as a script)
 
@@ -111,6 +113,89 @@ class TestAnnotate:
         ann = random_annotator(seed=9)
         with pytest.raises(InputError):
             annotate(ann, [], [])
+
+
+class TestPackedWalk:
+    """The lab runs its sequences as packed batches, one forward call per
+    batch, and gives back what one-document forwards give, in order."""
+
+    @pytest.fixture
+    def small_batches(self, monkeypatch):
+        # random_annotator's widest layer is d_ff=16 floats: 7 rows a batch
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 7)
+
+    @staticmethod
+    def ragged(seed, count=20, longest=12):
+        rng = np.random.default_rng(seed)
+        seqs = [list(rng.integers(0, 9, size=int(rng.integers(1, longest + 1))))
+                for _ in range(count)]
+        return rng, seqs
+
+    @staticmethod
+    def count_forward_calls(monkeypatch):
+        calls = []
+        real = difficulty.forward
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(difficulty, "forward", counted)
+        return calls
+
+    def test_one_forward_per_packed_batch(self, monkeypatch, small_batches):
+        ann = random_annotator(seed=11)
+        rng, seqs = self.ragged(12, longest=6)
+        golds = [int(rng.integers(0, 2)) for _ in seqs]
+        token_golds = [[int(g) for g in rng.integers(0, 2, len(s))] for s in seqs]
+        batches = row_batches([len(s) for s in seqs], batch_rows(ann.model))
+        assert 1 < len(batches) < len(seqs)
+        calls = self.count_forward_calls(monkeypatch)
+        train_annotator(ann.model, seqs, golds, epochs=2)
+        annotate(ann, seqs, golds)
+        annotate(ann, seqs, token_golds, mode="token")
+        assert calls == [len(b) for b in batches] * 3
+
+    @pytest.mark.parametrize("mode", ["sentence", "token"])
+    def test_matches_per_document_annotation(self, small_batches, mode):
+        ann = random_annotator(seed=13)
+        rng, seqs = self.ragged(14)
+        if mode == "sentence":
+            labels = [int(rng.integers(0, 2)) for _ in seqs]
+        else:
+            labels = [[int(g) for g in rng.integers(0, 2, len(s))] for s in seqs]
+        tokens = [[f"w{t}" for t in seq] for seq in seqs]
+        ds = annotate(ann, seqs, labels, mode=mode, tokens=tokens)
+        bits, feats, pooled, ids, toks = [], [], [], [], []
+        for i, seq in enumerate(seqs):
+            n = len(seq)
+            trace = forward(ann.model, seq,
+                            ExitSchedule(np.full(n, 3), np.ones(n, dtype=bool)))
+            for p in [0] if mode == "sentence" else range(n):
+                gold = labels[i] if mode == "sentence" else labels[i][p]
+                states = [h[p] for h in trace.hidden[1:]]
+                bits.append([int(np.argmax(s @ w) == gold)
+                             for s, w in zip(states, ann.heads)])
+                feats.append(states)
+                pooled.append(trace.hidden[0].mean(axis=0))
+                ids.append(str(i) if mode == "sentence" else f"{i}.{p}")
+                toks.append(tokens[i])
+        assert ds.ids == ids and ds.tokens == toks
+        assert np.array_equal(ds.bits, bits)
+        assert np.array_equal(ds.pooled, pooled)
+        assert np.abs(ds.features - np.array(feats)).max() <= 1e-12
+
+    def test_annotator_matches_per_document_training(self, monkeypatch,
+                                                     small_batches):
+        model = random_model(9, 3, 8, 2, 16, seed=15)
+        rng, seqs = self.ragged(16)
+        golds = [int(rng.integers(0, 2)) for _ in seqs]
+        packed = train_annotator(model, seqs, golds, epochs=30)
+        monkeypatch.setattr(difficulty, "row_batches", lambda lengths, _: [
+            np.array([i]) for i in range(len(lengths))])
+        alone = train_annotator(model, seqs, golds, epochs=30)
+        for a, b in zip(packed.heads, alone.heads):
+            assert np.abs(a - b).max() <= 1e-9
 
 
 class TestOversample:
