@@ -12,6 +12,15 @@ as one packed batch: their non-padding rows are stacked into one matrix,
 the per-row work of each layer is one matmul over the stacked active rows,
 and attention stays inside each document. A single sequence is a batch of
 one.
+
+Q, K and V carry no biases, so attention has two associations. The
+standard one projects K and V for all n visible rows of a document. The
+reassociated one projects neither: per head it scores (q_h·W_K,hᵀ)·Hᵀ and
+mixes (P_h·H)·W_V,h over the raw rows H. Each document takes the
+reassociated one at a layer exactly when its m active rows satisfy
+m·(d + (h−1)·n) < n·d (flops.reassociates), where it costs fewer MACs.
+That never holds for m = n, so dense layers and the no-exit path keep the
+standard association.
 """
 
 import os
@@ -22,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError, ShapeError, TrainingError
+from .flops import reassociates
 from .linalg import layer_norm, relu, softmax_rows
 
 MAX_SEQUENCE_LEN = 512
@@ -138,6 +148,15 @@ class ExitSchedule:
         if np.any(exit_layer[~attn_mask] != 1):
             raise ConfigError("padding positions must exit at layer 1")
 
+    @classmethod
+    def _trusted(cls, exit_layer, attn_mask):
+        """An instance over an int64 and a bool vector that are valid by
+        construction, skipping __post_init__'s checks."""
+        sched = object.__new__(cls)
+        object.__setattr__(sched, "exit_layer", exit_layer)
+        object.__setattr__(sched, "attn_mask", attn_mask)
+        return sched
+
     def __len__(self):
         return self.exit_layer.size
 
@@ -188,7 +207,7 @@ def schedule(token_ids, table, num_layers=None, *, pin_first=False, valid_len=No
     if pin_first and valid_len >= 1:
         exits[0] = table.num_layers
     exits[~mask] = 1
-    return ExitSchedule(exits, mask)
+    return ExitSchedule._trusted(exits, mask)
 
 
 def positional_encoding(n, d):
@@ -230,8 +249,15 @@ def _slots(doc, count):
     return slot, sizes
 
 
-def _attention(q, k, v, heads, q_doc=None, k_doc=None, docs=1):
+def _attention(q, hk, weights, heads, reassociate, q_doc=None, k_doc=None,
+               docs=1):
     """Multi-head attention of each query row over its own document's keys.
+
+    q holds the projected queries, hk the raw rows that serve as keys and
+    values. The standard association projects K = hk·W_K and V = hk·W_V.
+    The reassociated one projects neither: per head it scores
+    (q_h·W_K,hᵀ)·hkᵀ and mixes (P_h·hk)·W_V,h, which is cheaper when few
+    query rows attend over many keys (flops.reassociates).
 
     q_doc and k_doc number the document (0..docs-1) of each query and key
     row; None means all rows belong to one document. With several
@@ -240,6 +266,7 @@ def _attention(q, k, v, heads, q_doc=None, k_doc=None, docs=1):
     weight, and padded query slots are dropped.
     """
     d = q.shape[1]
+    k, v = (hk, hk) if reassociate else (hk @ weights.wk, hk @ weights.wv)
     qp, kp, vp, bias = q, k, v, None
     if docs > 1:
         q_slot, _ = _slots(q_doc, docs)
@@ -247,22 +274,73 @@ def _attention(q, k, v, heads, q_doc=None, k_doc=None, docs=1):
         qp = np.zeros((docs, int(q_slot.max()) + 1, d))
         qp[q_doc, q_slot] = q
         kp = np.zeros((docs, int(k_sizes.max()), d))
-        vp = np.zeros_like(kp)
         kp[k_doc, k_slot] = k
-        vp[k_doc, k_slot] = v
+        if reassociate:
+            vp = kp
+        else:
+            vp = np.zeros_like(kp)
+            vp[k_doc, k_slot] = v
         bias = np.where(np.arange(kp.shape[1]) < k_sizes[:, None], 0.0, -np.inf)
         bias = bias[:, None, :]
     d_k = d // heads
     ctx = np.empty_like(qp)
     for i in range(heads):
         sl = slice(i * d_k, (i + 1) * d_k)
-        scores = qp[..., sl] @ kp[..., sl].swapaxes(-1, -2)
+        if reassociate:
+            qh, kh = _rows_matmul(qp[..., sl], weights.wk[:, sl].T), kp
+        else:
+            qh, kh = qp[..., sl], kp[..., sl]
+        scores = qh @ kh.swapaxes(-1, -2)
         scores /= np.sqrt(d_k)
         if bias is not None:
             scores += bias
-        weights = softmax_rows(scores.reshape(-1, scores.shape[-1]))
-        ctx[..., sl] = weights.reshape(scores.shape) @ vp[..., sl]
+        probs = softmax_rows(scores.reshape(-1, scores.shape[-1]))
+        probs = probs.reshape(scores.shape)
+        if reassociate:
+            ctx[..., sl] = _rows_matmul(probs @ vp, weights.wv[:, sl])
+        else:
+            ctx[..., sl] = probs @ vp[..., sl]
     return ctx if docs == 1 else ctx[q_doc, q_slot]
+
+
+def _rows_matmul(x, w):
+    """x @ w for a stack of matrices x, as one 2-D matmul over all rows."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _packed_attention(q, h, weights, heads, active, sizes):
+    """Attention of the active rows of several packed documents.
+
+    Documents without an active row need no keys. The rest split into at
+    most two groups, one per association, and each group is one _attention
+    call over its own documents' rows.
+    """
+    doc_of = np.repeat(np.arange(sizes.size), sizes)
+    q_doc = doc_of[active]
+    counts = np.bincount(q_doc, minlength=sizes.size)
+    flip = reassociates(sizes, counts, h.shape[1], heads)
+    live = counts > 0
+    groups = [(group, reassociate)
+              for group, reassociate in ((live & ~flip, False), (live & flip, True))
+              if group.any()]
+
+    def attend(group, reassociate, q, q_doc):
+        rank = np.cumsum(group) - 1
+        if group.all():
+            hk, k_doc = h, rank[doc_of]
+        else:
+            keys = group[doc_of]
+            hk, k_doc = h[keys], rank[doc_of[keys]]
+        return _attention(q, hk, weights, heads, reassociate, rank[q_doc],
+                          k_doc, int(rank[-1]) + 1)
+
+    if len(groups) == 1:
+        return attend(*groups[0], q, q_doc)
+    ctx = np.empty_like(q)
+    for group, reassociate in groups:
+        rows = group[q_doc]
+        ctx[rows] = attend(group, reassociate, q[rows], q_doc[rows])
+    return ctx
 
 
 def forward_layer(h, weights, active, *, heads, segments=None):
@@ -272,8 +350,10 @@ def forward_layer(h, weights, active, *, heads, segments=None):
     by h's row count (default: all of h is one document). Queries come from
     the `active` rows only; keys and values span every row of each document
     that has an active row, and each query attends to its own document
-    only. Rows outside `active` are copied verbatim, so an empty active set
-    makes the layer an exact identity.
+    only. Each document takes the cheaper attention association for its
+    row and active counts (flops.reassociates); a document whose rows are
+    all active keeps the standard one. Rows outside `active` are copied
+    verbatim, so an empty active set makes the layer an exact identity.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
@@ -289,23 +369,15 @@ def forward_layer(h, weights, active, *, heads, segments=None):
     active = np.asarray(active, dtype=np.int64)
     if active.size == 0:
         return h.copy()
-    docs, q_doc, k_doc, keys = 1, None, None, None
-    if segments is not None and sizes.size > 1:
-        # documents without an active row need no keys; number the rest
-        doc_of = np.repeat(np.arange(sizes.size), sizes)
-        live = np.zeros(sizes.size, dtype=bool)
-        live[doc_of[active]] = True
-        if not live.all():
-            keys = live[doc_of]
-        rank = np.cumsum(live) - 1
-        docs, q_doc = int(rank[-1]) + 1, rank[doc_of[active]]
-        k_doc = rank[doc_of if keys is None else doc_of[keys]]
-    hk = h if keys is None else h[keys]
     hq = h[active]
-    ctx = _attention(hq @ weights.wq, hk @ weights.wk, hk @ weights.wv,
-                     heads, q_doc, k_doc, docs)
+    q = hq @ weights.wq
+    if segments is not None and sizes.size > 1:
+        ctx = _packed_attention(q, h, weights, heads, active, sizes)
+    else:
+        ctx = _attention(q, h, weights, heads,
+                         reassociates(n, active.size, d, heads))
     x = layer_norm(hq + ctx @ weights.wo, weights.ln1_gain, weights.ln1_bias)
-    del hq, ctx  # a packed batch's temporaries dominate its memory
+    del hq, q, ctx  # a packed batch's temporaries dominate its memory
     ffn = relu(x @ weights.w1) @ weights.w2
     out = h.copy()
     out[active] = layer_norm(x + ffn, weights.ln2_gain, weights.ln2_bias)

@@ -7,10 +7,17 @@ operation. Tests hold them equal on a dense grid. All counts are integers;
 FLOPs are defined as twice the MACs. Softmax exponentials and divisions
 are not multiply-accumulates and are never counted; the per-weight
 renormalization multiply is.
+
+Those figures price the paper's layer, which projects keys and values
+for every visible row. The encoder instead runs a layer whose few active
+rows attend over many frozen ones in the reassociated order (see
+`reassociates`); `executed_layer_macs` prices the layer as it runs.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, InputError
 
@@ -79,6 +86,39 @@ def saved_macs(n, m, d, h, d_ff):
                      full_macs=full_layer_macs(n, d, h, d_ff))
 
 
+def reassociates(n, m, d, h):
+    """Whether a layer with n visible rows, m of them active, attends in
+    the reassociated order.
+
+    Q, K and V carry no biases, so per head scores_h = (q_h·W_K,hᵀ)·Hᵀ
+    and ctx_h = (P_h·H)·W_V,h, where H holds the n visible rows. That
+    costs 2·m·d² + 2·h·m·n·d MACs in place of the 2·n·d² + 2·m·n·d of
+    projecting K and V, so it wins exactly when m·(d + (h−1)·n) < n·d.
+    False whenever m == n. Works elementwise on integer arrays too.
+    """
+    return m * (d + (h - 1) * n) < n * d
+
+
+def _executed_macs(n, m, d, h, d_ff):
+    if m == 0:
+        return 0
+    if reassociates(n, m, d, h):
+        keys = 2 * m * d * d + 2 * h * m * n * d
+    else:
+        keys = 2 * n * d * d + 2 * m * n * d
+    # queries, output projection, scale and softmax multiplies, two layer
+    # norms, FFN
+    return keys + 2 * m * d * d + 2 * h * m * n + 4 * m * d + 2 * m * d * d_ff
+
+
+def executed_layer_macs(n, m, d, h, d_ff):
+    """MACs the encoder executes for one layer with n visible rows, m of
+    them active: full - saved in the standard order, less the K/V
+    projections the reassociated order skips (`reassociates`)."""
+    _check_dims(n, m, d, h, d_ff)
+    return _executed_macs(n, m, d, h, d_ff)
+
+
 class _MacCounter:
     """Tallies multiply-accumulates as the layer walk announces each op."""
 
@@ -97,9 +137,9 @@ class _MacCounter:
 
 
 def oracle_count(n, m, d, h, d_ff):
-    """MACs the exit-aware layer actually executes, counted op by op.
+    """MACs of the exit-aware layer in the standard order, counted op by op.
 
-    Mirrors the forward_layer control flow: queries for the m active rows,
+    Walks the paper's layer: queries for the m active rows,
     keys/values over all n visible rows, per-head attention, projection,
     two layer norms and the FFN on active rows only. Residual additions,
     exponentials and divisions are free.
@@ -155,10 +195,15 @@ class FlopsReport:
     exit_histogram: dict
     total_flops: int
     baseline_flops: int
+    executed_flops: int
 
     @property
     def speedup(self):
         return self.baseline_flops / self.total_flops
+
+    @property
+    def executed_speedup(self):
+        return self.baseline_flops / self.executed_flops
 
     def to_csv(self):
         lines = ["layer,n_sum,m_sum,saved_macs,full_macs"]
@@ -185,6 +230,8 @@ class FlopsReport:
         lines.append(f"total FLOPs: {self.total_flops}")
         lines.append(f"baseline FLOPs: {self.baseline_flops}")
         lines.append(f"speedup: {self.speedup:.4f}")
+        lines.append(f"executed FLOPs: {self.executed_flops}")
+        lines.append(f"executed speedup: {self.executed_speedup:.4f}")
         return "\n".join(lines) + "\n"
 
 
@@ -193,7 +240,8 @@ def report(dims, schedules, baseline_dims=None):
 
     The baseline is the same corpus pushed through a no-exit model of
     baseline_dims (defaults to dims), so speedup isolates what the exit
-    schedule and depth change buy.
+    schedule and depth change buy. total_flops is the paper's figure;
+    executed_flops prices the layers as the encoder runs them.
     """
     if baseline_dims is None:
         baseline_dims = dims
@@ -207,18 +255,23 @@ def report(dims, schedules, baseline_dims=None):
     full_sums = [0] * L
     histogram = Counter()
     baseline_macs = 0
+    executed_macs = 0
     for sched in schedules:
         n = sched.valid_count
-        histogram.update(int(x) for x in sched.exit_layer[sched.attn_mask])
+        counts = np.bincount(sched.exit_layer[sched.attn_mask], minlength=L + 1)
+        histogram.update({layer: c for layer, c in enumerate(counts.tolist()) if c})
+        # rows exited before layer t; the rest are active at t
+        exited = np.cumsum(counts[:L]).tolist()
         baseline_macs += baseline_dims.num_layers * full_layer_macs(
             n, baseline_dims.d, baseline_dims.heads, baseline_dims.d_ff)
         for t in range(1, L + 1):
-            m = int(sched.active_at(t).size)
+            m = n - exited[t - 1]
             cost = saved_macs(n, m, dims.d, dims.heads, dims.d_ff)
             n_sums[t - 1] += n
             m_sums[t - 1] += m
             saved_sums[t - 1] += cost.saved_macs
             full_sums[t - 1] += cost.full_macs
+            executed_macs += _executed_macs(n, m, dims.d, dims.heads, dims.d_ff)
     total_macs = sum(full_sums) - sum(saved_sums)
     if total_macs == 0:
         raise InputError("corpus contains no computation to account for")
@@ -227,4 +280,5 @@ def report(dims, schedules, baseline_dims=None):
     return FlopsReport(dims=dims, baseline_dims=baseline_dims, rows=rows,
                        exit_histogram=dict(histogram),
                        total_flops=FLOPS_PER_MAC * total_macs,
-                       baseline_flops=FLOPS_PER_MAC * baseline_macs)
+                       baseline_flops=FLOPS_PER_MAC * baseline_macs,
+                       executed_flops=FLOPS_PER_MAC * executed_macs)

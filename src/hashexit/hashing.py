@@ -202,11 +202,6 @@ class HashTable:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def bucket_of(self, token_id: int) -> int:
-        if not 0 <= token_id < len(self.tokens):
-            raise InputError(f"token id {token_id} not in table")
-        return int(self.buckets[token_id])
-
     def layer_of(self, token_id: int) -> int:
         """Exit layer for a token id; ids outside the table get layer L."""
         if 0 <= token_id < len(self.tokens):

@@ -28,6 +28,7 @@ from hashexit.encoder import (
 from hashexit import encoder
 from hashexit.difficulty import annotate, linear_b, linear_m, train_annotator
 from hashexit.experiments import make_separable_task
+from hashexit.flops import reassociates
 from hashexit.hashing import CorpusStats, HashTable, Vocab, build_frequency, build_random
 
 from helpers import vanilla_forward, sinusoidal_positions
@@ -93,6 +94,22 @@ class TestSchedule:
             assert list(sched.exit_layer) == want
             assert list(sched.attn_mask) == [i < valid_len for i in range(ids.size)]
 
+    def test_matches_validated_schedule(self):
+        # schedule() skips ExitSchedule's checks; what it builds must pass them
+        table = freq_fixture_table()
+        cases = [([0, 5, 5], dict(valid_len=1)),
+                 ([0, 5, 3], dict(pin_first=True)),
+                 ([2, 4, 1], dict(pin_first=True, valid_len=2)),
+                 ([-1, 99, 0], {}),
+                 ([], {})]
+        for ids, kwargs in cases:
+            got = schedule(ids, table, **kwargs)
+            checked = ExitSchedule(got.exit_layer, got.attn_mask)
+            assert got.exit_layer.dtype == checked.exit_layer.dtype == np.int64
+            assert got.attn_mask.dtype == checked.attn_mask.dtype == bool
+            assert np.array_equal(got.exit_layer, checked.exit_layer)
+            assert np.array_equal(got.attn_mask, checked.attn_mask)
+
     def test_active_sets_shrink(self):
         sched = ExitSchedule(np.array([1, 3, 2, 3]), np.ones(4, dtype=bool))
         actives = [set(sched.active_at(t)) for t in (1, 2, 3)]
@@ -151,6 +168,76 @@ class TestForwardLayer:
         model = random_model(5, 1, 8, 2, 16, seed=4)
         with pytest.raises(ShapeError):
             forward_layer(np.zeros((3, 6)), model.layers[0], [0], heads=2)
+
+
+def standard_only(monkeypatch):
+    """Make forward_layer take the standard association for every document."""
+    monkeypatch.setattr(encoder, "reassociates", lambda n, m, d, h: m < 0)
+
+
+class TestReassociation:
+    @pytest.mark.parametrize("m", [1, 20])
+    def test_agrees_with_standard_at_mid_shape(self, m, monkeypatch):
+        rng = np.random.default_rng(60 + m)
+        model = random_model(5, 1, 256, 4, 1024, seed=61)
+        weights = model.layers[0]
+        h = rng.normal(size=(96, 256))
+        active = np.sort(rng.choice(96, size=m, replace=False))
+        assert reassociates(96, m, 256, 4)
+        q = h[active] @ weights.wq
+        flipped = encoder._attention(q, h, weights, 4, True)
+        standard = encoder._attention(q, h, weights, 4, False)
+        assert np.max(np.abs(flipped - standard)) <= 1e-12
+        got = forward_layer(h, weights, active, heads=4)
+        standard_only(monkeypatch)
+        want = forward_layer(h, weights, active, heads=4)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(np.delete(got, active, axis=0),
+                              np.delete(h, active, axis=0))
+
+    def test_packed_batch_with_both_associations(self, monkeypatch):
+        model = random_model(12, 3, 8, 2, 16, seed=62)
+        rng = np.random.default_rng(63)
+        exits = [np.full(10, 3),                        # dense: standard
+                 np.array([3] + [1] * 9),               # one query row: flipped
+                 np.ones(4, dtype=np.int64),            # no query row after layer 1
+                 np.array([3, 2, 2, 1, 1, 1, 1, 3]),
+                 np.array([3, 1, 1, 1, 1, 1, 3, 3, 1, 1, 1])]
+        ids_list = [rng.integers(0, 12, size=e.size) for e in exits]
+        schedules = [ExitSchedule(e, np.ones(e.size, dtype=bool)) for e in exits]
+        picks = [bool(reassociates(e.size, np.count_nonzero(e >= 2), 8, 2))
+                 for e in exits if (e >= 2).any()]
+        assert True in picks and False in picks
+        calls = []
+        real = encoder._attention
+
+        def spy(q, hk, weights, heads, reassociate, *rest):
+            calls.append(reassociate)
+            return real(q, hk, weights, heads, reassociate, *rest)
+
+        monkeypatch.setattr(encoder, "_attention", spy)
+        finals = forward(model, ids_list, schedules)
+        assert calls[1:3] == [False, True]  # layer 2 splits into two calls
+        monkeypatch.setattr(encoder, "_attention", real)
+        for ids, sched, got in zip(ids_list, schedules, finals):
+            assert np.max(np.abs(got - forward(model, ids, sched).final)) <= 1e-12
+        standard_only(monkeypatch)
+        for got, want in zip(finals, forward(model, ids_list, schedules)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        monkeypatch.undo()
+        for k in (1, 2):
+            head = EncoderModel(d=8, heads=2, d_ff=16, layers=model.layers[:k],
+                                embedding=model.embedding)
+            capped = [ExitSchedule(np.minimum(s.exit_layer, k), s.attn_mask)
+                      for s in schedules]
+            short = forward(head, ids_list, capped)
+            for ids, sched, cap, got, ref in zip(ids_list, schedules, capped,
+                                                 finals, short):
+                rows = sched.exit_layer == k
+                assert np.array_equal(got[rows], ref[rows])
+                alone = forward(head, ids, cap).final
+                assert np.array_equal(forward(model, ids, sched).final[rows],
+                                      alone[rows])
 
 
 class TestForward:

@@ -6,11 +6,17 @@ from hashexit.encoder import ExitSchedule
 from hashexit.flops import (
     FLOPS_PER_MAC,
     ModelDims,
+    executed_layer_macs,
     full_layer_macs,
     oracle_count,
+    reassociates,
     report,
     saved_macs,
 )
+
+# the grid of the acceptance check: n <= 16, m <= n
+GRID = [(n, m, d, h, d_ff) for d in (4, 8) for h in (1, 2) for d_ff in (8, 16)
+        for n in range(1, 17) for m in range(n + 1)]
 
 
 def all_last(n, L):
@@ -91,6 +97,53 @@ class TestOracle:
                         assert expect == got
 
 
+class TestExecuted:
+    def test_never_reassociates_when_all_active(self):
+        for d, h in ((4, 1), (8, 2), (256, 4), (768, 12)):
+            for n in range(1, 65):
+                assert not reassociates(n, n, d, h)
+
+    def test_predicate_is_the_cost_crossover(self):
+        # reassociating swaps 2nd^2 + 2mnd for 2md^2 + 2hmnd
+        for n, m, d, h, _ in GRID:
+            flipped = 2 * m * d * d + 2 * h * m * n * d
+            standard = 2 * n * d * d + 2 * m * n * d
+            assert reassociates(n, m, d, h) == (flipped < standard)
+
+    def test_predicate_on_arrays(self):
+        got = reassociates(np.array([96, 96, 96]), np.array([1, 20, 96]), 256, 4)
+        assert got.tolist() == [True, True, False]
+
+    def test_worked_reassociated_case(self):
+        # n=4, m=1, d=8, h=2, d_ff=32: queries 64, absorbing W_K per head
+        # 2*32, scores 2*32, scale 2*4, softmax 2*4, P.H 2*32, W_V per head
+        # 2*32, output projection 64, layer norms 2*16, FFN 256+256
+        assert reassociates(4, 1, 8, 2)
+        assert executed_layer_macs(4, 1, 8, 2, 32) == 944
+        full = full_layer_macs(4, 8, 2, 32)
+        assert full - saved_macs(4, 1, 8, 2, 32).saved_macs == 1264
+        # the K/V projections skipped: 2d(nd - m(d + (h-1)n)) = 16 * 20
+        assert 1264 - 944 == 320
+
+    def test_equals_full_minus_saved_in_standard_order(self):
+        flipped = 0
+        for n, m, d, h, d_ff in GRID:
+            standard = (full_layer_macs(n, d, h, d_ff)
+                        - saved_macs(n, m, d, h, d_ff).saved_macs)
+            if m and reassociates(n, m, d, h):
+                flipped += 1
+                assert executed_layer_macs(n, m, d, h, d_ff) < standard
+            else:
+                assert executed_layer_macs(n, m, d, h, d_ff) == standard
+        assert flipped
+
+    def test_checks_dims(self):
+        with pytest.raises(InputError):
+            executed_layer_macs(3, 4, 8, 2, 16)
+        with pytest.raises(ConfigError):
+            executed_layer_macs(3, 2, 6, 4, 16)
+
+
 class TestReport:
     dims = ModelDims(num_layers=3, d=8, heads=2, d_ff=16)
 
@@ -146,6 +199,28 @@ class TestReport:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert int(first[3]) == 0
+
+    def test_executed_total(self):
+        s1 = ExitSchedule(np.array([3, 1, 1, 1, 1, 1]), np.ones(6, dtype=bool))
+        s2 = all_last(4, 3)
+        rep = report(self.dims, [s1, s2])
+        want = sum(executed_layer_macs(s.valid_count, s.active_at(t).size, 8, 2, 16)
+                   for s in (s1, s2) for t in (1, 2, 3))
+        assert rep.executed_flops == FLOPS_PER_MAC * want
+        assert rep.executed_flops < rep.total_flops
+        dense = report(self.dims, [s2])
+        assert dense.executed_flops == dense.total_flops
+
+    def test_executed_lines_follow_paper_figures(self):
+        sched = ExitSchedule(np.array([3, 1, 1, 1]), np.ones(4, dtype=bool))
+        rep = report(self.dims, [sched])
+        tail = rep.to_text().splitlines()[-5:]
+        assert [line.partition(":")[0] for line in tail] == [
+            "total FLOPs", "baseline FLOPs", "speedup", "executed FLOPs",
+            "executed speedup"]
+        assert tail[3] == f"executed FLOPs: {rep.executed_flops}"
+        assert tail[4] == f"executed speedup: {rep.executed_speedup:.4f}"
+        assert rep.executed_speedup > rep.speedup
 
     def test_text_deterministic(self):
         rep1 = report(self.dims, [all_last(3, 3)])
