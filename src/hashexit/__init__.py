@@ -72,17 +72,13 @@ from .flops import (
 from .difficulty import (
     DifficultyDataset,
     LinearBPredictor,
-    LinearMPredictor,
     MajorityPredictor,
     MultiExitAnnotator,
     NegClassMetrics,
     annotate,
     bce_loss_and_grad,
     evaluate,
-    first_correct_layer,
     linear_b,
-    linear_m,
-    load_difficulty_dataset,
     majority_baseline,
     negative_class_metrics,
     oversample,

@@ -7,12 +7,13 @@ artifacts under --out-dir; exit status is 0 exactly when no error occurred.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, HashExitError
-from .corpus import load_corpus, zipf_corpus
+from .corpus import load_corpus
 # classify is not called here, but stays importable from this module:
 # bench/tracing.py wraps it (and forward and schedule) at these names.
 from .encoder import (batch_rows, classify, forward, load_model,  # noqa: F401
@@ -150,11 +151,10 @@ def cmd_flops_report(args):
                  for doc in corpus.documents]
     dims = ModelDims(num_layers=table.num_layers, d=args.d, heads=args.heads,
                      d_ff=args.d_ff)
-    baseline = ModelDims(
-        num_layers=args.baseline_layers or table.num_layers,
-        d=args.baseline_d or args.d,
-        heads=args.baseline_heads or args.heads,
-        d_ff=args.baseline_d_ff or args.d_ff)
+    overrides = {"num_layers": args.baseline_layers, "d": args.baseline_d,
+                 "heads": args.baseline_heads, "d_ff": args.baseline_d_ff}
+    baseline = replace(dims, **{name: value for name, value in overrides.items()
+                                if value is not None})
     rep = report(dims, schedules, baseline_dims=baseline)
     _write_text(out_dir / "flops.csv", rep.to_csv())
     _write_text(out_dir / "flops.txt", rep.to_text())
@@ -170,6 +170,8 @@ def cmd_ablate_consistency(args):
     except ValueError:
         raise ConfigError(f"--seeds takes comma-separated integers, "
                           f"got {args.seeds!r}") from None
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"--seeds must be >= 0, got {args.seeds!r}")
     result = run_consistency_ablation(
         seeds, buckets=args.buckets, num_layers=args.layers, d=args.d,
         heads=args.heads, d_ff=args.d_ff, epochs=args.epochs, lr=args.lr,
@@ -299,6 +301,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         args.func(args)
     except HashExitError as exc:
         print(f"error: {exc}", file=sys.stderr)

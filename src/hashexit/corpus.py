@@ -75,12 +75,12 @@ def save_corpus(corpus, path):
         fh.write(serialize_corpus(corpus))
 
 
-def zipf_corpus(vocab_size, num_docs, *, seed=0, exponent=1.0,
-                min_len=5, max_len=15, labeled=False):
-    """Synthetic corpus with rank-power-law token frequencies.
+def zipf_corpus(vocab_size, num_docs, *, seed=0, min_len=5, max_len=15,
+                labeled=False):
+    """Synthetic corpus with Zipf token frequencies.
 
     Token w0000 is the most frequent; draw probability of rank r is
-    proportional to r**-exponent.
+    proportional to 1/r.
     """
     if vocab_size < 1 or num_docs < 1:
         raise ConfigError("vocab_size and num_docs must be positive")
@@ -88,7 +88,7 @@ def zipf_corpus(vocab_size, num_docs, *, seed=0, exponent=1.0,
         raise ConfigError("need 1 <= min_len <= max_len")
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
-    weights = ranks ** -exponent
+    weights = 1.0 / ranks
     weights /= weights.sum()
     width = len(str(vocab_size - 1))
     tokens = [f"w{i:0{width}d}" for i in range(vocab_size)]

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, open_text
+from .errors import ConfigError, InputError
 from .encoder import (ExitSchedule, batch_rows, fit, forward,
                       head_loss_and_grad, row_batches)
 
@@ -41,13 +41,11 @@ class DifficultyDataset:
 
     bits: (N, L), 1 where the matching internal head was correct.
     features: (N, L, d) per-layer states of the annotated position, kept
-    for the linear predictor; None when loaded from disk.
-    pooled: (N, d) mean embedding over valid positions, for Linear-M.
+    for the linear predictor; None when not recorded.
     """
 
     bits: np.ndarray
     features: Optional[np.ndarray] = None
-    pooled: Optional[np.ndarray] = None
     tokens: Optional[list] = None
     ids: Optional[list] = None
 
@@ -138,9 +136,8 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
     Sentence mode reads the pinned first position through every head and
     compares argmax to the instance label. Token mode does the same at
     every position against per-token labels, producing one instance per
-    token. Also records per-layer states (features) and the mean input
-    embedding (pooled) for the downstream predictors. Instances keep the
-    order of `sequences`.
+    token. Also records per-layer states (features) for the linear
+    predictor. Instances keep the order of `sequences`.
     """
     if mode not in ("sentence", "token"):
         raise ConfigError(f"unknown annotation mode {mode!r}")
@@ -152,11 +149,9 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
     counts = [1 if sentence else len(seq) for seq in sequences]
     starts = np.cumsum([0] + counts)
     feats = np.empty((starts[-1], L, model.d))
-    pooled = np.empty((starts[-1], model.d))
     for i, trace in _traces(model, sequences):
         rows = slice(starts[i], starts[i + 1])
         feats[rows] = np.stack(trace.hidden[1:], axis=1)[:counts[i]]
-        pooled[rows] = trace.hidden[0].mean(axis=0)
     instances = [(i, p) for i, n in enumerate(counts) for p in range(n)]
     gold = np.array([labels[i] if sentence else labels[i][p]
                      for i, p in instances], dtype=np.int64)
@@ -167,8 +162,8 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
     out_tokens = None
     if tokens is not None:
         out_tokens = [list(tokens[i]) for i, _ in instances]
-    return DifficultyDataset(bits=bits, features=feats, pooled=pooled,
-                             tokens=out_tokens, ids=ids)
+    return DifficultyDataset(bits=bits, features=feats, tokens=out_tokens,
+                             ids=ids)
 
 
 def oversample(dataset, seed=0, floor=0.3):
@@ -201,7 +196,6 @@ def oversample(dataset, seed=0, floor=0.3):
     return DifficultyDataset(
         bits=bits[idx].copy(),
         features=None if dataset.features is None else dataset.features[idx].copy(),
-        pooled=None if dataset.pooled is None else dataset.pooled[idx].copy(),
         tokens=None if dataset.tokens is None else [dataset.tokens[i] for i in keep],
         ids=None if dataset.ids is None else [dataset.ids[i] for i in keep])
 
@@ -294,43 +288,6 @@ def linear_b(dataset, *, per_layer=False, epochs=300, lr=0.5, seed=0):
                             per_layer=per_layer)
 
 
-@dataclass
-class LinearMPredictor:
-    """Multinomial regression from pooled embeddings to the first layer
-    whose head is already correct (class L means no head ever is)."""
-
-    weights: np.ndarray
-
-    def predict_exit_layer(self, dataset):
-        if dataset.pooled is None:
-            raise ConfigError("dataset carries no pooled embeddings")
-        scores = dataset.pooled @ self.weights
-        return np.argmax(scores, axis=1) + 1
-
-
-def first_correct_layer(bits):
-    """1-based first slot with a 1; L+1 when the row is all zeros."""
-    bits = np.asarray(bits)
-    has_one = bits.any(axis=1)
-    first = np.argmax(bits, axis=1) + 1
-    first[~has_one] = bits.shape[1] + 1
-    return first
-
-
-def linear_m(dataset, *, epochs=300, lr=0.5, seed=0):
-    if len(dataset) == 0:
-        raise InputError("cannot train on an empty dataset")
-    if dataset.pooled is None:
-        raise ConfigError("multinomial predictor needs pooled embeddings")
-    targets = first_correct_layer(dataset.bits) - 1
-    num_classes = dataset.num_layers + 1
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 0.01, size=(dataset.pooled.shape[1], num_classes))
-    w, = fit(lambda w: head_loss_and_grad(w, dataset.pooled, targets), (w,),
-             epochs=epochs, lr=lr, what="multinomial exit predictor")
-    return LinearMPredictor(weights=w)
-
-
 def negative_class_metrics(bits_true, bits_pred):
     """Micro P/R/F1 with the 0 bit as the detection target."""
     bits_true = np.asarray(bits_true)
@@ -366,34 +323,7 @@ def serialize_difficulty_dataset(dataset):
     return "\n".join(lines) + "\n"
 
 
-def parse_difficulty_dataset(text):
-    bits, tokens, ids = [], [], []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected id, bits, tokens")
-        ident, bitstring, text_part = parts
-        if width is None:
-            width = len(bitstring)
-        if len(bitstring) != width or not set(bitstring) <= {"0", "1"}:
-            raise ParseError(f"line {lineno}: bad bit vector {bitstring!r}")
-        ids.append(ident)
-        bits.append([int(c) for c in bitstring])
-        tokens.append(text_part.split())
-    if not bits:
-        raise ParseError("no instances in difficulty dataset")
-    return DifficultyDataset(bits=np.array(bits, dtype=np.int8),
-                             tokens=tokens, ids=ids)
-
-
 def save_difficulty_dataset(dataset, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_difficulty_dataset(dataset))
 
-
-def load_difficulty_dataset(path):
-    with open_text(path) as fh:
-        return parse_difficulty_dataset(fh.read())

@@ -7,11 +7,11 @@ the sequence as keys and values, so later layers still attend over the full
 (non-padding) sequence. Setting every exit to the top layer reproduces a
 plain post-norm encoder exactly.
 
-Because the schedule is known before layer 1 runs, several documents run
-as one packed batch: their non-padding rows are stacked into one matrix,
-the per-row work of each layer is one matmul over the stacked active rows,
-and attention stays inside each document. A single sequence is a batch of
-one.
+Because the schedule is known before layer 1 runs, documents run as one
+packed batch: their non-padding rows are stacked into one matrix, the
+per-row work of each layer is one matmul over the stacked active rows,
+and attention stays inside each document. There is one path: a single
+sequence is a batch of one and takes the same per-document attention.
 
 Q, K and V carry no biases, so attention has two associations. The
 standard one projects K and V for all n visible rows of a document. The
@@ -180,13 +180,11 @@ class ForwardTrace:
         return self.hidden[-1]
 
 
-def schedule(token_ids, table, num_layers=None, *, pin_first=False, valid_len=None):
-    """Look up each token's exit layer and apply pinning/padding overrides.
+def schedule(token_ids, table, num_layers=None, *, pin_first=False):
+    """Look up each token's exit layer; no position is padding.
 
     pin_first forces position 0 to the top layer (it hosts the classifier
-    readout). Positions at index >= valid_len are padding: exit layer 1,
-    masked out of attention. Unknown ids (< 0 or beyond the table) run to
-    the top layer.
+    readout). Unknown ids (< 0 or beyond the table) run to the top layer.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1:
@@ -194,20 +192,12 @@ def schedule(token_ids, table, num_layers=None, *, pin_first=False, valid_len=No
     if num_layers is not None and table.num_layers != num_layers:
         raise ConfigError(f"table built for L={table.num_layers}, "
                           f"model has L={num_layers}")
-    n = ids.size
-    if valid_len is None:
-        valid_len = n
-    if not 0 <= valid_len <= n:
-        raise ConfigError(f"valid_len={valid_len} out of range for length {n}")
-    exits = np.full(n, table.num_layers, dtype=np.int64)
+    exits = np.full(ids.size, table.num_layers, dtype=np.int64)
     known = (ids >= 0) & (ids < len(table.tokens))
     exits[known] = table.layers[ids[known]]
-    mask = np.zeros(n, dtype=bool)
-    mask[:valid_len] = True
-    if pin_first and valid_len >= 1:
+    if pin_first and ids.size:
         exits[0] = table.num_layers
-    exits[~mask] = 1
-    return ExitSchedule._trusted(exits, mask)
+    return ExitSchedule._trusted(exits, np.ones(ids.size, dtype=bool))
 
 
 def positional_encoding(n, d):
@@ -249,8 +239,7 @@ def _slots(doc, count):
     return slot, sizes
 
 
-def _attention(q, hk, weights, heads, reassociate, q_doc=None, k_doc=None,
-               docs=1):
+def _attention(q, hk, weights, heads, reassociate, q_doc, k_doc, docs):
     """Multi-head attention of each query row over its own document's keys.
 
     q holds the projected queries, hk the raw rows that serve as keys and
@@ -260,28 +249,24 @@ def _attention(q, hk, weights, heads, reassociate, q_doc=None, k_doc=None,
     query rows attend over many keys (flops.reassociates).
 
     q_doc and k_doc number the document (0..docs-1) of each query and key
-    row; None means all rows belong to one document. With several
-    documents, queries and keys are padded per document to the largest
-    count in the batch; padded key slots score -inf and so get zero
-    weight, and padded query slots are dropped.
+    row. Queries and keys are padded per document to the largest count in
+    the batch, a single document being a batch of one; padded key slots
+    score -inf and so get zero weight, and padded query slots are dropped.
     """
     d = q.shape[1]
-    k, v = (hk, hk) if reassociate else (hk @ weights.wk, hk @ weights.wv)
-    qp, kp, vp, bias = q, k, v, None
-    if docs > 1:
-        q_slot, _ = _slots(q_doc, docs)
-        k_slot, k_sizes = _slots(k_doc, docs)
-        qp = np.zeros((docs, int(q_slot.max()) + 1, d))
-        qp[q_doc, q_slot] = q
-        kp = np.zeros((docs, int(k_sizes.max()), d))
-        kp[k_doc, k_slot] = k
-        if reassociate:
-            vp = kp
-        else:
-            vp = np.zeros_like(kp)
-            vp[k_doc, k_slot] = v
-        bias = np.where(np.arange(kp.shape[1]) < k_sizes[:, None], 0.0, -np.inf)
-        bias = bias[:, None, :]
+    q_slot, _ = _slots(q_doc, docs)
+    k_slot, k_sizes = _slots(k_doc, docs)
+    qp = np.zeros((docs, int(q_slot.max()) + 1, d))
+    qp[q_doc, q_slot] = q
+    kp = np.zeros((docs, int(k_sizes.max()), d))
+    kp[k_doc, k_slot] = hk if reassociate else hk @ weights.wk
+    if reassociate:
+        vp = kp
+    else:
+        vp = np.zeros_like(kp)
+        vp[k_doc, k_slot] = hk @ weights.wv
+    bias = np.where(np.arange(kp.shape[1]) < k_sizes[:, None], 0.0, -np.inf)
+    bias = bias[:, None, :]
     d_k = d // heads
     ctx = np.empty_like(qp)
     for i in range(heads):
@@ -292,15 +277,14 @@ def _attention(q, hk, weights, heads, reassociate, q_doc=None, k_doc=None,
             qh, kh = qp[..., sl], kp[..., sl]
         scores = qh @ kh.swapaxes(-1, -2)
         scores /= np.sqrt(d_k)
-        if bias is not None:
-            scores += bias
+        scores += bias
         probs = softmax_rows(scores.reshape(-1, scores.shape[-1]))
         probs = probs.reshape(scores.shape)
         if reassociate:
             ctx[..., sl] = _rows_matmul(probs @ vp, weights.wv[:, sl])
         else:
             ctx[..., sl] = probs @ vp[..., sl]
-    return ctx if docs == 1 else ctx[q_doc, q_slot]
+    return ctx[q_doc, q_slot]
 
 
 def _rows_matmul(x, w):
@@ -309,7 +293,7 @@ def _rows_matmul(x, w):
 
 
 def _packed_attention(q, h, weights, heads, active, sizes):
-    """Attention of the active rows of several packed documents.
+    """Attention of the active rows of one or more packed documents.
 
     Documents without an active row need no keys. The rest split into at
     most two groups, one per association, and each group is one _attention
@@ -347,7 +331,8 @@ def forward_layer(h, weights, active, *, heads, segments=None):
     """One exit-aware encoder layer over one or more packed documents.
 
     `segments` lists the start row of each document packed into h followed
-    by h's row count (default: all of h is one document). Queries come from
+    by h's row count; None reads as [0, n], all of h one document, which
+    takes the same packed attention as any other batch. Queries come from
     the `active` rows only; keys and values span every row of each document
     that has an active row, and each query attends to its own document
     only. Each document takes the cheaper attention association for its
@@ -361,21 +346,16 @@ def forward_layer(h, weights, active, *, heads, segments=None):
     n, d = h.shape
     if weights.wq.shape[0] != d:
         raise ShapeError(f"weights expect d={weights.wq.shape[0]}, states have d={d}")
-    if segments is not None:
-        segments = np.asarray(segments, dtype=np.int64)
-        sizes = segments[1:] - segments[:-1]
-        if segments[0] != 0 or segments[-1] != n or (sizes < 0).any():
-            raise ShapeError(f"segments must rise from 0 to the row count {n}")
+    segments = np.asarray((0, n) if segments is None else segments, dtype=np.int64)
+    sizes = segments[1:] - segments[:-1]
+    if segments[0] != 0 or segments[-1] != n or (sizes < 0).any():
+        raise ShapeError(f"segments must rise from 0 to the row count {n}")
     active = np.asarray(active, dtype=np.int64)
     if active.size == 0:
         return h.copy()
     hq = h[active]
     q = hq @ weights.wq
-    if segments is not None and sizes.size > 1:
-        ctx = _packed_attention(q, h, weights, heads, active, sizes)
-    else:
-        ctx = _attention(q, h, weights, heads,
-                         reassociates(n, active.size, d, heads))
+    ctx = _packed_attention(q, h, weights, heads, active, sizes)
     x = layer_norm(hq + ctx @ weights.wo, weights.ln1_gain, weights.ln1_bias)
     del hq, q, ctx  # a packed batch's temporaries dominate its memory
     ffn = relu(x @ weights.w1) @ weights.w2
@@ -410,10 +390,8 @@ def _run_packed(model, ids_list, schedules, keep_hidden):
         raise ConfigError("schedule assigns layers beyond the model depth")
     lengths = [ids.size for ids in ids_list]
     bounds = list(accumulate(lengths, initial=0))
-    positions, segments = None, None
-    if len(ids_list) > 1:
-        positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
-        segments = np.cumsum([0] + [sched.valid_count for sched in schedules])
+    positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
+    segments = np.cumsum([0] + [sched.valid_count for sched in schedules])
     full = embed(model, np.concatenate(ids_list), positions)
     mask = np.concatenate([sched.attn_mask for sched in schedules])
     padded = not mask.all()
@@ -436,13 +414,14 @@ def _run_packed(model, ids_list, schedules, keep_hidden):
 def forward(model, token_ids, sched, *, traces=False):
     """One forward pass under the exit schedule.
 
-    For one document (an id sequence and its ExitSchedule) returns the
-    ForwardTrace of every layer's states. For a packed batch (a list of
-    id sequences and a list of schedules) returns a list whose entry i is
-    document i's (n_i, d) final states, or with traces=True document i's
-    ForwardTrace; it matches the one-document pass up to the summation
-    order of the packed matmuls. Memory grows with the batch's rows, times
-    L+1 with traces, so split a corpus with row_batches.
+    For a packed batch (a list of id sequences and a list of schedules)
+    returns a list whose entry i is document i's (n_i, d) final states, or
+    with traces=True document i's ForwardTrace. One document (an id
+    sequence and its ExitSchedule) runs as a batch of one through the same
+    path and returns its ForwardTrace; a document's states in a larger
+    batch match its batch of one up to the summation order of the packed
+    matmuls. Memory grows with the batch's rows, times L+1 with traces, so
+    split a corpus with row_batches.
     """
     if not isinstance(sched, ExitSchedule):
         states = _run_packed(model, token_ids, sched, keep_hidden=traces)
@@ -522,16 +501,6 @@ def head_loss_and_grad(head, feats, label_ids):
     return loss, grad
 
 
-def _resolve_table(tables, phase):
-    if phase not in ("train", "infer"):
-        raise ConfigError(f"phase must be 'train' or 'infer', got {phase!r}")
-    if isinstance(tables, dict):
-        if phase not in tables:
-            raise ConfigError(f"no hash table supplied for phase {phase!r}")
-        return tables[phase]
-    return tables
-
-
 def cls_features(model, sequences, table):
     """Frozen-encoder features: final state of position 0 per sequence.
 
@@ -547,19 +516,16 @@ def cls_features(model, sequences, table):
     return feats
 
 
-def train_toy(model, sequences, labels, tables, phase="train", *,
-              epochs=200, lr=0.5, seed=0):
+def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
     """Head-only gradient descent on cross entropy over frozen features.
 
-    `tables` is a HashTable, or a {"train": ..., "infer": ...} dict from
-    which `phase` picks the one used to schedule exits. The encoder weights
-    never move; only the classifier head is (re)fit. Returns a new model.
+    `table` schedules the exits. The encoder weights never move; only the
+    classifier head is (re)fit. Returns a new model.
     """
     if len(sequences) == 0:
         raise InputError("training set is empty")
     if len(sequences) != len(labels):
         raise ShapeError("sequences and labels differ in length")
-    table = _resolve_table(tables, phase)
     labels = np.asarray(labels, dtype=np.int64)
     feats = cls_features(model, sequences, table)
     if model.head is not None:

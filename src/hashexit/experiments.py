@@ -125,8 +125,7 @@ def run_consistency_ablation(seeds, *, buckets=2, num_layers=4, d=8, heads=2,
             table_a, table_b = build_random(task.vocab, buckets, num_layers,
                                             seed=seed, consistent=False)
         trained = train_toy(model, task.train_seqs, task.train_labels,
-                            {"train": table_a, "infer": table_b},
-                            phase="train", epochs=epochs, lr=lr, seed=seed)
+                            table_a, epochs=epochs, lr=lr, seed=seed)
         incons_accs.append(accuracy(trained, task.eval_seqs,
                                     task.eval_labels, table_b))
     return AblationResult(seeds=seeds, cons_accuracies=cons_accs,

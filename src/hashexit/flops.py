@@ -59,10 +59,6 @@ class LayerCost:
     def saved_macs(self):
         return sum(self.saved.values())
 
-    @property
-    def counted_macs(self):
-        return self.full_macs - self.saved_macs
-
 
 def saved_macs(n, m, d, h, d_ff):
     """Closed-form saved MACs, split by category.

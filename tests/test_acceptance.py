@@ -183,7 +183,7 @@ def test_acceptance_6_frequency_beats_random_flops():
     # Zipf(1.0) corpus, V=1000, 10k docs, L=6, B=6: frequency hashing must
     # cost strictly fewer FLOPs than consistent random hashing; budget 60 s
     start = time.perf_counter()
-    corpus = zipf_corpus(1000, 10_000, seed=606, exponent=1.0)
+    corpus = zipf_corpus(1000, 10_000, seed=606)
     vocab = Vocab.from_documents(corpus.documents)
     stats = CorpusStats.from_documents(vocab, corpus.documents)
     freq_table = build_frequency(vocab, stats, 6, 6)

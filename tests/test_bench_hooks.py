@@ -1,24 +1,22 @@
-"""The benchmark (bench/) wraps package functions at the module attributes
-its callers look up, by name. A refactor that drops one of those names
-would crash the benchmark instead of failing a test, so they are pinned
-here. bench/tracing.py is loaded from the checkout, not edited."""
+"""The benchmark (bench/) calls the package by name: it wraps functions at
+the module attributes their callers look up, and bench/workload.py calls
+`hx.<name>` and loaders named as strings. A refactor that drops one of
+those names would crash the benchmark instead of failing a test, so they
+are pinned here. The bench/ files are read from the checkout, not edited."""
 
 import importlib.util
+import pkgutil
+import re
+from functools import reduce
 from pathlib import Path
 
 import hashexit
 import hashexit.cli
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-# (module, attribute) pairs bench/workload.py samples during its commands
-WORKLOAD_HOOKS = (
-    ("cli", "forward"),
-    ("cli", "schedule"),
-    ("difficulty", "forward"),
-    ("experiments", "train_toy"),
-    ("hashing", "token_label_mi"),
-)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOAD = BENCH / "workload.py"
+SUBMODULES = {m.name for m in pkgutil.iter_modules(hashexit.__path__)}
 
 
 def load_tracing():
@@ -26,6 +24,22 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def workload_api():
+    """Attribute paths below `hashexit` that bench/workload.py looks up:
+    every `hx.<name>[.<attr>...]`, every loader its `input_files` name,
+    every loader its LoadTimer wraps on `hashexit.cli`, and every
+    ("<module>", "<function>") hook it samples."""
+    source = WORKLOAD.read_text(encoding="utf-8")
+    paths = {tuple(chain.split("."))
+             for chain in re.findall(r"\bhx\.(\w+(?:\.\w+)*)", source)}
+    paths |= {(name,) for name in re.findall(r'\("(load_\w+)", run\.', source)}
+    timed, = re.findall(r"NAMES = \(([^)]*)\)", source)
+    paths |= {("cli", name) for name in re.findall(r'"(\w+)"', timed)}
+    paths |= {pair for pair in re.findall(r'\("(\w+)", "(\w+)"\)', source)
+              if pair[0] in SUBMODULES}
+    return paths
 
 
 def test_trace_targets_resolve():
@@ -44,8 +58,17 @@ def test_class_targets_resolve():
 
 
 def test_workload_hooks_resolve():
-    for mod_name, attr in WORKLOAD_HOOKS:
-        assert callable(getattr(getattr(hashexit, mod_name), attr)), (mod_name, attr)
+    paths = workload_api()
+    # the scan finds what the benchmark is known to use
+    assert {("forward",), ("saved_macs",), ("load_model",), ("cli", "main"),
+            ("cli", "load_embeddings"), ("cli", "forward"),
+            ("difficulty", "forward"), ("experiments", "train_toy")} <= paths
+    for path in sorted(paths):
+        try:
+            reduce(getattr, path, hashexit)
+        except AttributeError:
+            raise AssertionError(f"bench/workload.py uses hashexit."
+                                 f"{'.'.join(path)}, which is gone") from None
 
 
 def test_cli_exposes_encoder_entry_points():

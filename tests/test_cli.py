@@ -352,12 +352,38 @@ class TestMalformedFlags:
                       "--layers", 4], "buckets", id="frequency-buckets-0"),
         pytest.param(["build-hash", "--method", "random", "--buckets", 0,
                       "--layers", 4], "buckets", id="random-buckets-0"),
+        pytest.param(["build-hash", "--method", "random", "--buckets", 2,
+                      "--layers", 4, "--seed", -1], "--seed",
+                     id="random-negative-seed"),
+        pytest.param(["build-hash", "--method", "clustered", "--buckets", 2,
+                      "--layers", 4, "--seed", -1], "--seed",
+                     id="clustered-negative-seed"),
+        pytest.param(["difficulty", "--seed", -3], "--seed",
+                     id="difficulty-negative-seed"),
+        pytest.param(["ablate-consistency", "--seeds=-1,2"], "seeds",
+                     id="ablate-negative-seed"),
+        pytest.param(["flops-report", "--baseline-layers", 0], "positive",
+                     id="baseline-layers-0"),
+        pytest.param(["flops-report", "--baseline-d", 0], "positive",
+                     id="baseline-d-0"),
+        pytest.param(["flops-report", "--baseline-heads", 0], "positive",
+                     id="baseline-heads-0"),
+        pytest.param(["flops-report", "--baseline-d-ff", 0], "positive",
+                     id="baseline-d-ff-0"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, says):
         corpus = tmp_path / "c.txt"
         write_fixture_corpus(corpus)
-        if argv[0] == "build-hash":
+        if "clustered" in argv:
+            emb = tmp_path / "emb.txt"
+            save_embeddings(EmbeddingTable(tuple("abcdef"), np.eye(6)), emb)
+            argv = argv + ["--embeddings", emb]
+        elif argv[0] == "build-hash":
             argv = argv + ["--corpus", corpus]
+        elif argv[0] == "flops-report":
+            table_path = make_model_and_table(tmp_path)[3]
+            argv = argv + ["--table", table_path, "--corpus", corpus,
+                           "--d", 8, "--heads", 2, "--d-ff", 16]
         assert run(argv + ["--out-dir", tmp_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and says in err

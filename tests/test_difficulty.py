@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from hashexit.errors import ConfigError, InputError, ParseError, TrainingError
+from hashexit.errors import ConfigError, InputError, TrainingError
 from hashexit.difficulty import (
     DifficultyDataset,
     MultiExitAnnotator,
     annotate,
     bce_loss_and_grad,
     evaluate,
-    first_correct_layer,
     linear_b,
-    linear_m,
-    load_difficulty_dataset,
     majority_baseline,
     negative_class_metrics,
     oversample,
-    parse_difficulty_dataset,
     save_difficulty_dataset,
     serialize_difficulty_dataset,
     train_annotator,
@@ -40,8 +36,7 @@ def dataset_from_bits(bits, seed=0, d=4):
     bits = np.asarray(bits, dtype=np.int8)
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(bits.shape[0], bits.shape[1], d))
-    return DifficultyDataset(bits=bits, features=feats,
-                             pooled=rng.normal(size=(bits.shape[0], d)))
+    return DifficultyDataset(bits=bits, features=feats)
 
 
 class TestAnnotate:
@@ -166,7 +161,7 @@ class TestPackedWalk:
             labels = [[int(g) for g in rng.integers(0, 2, len(s))] for s in seqs]
         tokens = [[f"w{t}" for t in seq] for seq in seqs]
         ds = annotate(ann, seqs, labels, mode=mode, tokens=tokens)
-        bits, feats, pooled, ids, toks = [], [], [], [], []
+        bits, feats, ids, toks = [], [], [], []
         for i, seq in enumerate(seqs):
             n = len(seq)
             trace = forward(ann.model, seq,
@@ -177,12 +172,10 @@ class TestPackedWalk:
                 bits.append([int(np.argmax(s @ w) == gold)
                              for s, w in zip(states, ann.heads)])
                 feats.append(states)
-                pooled.append(trace.hidden[0].mean(axis=0))
                 ids.append(str(i) if mode == "sentence" else f"{i}.{p}")
                 toks.append(tokens[i])
         assert ds.ids == ids and ds.tokens == toks
         assert np.array_equal(ds.bits, bits)
-        assert np.array_equal(ds.pooled, pooled)
         assert np.abs(ds.features - np.array(feats)).max() <= 1e-12
 
     def test_annotator_matches_per_document_training(self, monkeypatch,
@@ -386,34 +379,6 @@ class TestLinearB:
         assert np.array_equal(a.biases, b.biases)
 
 
-class TestLinearM:
-    def test_first_correct_layer(self):
-        bits = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 0]])
-        assert list(first_correct_layer(bits)) == [2, 1, 4]
-
-    def test_learns_clustered_pooled_embeddings(self):
-        rng = np.random.default_rng(12)
-        centers = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, -5.0]])
-        bits, pooled = [], []
-        for i in range(60):
-            cls = i % 3
-            pooled.append(centers[cls] + 0.1 * rng.normal(size=2))
-            row = [0, 0, 0]
-            row[cls] = 1
-            bits.append(row)
-        ds = DifficultyDataset(bits=np.array(bits, dtype=np.int8),
-                               pooled=np.array(pooled))
-        pred = linear_m(ds, epochs=400, lr=0.5, seed=0)
-        got = pred.predict_exit_layer(ds)
-        want = first_correct_layer(ds.bits)
-        assert (got == want).mean() >= 0.95
-
-    def test_needs_pooled(self):
-        ds = DifficultyDataset(bits=np.array([[0, 1]]))
-        with pytest.raises(ConfigError):
-            linear_m(ds)
-
-
 class TestMetrics:
     def test_hand_fixture_two_thirds(self):
         true = np.array([[0, 0, 0, 1, 1, 1]])
@@ -462,41 +427,18 @@ class MajorityPredictorStub:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_save_writes_exact_text(self, tmp_path):
         ds = DifficultyDataset(bits=np.array([[1, 0], [0, 1]], dtype=np.int8),
                                tokens=[["good", "movie"], ["bad", "film"]],
-                               ids=["0", "1"])
+                               ids=["0", "1.2"])
         path = tmp_path / "difficulty.tsv"
         save_difficulty_dataset(ds, path)
-        back = load_difficulty_dataset(path)
-        assert np.array_equal(back.bits, ds.bits)
-        assert back.tokens == ds.tokens
-        assert back.ids == ds.ids
+        assert path.read_bytes() == b"0\t10\tgood movie\n1.2\t01\tbad film\n"
 
     def test_byte_stable(self):
         ds = DifficultyDataset(bits=np.array([[1, 0]], dtype=np.int8),
                                tokens=[["a", "b"]], ids=["7"])
-        text = serialize_difficulty_dataset(ds)
-        assert text == "7\t10\ta b\n"
-        assert serialize_difficulty_dataset(parse_difficulty_dataset(text)) == text
-
-    def test_bad_field_count(self):
-        with pytest.raises(ParseError):
-            parse_difficulty_dataset("0\t101\n")
-
-    def test_bad_bits(self):
-        with pytest.raises(ParseError):
-            parse_difficulty_dataset("0\t1x1\ta b\n")
-
-    def test_inconsistent_width(self):
-        with pytest.raises(ParseError):
-            parse_difficulty_dataset("0\t10\ta\n1\t100\tb\n")
-
-    def test_non_utf8_file(self, tmp_path):
-        path = tmp_path / "ds.tsv"
-        path.write_bytes(b"0\t10\t\xff\xfe\n")
-        with pytest.raises(ParseError, match="not UTF-8"):
-            load_difficulty_dataset(path)
+        assert serialize_difficulty_dataset(ds) == "7\t10\ta b\n"
 
     def test_tokens_required_to_write(self):
         ds = DifficultyDataset(bits=np.array([[1]], dtype=np.int8))

@@ -26,10 +26,10 @@ from hashexit.encoder import (
     train_toy,
 )
 from hashexit import encoder
-from hashexit.difficulty import annotate, linear_b, linear_m, train_annotator
+from hashexit.difficulty import annotate, linear_b, train_annotator
 from hashexit.experiments import make_separable_task
 from hashexit.flops import reassociates
-from hashexit.hashing import CorpusStats, HashTable, Vocab, build_frequency, build_random
+from hashexit.hashing import CorpusStats, Vocab, build_frequency, build_random
 
 from helpers import vanilla_forward, sinusoidal_positions
 
@@ -57,10 +57,10 @@ class TestSchedule:
         assert list(sched.exit_layer) == [6, 5]
 
     def test_padding(self):
-        table = freq_fixture_table()
-        sched = schedule([0, 5, 5], table, valid_len=1)
-        assert list(sched.exit_layer) == [1, 1, 1]
-        assert list(sched.attn_mask) == [True, False, False]
+        # padding positions leave every active set and the valid count
+        sched = ExitSchedule(np.array([3, 1, 1]), np.array([True, False, False]))
+        assert sched.valid_count == 1
+        assert [list(sched.active_at(t)) for t in (1, 2, 3)] == [[0], [0], [0]]
 
     def test_unknown_token_exits_last(self):
         table = freq_fixture_table()
@@ -83,23 +83,20 @@ class TestSchedule:
         rng = np.random.default_rng(3)
         table = build_random(Vocab(tuple(f"t{i}" for i in range(40))), 3, 6, seed=1)
         for _ in range(20):
-            ids = rng.integers(-5, 50, size=int(rng.integers(1, 30)))
-            valid_len = int(rng.integers(0, ids.size + 1))
+            ids = rng.integers(-5, 50, size=int(rng.integers(0, 30)))
             pin = bool(rng.integers(0, 2))
-            sched = schedule(ids, table, pin_first=pin, valid_len=valid_len)
+            sched = schedule(ids, table, pin_first=pin)
             want = [table.layer_of(int(t)) for t in ids]
-            if pin and valid_len:
+            if pin and ids.size:
                 want[0] = 6
-            want[valid_len:] = [1] * (ids.size - valid_len)
             assert list(sched.exit_layer) == want
-            assert list(sched.attn_mask) == [i < valid_len for i in range(ids.size)]
+            assert sched.attn_mask.all() and sched.attn_mask.size == ids.size
 
     def test_matches_validated_schedule(self):
         # schedule() skips ExitSchedule's checks; what it builds must pass them
         table = freq_fixture_table()
-        cases = [([0, 5, 5], dict(valid_len=1)),
-                 ([0, 5, 3], dict(pin_first=True)),
-                 ([2, 4, 1], dict(pin_first=True, valid_len=2)),
+        cases = [([0, 5, 3], dict(pin_first=True)),
+                 ([-1, 99, 0], dict(pin_first=True)),
                  ([-1, 99, 0], {}),
                  ([], {})]
         for ids, kwargs in cases:
@@ -185,8 +182,9 @@ class TestReassociation:
         active = np.sort(rng.choice(96, size=m, replace=False))
         assert reassociates(96, m, 256, 4)
         q = h[active] @ weights.wq
-        flipped = encoder._attention(q, h, weights, 4, True)
-        standard = encoder._attention(q, h, weights, 4, False)
+        q_doc, k_doc = np.zeros(m, dtype=np.int64), np.zeros(96, dtype=np.int64)
+        flipped = encoder._attention(q, h, weights, 4, True, q_doc, k_doc, 1)
+        standard = encoder._attention(q, h, weights, 4, False, q_doc, k_doc, 1)
         assert np.max(np.abs(flipped - standard)) <= 1e-12
         got = forward_layer(h, weights, active, heads=4)
         standard_only(monkeypatch)
@@ -528,22 +526,6 @@ class TestTrainToy:
         with pytest.raises(TrainingError):
             train_toy(model, seqs, labels, table, epochs=50, lr=1e30)
 
-    def test_phase_picks_table(self):
-        seqs, labels, table_a = self.make_task()
-        vocab = Vocab(tuple(["cls"] + [f"w{i}" for i in range(10)]))
-        table_b = build_random(vocab, 2, 2, seed=99)
-        model = random_model(11, 2, 8, 2, 16, seed=2)
-        tables = {"train": table_a, "infer": table_b}
-        on_a = train_toy(model, seqs, labels, tables, phase="train", epochs=20)
-        direct = train_toy(model, seqs, labels, table_a, epochs=20)
-        assert np.array_equal(on_a.head, direct.head)
-
-    def test_bad_phase(self):
-        seqs, labels, table = self.make_task()
-        model = random_model(11, 2, 8, 2, 16, seed=2)
-        with pytest.raises(ConfigError):
-            train_toy(model, seqs, labels, table, phase="test")
-
     def test_empty_dataset(self):
         _, _, table = self.make_task()
         model = random_model(11, 2, 8, 2, 16, seed=2)
@@ -586,7 +568,6 @@ def _diverging_trainers():
         "train_annotator": lambda: train_annotator(model, *data, epochs=50,
                                                    lr=1e30),
         "linear_b": lambda: linear_b(dataset, epochs=80, lr=1e308),
-        "linear_m": lambda: linear_m(dataset, epochs=80, lr=1e30),
     }
 
 
@@ -608,7 +589,7 @@ class TestFit:
                 what="head")
 
     @pytest.mark.parametrize("trainer", ["train_toy", "train_annotator",
-                                         "linear_b", "linear_m"])
+                                         "linear_b"])
     def test_divergence_raises_in_fit(self, trainer):
         with pytest.raises(TrainingError) as excinfo:
             _diverging_trainers()[trainer]()

@@ -1,7 +1,7 @@
 """Mangled text artifacts raise HashExitError and nothing else.
 
-Each of the four text loaders (hash table, embeddings, corpus, difficulty
-dataset) starts from a file its own saver wrote; Hypothesis then cuts it,
+Each of the three text loaders (hash table, embeddings, corpus, the last
+both plain and labeled) starts from a file its own saver wrote; Hypothesis then cuts it,
 flips bytes in it, inserts lines into it, or rewrites one of its fields
 (header and count fields included) as a negative, huge or non-numeric
 value.
@@ -14,8 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hashexit.corpus import Corpus, load_corpus, save_corpus
-from hashexit.difficulty import (DifficultyDataset, load_difficulty_dataset,
-                                 save_difficulty_dataset)
 from hashexit.errors import HashExitError
 from hashexit.hashing import (EmbeddingTable, HashTable, load_embeddings,
                               load_hash_table, save_embeddings,
@@ -48,18 +46,11 @@ def _labeled_corpus(path):
                        labels=["0", "1"]), path)
 
 
-def _dataset(path):
-    save_difficulty_dataset(DifficultyDataset(
-        bits=np.array([[0, 1, 1], [1, 1, 0]]),
-        tokens=[["the", "cat"], ["a", "mat"]], ids=["0", "1"]), path)
-
-
 LOADERS = {
     "hash-table": (_table, load_hash_table),
     "embeddings": (_embeddings, load_embeddings),
     "corpus": (_corpus, load_corpus),
     "labeled-corpus": (_labeled_corpus, lambda p: load_corpus(p, labeled=True)),
-    "difficulty-dataset": (_dataset, load_difficulty_dataset),
 }
 
 # a replacement for one field: negative, huge, any integer, or any text
