@@ -50,7 +50,6 @@ from .encoder import (
     head_loss_and_grad,
     load_model,
     positional_encoding,
-    predict_class,
     random_model,
     row_batches,
     save_model,

@@ -14,10 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus
-# classify is not called here, but stays importable from this module:
-# bench/tracing.py wraps it (and forward and schedule) at these names.
-from .encoder import (batch_rows, classify, forward, load_model,  # noqa: F401
-                      row_batches, schedule)
+from .encoder import (batch_rows, classify, forward, load_model, row_batches,
+                      schedule)
 from .flops import ModelDims, report
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
@@ -118,16 +116,16 @@ def cmd_infer(args):
     _report_skipped(corpus)
     vocab = Vocab(table.tokens)
     ids_list = [vocab.ids_for(doc) for doc in corpus.documents]
-    # one forward call per packed batch, looked up here, so that wrappers
-    # placed at hashexit.cli.forward see each pass (bench/ times and
-    # traces them)
+    # one forward call per packed batch, and forward, schedule and
+    # classify looked up here, so that wrappers placed at these names in
+    # hashexit.cli see each call (bench/ times and traces them)
     feats = np.empty((len(ids_list), model.d))
     for batch in row_batches([len(ids) for ids in ids_list], batch_rows(model)):
         seqs = [ids_list[i] for i in batch]
         scheds = [schedule(ids, table, model.num_layers, pin_first=True)
                   for ids in seqs]
         feats[batch] = [final[0] for final in forward(model, seqs, scheds)]
-    preds = np.argmax(feats @ model.head, axis=1)
+    preds = np.argmax(classify(model, feats), axis=1)
     lines = [f"{i}\t{pred}" for i, pred in enumerate(preds)]
     path = out_dir / "predictions.tsv"
     _write_text(path, "\n".join(lines) + "\n")
@@ -147,6 +145,8 @@ def cmd_flops_report(args):
     corpus = load_corpus(args.corpus)
     _report_skipped(corpus)
     vocab = Vocab(table.tokens)
+    # unpinned, unlike infer: the benchmark checks this report against the
+    # unpinned lookup, so pinning waits for a benchmark change (ROADMAP)
     schedules = [schedule(vocab.ids_for(doc), table)
                  for doc in corpus.documents]
     dims = ModelDims(num_layers=table.num_layers, d=args.d, heads=args.heads,

@@ -4,11 +4,11 @@ Every position carries a fixed exit layer. A position exiting at layer k is
 updated by layers 1..k; above that its hidden state is copied upward bit for
 bit. Exited positions stop producing queries but stay visible to the rest of
 the sequence as keys and values, so later layers still attend over the full
-(non-padding) sequence. Setting every exit to the top layer reproduces a
-plain post-norm encoder exactly.
+sequence. Setting every exit to the top layer reproduces a plain post-norm
+encoder exactly. A schedule has no padding: every position is a token.
 
 Because the schedule is known before layer 1 runs, documents run as one
-packed batch: their non-padding rows are stacked into one matrix, the
+packed batch: their rows are stacked into one matrix, the
 per-row work of each layer is one matmul over the stacked active rows,
 and attention stays inside each document. There is one path: a single
 sequence is a batch of one and takes the same per-document attention.
@@ -127,10 +127,11 @@ class EncoderModel:
 
 @dataclass(frozen=True)
 class ExitSchedule:
-    """Per-position exit layers plus the padding mask.
+    """Per-position exit layers of one document.
 
-    Padding positions are parked at exit layer 1 and carry attn_mask False,
-    which keeps them out of both the query set and the key/value set.
+    There is no padding: attn_mask marks every position as a token, and a
+    False entry is a ConfigError. It stays a field so that callers which
+    build or copy schedules with it keep working.
     """
 
     exit_layer: np.ndarray
@@ -143,18 +144,19 @@ class ExitSchedule:
         object.__setattr__(self, "attn_mask", attn_mask)
         if exit_layer.shape != attn_mask.shape or exit_layer.ndim != 1:
             raise ShapeError("exit_layer and attn_mask must be equal-length vectors")
+        if not attn_mask.all():
+            raise ConfigError("schedules carry no padding: attn_mask must be "
+                              "all True")
         if exit_layer.size and exit_layer.min() < 1:
             raise ConfigError("exit layers start at 1")
-        if np.any(exit_layer[~attn_mask] != 1):
-            raise ConfigError("padding positions must exit at layer 1")
 
     @classmethod
-    def _trusted(cls, exit_layer, attn_mask):
-        """An instance over an int64 and a bool vector that are valid by
+    def _trusted(cls, exit_layer):
+        """An instance over an int64 vector of exit layers that is valid by
         construction, skipping __post_init__'s checks."""
         sched = object.__new__(cls)
         object.__setattr__(sched, "exit_layer", exit_layer)
-        object.__setattr__(sched, "attn_mask", attn_mask)
+        object.__setattr__(sched, "attn_mask", np.ones(exit_layer.size, dtype=bool))
         return sched
 
     def __len__(self):
@@ -162,11 +164,12 @@ class ExitSchedule:
 
     def active_at(self, layer):
         """Positions still being updated by processing layer `layer` (1-based)."""
-        return np.flatnonzero(self.attn_mask & (self.exit_layer >= layer))
+        return np.flatnonzero(self.exit_layer >= layer)
 
     @property
     def valid_count(self):
-        return int(self.attn_mask.sum())
+        """Positions in the schedule, every one a token."""
+        return self.exit_layer.size
 
 
 @dataclass
@@ -181,7 +184,7 @@ class ForwardTrace:
 
 
 def schedule(token_ids, table, num_layers=None, *, pin_first=False):
-    """Look up each token's exit layer; no position is padding.
+    """Look up each token's exit layer.
 
     pin_first forces position 0 to the top layer (it hosts the classifier
     readout). Unknown ids (< 0 or beyond the table) run to the top layer.
@@ -197,7 +200,7 @@ def schedule(token_ids, table, num_layers=None, *, pin_first=False):
     exits[known] = table.layers[ids[known]]
     if pin_first and ids.size:
         exits[0] = table.num_layers
-    return ExitSchedule._trusted(exits, np.ones(ids.size, dtype=bool))
+    return ExitSchedule._trusted(exits)
 
 
 def positional_encoding(n, d):
@@ -211,10 +214,10 @@ def positional_encoding(n, d):
     return pe
 
 
-def embed(model, token_ids, positions=None):
+def embed(model, token_ids, positions):
     """Token embeddings plus position signal; ids < 0 embed as zero vectors.
 
-    `positions` gives each row's position (default 0..n-1), so the rows of
+    `positions` gives each row's position in its document, so the rows of
     several documents can be embedded in one call.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
@@ -222,8 +225,6 @@ def embed(model, token_ids, positions=None):
         raise InputError(f"token id {int(ids.max())} outside vocabulary "
                          f"of size {model.vocab_size}")
     rows = np.where(ids[:, None] >= 0, model.embedding[np.maximum(ids, 0)], 0.0)
-    if positions is None:
-        return rows + positional_encoding(ids.size, model.d)
     positions = np.asarray(positions, dtype=np.int64)
     longest = int(positions.max()) + 1 if positions.size else 0
     return rows + positional_encoding(longest, model.d)[positions]
@@ -369,8 +370,6 @@ def _run_packed(model, ids_list, schedules, keep_hidden):
 
     Returns the states after every layer (H^0..H^L) if keep_hidden, else
     only H^L; each entry is a list of per-document (n_i, d) matrices.
-    Padding rows are left out of the packed matrix and come back carrying
-    their embeddings.
     """
     if len(ids_list) != len(schedules):
         raise ShapeError(f"{len(ids_list)} sequences but {len(schedules)} schedules")
@@ -391,24 +390,14 @@ def _run_packed(model, ids_list, schedules, keep_hidden):
     lengths = [ids.size for ids in ids_list]
     bounds = list(accumulate(lengths, initial=0))
     positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
-    segments = np.cumsum([0] + [sched.valid_count for sched in schedules])
-    full = embed(model, np.concatenate(ids_list), positions)
-    mask = np.concatenate([sched.attn_mask for sched in schedules])
-    padded = not mask.all()
-    h, exits = (full[mask], exits[mask]) if padded else (full, exits)
+    h = embed(model, np.concatenate(ids_list), positions)
     states = [h]
     for t, weights in enumerate(model.layers, start=1):
         h = forward_layer(h, weights, np.flatnonzero(exits >= t),
-                          heads=model.heads, segments=segments)
+                          heads=model.heads, segments=bounds)
         states = states + [h] if keep_hidden else [h]
-
-    def unpack(packed):
-        if padded:
-            packed, rows = full.copy(), packed
-            packed[mask] = rows
-        return [packed[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    return [unpack(packed) for packed in states]
+    return [[packed[a:b] for a, b in zip(bounds, bounds[1:])]
+            for packed in states]
 
 
 def forward(model, token_ids, sched, *, traces=False):
@@ -456,16 +445,12 @@ def row_batches(lengths, max_rows):
     return batches
 
 
-def classify(model, final_states):
-    """Class scores read from the pinned first position."""
+def classify(model, feats):
+    """Class scores of each row of feats, the final states of pinned first
+    positions (cls_features)."""
     if model.head is None:
         raise ConfigError("model has no classifier head")
-    return np.asarray(final_states)[0] @ model.head
-
-
-def predict_class(model, token_ids, table):
-    sched = schedule(token_ids, table, model.num_layers, pin_first=True)
-    return int(np.argmax(classify(model, forward(model, token_ids, sched).final)))
+    return feats @ model.head
 
 
 def fit(loss_and_grad, params, *, epochs, lr, what):
@@ -545,9 +530,8 @@ def accuracy(model, sequences, labels, table):
         raise InputError("evaluation set is empty")
     if len(sequences) != len(labels):
         raise ShapeError("sequences and labels differ in length")
-    if model.head is None:
-        raise ConfigError("model has no classifier head")
-    preds = np.argmax(cls_features(model, sequences, table) @ model.head, axis=1)
+    preds = np.argmax(classify(model, cls_features(model, sequences, table)),
+                      axis=1)
     hits = np.count_nonzero(preds == [int(lab) for lab in labels])
     return int(hits) / len(sequences)
 

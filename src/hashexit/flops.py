@@ -12,9 +12,13 @@ Those figures price the paper's layer, which projects keys and values
 for every visible row. The encoder instead runs a layer whose few active
 rows attend over many frozen ones in the reassociated order (see
 `reassociates`); `executed_layer_macs` prices the layer as it runs.
+
+Each formula has one copy, `_layer_macs`, which takes ints or object
+arrays of ints. `report` prices a whole corpus with it in one call over
+the (documents x L) matrix of rows each layer still updates, so every
+sum is an exact Python integer at any dims.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +26,6 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 FLOPS_PER_MAC = 2
-
-CATEGORIES = ("linear_proj", "attn", "out_proj", "layer_norms", "ffn")
 
 
 def _check_dims(n, m, d, h, d_ff):
@@ -37,10 +39,38 @@ def _check_dims(n, m, d, h, d_ff):
         raise ConfigError(f"heads={h} does not divide d={d}")
 
 
+def _layer_macs(n, m, d, h, d_ff):
+    """Saved MACs by category, full MACs and executed MACs of a layer with
+    n visible rows, m of them active.
+
+    n and m are ints, or object arrays of ints that broadcast together,
+    for many layers at once. Masks multiply rather than select, so every
+    figure stays an exact Python integer at any dims.
+    """
+    gap = n - m
+    saved = {
+        # m == 0 skips the layer, key/value projections too (saved_macs)
+        "linear_proj": gap * d * d + (m == 0) * (2 * n * d * d),
+        "attn": 2 * n * gap * (h + d),
+        "out_proj": gap * d * d,
+        "layer_norms": 2 * (2 * gap * d),
+        "ffn": 2 * gap * d * d_ff,
+    }
+    full = 4 * n * d * d + 2 * n * n * (d + h) + 4 * n * d + 2 * n * d * d_ff
+    flip = reassociates(n, m, d, h)
+    keys = (flip * (2 * m * d * d + 2 * h * m * n * d)
+            + (1 - flip) * (2 * n * d * d + 2 * m * n * d))
+    # queries, output projection, scale and softmax multiplies, two layer
+    # norms, FFN; every term, keys included, is 0 when m == 0
+    executed = (keys + 2 * m * d * d + 2 * h * m * n + 4 * m * d
+                + 2 * m * d * d_ff)
+    return saved, full, executed
+
+
 def full_layer_macs(n, d, h, d_ff):
     """MACs of one full encoder layer over n positions (no exits)."""
     _check_dims(n, n, d, h, d_ff)
-    return 4 * n * d * d + 2 * n * n * (d + h) + 4 * n * d + 2 * n * d * d_ff
+    return _layer_macs(n, n, d, h, d_ff)[1]
 
 
 @dataclass(frozen=True)
@@ -68,18 +98,9 @@ def saved_macs(n, m, d, h, d_ff):
     them) are saved too and the total equals the full layer.
     """
     _check_dims(n, m, d, h, d_ff)
-    gap = n - m
-    saved = {
-        "linear_proj": gap * d * d,
-        "attn": 2 * n * gap * (h + d),
-        "out_proj": gap * d * d,
-        "layer_norms": 2 * (2 * gap * d),
-        "ffn": 2 * gap * d * d_ff,
-    }
-    if m == 0:
-        saved["linear_proj"] += 2 * n * d * d
+    saved, full, _ = _layer_macs(n, m, d, h, d_ff)
     return LayerCost(n=n, m=m, d=d, h=h, d_ff=d_ff, saved=saved,
-                     full_macs=full_layer_macs(n, d, h, d_ff))
+                     full_macs=full)
 
 
 def reassociates(n, m, d, h):
@@ -95,24 +116,12 @@ def reassociates(n, m, d, h):
     return m * (d + (h - 1) * n) < n * d
 
 
-def _executed_macs(n, m, d, h, d_ff):
-    if m == 0:
-        return 0
-    if reassociates(n, m, d, h):
-        keys = 2 * m * d * d + 2 * h * m * n * d
-    else:
-        keys = 2 * n * d * d + 2 * m * n * d
-    # queries, output projection, scale and softmax multiplies, two layer
-    # norms, FFN
-    return keys + 2 * m * d * d + 2 * h * m * n + 4 * m * d + 2 * m * d * d_ff
-
-
 def executed_layer_macs(n, m, d, h, d_ff):
     """MACs the encoder executes for one layer with n visible rows, m of
     them active: full - saved in the standard order, less the K/V
     projections the reassociated order skips (`reassociates`)."""
     _check_dims(n, m, d, h, d_ff)
-    return _executed_macs(n, m, d, h, d_ff)
+    return _layer_macs(n, m, d, h, d_ff)[2]
 
 
 class _MacCounter:
@@ -238,6 +247,9 @@ def report(dims, schedules, baseline_dims=None):
     baseline_dims (defaults to dims), so speedup isolates what the exit
     schedule and depth change buy. total_flops is the paper's figure;
     executed_flops prices the layers as the encoder runs them.
+
+    Every figure is the closed form of one layer summed over a (documents
+    x L) matrix of active row counts, built from all exits at once.
     """
     if baseline_dims is None:
         baseline_dims = dims
@@ -245,36 +257,32 @@ def report(dims, schedules, baseline_dims=None):
     if not schedules:
         raise InputError("no schedules to account for")
     L = dims.num_layers
-    n_sums = [0] * L
-    m_sums = [0] * L
-    saved_sums = [0] * L
-    full_sums = [0] * L
-    histogram = Counter()
-    baseline_macs = 0
-    executed_macs = 0
-    for sched in schedules:
-        n = sched.valid_count
-        counts = np.bincount(sched.exit_layer[sched.attn_mask], minlength=L + 1)
-        histogram.update({layer: c for layer, c in enumerate(counts.tolist()) if c})
-        # rows exited before layer t; the rest are active at t
-        exited = np.cumsum(counts[:L]).tolist()
-        baseline_macs += baseline_dims.num_layers * full_layer_macs(
-            n, baseline_dims.d, baseline_dims.heads, baseline_dims.d_ff)
-        for t in range(1, L + 1):
-            m = n - exited[t - 1]
-            cost = saved_macs(n, m, dims.d, dims.heads, dims.d_ff)
-            n_sums[t - 1] += n
-            m_sums[t - 1] += m
-            saved_sums[t - 1] += cost.saved_macs
-            full_sums[t - 1] += cost.full_macs
-            executed_macs += _executed_macs(n, m, dims.d, dims.heads, dims.d_ff)
-    total_macs = sum(full_sums) - sum(saved_sums)
+    exits = np.concatenate([sched.exit_layer for sched in schedules])
+    if exits.size and exits.max() > L:
+        raise ConfigError(f"schedule assigns layer {int(exits.max())} "
+                          f"beyond the model depth L={L}")
+    lengths = [len(sched) for sched in schedules]
+    doc = np.repeat(np.arange(len(schedules)), lengths)
+    counts = np.bincount(doc * L + exits - 1, minlength=len(schedules) * L)
+    counts = counts.reshape(-1, L)
+    # rows exiting at layer t or above are the rows layer t updates
+    m = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1].astype(object)
+    n = np.array(lengths, dtype=object)[:, None]
+    saved, full, executed = _layer_macs(n, m, dims.d, dims.heads, dims.d_ff)
+    saved_sums = sum(saved.values()).sum(axis=0).tolist()
+    n_sum, full_sum = n.sum(), full.sum()
+    total_macs = L * full_sum - sum(saved_sums)
     if total_macs == 0:
         raise InputError("corpus contains no computation to account for")
-    rows = tuple(LayerTotals(t + 1, n_sums[t], m_sums[t],
-                             saved_sums[t], full_sums[t]) for t in range(L))
+    baseline_macs = baseline_dims.num_layers * _layer_macs(
+        n, n, baseline_dims.d, baseline_dims.heads, baseline_dims.d_ff)[1].sum()
+    m_sums = m.sum(axis=0).tolist()
+    rows = tuple(LayerTotals(t + 1, n_sum, m_sums[t], saved_sums[t], full_sum)
+                 for t in range(L))
+    histogram = counts.sum(axis=0).tolist()
     return FlopsReport(dims=dims, baseline_dims=baseline_dims, rows=rows,
-                       exit_histogram=dict(histogram),
+                       exit_histogram={t: c for t, c in
+                                       enumerate(histogram, start=1) if c},
                        total_flops=FLOPS_PER_MAC * total_macs,
                        baseline_flops=FLOPS_PER_MAC * baseline_macs,
-                       executed_flops=FLOPS_PER_MAC * executed_macs)
+                       executed_flops=FLOPS_PER_MAC * executed.sum())

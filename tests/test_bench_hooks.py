@@ -2,18 +2,24 @@
 the module attributes their callers look up, and bench/workload.py calls
 `hx.<name>` and loaders named as strings. A refactor that drops one of
 those names would crash the benchmark instead of failing a test, so they
-are pinned here. The bench/ files are read from the checkout, not edited."""
+are pinned here. Each workload also runs once at its tiny size, in
+process, and its output checks against bench/reference.py must all pass.
+The bench/ files are read from the checkout, not edited."""
 
 import importlib.util
+import json
 import pkgutil
 import re
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 import hashexit
 import hashexit.cli
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 TRACING = BENCH / "tracing.py"
 WORKLOAD = BENCH / "workload.py"
 SUBMODULES = {m.name for m in pkgutil.iter_modules(hashexit.__path__)}
@@ -75,3 +81,13 @@ def test_cli_exposes_encoder_entry_points():
     from hashexit import encoder
     for name in ("forward", "schedule", "classify"):
         assert getattr(hashexit.cli, name) is getattr(encoder, name)
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]])
+def test_workload_output_checks_pass(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workload
+    result = workload.run_workload(name, 3, 0.5, 0, "tiny")
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["failures"]

@@ -6,7 +6,8 @@ import pytest
 from hashexit import cli, encoder
 from hashexit.cli import main
 from hashexit.corpus import Corpus, save_corpus
-from hashexit.encoder import predict_class, random_model, save_model, schedule
+from hashexit.encoder import (classify, forward, random_model, save_model,
+                              schedule)
 from hashexit.flops import ModelDims, report
 from hashexit.hashing import (
     CorpusStats,
@@ -137,6 +138,13 @@ class TestBuildHash:
             (tmp_path / "two" / "table.hash").read_bytes()
 
 
+def predict_one(model, ids, table):
+    """The class infer predicts for one document, run as a batch of one."""
+    sched = schedule(ids, table, model.num_layers, pin_first=True)
+    final = forward(model, ids, sched).final
+    return int(np.argmax(classify(model, final[:1])))
+
+
 def make_model_and_table(tmp_path, seed=0):
     vocab = Vocab(tuple("abcdef"))
     model = random_model(6, 3, 8, 2, 16, seed=seed, num_classes=2)
@@ -161,7 +169,7 @@ class TestInfer:
         assert code == 0
         lines = (tmp_path / "predictions.tsv").read_text().splitlines()
         for i, doc in enumerate(docs):
-            want = predict_class(model, vocab.ids_for(doc), table)
+            want = predict_one(model, vocab.ids_for(doc), table)
             assert lines[i] == f"{i}\t{want}"
 
     def test_labeled_reports_accuracy(self, tmp_path, capsys):
@@ -234,7 +242,7 @@ class TestInfer:
                     "--corpus", corpus_path, "--out-dir", tmp_path])
         assert code == 0
         lines = (tmp_path / "predictions.tsv").read_text().splitlines()
-        want = [f"{i}\t{predict_class(model, vocab.ids_for(doc), table)}"
+        want = [f"{i}\t{predict_one(model, vocab.ids_for(doc), table)}"
                 for i, doc in enumerate(docs)]
         assert lines == want
 

@@ -17,7 +17,6 @@ from hashexit.encoder import (
     forward_layer,
     head_loss_and_grad,
     positional_encoding,
-    predict_class,
     random_model,
     row_batches,
     save_model,
@@ -57,10 +56,14 @@ class TestSchedule:
         assert list(sched.exit_layer) == [6, 5]
 
     def test_padding(self):
-        # padding positions leave every active set and the valid count
-        sched = ExitSchedule(np.array([3, 1, 1]), np.array([True, False, False]))
-        assert sched.valid_count == 1
-        assert [list(sched.active_at(t)) for t in (1, 2, 3)] == [[0], [0], [0]]
+        # a schedule has no padding: any False mask entry is rejected
+        for exits, mask in (([3, 1, 1], [True, False, False]),
+                            ([2, 2], [True, False]),
+                            ([1], [False])):
+            with pytest.raises(ConfigError):
+                ExitSchedule(np.array(exits), np.array(mask))
+        sched = ExitSchedule(np.array([3, 1, 1]), np.ones(3, dtype=bool))
+        assert sched.valid_count == 3
 
     def test_unknown_token_exits_last(self):
         table = freq_fixture_table()
@@ -74,10 +77,6 @@ class TestSchedule:
     def test_matching_layer_count_accepted(self):
         sched = schedule([0], freq_fixture_table(), 6)
         assert len(sched) == 1
-
-    def test_padding_must_exit_at_one(self):
-        with pytest.raises(ConfigError):
-            ExitSchedule(np.array([2, 2]), np.array([True, False]))
 
     def test_gather_matches_layer_of(self):
         rng = np.random.default_rng(3)
@@ -291,17 +290,6 @@ class TestForward:
             changed = np.flatnonzero(np.any(trace.hidden[t] != trace.hidden[t - 1], axis=1))
             assert list(changed) == list(a)
 
-    def test_padding_is_invisible(self):
-        model = random_model(8, 3, 8, 2, 16, seed=8)
-        ids_short = np.array([3, 5])
-        ids_padded = np.array([3, 5, 0, 0])
-        sched_short = all_last_schedule(2, 3)
-        sched_padded = ExitSchedule(np.array([3, 3, 1, 1]),
-                                    np.array([True, True, False, False]))
-        out_short = forward(model, ids_short, sched_short).final
-        out_padded = forward(model, ids_padded, sched_padded).final
-        assert np.array_equal(out_short, out_padded[:2])
-
     def test_repeat_runs_identical(self):
         model = random_model(8, 2, 8, 2, 16, seed=9)
         ids = np.array([1, 2, 3])
@@ -328,26 +316,24 @@ class TestForward:
 
     def test_unknown_id_embeds_as_zero(self):
         model = random_model(8, 2, 8, 2, 16, seed=13)
-        h = embed(model, [-1, 0])
+        h = embed(model, [-1, 0], [0, 1])
         assert np.array_equal(h[0], positional_encoding(2, 8)[0])
 
     def test_out_of_vocab_id_rejected(self):
         model = random_model(8, 2, 8, 2, 16, seed=14)
         with pytest.raises(InputError):
-            embed(model, [8])
+            embed(model, [8], [0])
 
 
-def random_batch(rng, model, docs, padded=True):
-    """Ragged documents with random exits and, if padded, random padding."""
+def random_batch(rng, model, docs):
+    """Ragged documents with random exits."""
     L, V = model.num_layers, model.vocab_size
     ids_list, schedules = [], []
     for _ in range(docs):
         n = int(rng.integers(1, 12))
-        valid = int(rng.integers(1, n + 1)) if padded else n
-        exits = rng.integers(1, L + 1, size=n)
-        exits[valid:] = 1
         ids_list.append(rng.integers(-1, V, size=n))
-        schedules.append(ExitSchedule(exits, np.arange(n) < valid))
+        schedules.append(ExitSchedule(rng.integers(1, L + 1, size=n),
+                                      np.ones(n, dtype=bool)))
     return ids_list, schedules
 
 
@@ -377,7 +363,7 @@ class TestForwardBatch:
                       for s in schedules]
             short = forward(head, ids_list, capped)
             for sched, got, ref in zip(schedules, finals, short):
-                rows = sched.attn_mask & (sched.exit_layer == k)
+                rows = sched.exit_layer == k
                 assert np.array_equal(got[rows], ref[rows])
 
     def test_no_exit_matches_vanilla(self):
@@ -458,25 +444,26 @@ class TestPositionalEncoding:
 
 
 class TestClassify:
+    # classify reads one row of scores per row of features
     def test_zero_head(self):
         model = random_model(5, 1, 4, 1, 8, seed=0, num_classes=3)
         model.head = np.zeros((4, 3))
         scores = classify(model, np.ones((2, 4)))
-        assert np.array_equal(scores, np.zeros(3))
+        assert np.array_equal(scores, np.zeros((2, 3)))
 
     def test_identity_head_passthrough(self):
         model = random_model(5, 1, 4, 1, 8, seed=0, num_classes=4)
         model.head = np.eye(4)
-        final = np.arange(8.0).reshape(2, 4)
-        assert np.array_equal(classify(model, final), final[0])
+        feats = np.arange(8.0).reshape(2, 4)
+        assert np.array_equal(classify(model, feats), feats)
 
     def test_hand_two_class(self):
         model = random_model(5, 1, 4, 1, 8, seed=0, num_classes=2)
         model.head = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        final = np.array([[0.2, 0.9, 5.0, -5.0]])
-        scores = classify(model, final)
-        assert scores == pytest.approx([0.2, 0.9])
-        assert int(np.argmax(scores)) == 1
+        feats = np.array([[0.2, 0.9, 5.0, -5.0], [1.0, -1.0, 0.0, 0.0]])
+        scores = classify(model, feats)
+        assert scores == pytest.approx(np.array([[0.2, 0.9], [1.0, -1.0]]))
+        assert np.argmax(scores, axis=1).tolist() == [1, 0]
 
     def test_missing_head(self):
         model = random_model(5, 1, 4, 1, 8, seed=0)
@@ -747,8 +734,3 @@ class TestModelValidation:
     def test_odd_d_rejected(self):
         with pytest.raises(ConfigError):
             random_model(4, 1, 5, 1, 8, seed=0)
-
-    def test_predict_class_runs(self):
-        model = random_model(6, 2, 8, 2, 16, seed=36, num_classes=2)
-        table = build_random(Vocab(tuple("abcdef")), 2, 2, seed=0)
-        assert predict_class(model, [0, 1, 2], table) in (0, 1)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hashexit.errors import ConfigError, InputError
 from hashexit.encoder import ExitSchedule
@@ -175,11 +178,10 @@ class TestReport:
         assert [r.n_sum for r in rep.rows] == [4, 4, 4]
         assert rep.exit_histogram == {1: 2, 2: 1, 3: 1}
 
-    def test_padding_not_counted(self):
-        padded = ExitSchedule(np.array([3, 3, 1]), np.array([True, True, False]))
-        plain = all_last(2, 3)
-        assert report(self.dims, [padded]).total_flops == \
-            report(self.dims, [plain]).total_flops
+    def test_exit_beyond_depth_rejected(self):
+        deep = ExitSchedule(np.array([4, 1]), np.ones(2, dtype=bool))
+        with pytest.raises(ConfigError):
+            report(self.dims, [all_last(2, 3), deep])
 
     def test_early_exit_reduces_flops(self):
         eager = ExitSchedule(np.array([1, 1, 1, 3]), np.ones(4, dtype=bool))
@@ -227,3 +229,54 @@ class TestReport:
         rep2 = report(self.dims, [all_last(3, 3)])
         assert rep1.to_text() == rep2.to_text()
         assert "speedup: 1.0000" in rep1.to_text()
+
+
+@st.composite
+def model_dims(draw):
+    # widths up to 2**42, where products of counts and dims leave int64
+    wide = st.integers(1, 64) | st.integers(2**40, 2**42)
+    heads = draw(st.integers(1, 12))
+    return ModelDims(num_layers=draw(st.integers(1, 6)),
+                     d=heads * draw(wide), heads=heads, d_ff=draw(wide))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_report_is_per_document_sum_of_closed_forms(data):
+    dims = data.draw(model_dims())
+    baseline = data.draw(st.none() | model_dims())
+    L, d, h, d_ff = dims.num_layers, dims.d, dims.heads, dims.d_ff
+    exits = data.draw(st.lists(st.lists(st.integers(1, L), max_size=24),
+                               min_size=1, max_size=6))
+    schedules = [ExitSchedule(np.array(e, dtype=np.int64),
+                              np.ones(len(e), dtype=bool)) for e in exits]
+    if not any(exits):
+        with pytest.raises(InputError):
+            report(dims, schedules, baseline_dims=baseline)
+        return
+    rows, total, executed = [], 0, 0
+    for t in range(1, L + 1):
+        n_sum = m_sum = saved = full = 0
+        for e in exits:
+            n, m = len(e), sum(x >= t for x in e)
+            cost = saved_macs(n, m, d, h, d_ff)
+            n_sum, m_sum = n_sum + n, m_sum + m
+            saved, full = saved + cost.saved_macs, full + cost.full_macs
+            executed += executed_layer_macs(n, m, d, h, d_ff)
+        rows.append((t, n_sum, m_sum, saved, full))
+        total += full - saved
+    base = baseline or dims
+    base_macs = sum(base.num_layers
+                    * full_layer_macs(len(e), base.d, base.heads, base.d_ff)
+                    for e in exits)
+    rep = report(dims, schedules, baseline_dims=baseline)
+    assert [(r.layer, r.n_sum, r.m_sum, r.saved_macs, r.full_macs)
+            for r in rep.rows] == rows
+    assert rep.total_flops == FLOPS_PER_MAC * total
+    assert rep.baseline_flops == FLOPS_PER_MAC * base_macs
+    assert rep.executed_flops == FLOPS_PER_MAC * executed
+    assert rep.exit_histogram == Counter(x for e in exits for x in e)
+    figures = [rep.total_flops, rep.baseline_flops, rep.executed_flops,
+               *(v for r in rep.rows for v in (r.n_sum, r.m_sum,
+                                                r.saved_macs, r.full_macs))]
+    assert all(type(v) is int for v in figures)
