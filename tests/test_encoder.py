@@ -58,12 +58,16 @@ class TestSchedule:
     def test_padding(self):
         # a schedule has no padding: any False mask entry is rejected
         for exits, mask in (([3, 1, 1], [True, False, False]),
-                            ([2, 2], [True, False]),
                             ([1], [False])):
             with pytest.raises(ConfigError):
                 ExitSchedule(np.array(exits), np.array(mask))
         sched = ExitSchedule(np.array([3, 1, 1]), np.ones(3, dtype=bool))
         assert sched.valid_count == 3
+
+    def test_padding_must_exit_at_one(self):
+        # the exit layer does not matter: a False mask entry is rejected
+        with pytest.raises(ConfigError):
+            ExitSchedule(np.array([2, 2]), np.array([True, False]))
 
     def test_unknown_token_exits_last(self):
         table = freq_fixture_table()
