@@ -5,10 +5,16 @@ token stops being updated by the encoder. Builders cover random
 assignment (consistent or deliberately inconsistent between training and
 inference), frequency ranking, token/label mutual information, and
 k-means clustering of token embeddings ranked by mean vector norm.
+
+Building works on whole arrays, sized for vocabularies of about 30k
+tokens: corpus counts are integer `np.bincount`s, MI runs once per
+distinct co-occurrence row, and k-means never holds an (n, k, dim)
+tensor. Each table is byte-identical to one built a token at a time.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -48,7 +54,9 @@ _TABLE_MAGIC = "#hashee v1"
 
 
 def _check_token(token: str) -> str:
-    if not token or any(ch.isspace() for ch in token):
+    # split() breaks on exactly the characters isspace() accepts, and
+    # gives [] for the empty string
+    if token.split() != [token]:
         raise InputError(f"token {token!r} is empty or contains whitespace")
     return token
 
@@ -97,6 +105,7 @@ class CorpusStats:
 
     freq counts token occurrences; cooccur[t, y] counts documents of label
     y in which token t appears at least once (document-level presence).
+    All counts are int64.
     """
 
     freq: np.ndarray
@@ -107,32 +116,30 @@ class CorpusStats:
 
     @classmethod
     def from_documents(cls, vocab: Vocab, documents, labels=None) -> "CorpusStats":
-        freq = np.zeros(len(vocab), dtype=np.int64)
-        label_set = None
-        label_counts = None
-        cooccur = None
-        if labels is not None:
-            if len(labels) != len(documents):
-                raise InputError(
-                    f"{len(labels)} labels for {len(documents)} documents"
-                )
-            label_set = tuple(sorted(set(labels)))
-            label_index = {y: j for j, y in enumerate(label_set)}
-            label_counts = np.zeros(len(label_set), dtype=np.int64)
-            cooccur = np.zeros((len(vocab), len(label_set)), dtype=np.int64)
-        for i, doc in enumerate(documents):
-            present = set()
-            for tok in doc:
-                if tok in vocab:
-                    tid = vocab.id_of(tok)
-                    freq[tid] += 1
-                    present.add(tid)
-            if labels is not None:
-                j = label_index[labels[i]]
-                label_counts[j] += 1
-                for tid in present:
-                    cooccur[tid, j] += 1
-        return cls(freq, len(documents), label_set, label_counts, cooccur)
+        """Count a sequence of token lists; tokens outside the vocab are
+        skipped. Every count is one integer `np.bincount`, so it is exact."""
+        if labels is not None and len(labels) != len(documents):
+            raise InputError(f"{len(labels)} labels for {len(documents)} documents")
+        size = len(vocab)
+        ids = np.array(vocab.ids_for(chain.from_iterable(documents)),
+                       dtype=np.int64)
+        doc_of = np.repeat(np.arange(len(documents)),
+                           [len(doc) for doc in documents])
+        known = ids >= 0
+        ids, doc_of = ids[known], doc_of[known]
+        freq = np.bincount(ids, minlength=size)
+        if labels is None:
+            return cls(freq, len(documents))
+        label_set = tuple(sorted(set(labels)))
+        label_index = {y: j for j, y in enumerate(label_set)}
+        label_of = np.array([label_index[y] for y in labels], dtype=np.int64)
+        label_counts = np.bincount(label_of, minlength=len(label_set))
+        # one key per (document, token) pair present: presence, not count
+        present = np.unique(doc_of * size + ids)
+        cells = (present % size) * len(label_set) + label_of[present // size]
+        cooccur = np.bincount(cells, minlength=size * len(label_set))
+        return cls(freq, len(documents), label_set, label_counts,
+                   cooccur.reshape(size, len(label_set)))
 
     @property
     def labeled(self) -> bool:
@@ -301,6 +308,9 @@ def token_label_mi(stats: CorpusStats, token_id: int) -> float:
     n = stats.doc_count
     if n == 0:
         raise InputError("empty corpus")
+    if not 0 <= token_id < len(stats.cooccur):
+        raise InputError(f"token id {token_id} out of range "
+                         f"0..{len(stats.cooccur) - 1}")
     with_token = stats.cooccur[token_id].astype(np.float64)
     without_token = stats.label_counts - with_token
     p_label = stats.label_counts / n
@@ -315,6 +325,21 @@ def token_label_mi(stats: CorpusStats, token_id: int) -> float:
     return max(0.0, mi)
 
 
+def _mi_scores(stats: CorpusStats) -> np.ndarray:
+    """`token_label_mi` of every token id, in id order.
+
+    A score depends only on the token's row of `stats.cooccur`, so the
+    function runs once per distinct row and the scores are gathered back:
+    the same floats as one call per token.
+    """
+    if not stats.labeled:
+        raise ConfigError("mutual information requires a labeled corpus")
+    _, first, inverse = np.unique(stats.cooccur, axis=0, return_index=True,
+                                  return_inverse=True)
+    distinct = np.array([token_label_mi(stats, int(t)) for t in first])
+    return distinct[inverse.reshape(-1)]
+
+
 def build_mi(vocab: Vocab, stats: CorpusStats, num_buckets: int,
              num_layers: int) -> HashTable:
     """Chunk tokens by descending mutual information with the label.
@@ -323,7 +348,7 @@ def build_mi(vocab: Vocab, stats: CorpusStats, num_buckets: int,
     """
     if len(stats.freq) != len(vocab):
         raise ConfigError("stats do not cover the vocab")
-    scores = np.array([token_label_mi(stats, t) for t in range(len(vocab))])
+    scores = _mi_scores(stats)
     order = np.lexsort((np.arange(len(vocab)), -scores))
     return HashTable(
         method="mi",
@@ -364,9 +389,41 @@ class EmbeddingTable:
         return self.vectors[self._index[token]]
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+# Floats of the (rows, k, dim) temporary one block of the exact distance
+# recheck in `_nearest` may hold.
+_RECHECK_FLOATS = 1 << 20
+
+
+def _nearest(points: np.ndarray, sq_norms: np.ndarray,
+             centers: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest center, as the argmin of the summed
+    squared differences; `sq_norms` holds each point's squared norm.
+
+    Distances come from |x|^2 - 2 x.c + |c|^2, an (n, k) array. That
+    expansion and the summed squared differences each err by at most
+    about dim * 2**-53 * (|x|^2 + |c|^2), so wherever the two smallest
+    expanded distances of a row differ by more than 1e-9 * (|x|^2 +
+    max |c|^2), both give the same nearest center (for dim up to about
+    10**6). The other rows, and any row whose distances are not finite,
+    are recomputed as summed squared differences in row blocks: the
+    labels are exactly those of that formula, ties going to the lower
+    center index, without an (n, k, dim) temporary.
+    """
+    c_sq = (centers ** 2).sum(axis=1)
+    d2 = sq_norms[:, None] - 2.0 * (points @ centers.T) + c_sq
+    labels = d2.argmin(axis=1)
+    if len(centers) == 1:
+        return labels
+    two = np.partition(d2, 1, axis=1)
+    bound = 1e-9 * (sq_norms + c_sq.max())
+    sure = (two[:, 1] - two[:, 0] > bound) & np.isfinite(d2).all(axis=1)
+    recheck = np.flatnonzero(~sure)
+    block = max(1, _RECHECK_FLOATS // centers.size)
+    for start in range(0, len(recheck), block):
+        rows = recheck[start:start + block]
+        diff = points[rows, None, :] - centers[None, :, :]
+        labels[rows] = (diff ** 2).sum(axis=2).argmin(axis=1)
+    return labels
 
 
 def _repair_empty(points, centers, labels, k):
@@ -412,9 +469,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 50,
         centers[i] = points[idx]
         d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
 
+    sq_norms = (points ** 2).sum(axis=1)
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        labels = _nearest(points, centers)
+        labels = _nearest(points, sq_norms, centers)
         labels = _repair_empty(points, centers, labels, k)
         new_centers = np.stack([points[labels == c].mean(axis=0) for c in range(k)])
         movement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).sum()
@@ -528,10 +586,16 @@ def save_embeddings(emb: EmbeddingTable, path) -> None:
             f.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")
 
 
+# Most values one block of `load_embeddings` converts at once.
+_EMBED_BLOCK_VALUES = 1 << 16
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Read a `save_embeddings` file. The `V d` header is checked against
     the rows as they are read: the vector array grows with the rows and is
-    never sized from the header alone."""
+    never sized from the header alone. Values are converted in blocks of
+    up to 1024 lines (fewer when d > 64), one numpy assignment per block;
+    the first malformed line in file order is the one reported."""
     with open_text(path) as f:
         head = f.readline().split()
         if len(head) != 2:
@@ -542,18 +606,38 @@ def load_embeddings(path) -> EmbeddingTable:
             raise ParseError("embedding file must start with `V d`") from exc
         if count < 0 or dim < 1:
             raise ParseError(f"embedding header `{count} {dim}` is out of range")
+        block_lines = min(1024, max(1, _EMBED_BLOCK_VALUES // dim))
         tokens = []
+        rows = []  # value fields of the lines not yet converted
         vectors = np.empty((0, dim))
         for i in range(count):
             parts = f.readline().split()
             if len(parts) != dim + 1:
+                # a bad value on an earlier line is reported first
+                _store_rows(vectors, i - len(rows), rows)
                 raise ParseError(f"embedding line {i + 2}: expected token + {dim} values")
             if i == len(vectors):
                 vectors.resize((min(count, 2 * i + 1024), dim), refcheck=False)
             tokens.append(parts[0])
+            rows.append(parts[1:])
+            if len(rows) == block_lines:
+                _store_rows(vectors, i + 1 - len(rows), rows)
+                rows = []
+        _store_rows(vectors, count - len(rows), rows)
+    return EmbeddingTable(tuple(tokens), vectors)
+
+
+def _store_rows(vectors, start, rows) -> None:
+    """Store the value fields of embedding rows start.. in `vectors` with
+    one assignment, which converts each field as `float` does. A value
+    that is not a number raises the ParseError of its own line, found by
+    storing the rows again one at a time."""
+    try:
+        vectors[start:start + len(rows)] = rows
+    except ValueError:
+        for i, fields in enumerate(rows, start=start):
             try:
-                vectors[i] = [float(x) for x in parts[1:]]
+                vectors[i] = fields
             except ValueError:
                 raise ParseError(f"embedding line {i + 2}: a value is not "
                                  "a number") from None
-    return EmbeddingTable(tuple(tokens), vectors)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from hashexit import cli, encoder
 from hashexit.cli import main
-from hashexit.corpus import Corpus, save_corpus
+from hashexit.corpus import Corpus, save_corpus, zipf_corpus
 from hashexit.encoder import (classify, forward, random_model, save_model,
                               schedule)
 from hashexit.flops import ModelDims, report
@@ -136,6 +137,41 @@ class TestBuildHash:
                  "--out-dir", tmp_path / sub])
         assert (tmp_path / "one" / "table.hash").read_bytes() == \
             (tmp_path / "two" / "table.hash").read_bytes()
+
+    # sha256 of the tables the fixture below gives, recorded with builders
+    # that worked a token at a time (a counting loop, one MI call per
+    # token, k-means distances over an (n, k, dim) tensor); the array-wide
+    # builders must reproduce them byte for byte
+    GOLDEN = {
+        "frequency.hash":
+            "366cd4650b6b137d9db5f846e9fce3c13a3cfae539b80e2a25a45191c0edfa2d",
+        "mi.hash":
+            "5e729fab34881c079b86749379af18b0160237ec3d7d4facbc80156f90f0d741",
+        "clustered.hash":
+            "a640278069d36044b81a8faf9add2ccfaf69d82fb5c7e2052e48893c0fbe4d53",
+    }
+
+    def test_golden_tables(self, tmp_path):
+        corpus = zipf_corpus(600, 150, seed=21, min_len=8, max_len=80,
+                             labeled=True)
+        save_corpus(corpus, tmp_path / "labeled.tsv")
+        save_corpus(Corpus(corpus.documents), tmp_path / "docs.txt")
+        tokens = tuple(f"w{i:03d}" for i in range(600))
+        vectors = np.random.default_rng(2022).normal(size=(600, 16))
+        save_embeddings(EmbeddingTable(tokens, vectors), tmp_path / "emb.txt")
+        common = ["--buckets", 3, "--layers", 12, "--out-dir", tmp_path]
+        for argv in (
+            ["--method", "frequency", "--corpus", tmp_path / "docs.txt",
+             "--out", "frequency.hash"],
+            ["--method", "mi", "--labeled", "--corpus",
+             tmp_path / "labeled.tsv", "--out", "mi.hash"],
+            ["--method", "clustered", "--embeddings", tmp_path / "emb.txt",
+             "--seed", 5, "--out", "clustered.hash"],
+        ):
+            assert run(["build-hash", *argv, *common]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in self.GOLDEN}
+        assert digests == self.GOLDEN
 
 
 def predict_one(model, ids, table):

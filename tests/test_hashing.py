@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hashexit.errors import ConfigError, ParseError
+from hashexit import hashing
+from hashexit.errors import ConfigError, InputError, ParseError
 from hashexit.hashing import (
     CorpusStats,
     EmbeddingTable,
@@ -27,8 +30,99 @@ from hashexit.hashing import (
 from helpers import make_random_labeled_corpus
 
 
+PROPS = settings(derandomize=True, database=None, max_examples=100,
+                deadline=None)
+
+
 def small_vocab(n=6):
     return Vocab(tuple("abcdef"[:n]))
+
+
+def reference_stats(vocab, documents, labels=None):
+    """CorpusStats counted one token at a time."""
+    freq = np.zeros(len(vocab), dtype=np.int64)
+    label_set = label_counts = cooccur = None
+    if labels is not None:
+        label_set = tuple(sorted(set(labels)))
+        label_counts = np.zeros(len(label_set), dtype=np.int64)
+        cooccur = np.zeros((len(vocab), len(label_set)), dtype=np.int64)
+    for i, doc in enumerate(documents):
+        present = set()
+        for tok in doc:
+            if tok in vocab:
+                freq[vocab.id_of(tok)] += 1
+                present.add(vocab.id_of(tok))
+        if labels is not None:
+            j = label_set.index(labels[i])
+            label_counts[j] += 1
+            for tid in present:
+                cooccur[tid, j] += 1
+    return CorpusStats(freq, len(documents), label_set, label_counts, cooccur)
+
+
+def broadcast_nearest(points, sq_norms, centers):
+    """Nearest center as the argmin of summed squared differences, over
+    the whole (n, k, dim) difference tensor."""
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
+
+
+def assert_kmeans_matches_broadcast(points, k, seed):
+    labels, centers = kmeans(points, k, seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hashing, "_nearest", broadcast_nearest)
+        want_labels, want_centers = kmeans(points, k, seed)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(centers, want_centers)
+
+
+class TestCheckToken:
+    @PROPS
+    @given(token=st.text(max_size=6))
+    def test_same_set_as_isspace_scan(self, token):
+        old_rejects = not token or any(ch.isspace() for ch in token)
+        if old_rejects:
+            with pytest.raises(InputError):
+                Vocab((token,))
+        else:
+            assert Vocab((token,)).tokens == (token,)
+
+    @pytest.mark.parametrize("token", ["", " ", "a b", "a\u00a0", "\u2028x",
+                                       "x\x1c", "\u3000", "a\tb"])
+    def test_whitespace_rejected(self, token):
+        with pytest.raises(InputError):
+            Vocab((token,))
+
+
+TOKENS = st.sampled_from(["a", "b", "c", "d", "zz", "qq"])  # zz, qq unknown
+
+
+class TestCorpusStats:
+    @PROPS
+    @given(documents=st.lists(st.lists(TOKENS, max_size=12), max_size=10),
+           label_pool=st.lists(st.sampled_from(["0", "1", "2"]), min_size=1,
+                               max_size=3, unique=True),
+           data=st.data())
+    def test_matches_per_token_loop(self, documents, label_pool, data):
+        vocab = Vocab(("a", "b", "c", "d"))
+        labels = data.draw(st.lists(st.sampled_from(label_pool),
+                                    min_size=len(documents),
+                                    max_size=len(documents)))
+        for labs in (None, labels):
+            got = CorpusStats.from_documents(vocab, documents, labs)
+            want = reference_stats(vocab, documents, labs)
+            assert got.doc_count == want.doc_count
+            assert got.label_set == want.label_set
+            for name in ("freq", "label_counts", "cooccur"):
+                a, b = getattr(got, name), getattr(want, name)
+                if b is None:
+                    assert a is None
+                else:
+                    assert a.dtype == np.int64 and np.array_equal(a, b)
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(InputError):
+            CorpusStats.from_documents(small_vocab(), [["a"]], ["0", "1"])
 
 
 class TestBucketToLayer:
@@ -157,6 +251,13 @@ class TestMutualInformation:
         with pytest.raises(ConfigError):
             token_label_mi(stats, 0)
 
+    @pytest.mark.parametrize("token_id", [-1, 2, 10 ** 9])
+    def test_token_id_out_of_range(self, token_id):
+        vocab = Vocab(("x", "y"))
+        stats = CorpusStats.from_documents(vocab, [["x"], ["y"]], ["1", "0"])
+        with pytest.raises(InputError):
+            token_label_mi(stats, token_id)
+
     def test_nonnegative_on_random_corpora(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -194,6 +295,22 @@ class TestMiHash:
         stats = CorpusStats(np.array([1, 1]), doc_count=2)
         with pytest.raises(ConfigError):
             build_mi(Vocab(("x", "y")), stats, 2, 2)
+
+    @PROPS
+    @given(seed=st.integers(0, 2 ** 32 - 1), vocab_size=st.integers(1, 60),
+           num_docs=st.integers(1, 40))
+    def test_scores_bit_equal_to_one_call_per_token(self, seed, vocab_size,
+                                                    num_docs):
+        rng = np.random.default_rng(seed)
+        vocab, stats, _, _ = make_random_labeled_corpus(rng, vocab_size,
+                                                        num_docs)
+        want = np.array([token_label_mi(stats, t) for t in range(len(vocab))])
+        got = hashing._mi_scores(stats)
+        assert got.tobytes() == want.tobytes()
+        order = np.lexsort((np.arange(len(vocab)), -want))
+        table = build_mi(vocab, stats, 3, 6)
+        assert np.array_equal(table.buckets,
+                              hashing._buckets_from_order(order, 3, 6))
 
 
 class TestKmeans:
@@ -244,6 +361,77 @@ class TestKmeans:
         labels, centers = kmeans(points, 3, seed=2)
         for c in range(3):
             assert np.allclose(centers[c], points[labels == c].mean(axis=0))
+
+
+class TestKmeansMatchesBroadcast:
+    """kmeans equals, bit for bit, the same Lloyd loop run with the
+    broadcast distance formula it replaced."""
+
+    FIXTURES = [
+        (np.vstack([np.random.default_rng(2).normal(0.0, 0.1, (20, 3)),
+                    np.random.default_rng(2).normal(10.0, 0.1, (20, 3))]),
+         2, 0),
+        (np.random.default_rng(4).normal(size=(7, 2)), 7, 1),
+        (np.random.default_rng(6).normal(size=(15, 4)), 1, 0),
+        (np.random.default_rng(8).normal(size=(30, 3)), 4, 9),
+        (np.random.default_rng(10).normal(size=(25, 2)), 3, 2),
+        (np.ones((6, 3)), 3, 0),
+        (np.array([[0.5, 0.0], [0.6, 0.1], [3.0, 3.0], [3.1, 2.9]]), 2, 0),
+    ]
+
+    @pytest.mark.parametrize("points,k,seed", FIXTURES)
+    def test_fixtures(self, points, k, seed):
+        assert_kmeans_matches_broadcast(points, k, seed)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80),
+           dim=st.integers(1, 12), data=st.data())
+    def test_random_draws(self, seed, n, dim, data):
+        rng = np.random.default_rng(seed)
+        scale = data.draw(st.sampled_from([1e-6, 1.0, 1e6]))
+        points = rng.normal(size=(n, dim)) * scale
+        if data.draw(st.booleans()):
+            points = np.round(points / scale, 1)  # repeats and ties
+        k = data.draw(st.integers(1, n))
+        assert_kmeans_matches_broadcast(points, k, seed % 1000)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, 1e-6])
+    def test_planted_ties(self, shift):
+        # centers m -/+ v differ only in coordinate 0, and every point has
+        # coordinate 0 at (or next to) m's, so its squared differences to
+        # the two centers agree term by term: an exact tie at shift 0
+        rng = np.random.default_rng(3)
+        mid = rng.normal(size=8) * 100.0
+        centers = np.vstack([mid, mid, rng.normal(size=8) * 100.0])
+        centers[0, 0] -= 0.5
+        centers[1, 0] += 0.5
+        points = mid + rng.normal(size=(2000, 8)) * 1000.0
+        points[:, 0] = mid[0] + shift
+        sq_norms = (points ** 2).sum(axis=1)
+        want = broadcast_nearest(points, sq_norms, centers)
+        assert np.array_equal(hashing._nearest(points, sq_norms, centers),
+                              want)
+        if shift == 0.0:
+            assert not np.any(want == 1)  # exact ties go to the lower index
+
+    def test_planted_ties_in_small_blocks(self, monkeypatch):
+        # a lattice symmetric about its mean: every sweep has exact ties
+        grid = np.array([[x, y] for x in range(-3, 4) for y in range(-3, 4)],
+                        dtype=np.float64)
+        monkeypatch.setattr(hashing, "_RECHECK_FLOATS", 5)
+        for k in (2, 4, 5):
+            for seed in range(4):
+                assert_kmeans_matches_broadcast(grid, k, seed)
+
+    def test_peak_memory_stays_near_points(self):
+        points = np.random.default_rng(0).normal(size=(4096, 256))
+        tracemalloc.start()
+        try:
+            kmeans(points, 12, seed=0, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * points.nbytes
 
 
 class TestClusteredHash:
@@ -339,6 +527,65 @@ class TestEmbeddingIO:
         path.write_text("2 3\na 1.0 2.0 3.0\nb 1.0\n")
         with pytest.raises(ParseError):
             load_embeddings(path)
+
+    @staticmethod
+    def write_lines(path, count, bad=None, short=None):
+        """`count` rows of 3 values; row `bad` holds a non-number and row
+        `short` one value too few (file line = row + 2)."""
+        lines = [f"{count} 3"]
+        for i in range(count):
+            values = ["1.5", "-2.0", "3e-4"]
+            if i == bad:
+                values[1] = "1.0x"
+            if i == short:
+                values.pop()
+            lines.append(f"t{i} " + " ".join(values))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("line", [2, 700, 1025, 1026, 1500, 1501])
+    def test_bad_value_names_its_line(self, tmp_path, line):
+        path = tmp_path / "emb.txt"
+        self.write_lines(path, 1500, bad=line - 2)
+        with pytest.raises(ParseError, match=f"^embedding line {line}: a value"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("bad,short,line", [(5, 9, 7), (9, 5, 7),
+                                                (1100, 20, 22)])
+    def test_first_bad_line_in_file_order(self, tmp_path, bad, short, line):
+        path = tmp_path / "emb.txt"
+        self.write_lines(path, 1500, bad=bad, short=short)
+        with pytest.raises(ParseError, match=f"^embedding line {line}: "):
+            load_embeddings(path)
+
+    @PROPS
+    @given(value=st.text("0123456789.eE+-_xpainfINF\x00\u0663", min_size=1,
+                         max_size=8))
+    def test_values_convert_as_float(self, tmp_path_factory, value):
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        path.write_text(f"2 2\na 1.0 2.0\nb 3.0 {value}\n", encoding="utf-8")
+        try:
+            want = float(value)
+        except ValueError:
+            with pytest.raises(ParseError, match="^embedding line 3: a value"):
+                load_embeddings(path)
+            return
+        if not math.isfinite(want):
+            with pytest.raises(InputError):
+                load_embeddings(path)
+        else:
+            got = load_embeddings(path).vectors[1, 1]
+            assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+    def test_many_blocks_round_trip(self, tmp_path):
+        rng = np.random.default_rng(5)
+        emb = EmbeddingTable(tuple(f"t{i}" for i in range(2500)),
+                             rng.normal(size=(2500, 3)) * 10.0 ** rng.integers(
+                                 -300, 300, size=(2500, 1)))
+        path = tmp_path / "emb.txt"
+        save_embeddings(emb, path)
+        back = load_embeddings(path)
+        assert back.tokens == emb.tokens
+        assert np.array_equal(back.vectors, emb.vectors)
 
 
 class TestTableLaws:
