@@ -15,13 +15,14 @@ Things worth noticing in the output:
     forward reproduces the no-exit forward exactly
   - forward on lists of documents and schedules runs them as one packed
     batch and gives the same states as one-by-one runs; a corpus is cut
-    into batches of at most batch_rows(model) rows
+    into batches of at most batch_rows(model) rows, and each layer runs a
+    batch in groups of documents sized to that layer's own work
 """
 
 import numpy as np
 
 from hashexit import HashTable, forward, random_model, row_batches, schedule
-from hashexit.encoder import batch_rows
+from hashexit.encoder import BATCH_FLOATS, batch_rows
 
 L, d, heads, d_ff = 4, 8, 2, 16
 model = random_model(vocab_size=10, num_layers=L, d=d, heads=heads,
@@ -82,10 +83,15 @@ gap = max(np.abs(p - forward(model, ids, s).final).max()
 print(f"\npacked batch of {len(docs)} docs vs one-by-one: max |diff| {gap:.1e}")
 
 # a corpus is walked in batches of at most batch_rows(model) rows, shortest
-# first; the budget shrinks as the model's widest layer grows
+# first; that budget bounds a batch's states (rows x d), so it shrinks as d
+# grows. Each layer then updates the states in place, one group of
+# documents at a time: a group's temporaries stay within BATCH_FLOATS, so a
+# dense layer takes a few documents per group and a layer with one active
+# row per document takes many
 lengths = [int(n) for n in np.random.default_rng(0).integers(5, 500, size=40)]
 for dims in ((256, 4, 1024), (768, 12, 3072)):
     budget = batch_rows(random_model(8, 1, *dims))
     batches = row_batches(lengths, budget)
     print(f"d={dims[0]}, d_ff={dims[2]}: {len(lengths)} docs, {sum(lengths)} "
-          f"rows -> {len(batches)} batches of <= {budget} rows")
+          f"rows -> {len(batches)} batches of <= {budget} rows; a dense layer "
+          f"runs groups of <= {BATCH_FLOATS // max(dims[0], dims[2])} rows")

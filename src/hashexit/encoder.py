@@ -36,15 +36,18 @@ from .linalg import layer_norm, relu, softmax_rows
 
 MAX_SEQUENCE_LEN = 512
 
-# Budget of a packed batch when a corpus is walked in batches. Rows are
-# capped at BATCH_ROWS, enough to share per-layer Python overhead among
-# many short documents, and a layer's widest temporary (rows x max(d,
-# d_ff) float64s) at BATCH_FLOATS, 3 MiB, below the 4 MiB from which numpy
-# asks for huge pages. Larger temporaries are mapped and page-faulted
-# afresh on every layer: at d=256, d_ff=1024, 2048-row batches took about
-# 40 times the page faults of 384-row ones (this budget there) and ran
-# no faster.
+# Budgets of a packed batch. batch_rows(model) caps the rows of a batch's
+# states, h and each state of a trace, at BATCH_ROWS and at STATE_FLOATS
+# float64s (4 MiB): 2048 rows up to d=256. Inside a layer, forward_layer
+# runs the batch's documents in consecutive groups whose widest temporary
+# (active rows x max(d, d_ff), or the documents' key rows x d) stays
+# within BATCH_FLOATS, 3 MiB, below the 4 MiB from which numpy asks for
+# huge pages; larger temporaries are mapped and page-faulted afresh. A
+# dense layer at d=256, d_ff=1024 then runs groups of 384 rows, and a
+# layer with one active row per document groups about 16 documents of 96
+# rows, where a batch sized for the dense layer held 4.
 BATCH_ROWS = 2048
+STATE_FLOATS = 1 << 19
 BATCH_FLOATS = 3 << 17
 
 _MODEL_MAGIC = "#hashee-model v2"
@@ -279,8 +282,9 @@ def _attention(q, hk, weights, heads, reassociate, q_doc, k_doc, docs):
         scores = qh @ kh.swapaxes(-1, -2)
         scores /= np.sqrt(d_k)
         scores += bias
-        probs = softmax_rows(scores.reshape(-1, scores.shape[-1]))
-        probs = probs.reshape(scores.shape)
+        rows = scores.reshape(-1, scores.shape[-1])  # a view of scores
+        softmax_rows(rows, out=rows)
+        probs = scores
         if reassociate:
             ctx[..., sl] = _rows_matmul(probs @ vp, weights.wv[:, sl])
         else:
@@ -328,7 +332,48 @@ def _packed_attention(q, h, weights, heads, active, sizes):
     return ctx
 
 
-def forward_layer(h, weights, active, *, heads, segments=None):
+def _groups(segments, active, width, d):
+    """Consecutive document ranges (lo, hi) that one layer runs together.
+
+    Within a range, the active rows times `width` and the rows of the
+    documents with an active row times d each stay within BATCH_FLOATS,
+    unless the range is a single document. Documents without an active row
+    cost nothing and join a neighbouring range.
+    """
+    docs = segments.size - 1
+    if active.size * width <= BATCH_FLOATS and segments[-1] * d <= BATCH_FLOATS:
+        return [(0, docs)]
+    counts = np.bincount(np.searchsorted(segments, active, side="right") - 1,
+                         minlength=docs)
+    keys = np.where(counts > 0, np.diff(segments), 0)
+    spent = [np.concatenate(([0], np.cumsum(c))) * w
+             for c, w in ((counts, width), (keys, d))]
+    cuts = [0]
+    while cuts[-1] < docs:
+        lo = cuts[-1]
+        hi = min(int(np.searchsorted(s, s[lo] + BATCH_FLOATS, side="right"))
+                 for s in spent) - 1
+        cuts.append(max(hi, lo + 1))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _layer_rows(h, weights, active, heads, sizes):
+    """The new states of the `active` rows of the documents packed in h."""
+    hq = h[active]
+    ctx = _packed_attention(hq @ weights.wq, h, weights, heads, active, sizes)
+    x = ctx @ weights.wo
+    x += hq
+    del hq, ctx  # a group's temporaries dominate its memory
+    layer_norm(x, weights.ln1_gain, weights.ln1_bias, out=x)
+    ffn = x @ weights.w1
+    relu(ffn, out=ffn)
+    y = ffn @ weights.w2
+    del ffn
+    y += x
+    return layer_norm(y, weights.ln2_gain, weights.ln2_bias, out=y)
+
+
+def forward_layer(h, weights, active, *, heads, segments=None, out=None):
     """One exit-aware encoder layer over one or more packed documents.
 
     `segments` lists the start row of each document packed into h followed
@@ -340,6 +385,11 @@ def forward_layer(h, weights, active, *, heads, segments=None):
     row and active counts (flops.reassociates); a document whose rows are
     all active keeps the standard one. Rows outside `active` are copied
     verbatim, so an empty active set makes the layer an exact identity.
+
+    The documents run in consecutive groups whose temporaries stay within
+    BATCH_FLOATS (_groups); a batch that fits runs as one group. The new
+    states go to a new array, or to `out` (an (n, d) float64 array) if it
+    is given; out=h updates h in place, with the same bits.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
@@ -351,17 +401,23 @@ def forward_layer(h, weights, active, *, heads, segments=None):
     sizes = segments[1:] - segments[:-1]
     if segments[0] != 0 or segments[-1] != n or (sizes < 0).any():
         raise ShapeError(f"segments must rise from 0 to the row count {n}")
+    if out is None:
+        out = h.copy()
+    elif out is not h:
+        if out.shape != h.shape or out.dtype != np.float64:
+            raise ShapeError(f"out must be a float64 array of shape {h.shape}")
+        out[...] = h
     active = np.asarray(active, dtype=np.int64)
     if active.size == 0:
-        return h.copy()
-    hq = h[active]
-    q = hq @ weights.wq
-    ctx = _packed_attention(q, h, weights, heads, active, sizes)
-    x = layer_norm(hq + ctx @ weights.wo, weights.ln1_gain, weights.ln1_bias)
-    del hq, q, ctx  # a packed batch's temporaries dominate its memory
-    ffn = relu(x @ weights.w1) @ weights.w2
-    out = h.copy()
-    out[active] = layer_norm(x + ffn, weights.ln2_gain, weights.ln2_bias)
+        return out
+    groups = _groups(segments, active, max(d, weights.w1.shape[1]), d)
+    for lo, hi in groups:
+        a, b = segments[lo], segments[hi]
+        rows = active if len(groups) == 1 else active[(active >= a) & (active < b)]
+        if rows.size:
+            # each group reads only its own documents' rows of h
+            out[rows] = _layer_rows(h[a:b], weights, rows - a, heads,
+                                    sizes[lo:hi])
     return out
 
 
@@ -369,7 +425,8 @@ def _run_packed(model, ids_list, schedules, keep_hidden):
     """Run documents as one packed batch.
 
     Returns the states after every layer (H^0..H^L) if keep_hidden, else
-    only H^L; each entry is a list of per-document (n_i, d) matrices.
+    only H^L, which the layers then update in place; each entry is a list
+    of per-document (n_i, d) matrices.
     """
     if len(ids_list) != len(schedules):
         raise ShapeError(f"{len(ids_list)} sequences but {len(schedules)} schedules")
@@ -394,7 +451,8 @@ def _run_packed(model, ids_list, schedules, keep_hidden):
     states = [h]
     for t, weights in enumerate(model.layers, start=1):
         h = forward_layer(h, weights, np.flatnonzero(exits >= t),
-                          heads=model.heads, segments=bounds)
+                          heads=model.heads, segments=bounds,
+                          out=None if keep_hidden else h)
         states = states + [h] if keep_hidden else [h]
     return [[packed[a:b] for a, b in zip(bounds, bounds[1:])]
             for packed in states]
@@ -409,8 +467,12 @@ def forward(model, token_ids, sched, *, traces=False):
     sequence and its ExitSchedule) runs as a batch of one through the same
     path and returns its ForwardTrace; a document's states in a larger
     batch match its batch of one up to the summation order of the packed
-    matmuls. Memory grows with the batch's rows, times L+1 with traces, so
-    split a corpus with row_batches.
+    matmuls. Each layer is one forward_layer call, which runs the batch in
+    groups of documents sized to that layer's work. Without traces the
+    layers update one (rows, d) state matrix in place, and the layers'
+    temporaries stay within BATCH_FLOATS per group; with traces each layer
+    keeps a new one, L+1 in all. So split a corpus with row_batches into
+    batches of batch_rows(model) rows.
     """
     if not isinstance(sched, ExitSchedule):
         states = _run_packed(model, token_ids, sched, keep_hidden=traces)
@@ -422,8 +484,9 @@ def forward(model, token_ids, sched, *, traces=False):
 
 
 def batch_rows(model):
-    """Row budget of one packed batch for this model's widths."""
-    return max(1, min(BATCH_ROWS, BATCH_FLOATS // max(model.d, model.d_ff)))
+    """Row budget of one packed batch: its states, not its layers'
+    temporaries, which forward_layer bounds by grouping documents."""
+    return max(1, min(BATCH_ROWS, STATE_FLOATS // model.d))
 
 
 def row_batches(lengths, max_rows):

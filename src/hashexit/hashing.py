@@ -474,7 +474,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 50,
     for _ in range(max_iter):
         labels = _nearest(points, sq_norms, centers)
         labels = _repair_empty(points, centers, labels, k)
-        new_centers = np.stack([points[labels == c].mean(axis=0) for c in range(k)])
+        new_centers = np.stack([np.compress(labels == c, points, axis=0)
+                                .mean(axis=0) for c in range(k)])
         movement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).sum()
         centers = new_centers
         if movement < tol:

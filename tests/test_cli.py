@@ -267,7 +267,9 @@ class TestInfer:
     def test_corpus_beyond_row_budget_matches_library(self, tmp_path, capsys,
                                                       monkeypatch):
         model, model_path, table, table_path, vocab = make_model_and_table(tmp_path)
-        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 200)
+        # batches of 200 rows, and layers run in groups of about 40 rows
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 200)
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 40)
         rng = np.random.default_rng(5)
         docs = [[vocab.tokens[i] for i in rng.integers(0, 6, size=rng.integers(1, 30))]
                 for _ in range(400)]
@@ -286,7 +288,7 @@ class TestInfer:
                                                     monkeypatch):
         # bench/ times and traces infer through the hashexit.cli.forward name
         model, model_path, table, table_path, vocab = make_model_and_table(tmp_path)
-        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 40)
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 40)
         rng = np.random.default_rng(6)
         docs = [[vocab.tokens[i] for i in rng.integers(0, 6, size=rng.integers(1, 20))]
                 for _ in range(60)]

@@ -116,8 +116,10 @@ class TestPackedWalk:
 
     @pytest.fixture
     def small_batches(self, monkeypatch):
-        # random_annotator's widest layer is d_ff=16 floats: 7 rows a batch
-        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 7)
+        # 7 rows a batch, and each layer splits a batch into groups of about
+        # 3 active rows (random_annotator's widest layer is d_ff=16 floats)
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 7)
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 3)
 
     @staticmethod
     def ragged(seed, count=20, longest=12):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -396,11 +397,16 @@ class TestForwardBatch:
             got, = forward(model, [ids], [sched])
             assert np.array_equal(got, forward(model, ids, sched).final)
 
-    def test_batch_rows_follow_widest_layer(self):
-        assert encoder.batch_rows(random_model(12, 2, 256, 4, 1024)) == 384
+    def test_batch_rows_bound_the_states(self, monkeypatch):
+        # rows of h: BATCH_ROWS, and STATE_FLOATS over d; d_ff does not count
+        assert encoder.batch_rows(random_model(12, 2, 256, 4, 1024)) == 2048
         assert encoder.batch_rows(random_model(12, 2, 8, 2, 16)) == encoder.BATCH_ROWS
-        wide = random_model(12, 1, 4, 2, 2 * encoder.BATCH_FLOATS)
-        assert encoder.batch_rows(wide) == 1
+        wide_ffn = random_model(12, 1, 4, 2, 2 * encoder.BATCH_FLOATS)
+        assert encoder.batch_rows(wide_ffn) == encoder.BATCH_ROWS
+        assert encoder.batch_rows(random_model(12, 1, 768, 12, 8)) == \
+            encoder.STATE_FLOATS // 768
+        monkeypatch.setattr(encoder, "STATE_FLOATS", 4)
+        assert encoder.batch_rows(random_model(12, 1, 8, 2, 16)) == 1
 
     def test_empty_batch(self):
         model = random_model(12, 2, 8, 2, 16, seed=47)
@@ -428,7 +434,9 @@ class TestForwardBatch:
         table = build_random(Vocab(tuple(f"w{i}" for i in range(11))), 2, 2, seed=3)
         seqs = [list(rng.integers(0, 11, size=int(rng.integers(1, 9)))) for _ in range(30)]
         whole = encoder.cls_features(model, seqs, table)
-        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 16)
+        # batches of 16 rows, and layers run in groups of about 4 rows
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 16)
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 4)
         assert encoder.batch_rows(model) == 16
         assert len(row_batches([len(s) for s in seqs], 16)) > 3
         split = encoder.cls_features(model, seqs, table)
@@ -436,6 +444,167 @@ class TestForwardBatch:
             sched = schedule(seq, table, 2, pin_first=True)
             assert np.max(np.abs(got - forward(model, seq, sched).final[0])) <= 1e-12
         assert np.max(np.abs(split - whole)) <= 1e-12
+
+
+
+def mid_batch(rng, model, max_rows, exits=(1, 2, 3), p=(0.8, 0.1, 0.1)):
+    """Documents of 64-128 tokens up to max_rows rows, most tokens exiting
+    at layer 1 and position 0 pinned to the top, as routed corpora do."""
+    ids_list, schedules, rows = [], [], 0
+    while True:
+        n = int(rng.integers(64, 129))
+        if rows + n > max_rows:
+            return ids_list, schedules
+        rows += n
+        ids_list.append(rng.integers(-1, model.vocab_size, size=n))
+        e = rng.choice(exits, p=p, size=n)
+        e[0] = model.num_layers
+        schedules.append(ExitSchedule(e, np.ones(n, dtype=bool)))
+
+
+class TestLayerGroups:
+    """forward_layer runs a batch's documents in groups sized to the layer's
+    work, inside one call per layer."""
+
+    @staticmethod
+    def count_groups(monkeypatch):
+        groups = []
+        real = encoder._layer_rows
+
+        def counted(h, weights, active, heads, sizes):
+            groups.append((sizes.size, len(h), active.size))
+            return real(h, weights, active, heads, sizes)
+
+        monkeypatch.setattr(encoder, "_layer_rows", counted)
+        return groups
+
+    def test_one_forward_layer_call_per_layer(self, monkeypatch):
+        # bench/ numbers a forward's forward_layer calls as its layers
+        rng = np.random.default_rng(80)
+        model = random_model(12, 4, 8, 2, 16, seed=81)
+        ids_list, schedules = random_batch(rng, model, 12)
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 2)
+        groups = self.count_groups(monkeypatch)
+        calls = []
+        real = encoder.forward_layer
+
+        def counted(h, weights, active, **kwargs):
+            calls.append(weights)
+            return real(h, weights, active, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward_layer", counted)
+        for traces in (False, True):
+            calls.clear()
+            groups.clear()
+            forward(model, ids_list, schedules, traces=traces)
+            assert [id(w) for w in calls] == [id(w) for w in model.layers]
+            assert len(groups) > 2 * model.num_layers
+        # out=h updates h in place with the bits of the copying call, out=
+        # another array receives the frozen rows too, and the default
+        # leaves h untouched
+        bounds = np.cumsum([0] + [ids.size for ids in ids_list])
+        weights = model.layers[0]
+        h = rng.normal(size=(bounds[-1], 8))
+        active = np.flatnonzero(rng.random(bounds[-1]) < 0.4)
+        before = h.copy()
+        copied = real(h, weights, active, heads=2, segments=bounds)
+        assert np.array_equal(h, before)
+        elsewhere = np.full_like(h, np.nan)
+        assert real(h, weights, active, heads=2, segments=bounds,
+                    out=elsewhere) is elsewhere
+        assert np.array_equal(elsewhere, copied)
+        assert real(h, weights, active, heads=2, segments=bounds, out=h) is h
+        assert np.array_equal(h, copied)
+        with pytest.raises(ShapeError):
+            real(h, weights, active, heads=2, segments=bounds, out=h[1:])
+
+    @pytest.mark.parametrize("budget", [1, 16 * 5])
+    def test_many_groups_match_one(self, monkeypatch, budget):
+        # budget 1 gives each document with an active row a group of its
+        # own; 16 * 5 groups documents by about 5 active rows or 10 rows
+        rng = np.random.default_rng(82)
+        model = random_model(12, 4, 8, 2, 16, seed=83)
+        for _ in range(6):
+            ids_list, schedules = random_batch(rng, model, int(rng.integers(2, 14)))
+            one = forward(model, ids_list, schedules)
+            monkeypatch.setattr(encoder, "BATCH_FLOATS", budget)
+            groups = self.count_groups(monkeypatch)
+            many = forward(model, ids_list, schedules)
+            assert len(groups) > model.num_layers
+            for got, want in zip(many, one):
+                assert np.max(np.abs(got - want)) <= 1e-12
+            for k in range(1, 4):
+                # a row exiting at k keeps, bit for bit, its state after k
+                # layers of the same grouped run
+                head = EncoderModel(d=8, heads=2, d_ff=16, layers=model.layers[:k],
+                                    embedding=model.embedding)
+                capped = [ExitSchedule(np.minimum(s.exit_layer, k), s.attn_mask)
+                          for s in schedules]
+                short = forward(head, ids_list, capped)
+                for sched, got, ref in zip(schedules, many, short):
+                    rows = sched.exit_layer == k
+                    assert np.array_equal(got[rows], ref[rows])
+            monkeypatch.undo()
+
+    def test_groups_at_mid_shape(self, monkeypatch):
+        # a full mid batch: the dense layer runs groups of about 384 rows,
+        # the sparse ones groups of about 16 documents
+        rng = np.random.default_rng(84)
+        model = random_model(300, 2, 256, 4, 1024, seed=85)
+        ids_list, schedules = mid_batch(rng, model, encoder.batch_rows(model),
+                                        exits=(1, 2), p=(0.8, 0.2))
+        groups = self.count_groups(monkeypatch)
+        grouped = forward(model, ids_list, schedules)
+        dense = [g for g in groups if g[1] == g[2]]
+        sparse = [g for g in groups if g[1] > g[2]]
+        assert len(dense) + len(sparse) == len(groups)
+        assert len(dense) >= 5 and all(rows <= 384 for _, rows, _ in dense)
+        assert len(sparse) == 2 and 12 <= sparse[0][0] <= 20
+        assert all(rows <= 1536 for _, rows, _ in sparse)
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 1 << 40)
+        groups.clear()
+        whole = forward(model, ids_list, schedules)
+        assert [docs for docs, _, _ in groups] == [len(ids_list)] * 2
+        for got, want in zip(grouped, whole):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_peak_memory_stays_near_states(self):
+        # without traces one forward over a full mid batch holds its states
+        # plus one group's temporaries; a single ungrouped call held 12x
+        rng = np.random.default_rng(86)
+        model = random_model(300, 3, 256, 4, 1024, seed=87)
+        ids_list, schedules = mid_batch(rng, model, encoder.batch_rows(model))
+        h_nbytes = sum(ids.size for ids in ids_list) * model.d * 8
+        tracemalloc.start()
+        try:
+            forward(model, ids_list, schedules)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * h_nbytes
+
+    # sha256 of the states H^0..H^12 of five single documents at the mid
+    # shape, recorded before layers ran in groups and updated states in
+    # place; the grouped, in-place forward must give the same bits. The
+    # float64 results are those of numpy's bundled OpenBLAS; another BLAS
+    # may round the matmuls differently.
+    GOLDEN_MID_TRACES = \
+        "6001075080b2f74357a7013d2a4cb0a8142479c5cba1ee100ceb600456fbce74"
+
+    def test_golden_single_document_traces(self):
+        model = random_model(300, 12, 256, 4, 1024, seed=70)
+        rng = np.random.default_rng(71)
+        digest = hashlib.sha256()
+        for n in (1, 7, 96, 64, 512):
+            ids = rng.integers(-1, 300, size=n)
+            exits = rng.choice([1, 5, 9, 12], p=[0.79, 0.11, 0.09, 0.01], size=n)
+            if n == 64:
+                exits[:] = 12  # no exit: every layer dense
+            exits[0] = 12
+            trace = forward(model, ids, ExitSchedule(exits, np.ones(n, dtype=bool)))
+            for state in trace.hidden:
+                digest.update(state.tobytes())
+        assert digest.hexdigest() == self.GOLDEN_MID_TRACES
 
 
 class TestPositionalEncoding:

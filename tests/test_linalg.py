@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hashexit.errors import ShapeError
 from hashexit.linalg import layer_norm, relu, softmax_rows
@@ -72,3 +74,50 @@ class TestRelu:
     def test_all_positive_identity(self):
         a = np.array([[0.5, 2.0, 7.0]])
         assert np.array_equal(relu(a), a)
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def matrix_gain_bias(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    a = draw(arrays(np.float64, (rows, cols), elements=FINITE))
+    gain, bias = (draw(arrays(np.float64, cols, elements=FINITE))
+                  for _ in range(2))
+    return a, gain, bias
+
+
+KERNELS = {
+    "softmax_rows": lambda a, gain, bias, **out: softmax_rows(a, **out),
+    "layer_norm": layer_norm,
+    "relu": lambda a, gain, bias, **out: relu(a, **out),
+}
+
+
+class TestInPlace:
+    """out= writes the result in place, with the bits of the allocating
+    form, and leaves the input alone unless it is the out array."""
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(args=matrix_gain_bias())
+    def test_bit_equal_to_allocating_form(self, name, args):
+        kernel = KERNELS[name]
+        a, gain, bias = args
+        before = a.copy()
+        want = kernel(a, gain, bias)
+        assert np.array_equal(a, before)
+        elsewhere = np.empty_like(a)
+        assert kernel(a, gain, bias, out=elsewhere) is elsewhere
+        assert elsewhere.tobytes() == want.tobytes()
+        assert np.array_equal(a, before)
+        assert kernel(a, gain, bias, out=a) is a
+        assert a.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_out_of_another_shape(self, name):
+        a = np.ones((2, 3))
+        for out in (np.empty((3, 2)), np.empty((2, 3), dtype=np.float32)):
+            with pytest.raises(ShapeError):
+                KERNELS[name](a, np.ones(3), np.zeros(3), out=out)
