@@ -1,0 +1,159 @@
+"""Every file format the package reads or writes.
+
+Text files (hash tables, corpora, difficulty datasets, reports) are UTF-8
+with "\\n" line ends, written whole by `write_text`. Their tokens are
+non-empty and free of whitespace, and other tab-separated fields hold no
+tab or line break. Models and token embeddings share one binary codec,
+`BinaryFormat`: a header line `<magic> key=int ...`, raw little-endian
+float64 blocks sized by it, then, for embeddings, UTF-8 token lines.
+"""
+
+import math
+import os
+import re
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .errors import InputError, ParseError
+
+HEADER_MAX = 256  # bytes of a binary header line, its newline included
+
+
+def check_tokens(tokens):
+    """InputError unless every token is non-empty and free of whitespace."""
+    # split() drops empty strings and breaks on every character isspace()
+    # accepts, so the joined tokens split back into themselves iff all obey
+    if " ".join(tokens).split() != list(tokens):
+        bad = next(t for t in tokens if t.split() != [t])
+        raise InputError(f"token {bad!r} is empty or contains whitespace")
+
+
+def index_tokens(tokens):
+    """Each token's position, for distinct tokens that obey `check_tokens`."""
+    check_tokens(tokens)
+    index = {t: i for i, t in enumerate(tokens)}
+    if len(index) != len(tokens):
+        twice = next(t for i, t in enumerate(tokens) if index[t] != i)
+        raise InputError(f"token {twice!r} appears more than once")
+    return index
+
+
+def check_field(value, what):
+    """InputError if `value` would split its tab-separated line."""
+    if "\t" in value or "".join(value.splitlines()) != value:
+        raise InputError(f"{what} {value!r} holds a tab or a line break")
+
+
+def write_text(path, text):
+    """Write `text` as UTF-8, encoded before the file is opened."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+@contextmanager
+def open_text(path):
+    """`path` opened as UTF-8 text; undecodable bytes are a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+@dataclass(frozen=True)
+class BinaryFormat:
+    """Header `magic k=int ...` with one value per name in `fields` (each
+    >= 1, or >= 0 if in `zero_ok`), then `floats(meta)` float64s, then
+    text lines if `has_lines`. `legacy` pairs a byte pattern that marks an
+    older format's header line with its error. `kind` and `contents` name
+    the file and its floats in errors."""
+
+    kind: str
+    magic: str
+    fields: tuple
+    floats: Callable
+    contents: str
+    zero_ok: tuple = ()
+    has_lines: bool = False
+    legacy: tuple = None
+
+    def write(self, path, meta, blocks, lines=()):
+        """The header, each of `blocks` from its own memory, then `lines`."""
+        head = " ".join([self.magic] + [f"{k}={meta[k]}" for k in self.fields])
+        tail = "".join(f"{line}\n" for line in lines).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(head.encode("ascii") + b"\n")
+            for arr in blocks:
+                np.ascontiguousarray(arr, "<f8").tofile(fh)
+            fh.write(tail)
+
+    @contextmanager
+    def read(self, path):
+        """Yield the header's fields and the file at its first block, once
+        the file holds the declared floats (and, without lines, no more)."""
+        with open(path, "rb") as fh:
+            line = fh.readline(HEADER_MAX)
+            meta = self._parse_header(line)
+            want = 8 * self.floats(meta)
+            got = os.fstat(fh.fileno()).st_size - len(line)
+            if got < want:
+                raise ParseError(f"{self.kind} file is truncated: its header "
+                                 f"declares {want} bytes of {self.contents}, "
+                                 f"the file holds {got}")
+            if got > want and not self.has_lines:
+                raise ParseError(f"{self.kind} file has {got - want} trailing "
+                                 "bytes after the last tensor")
+            yield meta, fh
+
+    def _parse_header(self, line):
+        if self.legacy is not None and re.match(self.legacy[0], line):
+            raise ParseError(self.legacy[1])
+        if not line.startswith(self.magic.encode() + b" "):
+            raise ParseError(f"not a {self.kind} file (bad magic header)")
+        if not line.endswith(b"\n"):
+            raise ParseError(f"{self.kind} header line does not end within "
+                             f"{HEADER_MAX} bytes")
+        meta = {}
+        for part in line[len(self.magic) + 1:].decode("ascii", "replace").split():
+            key, _, val = part.partition("=")
+            try:
+                meta[key] = int(val)
+            except ValueError:
+                raise ParseError(f"{self.kind} header field {part!r} is not "
+                                 "key=integer") from None
+        for key in self.fields:
+            if key not in meta:
+                raise ParseError(f"{self.kind} header is missing {key}")
+            if meta[key] < (0 if key in self.zero_ok else 1):
+                raise ParseError(f"{self.kind} header field {key}={meta[key]} "
+                                 "is out of range")
+        if len(meta) != len(self.fields):
+            raise ParseError(f"{self.kind} header has unknown fields")
+        return meta
+
+
+def read_floats(fh, name, *shape):
+    """The next block as a float64 array of `shape`, whole and finite."""
+    count = math.prod(shape)
+    arr = np.fromfile(fh, "<f8", count)
+    if arr.size != count:
+        raise ParseError(f"tensor {name} is truncated")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"tensor {name} holds a non-finite weight")
+    return arr.reshape(shape)
+
+
+def read_lines(fh, count, what):
+    """The rest of the file as exactly `count` UTF-8 lines ended by "\\n"."""
+    try:
+        lines = fh.read().decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} are not UTF-8 text: {exc.reason}") from None
+    if lines.pop() or len(lines) != count:
+        raise ParseError(f"{what} are not the {count} lines, each ended by "
+                         "a line break, that the header declares")
+    return lines

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_text
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus
 from .encoder import (batch_rows, classify, forward, load_model, row_batches,
@@ -33,11 +34,6 @@ from .hashing import (
 from .difficulty import save_difficulty_dataset
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _report_skipped(corpus):
     if corpus.skipped_empty:
         print(f"skipped {corpus.skipped_empty} empty corpus lines",
@@ -54,7 +50,6 @@ def _histogram_text(table):
 
 def cmd_build_hash(args):
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.method == "clustered":
         if args.embeddings is None:
             raise ConfigError("method clustered needs --embeddings")
@@ -101,7 +96,6 @@ def cmd_build_hash(args):
 
 def cmd_infer(args):
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(args.model)
     if model.head is None:
         raise ConfigError(f"model {args.model} has no classifier head")
@@ -128,7 +122,7 @@ def cmd_infer(args):
     preds = np.argmax(classify(model, feats), axis=1)
     lines = [f"{i}\t{pred}" for i, pred in enumerate(preds)]
     path = out_dir / "predictions.tsv"
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     if corpus.labeled and corpus.documents:
         hits = sum(str(pred) == label for pred, label in zip(preds, corpus.labels))
@@ -137,7 +131,6 @@ def cmd_infer(args):
 
 def cmd_flops_report(args):
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = load_hash_table(args.table)
     if args.layers is not None and args.layers != table.num_layers:
         raise ConfigError(f"--layers {args.layers} does not match the "
@@ -156,15 +149,14 @@ def cmd_flops_report(args):
     baseline = replace(dims, **{name: value for name, value in overrides.items()
                                 if value is not None})
     rep = report(dims, schedules, baseline_dims=baseline)
-    _write_text(out_dir / "flops.csv", rep.to_csv())
-    _write_text(out_dir / "flops.txt", rep.to_text())
+    write_text(out_dir / "flops.csv", rep.to_csv())
+    write_text(out_dir / "flops.txt", rep.to_text())
     print(rep.to_text(), end="")
     print(f"wrote {out_dir / 'flops.csv'} and {out_dir / 'flops.txt'}")
 
 
 def cmd_ablate_consistency(args):
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
@@ -179,14 +171,13 @@ def cmd_ablate_consistency(args):
         vocab_size=args.vocab_size, seq_len=args.seq_len,
         force_identical=args.force_identical)
     text = result.to_text()
-    _write_text(out_dir / "ablation.txt", text)
+    write_text(out_dir / "ablation.txt", text)
     print(text, end="")
     print(f"wrote {out_dir / 'ablation.txt'}")
 
 
 def cmd_difficulty(args):
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outcome = run_difficulty_pipeline(
         seed=args.seed, num_train=args.num_train, num_eval=args.num_eval,
         vocab_size=args.vocab_size, seq_len=args.seq_len,
@@ -199,7 +190,7 @@ def cmd_difficulty(args):
     save_difficulty_dataset(outcome.eval_dataset,
                             out_dir / "difficulty_eval.tsv")
     text = outcome.to_text()
-    _write_text(out_dir / "metrics.txt", text)
+    write_text(out_dir / "metrics.txt", text)
     print(text, end="")
     print(f"wrote {out_dir / 'difficulty_train.tsv'}, "
           f"{out_dir / 'difficulty_eval.tsv'} and {out_dir / 'metrics.txt'}")
@@ -303,6 +294,7 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         args.func(args)
     except HashExitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, open_text
+from .artifacts import check_field, check_tokens, open_text, write_text
+from .errors import ConfigError, InputError, ParseError
 
 
 @dataclass
@@ -57,22 +58,25 @@ def load_corpus(path, labeled=False):
 
 
 def serialize_corpus(corpus):
+    """The corpus as text. A label holding a tab or a line break, a token
+    breaking the token rule, or a line that would read back as blank is an
+    InputError."""
     lines = []
     for i, doc in enumerate(corpus.documents):
-        text = " ".join(doc)
+        line = " ".join(doc)
         if corpus.labeled:
-            lines.append(f"{corpus.labels[i]}\t{text}")
-        else:
-            if not doc:
-                raise InputError(f"document {i} is empty; the unlabeled "
-                                 "format cannot represent it")
-            lines.append(text)
+            check_field(corpus.labels[i], f"label of document {i}")
+            line = f"{corpus.labels[i]}\t{line}"
+        check_tokens(doc)
+        if not line.strip():
+            raise InputError(f"document {i} is empty; its line would read "
+                             "back as blank")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def save_corpus(corpus, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_corpus(corpus))
+    write_text(path, serialize_corpus(corpus))
 
 
 def zipf_corpus(vocab_size, num_docs, *, seed=0, min_len=5, max_len=15,

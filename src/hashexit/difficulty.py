@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .artifacts import check_field, check_tokens, write_text
 from .errors import ConfigError, InputError
 from .encoder import (ExitSchedule, batch_rows, fit, forward,
                       head_loss_and_grad, row_batches)
@@ -313,17 +314,19 @@ def evaluate(predictor, dataset):
 
 
 def serialize_difficulty_dataset(dataset):
+    """One `id<TAB>bits<TAB>tokens` line per instance; an id holding a tab
+    or a line break, or a token breaking the token rule, is an InputError."""
     if dataset.tokens is None:
         raise ConfigError("dataset has no token text to write")
     ids = dataset.ids or [str(i) for i in range(len(dataset))]
     lines = []
     for i in range(len(dataset)):
+        check_field(str(ids[i]), "instance id")
+        check_tokens(dataset.tokens[i])
         bitstring = "".join(str(int(b)) for b in dataset.bits[i])
         lines.append(f"{ids[i]}\t{bitstring}\t{' '.join(dataset.tokens[i])}")
     return "\n".join(lines) + "\n"
 
 
 def save_difficulty_dataset(dataset, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_difficulty_dataset(dataset))
-
+    write_text(path, serialize_difficulty_dataset(dataset))

@@ -23,13 +23,14 @@ That never holds for m = n, so dense layers and the no-exit path keep the
 standard association.
 """
 
-import os
+import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
+from .artifacts import BinaryFormat, read_floats
 from .errors import ConfigError, InputError, ParseError, ShapeError, TrainingError
 from .flops import reassociates
 from .linalg import layer_norm, relu, softmax_rows
@@ -50,12 +51,27 @@ BATCH_ROWS = 2048
 STATE_FLOATS = 1 << 19
 BATCH_FLOATS = 3 << 17
 
-_MODEL_MAGIC = "#hashee-model v2"
-_MODEL_FIELDS = ("L", "d", "h", "d_ff", "V", "C")
-_MODEL_HEADER_MAX = 256
-
 _LAYER_FIELDS = ("wq", "wk", "wv", "wo", "w1", "w2",
                  "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")
+
+
+def _layer_shapes(d, d_ff):
+    """The shape of each of a layer's `_LAYER_FIELDS`, in that order."""
+    return dict(zip(_LAYER_FIELDS, [(d, d)] * 4 + [(d, d_ff), (d_ff, d)]
+                    + [(d,)] * 4))
+
+
+def _model_floats(meta):
+    layer = sum(map(math.prod, _layer_shapes(meta["d"], meta["d_ff"]).values()))
+    return meta["d"] * (meta["V"] + meta["C"]) + meta["L"] * layer
+
+
+_MODEL_FORMAT = BinaryFormat(
+    kind="model", magic="#hashee-model v2",
+    fields=("L", "d", "h", "d_ff", "V", "C"), zero_ok=("C",),
+    floats=_model_floats, contents="weights",
+    legacy=(rb"#hashee-model v1 ", "text model format v1 is no longer read; "
+            "re-save it with save_model"))
 
 
 @dataclass
@@ -76,10 +92,7 @@ class LayerWeights:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
     def check(self, d, d_ff):
-        for name, shape in (("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)),
-                            ("wo", (d, d)), ("w1", (d, d_ff)), ("w2", (d_ff, d)),
-                            ("ln1_gain", (d,)), ("ln1_bias", (d,)),
-                            ("ln2_gain", (d,)), ("ln2_bias", (d,))):
+        for name, shape in _layer_shapes(d, d_ff).items():
             got = getattr(self, name).shape
             if got != shape:
                 raise ShapeError(f"{name} has shape {got}, expected {shape}")
@@ -632,82 +645,26 @@ def save_model(model, path):
     order, then the head if there is one. Shapes follow from the header,
     and reruns are byte-identical."""
     classes = 0 if model.head is None else model.head.shape[1]
-    header = (f"{_MODEL_MAGIC} L={model.num_layers} d={model.d} "
-              f"h={model.heads} d_ff={model.d_ff} V={model.vocab_size} "
-              f"C={classes}\n")
+    meta = {"L": model.num_layers, "d": model.d, "h": model.heads,
+            "d_ff": model.d_ff, "V": model.vocab_size, "C": classes}
     blocks = [model.embedding]
     blocks += [getattr(lw, name) for lw in model.layers for name in _LAYER_FIELDS]
     if classes:
         blocks.append(model.head)
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for arr in blocks:
-            fh.write(np.ascontiguousarray(arr, "<f8").tobytes())
-
-
-def _read_model_header(fh):
-    line = fh.readline(_MODEL_HEADER_MAX)
-    if line.startswith(b"#hashee-model v1 "):
-        raise ParseError("text model format v1 is no longer read; "
-                         "re-save it with save_model")
-    if not line.startswith(_MODEL_MAGIC.encode() + b" "):
-        raise ParseError("not a model file (bad magic header)")
-    if not line.endswith(b"\n"):
-        raise ParseError(f"model header line does not end within "
-                         f"{_MODEL_HEADER_MAX} bytes")
-    meta = {}
-    for part in line[len(_MODEL_MAGIC) + 1:].decode("ascii", "replace").split():
-        key, _, val = part.partition("=")
-        try:
-            meta[key] = int(val)
-        except ValueError:
-            raise ParseError(f"model header field {part!r} is not "
-                             "key=integer") from None
-    for key in _MODEL_FIELDS:
-        if key not in meta:
-            raise ParseError(f"model header is missing {key}")
-        if meta[key] < (0 if key == "C" else 1):
-            raise ParseError(f"model header field {key}={meta[key]} is out "
-                             "of range")
-    if len(meta) != len(_MODEL_FIELDS):
-        raise ParseError("model header has unknown fields")
-    return meta, len(line)
+    _MODEL_FORMAT.write(path, meta, blocks)
 
 
 def load_model(path):
     """Read a `save_model` file. The header is checked against the file
     size before any weight is read, then each tensor is read straight
     into its own array."""
-    with open(path, "rb") as fh:
-        meta, header_len = _read_model_header(fh)
+    with _MODEL_FORMAT.read(path) as (meta, fh):
         L, d, d_ff, V, C = (meta[k] for k in ("L", "d", "d_ff", "V", "C"))
-        want = 8 * (V * d + L * (4 * d * d + 2 * d * d_ff + 4 * d) + d * C)
-        got = os.fstat(fh.fileno()).st_size - header_len
-        if got < want:
-            raise ParseError(f"model file is truncated: its header declares "
-                             f"{want} bytes of weights, the file holds {got}")
-        if got > want:
-            raise ParseError(f"model file has {got - want} trailing bytes "
-                             "after the last tensor")
-
-        def read(name, *shape):
-            count = int(np.prod(shape))
-            arr = np.fromfile(fh, "<f8", count)
-            if arr.size != count:
-                raise ParseError(f"tensor {name} is truncated")
-            if not np.isfinite(arr).all():
-                raise ParseError(f"tensor {name} holds a non-finite weight")
-            return arr.reshape(shape)
-
-        shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
-                  "w1": (d, d_ff), "w2": (d_ff, d)}
-        embedding = read("embedding", V, d)
-        layers = []
-        for i in range(L):
-            layers.append(LayerWeights(**{
-                name: read(f"layer{i}.{name}", *shapes.get(name, (d,)))
-                for name in _LAYER_FIELDS}))
-        head = read("head", d, C) if C else None
+        embedding = read_floats(fh, "embedding", V, d)
+        layers = [LayerWeights(**{
+            name: read_floats(fh, f"layer{i}.{name}", *shape)
+            for name, shape in _layer_shapes(d, d_ff).items()}) for i in range(L)]
+        head = read_floats(fh, "head", d, C) if C else None
     try:
         return EncoderModel(d=d, heads=meta["h"], d_ff=d_ff, layers=layers,
                             embedding=embedding, head=head)

@@ -1,7 +1,4 @@
-"""Exception types shared across the package, and the reader that turns a
-text file's decode failure into one of them."""
-
-from contextlib import contextmanager
+"""Exception types shared across the package."""
 
 
 class HashExitError(Exception):
@@ -27,13 +24,3 @@ class ParseError(HashExitError, ValueError):
 class TrainingError(HashExitError, RuntimeError):
     """Training diverged (non-finite loss)."""
 
-
-@contextmanager
-def open_text(path):
-    """`path` opened for reading as UTF-8; bytes that do not decode raise
-    ParseError instead of UnicodeDecodeError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None

@@ -18,28 +18,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, open_text
-
-__all__ = [
-    "Vocab",
-    "CorpusStats",
-    "HashTable",
-    "EmbeddingTable",
-    "HASH_METHODS",
-    "bucket_to_layer",
-    "build_random",
-    "build_frequency",
-    "token_label_mi",
-    "build_mi",
-    "kmeans",
-    "build_clustered",
-    "serialize_hash_table",
-    "parse_hash_table",
-    "save_hash_table",
-    "load_hash_table",
-    "load_embeddings",
-    "save_embeddings",
-]
+from .artifacts import (BinaryFormat, index_tokens, open_text, read_floats,
+                        read_lines, write_text)
+from .errors import ConfigError, InputError, ParseError
 
 HASH_METHODS = (
     "rand-cons",
@@ -52,13 +33,12 @@ HASH_METHODS = (
 
 _TABLE_MAGIC = "#hashee v1"
 
-
-def _check_token(token: str) -> str:
-    # split() breaks on exactly the characters isspace() accepts, and
-    # gives [] for the empty string
-    if token.split() != [token]:
-        raise InputError(f"token {token!r} is empty or contains whitespace")
-    return token
+_EMBEDDINGS_FORMAT = BinaryFormat(
+    kind="token embedding", magic="#hashee-embeddings v1", fields=("V", "d"),
+    zero_ok=("V",), floats=lambda meta: meta["V"] * meta["d"],
+    contents="vectors", has_lines=True,
+    legacy=(rb"\s*[-+]?\d+\s+[-+]?\d+\s*$", "text embeddings are no longer "
+            "read; re-save them with save_embeddings"))
 
 
 @dataclass(frozen=True)
@@ -68,12 +48,7 @@ class Vocab:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        for t in self.tokens:
-            _check_token(t)
-        index = {t: i for i, t in enumerate(self.tokens)}
-        if len(index) != len(self.tokens):
-            raise InputError("vocab tokens must be distinct")
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", index_tokens(self.tokens))
 
     @classmethod
     def from_documents(cls, documents) -> "Vocab":
@@ -163,7 +138,8 @@ def bucket_to_layer(b: int, num_buckets: int, num_layers: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class HashTable:
-    """Immutable token -> (bucket, exit layer) map.
+    """Immutable token -> (bucket, exit layer) map. Tokens are non-empty,
+    free of whitespace and distinct.
 
     Lookups by out-of-range token id (or unseen token string) return the
     last layer: unknown tokens run the full model.
@@ -192,7 +168,7 @@ class HashTable:
         layers.setflags(write=False)
         buckets.setflags(write=False)
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "_index", index_tokens(self.tokens))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashTable):
@@ -242,17 +218,14 @@ def _buckets_from_order(order: np.ndarray, num_buckets: int,
     return buckets
 
 
+def _chunked_table(method, vocab, order, num_buckets, num_layers, seed=0):
+    return HashTable(method, num_buckets, num_layers, seed, vocab.tokens,
+                     _buckets_from_order(order, num_buckets, num_layers))
+
+
 def _random_table(vocab, num_buckets, num_layers, seed, method) -> HashTable:
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(vocab))
-    return HashTable(
-        method=method,
-        num_buckets=num_buckets,
-        num_layers=num_layers,
-        seed=seed,
-        tokens=vocab.tokens,
-        buckets=_buckets_from_order(order, num_buckets, num_layers),
-    )
+    order = np.random.default_rng(seed).permutation(len(vocab))
+    return _chunked_table(method, vocab, order, num_buckets, num_layers, seed)
 
 
 def build_random(vocab: Vocab, num_buckets: int, num_layers: int, seed: int,
@@ -287,14 +260,7 @@ def build_frequency(vocab: Vocab, stats: CorpusStats, num_buckets: int,
         raise ConfigError("stats do not cover the vocab")
     # lexsort: last key is primary; negated freq sorts descending
     order = np.lexsort((np.arange(len(vocab)), -stats.freq))
-    return HashTable(
-        method="frequency",
-        num_buckets=num_buckets,
-        num_layers=num_layers,
-        seed=0,
-        tokens=vocab.tokens,
-        buckets=_buckets_from_order(order, num_buckets, num_layers),
-    )
+    return _chunked_table("frequency", vocab, order, num_buckets, num_layers)
 
 
 def token_label_mi(stats: CorpusStats, token_id: int) -> float:
@@ -350,19 +316,12 @@ def build_mi(vocab: Vocab, stats: CorpusStats, num_buckets: int,
         raise ConfigError("stats do not cover the vocab")
     scores = _mi_scores(stats)
     order = np.lexsort((np.arange(len(vocab)), -scores))
-    return HashTable(
-        method="mi",
-        num_buckets=num_buckets,
-        num_layers=num_layers,
-        seed=0,
-        tokens=vocab.tokens,
-        buckets=_buckets_from_order(order, num_buckets, num_layers),
-    )
+    return _chunked_table("mi", vocab, order, num_buckets, num_layers)
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Per-token real vectors, aligned with a token list."""
+    """Per-token real vectors, aligned with a list of distinct tokens."""
 
     tokens: tuple[str, ...]
     vectors: np.ndarray = field(repr=False)
@@ -377,7 +336,7 @@ class EmbeddingTable:
         if not np.all(np.isfinite(vectors)):
             raise InputError("embedding vectors must be finite")
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "_index", index_tokens(self.tokens))
 
     @property
     def dim(self) -> int:
@@ -499,25 +458,16 @@ def build_clustered(vocab: Vocab, emb: EmbeddingTable, num_buckets: int,
     order = np.lexsort((np.arange(num_buckets), mean_norms))
     rank = np.empty(num_buckets, dtype=np.int64)
     rank[order] = np.arange(num_buckets)
-    return HashTable(
-        method="clustered",
-        num_buckets=num_buckets,
-        num_layers=num_layers,
-        seed=seed,
-        tokens=vocab.tokens,
-        buckets=rank[labels],
-    )
+    return HashTable("clustered", num_buckets, num_layers, seed, vocab.tokens,
+                     rank[labels])
 
 
 def serialize_hash_table(table: HashTable) -> str:
     """Render the v1 text format; byte-exact round trip with parse."""
-    lines = [
-        f"{_TABLE_MAGIC} method={table.method} B={table.num_buckets} "
-        f"L={table.num_layers} seed={table.seed}"
-    ]
-    for tid, token in enumerate(table.tokens):
-        lines.append(f"{token}\t{table.buckets[tid]}\t{table.layers[tid]}")
-    return "\n".join(lines) + "\n"
+    rows = zip(table.tokens, table.buckets.tolist(), table.layers.tolist())
+    return (f"{_TABLE_MAGIC} method={table.method} B={table.num_buckets} "
+            f"L={table.num_layers} seed={table.seed}\n"
+            + "".join(f"{t}\t{b}\t{layer}\n" for t, b, layer in rows))
 
 
 def parse_hash_table(text: str) -> HashTable:
@@ -538,40 +488,32 @@ def parse_hash_table(text: str) -> HashTable:
         seed = int(fields["seed"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad header: {lines[0]!r}") from exc
-    tokens = []
-    buckets = []
+    tokens, buckets, layers = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected token<TAB>bucket<TAB>layer")
-        token, bucket_s, layer_s = parts
         try:
-            bucket = int(bucket_s)
-            layer = int(layer_s)
+            buckets.append(int(parts[1]))
+            layers.append(int(parts[2]))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: non-integer bucket/layer") from exc
-        if layer != bucket_to_layer(bucket, num_buckets, num_layers):
-            raise ParseError(
-                f"line {lineno}: layer {layer} inconsistent with bucket {bucket}"
-            )
-        tokens.append(token)
-        buckets.append(bucket)
+        tokens.append(parts[0])
     try:
-        return HashTable(
-            method=method,
-            num_buckets=num_buckets,
-            num_layers=num_layers,
-            seed=seed,
-            tokens=tuple(tokens),
-            buckets=np.array(buckets, dtype=np.int64),
-        )
-    except (ConfigError, InputError) as exc:
+        table = HashTable(method, num_buckets, num_layers, seed, tuple(tokens),
+                          np.array(buckets, dtype=np.int64))
+        wrong = np.flatnonzero(np.array(layers, dtype=np.int64) != table.layers)
+    except (ConfigError, InputError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
+    if wrong.size:
+        i = int(wrong[0])
+        raise ParseError(f"line {i + 2}: layer {layers[i]} inconsistent "
+                         f"with bucket {buckets[i]}")
+    return table
 
 
 def save_hash_table(table: HashTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(serialize_hash_table(table))
+    write_text(path, serialize_hash_table(table))
 
 
 def load_hash_table(path) -> HashTable:
@@ -580,65 +522,20 @@ def load_hash_table(path) -> HashTable:
 
 
 def save_embeddings(emb: EmbeddingTable, path) -> None:
-    """Text format: `V d` header line, then `token x1 .. xd` per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{len(emb.tokens)} {emb.dim}\n")
-        for token, vec in zip(emb.tokens, emb.vectors):
-            f.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")
-
-
-# Most values one block of `load_embeddings` converts at once.
-_EMBED_BLOCK_VALUES = 1 << 16
+    """Binary format: the header `#hashee-embeddings v1 V=.. d=..`, the
+    V×d vectors as raw little-endian float64, then the V tokens as UTF-8
+    lines."""
+    _EMBEDDINGS_FORMAT.write(path, {"V": len(emb.tokens), "d": emb.dim},
+                             [emb.vectors], emb.tokens)
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read a `save_embeddings` file. The `V d` header is checked against
-    the rows as they are read: the vector array grows with the rows and is
-    never sized from the header alone. Values are converted in blocks of
-    up to 1024 lines (fewer when d > 64), one numpy assignment per block;
-    the first malformed line in file order is the one reported."""
-    with open_text(path) as f:
-        head = f.readline().split()
-        if len(head) != 2:
-            raise ParseError("embedding file must start with `V d`")
-        try:
-            count, dim = int(head[0]), int(head[1])
-        except ValueError as exc:
-            raise ParseError("embedding file must start with `V d`") from exc
-        if count < 0 or dim < 1:
-            raise ParseError(f"embedding header `{count} {dim}` is out of range")
-        block_lines = min(1024, max(1, _EMBED_BLOCK_VALUES // dim))
-        tokens = []
-        rows = []  # value fields of the lines not yet converted
-        vectors = np.empty((0, dim))
-        for i in range(count):
-            parts = f.readline().split()
-            if len(parts) != dim + 1:
-                # a bad value on an earlier line is reported first
-                _store_rows(vectors, i - len(rows), rows)
-                raise ParseError(f"embedding line {i + 2}: expected token + {dim} values")
-            if i == len(vectors):
-                vectors.resize((min(count, 2 * i + 1024), dim), refcheck=False)
-            tokens.append(parts[0])
-            rows.append(parts[1:])
-            if len(rows) == block_lines:
-                _store_rows(vectors, i + 1 - len(rows), rows)
-                rows = []
-        _store_rows(vectors, count - len(rows), rows)
-    return EmbeddingTable(tuple(tokens), vectors)
-
-
-def _store_rows(vectors, start, rows) -> None:
-    """Store the value fields of embedding rows start.. in `vectors` with
-    one assignment, which converts each field as `float` does. A value
-    that is not a number raises the ParseError of its own line, found by
-    storing the rows again one at a time."""
+    """Read a `save_embeddings` file. The header is checked against the
+    file size before the vectors are read straight into their array."""
+    with _EMBEDDINGS_FORMAT.read(path) as (meta, fh):
+        vectors = read_floats(fh, "vectors", meta["V"], meta["d"])
+        tokens = read_lines(fh, meta["V"], "embedding tokens")
     try:
-        vectors[start:start + len(rows)] = rows
-    except ValueError:
-        for i, fields in enumerate(rows, start=start):
-            try:
-                vectors[i] = fields
-            except ValueError:
-                raise ParseError(f"embedding line {i + 2}: a value is not "
-                                 "a number") from None
+        return EmbeddingTable(tuple(tokens), vectors)
+    except InputError as exc:
+        raise ParseError(f"embedding tokens: {exc}") from None

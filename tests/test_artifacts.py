@@ -1,0 +1,101 @@
+"""The artifact layer: one module opens every file, its writers copy no
+tensor, and the text writers either refuse a value or give it back."""
+
+import re
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from hashexit.corpus import Corpus, load_corpus, save_corpus
+from hashexit.encoder import random_model, save_model
+from hashexit.errors import InputError
+from hashexit.hashing import (EmbeddingTable, HashTable, load_hash_table,
+                              save_embeddings, save_hash_table)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hashexit"
+
+ROUND_TRIP = settings(derandomize=True, database=None, max_examples=150,
+                      deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def test_only_artifacts_module_touches_files():
+    calls = re.compile(r"\bopen\(|\bnp\.fromfile\b|\.tofile\b")
+    offenders = sorted(
+        f"{path.name}:{lineno}"
+        for path in SRC.glob("*.py") if path.name != "artifacts.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), start=1)
+        if calls.search(line))
+    assert offenders == []
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_copy_no_tensor(tmp_path):
+    model = random_model(4000, 1, 64, 2, 128, seed=3)
+    emb = EmbeddingTable(tuple(f"t{i}" for i in range(4000)),
+                         np.random.default_rng(3).normal(size=(4000, 64)))
+    largest = model.embedding.nbytes  # 2 MB, the largest tensor of both
+    for save, artifact in ((save_model, model), (save_embeddings, emb)):
+        peak = traced_peak(lambda: save(artifact, tmp_path / "artifact.bin"))
+        assert peak < largest / 2, save.__name__
+
+
+# Text of one example: for about half the examples, words free of
+# whitespace; for the rest, any short text with tabs, line breaks and other
+# whitespace made likely, which the writers mostly refuse.
+WORD = st.text(st.characters(exclude_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
+               min_size=1, max_size=4)
+ANY = st.text(st.one_of(st.characters(),
+                        st.sampled_from("\t\n\r \x0b\x1c\x85\u2028ab")),
+              max_size=5)
+TEXTS = st.sampled_from([WORD, st.one_of(WORD, ANY)])
+
+
+@ROUND_TRIP
+@given(text=TEXTS, data=st.data())
+def test_hash_table_round_trip(tmp_path, text, data):
+    tokens = data.draw(st.lists(text, min_size=1, max_size=6))
+    buckets = data.draw(st.integers(1, 4))
+    layers = data.draw(st.integers(buckets, 8))
+    path = tmp_path / "table.hash"
+    try:
+        table = HashTable(
+            method=data.draw(st.sampled_from(["frequency", "mi", "rand-cons"])),
+            num_buckets=buckets, num_layers=layers,
+            seed=data.draw(st.integers(-5, 2 ** 40)), tokens=tuple(tokens),
+            buckets=data.draw(st.lists(st.integers(0, buckets - 1),
+                                       min_size=len(tokens),
+                                       max_size=len(tokens))))
+        save_hash_table(table, path)
+    except InputError:
+        return
+    assert load_hash_table(path) == table
+
+
+@ROUND_TRIP
+@given(text=TEXTS, labeled=st.booleans(), data=st.data())
+def test_corpus_round_trip(tmp_path, text, labeled, data):
+    documents = data.draw(st.lists(st.lists(text, max_size=4), max_size=5))
+    labels = None
+    if labeled:
+        labels = data.draw(st.lists(text | st.just(""), min_size=len(documents),
+                                    max_size=len(documents)))
+    corpus = Corpus(documents, labels=labels)
+    path = tmp_path / "corpus.txt"
+    try:
+        save_corpus(corpus, path)
+    except InputError:
+        return
+    assert load_corpus(path, labeled=labeled) == corpus

@@ -476,14 +476,20 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("text", [
-        "2 2\na 1 x\nb 1 2\n",  # a value that is not a number
-        "-2 2\n",  # a negative count
-        "1000000000000 64\n",  # a count far beyond the rows that follow
-    ], ids=["non-numeric-value", "negative-count", "huge-count"])
-    def test_malformed_embeddings(self, tmp_path, capsys, text):
-        bad = tmp_path / "emb.txt"
-        bad.write_text(text)
+    @pytest.mark.parametrize("data", [
+        # a value that is not a number
+        b"#hashee-embeddings v1 V=2 d=2\n"
+        + np.array([1.0, np.nan, 1.0, 2.0], "<f8").tobytes() + b"a\nb\n",
+        b"#hashee-embeddings v1 V=-2 d=2\n",  # a negative count
+        # a count far beyond the rows that follow
+        b"#hashee-embeddings v1 V=1000000000000 d=64\n" + bytes(64),
+        b"2 2\na 1 2\nb 1 2\n",  # the text format
+        b"#hashee-embeddings v1 V=1 d=1\n" + bytes(8) + b"a b\n",  # bad token
+    ], ids=["non-numeric-value", "negative-count", "huge-count", "text-format",
+            "bad-token"])
+    def test_malformed_embeddings(self, tmp_path, capsys, data):
+        bad = tmp_path / "emb.bin"
+        bad.write_bytes(data)
         argv = self.argv("build-hash-embeddings", bad, tmp_path)
         assert run(argv + ["--out-dir", tmp_path / "out"]) == 1
         err = capsys.readouterr().err

@@ -58,6 +58,31 @@ class TestRoundTrip:
         with pytest.raises(InputError):
             serialize_corpus(Corpus(documents=[["a"], []]))
 
+    @pytest.mark.parametrize("label", ["l\tm", "l\nm", "l\r", "\u2028"])
+    def test_label_with_tab_or_line_break_refused(self, tmp_path, label):
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(InputError, match="tab or a line break"):
+            save_corpus(Corpus([["x y", "z"], ["a"]], labels=[label, "0"]),
+                        path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("doc", [["x y", "z"], ["", "z"], ["a\u00a0b"]])
+    def test_token_breaking_the_rule_refused(self, doc):
+        for labels in (None, ["0"]):
+            with pytest.raises(InputError, match="whitespace"):
+                serialize_corpus(Corpus([doc], labels=labels))
+
+    @pytest.mark.parametrize("label", ["", " "])
+    def test_blank_line_refused(self, label):
+        with pytest.raises(InputError, match="blank"):
+            serialize_corpus(Corpus([[]], labels=[label]))
+
+    def test_empty_labeled_doc_round_trips(self, tmp_path):
+        c = Corpus(documents=[[], ["a"]], labels=["x", " "])
+        path = tmp_path / "corpus.tsv"
+        save_corpus(c, path)
+        assert load_corpus(path, labeled=True) == c
+
 
 class TestZipf:
     def test_deterministic(self):

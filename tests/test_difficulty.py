@@ -446,3 +446,17 @@ class TestSerialization:
         ds = DifficultyDataset(bits=np.array([[1]], dtype=np.int8))
         with pytest.raises(ConfigError):
             serialize_difficulty_dataset(ds)
+
+    @pytest.mark.parametrize("ids, tokens", [
+        (["0\t1"], [["a"]]),
+        (["0\n"], [["a"]]),
+        (["0"], [["a b"]]),
+        (["0"], [["a", ""]]),
+    ], ids=["tab-in-id", "newline-in-id", "space-in-token", "empty-token"])
+    def test_fields_the_format_cannot_hold_refused(self, tmp_path, ids, tokens):
+        ds = DifficultyDataset(bits=np.array([[1]], dtype=np.int8),
+                               tokens=tokens, ids=ids)
+        path = tmp_path / "difficulty.tsv"
+        with pytest.raises(InputError):
+            save_difficulty_dataset(ds, path)
+        assert not path.exists()

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from hashexit import encoder
 from hashexit.difficulty import annotate, linear_b, train_annotator
 from hashexit.experiments import make_separable_task
 from hashexit.flops import reassociates
-from hashexit.hashing import CorpusStats, Vocab, build_frequency, build_random
+from hashexit.hashing import (CorpusStats, EmbeddingTable, Vocab,
+                              build_frequency, build_random, load_embeddings,
+                              save_embeddings)
 
 from helpers import vanilla_forward, sinusoidal_positions
 
@@ -842,61 +845,107 @@ FUZZ = settings(derandomize=True, database=None, max_examples=100,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
+class Saved(NamedTuple):
+    """One saved binary artifact: its bytes, the length of its header line,
+    where its float blocks end, its loader and its header fields."""
+
+    path: object
+    data: bytes
+    header_len: int
+    payload_end: int
+    load: object
+    fields: tuple
+
+
 class TestModelFuzz:
-    """Mangled model files raise HashExitError and nothing else."""
+    """Mangled model and embedding files raise HashExitError and nothing
+    else. Each example mangles both artifacts the same way."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("fuzz") / "model.bin"
-        save_model(random_model(5, 2, 4, 2, 6, seed=37, num_classes=2), path)
-        data = path.read_bytes()
-        return path, data, data.index(b"\n") + 1
+        root = tmp_path_factory.mktemp("fuzz")
+        model_path, emb_path = root / "model.bin", root / "emb.bin"
+        save_model(random_model(5, 2, 4, 2, 6, seed=37, num_classes=2),
+                   model_path)
+        tokens = ("the", "a", "cat", "sat", "mat")
+        save_embeddings(EmbeddingTable(tokens, np.random.default_rng(37)
+                                       .normal(size=(5, 3))), emb_path)
+        artifacts = []
+        for path, load, fields, floats in (
+                (model_path, load_model, ("L", "d", "h", "d_ff", "V", "C"), None),
+                (emb_path, load_embeddings, ("V", "d"), 5 * 3)):
+            data = path.read_bytes()
+            header_len = data.index(b"\n") + 1
+            end = len(data) if floats is None else header_len + 8 * floats
+            artifacts.append(Saved(path, data, header_len, end, load, fields))
+        return artifacts
 
     @staticmethod
-    def load_or_typed_error(path, data):
-        path.write_bytes(data)
+    def load_or_typed_error(art, data):
+        art.path.write_bytes(data)
         try:
-            load_model(path)
+            art.load(art.path)
         except HashExitError:
             pass
 
     @FUZZ
     @given(cut=st.integers(0, 10 ** 6))
     def test_truncation(self, saved, cut):
-        path, data, _ = saved
-        self.load_or_typed_error(path, data[:cut % len(data)])
+        for art in saved:
+            self.load_or_typed_error(art, art.data[:cut % len(art.data)])
 
     @FUZZ
     @given(at=st.integers(0, 10 ** 6), mask=st.integers(1, 255),
-           in_header=st.booleans())
-    def test_byte_flip(self, saved, at, mask, in_header):
-        path, data, header_len = saved
-        at = at % header_len if in_header else header_len + at % (len(data) - header_len)
-        flipped = bytearray(data)
-        flipped[at] ^= mask
-        self.load_or_typed_error(path, bytes(flipped))
+           region=st.sampled_from(["header", "payload", "tokens"]))
+    def test_byte_flip(self, saved, at, mask, region):
+        for art in saved:
+            lo, hi = {"header": (0, art.header_len),
+                      "payload": (art.header_len, art.payload_end),
+                      "tokens": (art.payload_end, len(art.data))}[region]
+            if lo == hi:
+                continue  # a model has no token block
+            flipped = bytearray(art.data)
+            flipped[lo + at % (hi - lo)] ^= mask
+            self.load_or_typed_error(art, bytes(flipped))
 
     @FUZZ
     @given(extra=st.binary(min_size=1, max_size=64))
     def test_appended_bytes(self, saved, extra):
-        path, data, _ = saved
-        path.write_bytes(data + extra)
-        with pytest.raises(ParseError, match="trailing"):
-            load_model(path)
+        for art in saved:
+            art.path.write_bytes(art.data + extra)
+            # the model ends after its last tensor; appended bytes can only
+            # break the embeddings' line count or their last line break
+            says = "trailing" if art.load is load_model else "lines|UTF-8"
+            with pytest.raises(ParseError, match=says):
+                art.load(art.path)
 
     @FUZZ
-    @given(key=st.sampled_from(["L", "d", "h", "d_ff", "V", "C"]),
+    @given(key=st.integers(0, 5),
            value=st.one_of(st.integers(-10 ** 13, -1).map(str),
                            st.just(str(10 ** 12)),
                            st.integers(0, 10 ** 13).map(str),
                            st.text(max_size=12)))
     def test_header_field(self, saved, key, value):
-        path, data, header_len = saved
-        fields = data[:header_len].decode("ascii").split()
-        fields = [f"{key}={value}" if f.startswith(key + "=") else f
-                  for f in fields]
-        header = " ".join(fields).encode("utf-8", "replace") + b"\n"
-        self.load_or_typed_error(path, header + data[header_len:])
+        for art in saved:
+            name = art.fields[key % len(art.fields)]
+            fields = art.data[:art.header_len].decode("ascii").split()
+            fields = [f"{name}={value}" if f.startswith(name + "=") else f
+                      for f in fields]
+            header = " ".join(fields).encode("utf-8", "replace") + b"\n"
+            self.load_or_typed_error(art, header + art.data[art.header_len:])
+
+    def test_huge_count_is_rejected_before_allocation(self, saved):
+        for art in saved:
+            header = art.data[:art.header_len].replace(b" V=5", b" V=1000000000000")
+            art.path.write_bytes(header + art.data[art.header_len:])
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError, match="truncated"):
+                    art.load(art.path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 class TestModelValidation:

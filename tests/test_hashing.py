@@ -505,6 +505,37 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_hash_table(text)
 
+    def test_first_inconsistent_line_named(self):
+        text = ("#hashee v1 method=rand-cons B=2 L=4 seed=0\n"
+                "a\t0\t1\nb\t1\t2\nc\t0\t4\n")
+        with pytest.raises(ParseError, match="^line 3: layer 2 inconsistent "
+                           "with bucket 1$"):
+            parse_hash_table(text)
+
+    @pytest.mark.parametrize("header, rows", [
+        ("B=2 L=4", "a\t5\t11\n"),  # bucket out of range
+        ("B=2 L=4", "a\t-1\t0\n"),
+        ("B=0 L=4", "a\t0\t1\n"),
+        ("B=5 L=4", "a\t0\t1\n"),
+        ("B=2 L=4", "a\t99999999999999999999\t1\n"),  # beyond int64
+        ("B=2 L=4", ""),  # no tokens
+        ("B=2 L=4", "\t0\t1\n"),  # empty token
+        ("B=2 L=4", "a b\t0\t1\n"),  # token with whitespace
+        ("B=2 L=4", "a\t0\t1\na\t1\t3\n"),  # duplicate token
+    ], ids=["bucket-high", "bucket-negative", "no-buckets", "buckets-over-layers",
+            "bucket-overflow", "no-tokens", "empty-token", "spaced-token",
+            "duplicate-token"])
+    def test_malformed_file_is_parse_error(self, header, rows):
+        text = f"#hashee v1 method=rand-cons {header} seed=0\n{rows}"
+        with pytest.raises(ParseError):
+            parse_hash_table(text)
+
+    @pytest.mark.parametrize("tokens", [("a", "a\tb"), ("", "b"), ("a", "a")])
+    def test_table_refuses_tokens_its_file_cannot_hold(self, tokens):
+        with pytest.raises(InputError):
+            HashTable(method="frequency", num_buckets=1, num_layers=2, seed=0,
+                      tokens=tokens, buckets=np.zeros(2, dtype=np.int64))
+
 
 class TestEmbeddingIO:
     def test_round_trip(self, tmp_path):
@@ -518,9 +549,11 @@ class TestEmbeddingIO:
 
     def test_header_shape(self, tmp_path):
         emb = EmbeddingTable(("a",), np.array([[1.0, 2.0]]))
-        path = tmp_path / "emb.txt"
+        path = tmp_path / "emb.bin"
         save_embeddings(emb, path)
-        assert path.read_text().splitlines()[0] == "1 2"
+        assert path.read_bytes() == (b"#hashee-embeddings v1 V=1 d=2\n"
+                                     + np.array([1.0, 2.0], "<f8").tobytes()
+                                     + b"a\n")
 
     def test_short_line_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -528,53 +561,71 @@ class TestEmbeddingIO:
         with pytest.raises(ParseError):
             load_embeddings(path)
 
+    def test_text_format_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\na 1.0 2.0\nb 3.0 4.0\n")
+        with pytest.raises(ParseError, match="^text embeddings are no longer "
+                           "read; re-save them with save_embeddings$"):
+            load_embeddings(path)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(3)
+        vectors = rng.normal(size=(40, 6))
+        vectors[0, 0], vectors[1, 1] = -0.0, 5e-324  # sign and subnormal bits
+        emb = EmbeddingTable(tuple(f"t{i}" for i in range(40)), vectors)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_embeddings(emb, first)
+        back = load_embeddings(first)
+        save_embeddings(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert np.array_equal(back.vectors.view(np.int64),
+                              vectors.view(np.int64))
+
+    def test_empty_table_round_trip(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingTable((), np.zeros((0, 3))), path)
+        back = load_embeddings(path)
+        assert back.tokens == () and back.vectors.shape == (0, 3)
+
     @staticmethod
-    def write_lines(path, count, bad=None, short=None):
-        """`count` rows of 3 values; row `bad` holds a non-number and row
-        `short` one value too few (file line = row + 2)."""
-        lines = [f"{count} 3"]
-        for i in range(count):
-            values = ["1.5", "-2.0", "3e-4"]
-            if i == bad:
-                values[1] = "1.0x"
-            if i == short:
-                values.pop()
-            lines.append(f"t{i} " + " ".join(values))
-        path.write_text("\n".join(lines) + "\n")
+    def write_with_tokens(path, block, count=2):
+        vectors = np.arange(2.0 * count).reshape(count, 2)
+        path.write_bytes(f"#hashee-embeddings v1 V={count} d=2\n".encode()
+                         + vectors.astype("<f8").tobytes() + block)
 
-    @pytest.mark.parametrize("line", [2, 700, 1025, 1026, 1500, 1501])
-    def test_bad_value_names_its_line(self, tmp_path, line):
-        path = tmp_path / "emb.txt"
-        self.write_lines(path, 1500, bad=line - 2)
-        with pytest.raises(ParseError, match=f"^embedding line {line}: a value"):
+    @pytest.mark.parametrize("block, says", [
+        (b"a\n", "not the 2 lines"),
+        (b"a\nb\nc\n", "not the 2 lines"),
+        (b"a\nb", "not the 2 lines"),
+        (b"", "not the 2 lines"),
+        (b"a\n\n", "empty or contains whitespace"),
+        (b"a\nb c\n", "empty or contains whitespace"),
+        (b"a\nb\rc\n", "empty or contains whitespace"),
+        (b"a\na\n", "appears more than once"),
+        (b"a\n\xff\n", "not UTF-8"),
+    ], ids=["short", "overlong", "unterminated", "missing", "empty-token",
+            "space", "carriage-return", "duplicate", "not-utf8"])
+    def test_bad_token_block(self, tmp_path, block, says):
+        path = tmp_path / "emb.bin"
+        self.write_with_tokens(path, block)
+        with pytest.raises(ParseError, match=says):
             load_embeddings(path)
 
-    @pytest.mark.parametrize("bad,short,line", [(5, 9, 7), (9, 5, 7),
-                                                (1100, 20, 22)])
-    def test_first_bad_line_in_file_order(self, tmp_path, bad, short, line):
-        path = tmp_path / "emb.txt"
-        self.write_lines(path, 1500, bad=bad, short=short)
-        with pytest.raises(ParseError, match=f"^embedding line {line}: "):
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingTable(("a", "b"), np.ones((2, 2))), path)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n") + 1 + 8 * 3
+        data[start:start + 8] = np.array([np.inf], "<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="non-finite"):
             load_embeddings(path)
 
-    @PROPS
-    @given(value=st.text("0123456789.eE+-_xpainfINF\x00\u0663", min_size=1,
-                         max_size=8))
-    def test_values_convert_as_float(self, tmp_path_factory, value):
-        path = tmp_path_factory.mktemp("emb") / "emb.txt"
-        path.write_text(f"2 2\na 1.0 2.0\nb 3.0 {value}\n", encoding="utf-8")
-        try:
-            want = float(value)
-        except ValueError:
-            with pytest.raises(ParseError, match="^embedding line 3: a value"):
-                load_embeddings(path)
-            return
-        if not math.isfinite(want):
+    def test_bad_tokens_refused(self, tmp_path):
+        for tokens in (("a", "a"), ("a", "b c"), ("", "b")):
             with pytest.raises(InputError):
-                load_embeddings(path)
-        else:
-            got = load_embeddings(path).vectors[1, 1]
-            assert got == want and math.copysign(1, got) == math.copysign(1, want)
+                save_embeddings(EmbeddingTable(tokens, np.ones((2, 2))),
+                                tmp_path / "emb.bin")
 
     def test_many_blocks_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

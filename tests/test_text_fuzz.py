@@ -1,10 +1,13 @@
-"""Mangled text artifacts raise HashExitError and nothing else.
+"""Mangled line-based artifacts raise HashExitError and nothing else.
 
-Each of the three text loaders (hash table, embeddings, corpus, the last
-both plain and labeled) starts from a file its own saver wrote; Hypothesis then cuts it,
-flips bytes in it, inserts lines into it, or rewrites one of its fields
-(header and count fields included) as a negative, huge or non-numeric
-value.
+Each loader (hash table, corpus both plain and labeled, and embeddings,
+whose binary file starts with a header line and ends with token lines)
+starts from a file its own saver wrote; Hypothesis then cuts it, flips
+bytes in it, inserts lines into it, or rewrites one of its
+whitespace-separated fields (header and count fields included) as a
+negative, huge or non-numeric value. Lines are split and joined again
+with surrogateescape, so bytes that are not UTF-8, like the embeddings'
+float blocks, pass through unchanged.
 """
 
 import re
@@ -63,7 +66,7 @@ FIELD = st.one_of(st.integers(-10 ** 13, -1).map(str),
 @pytest.fixture(scope="module", params=sorted(LOADERS))
 def saved(request, tmp_path_factory):
     save, load = LOADERS[request.param]
-    path = tmp_path_factory.mktemp(request.param) / "artifact.txt"
+    path = tmp_path_factory.mktemp(request.param) / "artifact"
     save(path)
     load(path)  # the unmangled file loads
     return path, path.read_bytes(), load
@@ -96,9 +99,10 @@ def test_byte_flip(saved, at, mask):
 @FUZZ
 @given(at=st.integers(0, 10 ** 6), line=st.text(max_size=40))
 def test_inserted_line(saved, at, line):
-    lines = saved[1].decode("utf-8").split("\n")
+    lines = saved[1].decode("utf-8", "surrogateescape").split("\n")
     lines.insert(at % (len(lines) + 1), line)
-    load_or_typed_error(saved, "\n".join(lines).encode("utf-8", "replace"))
+    load_or_typed_error(saved, "\n".join(lines).encode("utf-8",
+                                                       "surrogateescape"))
 
 
 @FUZZ
@@ -107,9 +111,10 @@ def test_inserted_line(saved, at, line):
 def test_field(saved, row, col, value):
     """One whitespace-separated field, in the header or a later line,
     replaced by `value`; the separators around it are kept."""
-    lines = saved[1].decode("utf-8").split("\n")
+    lines = saved[1].decode("utf-8", "surrogateescape").split("\n")
     row %= len(lines) - 1  # the last entry is the empty tail after "\n"
     parts = re.split(r"(\s+)", lines[row])  # fields at the even indices
     parts[2 * (col % ((len(parts) + 1) // 2))] = value
     lines[row] = "".join(parts)
-    load_or_typed_error(saved, "\n".join(lines).encode("utf-8", "replace"))
+    load_or_typed_error(saved, "\n".join(lines).encode("utf-8",
+                                                       "surrogateescape"))
