@@ -13,15 +13,17 @@ Things worth noticing in the output:
   - rows frozen at layer k compare bit-equal across all later layers
   - with a table that sends every bucket to the last layer, the traced
     forward reproduces the no-exit forward exactly
-  - forward on lists of documents and schedules runs them as one packed
-    batch and gives the same states as one-by-one runs; a corpus is cut
+  - route packs documents into one flat batch (every row's id and exit
+    layer, and each document's start row) with one table lookup; forward
+    runs it and gives the same states as one-by-one runs; a corpus is cut
     into batches of at most batch_rows(model) rows, and each layer runs a
     batch in groups of documents sized to that layer's own work
 """
 
 import numpy as np
 
-from hashexit import HashTable, forward, random_model, row_batches, schedule
+from hashexit import (HashTable, forward, random_model, route, row_batches,
+                      schedule)
 from hashexit.encoder import BATCH_FLOATS, batch_rows
 
 L, d, heads, d_ff = 4, 8, 2, 16
@@ -71,16 +73,20 @@ print("no-exit forward repeated:",
       "bit-identical" if np.array_equal(no_exit.final, late_trace.final)
       else "MISMATCH")
 
-# forward given lists runs the documents as one packed batch: each layer
-# runs one matmul per projection over the active rows of all of them,
-# attention stays inside each document, and the final states match
-# one-by-one forwards
+# route packs documents into one flat batch: every row's id and exit layer
+# in two vectors (each document's position 0 pinned to the top layer) and
+# each document's start row. forward runs it with one matmul per projection
+# over the active rows of all of them, attention stays inside each
+# document, and the packed final states match one-by-one forwards
 docs = [token_ids, np.array([0, 1]), np.array([5, 4, 3, 2, 1, 0, 2])]
-scheds = [schedule(ids, table, pin_first=True) for ids in docs]
-packed = forward(model, docs, scheds)
-gap = max(np.abs(p - forward(model, ids, s).final).max()
-          for p, ids, s in zip(packed, docs, scheds))
-print(f"\npacked batch of {len(docs)} docs vs one-by-one: max |diff| {gap:.1e}")
+batch = route(docs, table, L)
+print("\npacked exits", batch.exits.tolist(), "offsets", batch.offsets.tolist())
+packed = forward(model, batch)
+starts = batch.offsets
+gap = max(np.abs(packed[a:b] - forward(model, ids, schedule(
+    ids, table, pin_first=True)).final).max()
+          for a, b, ids in zip(starts, starts[1:], docs))
+print(f"packed batch of {len(batch)} docs vs one-by-one: max |diff| {gap:.1e}")
 
 # a corpus is walked in batches of at most batch_rows(model) rows, shortest
 # first; that budget bounds a batch's states (rows x d), so it shrinks as d

@@ -41,6 +41,7 @@ from .encoder import (
     ExitSchedule,
     ForwardTrace,
     LayerWeights,
+    PackedBatch,
     accuracy,
     batch_rows,
     classify,
@@ -51,6 +52,7 @@ from .encoder import (
     load_model,
     positional_encoding,
     random_model,
+    route,
     row_batches,
     save_model,
     schedule,

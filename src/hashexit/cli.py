@@ -15,8 +15,8 @@ import numpy as np
 from .artifacts import write_text
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus
-from .encoder import (batch_rows, classify, forward, load_model, row_batches,
-                      schedule)
+from .encoder import (batch_rows, classify, forward, load_model, route,
+                      row_batches, schedule)
 from .flops import ModelDims, report
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
@@ -54,8 +54,7 @@ def cmd_build_hash(args):
         if args.embeddings is None:
             raise ConfigError("method clustered needs --embeddings")
         emb = load_embeddings(args.embeddings)
-        vocab = Vocab(emb.tokens)
-        table = build_clustered(vocab, emb, args.buckets, args.layers,
+        table = build_clustered(emb.vocab, emb, args.buckets, args.layers,
                                 seed=args.seed)
     else:
         if args.corpus is None:
@@ -108,17 +107,15 @@ def cmd_infer(args):
                           f"model has L={model.num_layers}")
     corpus = load_corpus(args.corpus, labeled=args.labeled)
     _report_skipped(corpus)
-    vocab = Vocab(table.tokens)
-    ids_list = [vocab.ids_for(doc) for doc in corpus.documents]
-    # one forward call per packed batch, and forward, schedule and
-    # classify looked up here, so that wrappers placed at these names in
-    # hashexit.cli see each call (bench/ times and traces them)
+    ids_list = [table.vocab.ids_for(doc) for doc in corpus.documents]
+    # one forward call per packed batch, and forward and classify looked
+    # up here, so that wrappers placed at these names in hashexit.cli see
+    # each call (bench/ times and traces them); the packed states are
+    # dropped as soon as their first rows are read
     feats = np.empty((len(ids_list), model.d))
     for batch in row_batches([len(ids) for ids in ids_list], batch_rows(model)):
-        seqs = [ids_list[i] for i in batch]
-        scheds = [schedule(ids, table, model.num_layers, pin_first=True)
-                  for ids in seqs]
-        feats[batch] = [final[0] for final in forward(model, seqs, scheds)]
+        packed = route([ids_list[i] for i in batch], table, model.num_layers)
+        feats[batch] = forward(model, packed)[packed.offsets[:-1]]
     preds = np.argmax(classify(model, feats), axis=1)
     lines = [f"{i}\t{pred}" for i, pred in enumerate(preds)]
     path = out_dir / "predictions.tsv"
@@ -137,7 +134,7 @@ def cmd_flops_report(args):
                           f"table's L={table.num_layers}")
     corpus = load_corpus(args.corpus)
     _report_skipped(corpus)
-    vocab = Vocab(table.tokens)
+    vocab = table.vocab
     # unpinned, unlike infer: the benchmark checks this report against the
     # unpinned lookup, so pinning waits for a benchmark change (ROADMAP)
     schedules = [schedule(vocab.ids_for(doc), table)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .artifacts import check_field, check_tokens, write_text
 from .errors import ConfigError, InputError
-from .encoder import (ExitSchedule, batch_rows, fit, forward,
-                      head_loss_and_grad, row_batches)
+from .encoder import (PackedBatch, batch_rows, fit, forward,
+                      head_loss_and_grad, pack, row_batches)
 
 
 @dataclass
@@ -93,21 +93,20 @@ class NegClassMetrics:
                 f"recall {self.recall:.4f} f1 {self.f1:.4f}")
 
 
-def _full_run_schedule(n, num_layers):
-    return ExitSchedule(np.full(n, num_layers), np.ones(n, dtype=bool))
-
-
 def _traces(model, sequences):
-    """(index, ForwardTrace) of a full, no-exit forward per sequence.
+    """(batch, offsets, hidden) of full, no-exit forwards over packed batches.
 
     Sequences run in packed batches of at most batch_rows(model) rows, one
-    forward call each, so they come back shortest first, not in order.
+    forward call each, shortest first: `batch` indexes a batch's sequences
+    and `offsets` their rows, and hidden[r, l] is row r's state after
+    layer l + 1.
     """
     lengths = [len(seq) for seq in sequences]
     for batch in row_batches(lengths, batch_rows(model)):
-        seqs = [sequences[i] for i in batch]
-        scheds = [_full_run_schedule(len(seq), model.num_layers) for seq in seqs]
-        yield from zip(batch, forward(model, seqs, scheds, traces=True))
+        ids, offsets = pack([sequences[i] for i in batch])
+        full = PackedBatch(ids, np.full(ids.size, model.num_layers), offsets)
+        states = forward(model, full, traces=True)
+        yield batch, offsets, np.stack(states[1:], axis=1)
 
 
 def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
@@ -117,8 +116,8 @@ def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
     labels = np.asarray(labels, dtype=np.int64)
     L, d = model.num_layers, model.d
     feats = np.empty((L, len(sequences), d))
-    for i, trace in _traces(model, sequences):
-        feats[:, i] = [h[0] for h in trace.hidden[1:]]
+    for batch, offsets, hidden in _traces(model, sequences):
+        feats[:, batch] = hidden[offsets[:-1]].swapaxes(0, 1)
     num_classes = int(labels.max()) + 1
     rng = np.random.default_rng(seed)
     heads = []
@@ -150,9 +149,13 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
     counts = [1 if sentence else len(seq) for seq in sequences]
     starts = np.cumsum([0] + counts)
     feats = np.empty((starts[-1], L, model.d))
-    for i, trace in _traces(model, sequences):
-        rows = slice(starts[i], starts[i + 1])
-        feats[rows] = np.stack(trace.hidden[1:], axis=1)[:counts[i]]
+    for batch, offsets, hidden in _traces(model, sequences):
+        if sentence:
+            feats[starts[batch]] = hidden[offsets[:-1]]
+        else:
+            # row r of document j goes to starts[batch[j]] + r - offsets[j]
+            shift = np.repeat(starts[batch] - offsets[:-1], np.diff(offsets))
+            feats[shift + np.arange(offsets[-1])] = hidden
     instances = [(i, p) for i, n in enumerate(counts) for p in range(n)]
     gold = np.array([labels[i] if sentence else labels[i][p]
                      for i, p in instances], dtype=np.int64)

@@ -8,10 +8,12 @@ sequence. Setting every exit to the top layer reproduces a plain post-norm
 encoder exactly. A schedule has no padding: every position is a token.
 
 Because the schedule is known before layer 1 runs, documents run as one
-packed batch: their rows are stacked into one matrix, the
-per-row work of each layer is one matmul over the stacked active rows,
-and attention stays inside each document. There is one path: a single
-sequence is a batch of one and takes the same per-document attention.
+packed batch. `route` looks the exit layers of a whole batch up at once
+and returns a flat PackedBatch: every row's token id and exit layer in two
+int64 vectors, and each document's start row. The per-row work of each
+layer is one matmul over the stacked active rows, and attention stays
+inside each document. There is one path: a single sequence is a batch of
+one and takes the same per-document attention.
 
 Q, K and V carry no biases, so attention has two associations. The
 standard one projects K and V for all n visible rows of a document. The
@@ -25,7 +27,7 @@ standard association.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -199,8 +201,63 @@ class ForwardTrace:
         return self.hidden[-1]
 
 
+@dataclass(frozen=True)
+class PackedBatch:
+    """Documents packed row after row, the input of a batched `forward`.
+
+    ids and exits hold each row's token id and exit layer, offsets each
+    document's start row followed by the row count: document i is rows
+    offsets[i]:offsets[i + 1]. len() counts the documents. `forward`
+    checks the three int64 vectors against each other and the model.
+    """
+
+    ids: np.ndarray
+    exits: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+
+def pack(sequences):
+    """The rows of the id sequences `sequences` as one int64 vector, and
+    each sequence's start row followed by the row count."""
+    offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
+    np.cumsum([len(seq) for seq in sequences], out=offsets[1:])
+    ids = np.fromiter(chain.from_iterable(sequences), dtype=np.int64,
+                      count=int(offsets[-1]))
+    return ids, offsets
+
+
+def _exit_layers(ids, table, num_layers):
+    """Each id's exit layer in `table`; unknown ids (< 0 or beyond the
+    table) run to the top layer."""
+    if num_layers is not None and table.num_layers != num_layers:
+        raise ConfigError(f"table built for L={table.num_layers}, "
+                          f"model has L={num_layers}")
+    exits = np.full(ids.size, table.num_layers, dtype=np.int64)
+    known = (ids >= 0) & (ids < len(table.tokens))
+    exits[known] = table.layers[ids[known]]
+    return exits
+
+
+def route(sequences, table, num_layers):
+    """Pack the id sequences `sequences` and look up every row's exit layer.
+
+    Returns one PackedBatch for `forward`. Each document's position 0 is
+    pinned to the top layer (it hosts the classifier readout), and unknown
+    ids run to the top layer. A table built for another depth than
+    num_layers is a ConfigError.
+    """
+    ids, offsets = pack(sequences)
+    exits = _exit_layers(ids, table, num_layers)
+    exits[offsets[:-1][np.diff(offsets) > 0]] = table.num_layers
+    return PackedBatch(ids, exits, offsets)
+
+
 def schedule(token_ids, table, num_layers=None, *, pin_first=False):
-    """Look up each token's exit layer.
+    """One document's exit layers, as an ExitSchedule: the lookup `route`
+    makes for a batch.
 
     pin_first forces position 0 to the top layer (it hosts the classifier
     readout). Unknown ids (< 0 or beyond the table) run to the top layer.
@@ -208,12 +265,7 @@ def schedule(token_ids, table, num_layers=None, *, pin_first=False):
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError("token ids must be a flat sequence")
-    if num_layers is not None and table.num_layers != num_layers:
-        raise ConfigError(f"table built for L={table.num_layers}, "
-                          f"model has L={num_layers}")
-    exits = np.full(ids.size, table.num_layers, dtype=np.int64)
-    known = (ids >= 0) & (ids < len(table.tokens))
-    exits[known] = table.layers[ids[known]]
+    exits = _exit_layers(ids, table, num_layers)
     if pin_first and ids.size:
         exits[0] = table.num_layers
     return ExitSchedule._trusted(exits)
@@ -434,66 +486,66 @@ def forward_layer(h, weights, active, *, heads, segments=None, out=None):
     return out
 
 
-def _run_packed(model, ids_list, schedules, keep_hidden):
-    """Run documents as one packed batch.
+def _run_packed(model, batch, keep_hidden):
+    """Run a PackedBatch.
 
-    Returns the states after every layer (H^0..H^L) if keep_hidden, else
-    only H^L, which the layers then update in place; each entry is a list
-    of per-document (n_i, d) matrices.
+    Returns the packed (rows, d) states after every layer (H^0..H^L) if
+    keep_hidden, else only H^L, which the layers then update in place.
     """
-    if len(ids_list) != len(schedules):
-        raise ShapeError(f"{len(ids_list)} sequences but {len(schedules)} schedules")
-    if not ids_list:
-        return [[]]
-    ids_list = [np.asarray(ids, dtype=np.int64) for ids in ids_list]
-    for ids, sched in zip(ids_list, schedules):
-        if ids.size == 0:
-            raise InputError("cannot run a forward pass on an empty sequence")
-        if ids.size > MAX_SEQUENCE_LEN:
-            raise InputError(f"sequence length {ids.size} exceeds {MAX_SEQUENCE_LEN}")
-        if ids.size != len(sched):
-            raise ShapeError(f"schedule covers {len(sched)} positions, "
-                             f"sequence has {ids.size}")
-    exits = np.concatenate([sched.exit_layer for sched in schedules])
-    if exits.max() > model.num_layers:
+    ids, exits, offsets = (np.asarray(a, dtype=np.int64)
+                           for a in (batch.ids, batch.exits, batch.offsets))
+    if ids.ndim != 1:
+        raise ShapeError("token ids must be a flat sequence")
+    if exits.shape != ids.shape:
+        raise ShapeError(f"{exits.size} exit layers for {ids.size} token ids")
+    if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 \
+            or offsets[-1] != ids.size:
+        raise ShapeError(f"offsets must run from 0 to the row count {ids.size}")
+    lengths = np.diff(offsets)
+    if (lengths < 0).any():
+        raise ShapeError("offsets must not fall")
+    if (lengths == 0).any():
+        raise InputError("cannot run a forward pass on an empty sequence")
+    if (lengths > MAX_SEQUENCE_LEN).any():
+        raise InputError(f"sequence length {int(lengths.max())} exceeds "
+                         f"{MAX_SEQUENCE_LEN}")
+    if exits.size and exits.min() < 1:
+        raise ConfigError("exit layers start at 1")
+    if exits.size and exits.max() > model.num_layers:
         raise ConfigError("schedule assigns layers beyond the model depth")
-    lengths = [ids.size for ids in ids_list]
-    bounds = list(accumulate(lengths, initial=0))
-    positions = np.arange(bounds[-1]) - np.repeat(bounds[:-1], lengths)
-    h = embed(model, np.concatenate(ids_list), positions)
+    positions = np.arange(ids.size) - np.repeat(offsets[:-1], lengths)
+    h = embed(model, ids, positions)
     states = [h]
     for t, weights in enumerate(model.layers, start=1):
         h = forward_layer(h, weights, np.flatnonzero(exits >= t),
-                          heads=model.heads, segments=bounds,
+                          heads=model.heads, segments=offsets,
                           out=None if keep_hidden else h)
         states = states + [h] if keep_hidden else [h]
-    return [[packed[a:b] for a, b in zip(bounds, bounds[1:])]
-            for packed in states]
+    return states
 
 
-def forward(model, token_ids, sched, *, traces=False):
+def forward(model, batch, sched=None, *, traces=False):
     """One forward pass under the exit schedule.
 
-    For a packed batch (a list of id sequences and a list of schedules)
-    returns a list whose entry i is document i's (n_i, d) final states, or
-    with traces=True document i's ForwardTrace. One document (an id
-    sequence and its ExitSchedule) runs as a batch of one through the same
-    path and returns its ForwardTrace; a document's states in a larger
-    batch match its batch of one up to the summation order of the packed
-    matmuls. Each layer is one forward_layer call, which runs the batch in
-    groups of documents sized to that layer's work. Without traces the
-    layers update one (rows, d) state matrix in place, and the layers'
-    temporaries stay within BATCH_FLOATS per group; with traces each layer
-    keeps a new one, L+1 in all. So split a corpus with row_batches into
-    batches of batch_rows(model) rows.
+    For a PackedBatch (see `route`) returns the packed (rows, d) final
+    states, or with traces=True the L+1 packed states H^0..H^L; document
+    i's rows are batch.offsets[i]:batch.offsets[i + 1]. One document (an
+    id sequence as `batch` and its ExitSchedule as `sched`) runs as a batch
+    of one through the same path and returns its ForwardTrace; a
+    document's states in a larger batch match its batch of one up to the
+    summation order of the packed matmuls. Each layer is one forward_layer
+    call, which runs the batch in groups of documents sized to that
+    layer's work. Without traces the layers update one (rows, d) state
+    matrix in place, and the layers' temporaries stay within BATCH_FLOATS
+    per group; with traces each layer keeps a new one, L+1 in all. So split
+    a corpus with row_batches into batches of batch_rows(model) rows.
     """
-    if not isinstance(sched, ExitSchedule):
-        states = _run_packed(model, token_ids, sched, keep_hidden=traces)
-        if not traces:
-            return states[0]
-        return [ForwardTrace(hidden=list(per_doc)) for per_doc in zip(*states)]
-    states = _run_packed(model, [token_ids], [sched], keep_hidden=True)
-    return ForwardTrace(hidden=[per_doc[0] for per_doc in states])
+    if sched is not None:
+        ids = np.asarray(batch, dtype=np.int64)
+        one = PackedBatch(ids, sched.exit_layer, np.array([0, ids.size]))
+        return ForwardTrace(hidden=_run_packed(model, one, keep_hidden=True))
+    states = _run_packed(model, batch, keep_hidden=traces)
+    return states if traces else states[0]
 
 
 def batch_rows(model):
@@ -570,10 +622,8 @@ def cls_features(model, sequences, table):
     feats = np.empty((len(sequences), model.d))
     lengths = [len(seq) for seq in sequences]
     for batch in row_batches(lengths, batch_rows(model)):
-        seqs = [sequences[i] for i in batch]
-        scheds = [schedule(seq, table, model.num_layers, pin_first=True)
-                  for seq in seqs]
-        feats[batch] = [final[0] for final in forward(model, seqs, scheds)]
+        packed = route([sequences[i] for i in batch], table, model.num_layers)
+        feats[batch] = forward(model, packed)[packed.offsets[:-1]]
     return feats
 
 

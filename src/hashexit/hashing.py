@@ -142,7 +142,8 @@ class HashTable:
     free of whitespace and distinct.
 
     Lookups by out-of-range token id (or unseen token string) return the
-    last layer: unknown tokens run the full model.
+    last layer: unknown tokens run the full model. `vocab` is the Vocab
+    of `tokens`, the table's own index: its ids are table rows.
     """
 
     method: str
@@ -168,7 +169,7 @@ class HashTable:
         layers.setflags(write=False)
         buckets.setflags(write=False)
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "_index", index_tokens(self.tokens))
+        object.__setattr__(self, "vocab", Vocab(self.tokens))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashTable):
@@ -193,8 +194,9 @@ class HashTable:
 
     def layer_for(self, token: str) -> int:
         """Exit layer for a token string; unseen tokens get layer L."""
-        tid = self._index.get(token, -1)
-        return self.layer_of(tid)
+        if token not in self.vocab:
+            return self.num_layers
+        return self.layer_of(self.vocab.id_of(token))
 
     def bucket_sizes(self) -> np.ndarray:
         return np.bincount(self.buckets, minlength=self.num_buckets)
@@ -321,7 +323,8 @@ def build_mi(vocab: Vocab, stats: CorpusStats, num_buckets: int,
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Per-token real vectors, aligned with a list of distinct tokens."""
+    """Per-token real vectors, aligned with a list of distinct tokens;
+    `vocab`, the Vocab of `tokens`, maps a token to its row."""
 
     tokens: tuple[str, ...]
     vectors: np.ndarray = field(repr=False)
@@ -336,16 +339,11 @@ class EmbeddingTable:
         if not np.all(np.isfinite(vectors)):
             raise InputError("embedding vectors must be finite")
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_index", index_tokens(self.tokens))
+        object.__setattr__(self, "vocab", Vocab(self.tokens))
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def vector_for(self, token: str) -> np.ndarray:
-        if token not in self._index:
-            raise ConfigError(f"no embedding for token {token!r}")
-        return self.vectors[self._index[token]]
 
 
 # Floats of the (rows, k, dim) temporary one block of the exact distance
@@ -451,7 +449,11 @@ def build_clustered(vocab: Vocab, emb: EmbeddingTable, num_buckets: int,
     sizes follow the clustering and may be unequal.
     """
     _check_buckets(num_buckets, num_layers)
-    vectors = np.stack([emb.vector_for(t) for t in vocab.tokens])
+    rows = np.array(emb.vocab.ids_for(vocab.tokens), dtype=np.int64)
+    if (rows < 0).any():
+        missing = vocab.tokens[int(np.argmax(rows < 0))]
+        raise ConfigError(f"no embedding for token {missing!r}")
+    vectors = emb.vectors[rows]
     labels, _ = kmeans(vectors, num_buckets, seed)
     norms = np.linalg.norm(vectors, axis=1)
     mean_norms = np.array([norms[labels == c].mean() for c in range(num_buckets)])

@@ -307,6 +307,38 @@ class TestInfer:
         batches = encoder.row_batches([len(d) for d in docs], 40)
         assert calls == [len(b) for b in batches]
 
+    # sha256 of predictions.tsv for a toy-shaped corpus (2000 documents,
+    # d=8) and a small mid-shaped one (d=256, 12 layers), recorded before
+    # infer routed its batches as flat arrays; routing must not move a
+    # prediction. The float64 results are those of numpy's bundled
+    # OpenBLAS; another BLAS may round the matmuls differently.
+    GOLDEN_PREDICTIONS = {
+        "toy": "6256c1d2e4c686635f00ddce514bc5ac0fedbae577c9d64e00740132cc5a1260",
+        "mid": "d993abfd37fac14c7c4b4837bb13d61f3c21bd9d4e7d77ebd12082d7f02e6ef6",
+    }
+
+    @pytest.mark.parametrize("shape, vocab_size, docs, lengths, dims, seed", [
+        ("toy", 200, 2000, (5, 15), (4, 8, 2, 16), 11),
+        ("mid", 300, 40, (64, 128), (12, 256, 4, 1024), 12),
+    ])
+    def test_golden_predictions(self, tmp_path, capsys, shape, vocab_size,
+                                docs, lengths, dims, seed):
+        corpus = zipf_corpus(vocab_size, docs, seed=seed, min_len=lengths[0],
+                             max_len=lengths[1])
+        save_corpus(corpus, tmp_path / "corpus.txt")
+        vocab = Vocab.from_documents(corpus.documents)
+        stats = CorpusStats.from_documents(vocab, corpus.documents)
+        save_hash_table(build_frequency(vocab, stats, 3, dims[0]),
+                        tmp_path / "table.hash")
+        save_model(random_model(vocab_size, *dims, seed=seed, num_classes=2),
+                   tmp_path / "model.bin")
+        code = run(["infer", "--model", tmp_path / "model.bin", "--table",
+                    tmp_path / "table.hash", "--corpus", tmp_path / "corpus.txt",
+                    "--out-dir", tmp_path])
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "predictions.tsv").read_bytes())
+        assert digest.hexdigest() == self.GOLDEN_PREDICTIONS[shape]
+
 
 class TestFlopsReport:
     def make_all_last_table(self, tmp_path, L=4):

@@ -4,13 +4,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hashexit.errors import (ConfigError, HashExitError, InputError, ParseError,
                              ShapeError, TrainingError)
 from hashexit.encoder import (
     EncoderModel,
     ExitSchedule,
+    PackedBatch,
     accuracy,
     classify,
     embed,
@@ -23,6 +24,8 @@ from hashexit.encoder import (
     row_batches,
     save_model,
     load_model,
+    pack,
+    route,
     schedule,
     train_toy,
 )
@@ -30,7 +33,7 @@ from hashexit import encoder
 from hashexit.difficulty import annotate, linear_b, train_annotator
 from hashexit.experiments import make_separable_task
 from hashexit.flops import reassociates
-from hashexit.hashing import (CorpusStats, EmbeddingTable, Vocab,
+from hashexit.hashing import (CorpusStats, EmbeddingTable, HashTable, Vocab,
                               build_frequency, build_random, load_embeddings,
                               save_embeddings)
 
@@ -39,6 +42,25 @@ from helpers import vanilla_forward, sinusoidal_positions
 
 def all_last_schedule(n, L):
     return ExitSchedule(np.full(n, L), np.ones(n, dtype=bool))
+
+
+def packed_batch(ids_list, schedules):
+    """The flat batch of the documents `ids_list` under their schedules."""
+    ids, offsets = pack(ids_list)
+    exits = np.concatenate([np.empty(0, dtype=np.int64)]
+                           + [sched.exit_layer for sched in schedules])
+    return PackedBatch(ids, exits, offsets)
+
+
+def forward_docs(model, ids_list, schedules, *, traces=False):
+    """forward over the documents as one flat batch, split back by its
+    offsets: each document's final states, or with traces its H^0..H^L."""
+    batch = packed_batch(ids_list, schedules)
+    out = forward(model, batch, traces=traces)
+    spans = list(zip(batch.offsets, batch.offsets[1:]))
+    if traces:
+        return [[h[a:b] for h in out] for a, b in spans]
+    return [out[a:b] for a, b in spans]
 
 
 def freq_fixture_table():
@@ -120,6 +142,49 @@ class TestSchedule:
         assert actives[0] == {0, 1, 2, 3}
         assert actives[1] == {1, 2, 3}
         assert actives[2] == {1, 3}
+
+
+class TestRoute:
+    TABLE = build_random(Vocab(tuple(f"t{i}" for i in range(12))), 3, 6, seed=4)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 20), max_size=12), max_size=10))
+    @example([[5], [-1], [12], [0, 11, 12, -1]])  # one-token documents
+    def test_matches_per_document_schedules(self, docs):
+        # one lookup over the batch equals a pinned schedule per document,
+        # ids of -1 and beyond the table's 12 tokens included
+        table = self.TABLE
+        batch = route(docs, table, 6)
+        want = [schedule(doc, table, 6, pin_first=True).exit_layer
+                for doc in docs]
+        assert len(batch) == len(docs)
+        for part in (batch.ids, batch.exits, batch.offsets):
+            assert part.dtype == np.int64 and part.ndim == 1
+        assert batch.ids.tolist() == [t for doc in docs for t in doc]
+        assert batch.exits.tolist() == [int(e) for w in want for e in w]
+        assert batch.offsets.tolist() == [0] + np.cumsum(
+            [len(doc) for doc in docs], dtype=np.int64).tolist()
+        arrays = route([np.array(doc, dtype=np.int64) for doc in docs], table, 6)
+        for part in ("ids", "exits", "offsets"):
+            assert np.array_equal(getattr(arrays, part), getattr(batch, part))
+
+    def test_layer_count_mismatch(self):
+        with pytest.raises(ConfigError):
+            route([[0, 1]], self.TABLE, 5)
+        with pytest.raises(ConfigError):
+            route([], self.TABLE, 12)
+
+    def test_forward_matches_schedules(self):
+        rng = np.random.default_rng(54)
+        model = random_model(24, 6, 8, 2, 16, seed=55)
+        docs = [list(rng.integers(-1, 24, size=int(rng.integers(1, 9))))
+                for _ in range(7)]
+        batch = route(docs, self.TABLE, 6)
+        finals = forward(model, batch)
+        for doc, a, b in zip(docs, batch.offsets, batch.offsets[1:]):
+            sched = schedule(doc, self.TABLE, 6, pin_first=True)
+            assert np.max(np.abs(finals[a:b] - forward(model, doc, sched).final)) \
+                <= 1e-12
 
 
 class TestForwardLayer:
@@ -221,13 +286,13 @@ class TestReassociation:
             return real(q, hk, weights, heads, reassociate, *rest)
 
         monkeypatch.setattr(encoder, "_attention", spy)
-        finals = forward(model, ids_list, schedules)
+        finals = forward_docs(model, ids_list, schedules)
         assert calls[1:3] == [False, True]  # layer 2 splits into two calls
         monkeypatch.setattr(encoder, "_attention", real)
         for ids, sched, got in zip(ids_list, schedules, finals):
             assert np.max(np.abs(got - forward(model, ids, sched).final)) <= 1e-12
         standard_only(monkeypatch)
-        for got, want in zip(finals, forward(model, ids_list, schedules)):
+        for got, want in zip(finals, forward_docs(model, ids_list, schedules)):
             assert np.max(np.abs(got - want)) <= 1e-12
         monkeypatch.undo()
         for k in (1, 2):
@@ -235,7 +300,7 @@ class TestReassociation:
                                 embedding=model.embedding)
             capped = [ExitSchedule(np.minimum(s.exit_layer, k), s.attn_mask)
                       for s in schedules]
-            short = forward(head, ids_list, capped)
+            short = forward_docs(head, ids_list, capped)
             for ids, sched, cap, got, ref in zip(ids_list, schedules, capped,
                                                  finals, short):
                 rows = sched.exit_layer == k
@@ -351,7 +416,7 @@ class TestForwardBatch:
         model = random_model(12, 4, 8, 2, 16, seed=41)
         for _ in range(10):
             ids_list, schedules = random_batch(rng, model, int(rng.integers(1, 9)))
-            finals = forward(model, ids_list, schedules)
+            finals = forward_docs(model, ids_list, schedules)
             assert len(finals) == len(ids_list)
             for ids, sched, got in zip(ids_list, schedules, finals):
                 want = forward(model, ids, sched).final
@@ -363,13 +428,13 @@ class TestForwardBatch:
         rng = np.random.default_rng(42)
         model = random_model(12, 4, 8, 2, 16, seed=43)
         ids_list, schedules = random_batch(rng, model, 8)
-        finals = forward(model, ids_list, schedules)
+        finals = forward_docs(model, ids_list, schedules)
         for k in range(1, 4):
             head = EncoderModel(d=8, heads=2, d_ff=16, layers=model.layers[:k],
                                 embedding=model.embedding)
             capped = [ExitSchedule(np.minimum(s.exit_layer, k), s.attn_mask)
                       for s in schedules]
-            short = forward(head, ids_list, capped)
+            short = forward_docs(head, ids_list, capped)
             for sched, got, ref in zip(schedules, finals, short):
                 rows = sched.exit_layer == k
                 assert np.array_equal(got[rows], ref[rows])
@@ -379,16 +444,16 @@ class TestForwardBatch:
         model = random_model(12, 3, 8, 2, 16, seed=45)
         ids_list = [rng.integers(0, 12, size=int(rng.integers(1, 15))) for _ in range(9)]
         schedules = [all_last_schedule(ids.size, 3) for ids in ids_list]
-        for ids, got in zip(ids_list, forward(model, ids_list, schedules)):
+        for ids, got in zip(ids_list, forward_docs(model, ids_list, schedules)):
             assert np.max(np.abs(got - vanilla_forward(model, ids))) < 1e-9
 
     def test_documents_do_not_see_each_other(self):
         model = random_model(12, 2, 8, 2, 16, seed=46)
         a, b = np.array([1, 2, 3]), np.array([4, 5])
         sched_a, sched_b = all_last_schedule(3, 2), all_last_schedule(2, 2)
-        alone = forward(model, [a], [sched_a])[0]
+        alone = forward_docs(model, [a], [sched_a])[0]
         for other in (b, np.array([9, 9]), np.array([0, 7])):
-            packed = forward(model, [other, a], [sched_b, sched_a])[1]
+            packed = forward_docs(model, [other, a], [sched_b, sched_a])[1]
             assert np.max(np.abs(packed - alone)) <= 1e-12
 
     def test_forward_takes_a_batch(self):
@@ -397,7 +462,7 @@ class TestForwardBatch:
         model = random_model(12, 3, 8, 2, 16, seed=52)
         ids_list, schedules = random_batch(rng, model, 5)
         for ids, sched in zip(ids_list, schedules):
-            got, = forward(model, [ids], [sched])
+            got, = forward_docs(model, [ids], [sched])
             assert np.array_equal(got, forward(model, ids, sched).final)
 
     def test_batch_rows_bound_the_states(self, monkeypatch):
@@ -413,15 +478,43 @@ class TestForwardBatch:
 
     def test_empty_batch(self):
         model = random_model(12, 2, 8, 2, 16, seed=47)
-        assert forward(model, [], []) == []
+        assert forward_docs(model, [], []) == []
+        assert forward(model, packed_batch([], [])).shape == (0, 8)
 
     def test_length_mismatch(self):
         model = random_model(12, 2, 8, 2, 16, seed=48)
         with pytest.raises(ShapeError):
-            forward(model, [[0, 1]], [])
+            forward_docs(model, [[0, 1]], [])
         with pytest.raises(ShapeError):
-            forward(model, [[0, 1], [2]], [all_last_schedule(2, 2),
+            forward_docs(model, [[0, 1], [2]], [all_last_schedule(2, 2),
                                            all_last_schedule(2, 2)])
+
+    def test_flat_batch_validation(self):
+        # the flat batch raises the typed errors the list form raised
+        model = random_model(12, 2, 8, 2, 16, seed=53)
+
+        def batch(ids, exits, offsets):
+            return PackedBatch(*(np.array(a, dtype=np.int64)
+                                 for a in (ids, exits, offsets)))
+
+        assert forward(model, batch([0, 1, 2], [2, 1, 2], [0, 2, 3])).shape == (3, 8)
+        cases = [
+            (InputError, batch([0, 1], [2, 2], [0, 0, 2])),        # empty document
+            (InputError, batch([0] * 513, [2] * 513, [0, 513])),   # over 512
+            (ShapeError, batch([0, 1, 2], [2, 2], [0, 3])),        # ids vs exits
+            (ShapeError, batch([[0, 1]], [[2, 2]], [0, 2])),       # not flat
+            (ShapeError, batch([0, 1], [2, 2], [0, 1])),           # short offsets
+            (ShapeError, batch([0, 1], [2, 2], [1, 2])),
+            (ShapeError, batch([0, 1], [2, 2], [])),
+            (ShapeError, batch([0, 1, 2], [2, 2, 2], [0, 2, 1, 3])),  # falling
+            (ConfigError, batch([0, 1], [2, 0], [0, 2])),          # exit below 1
+            (ConfigError, batch([0, 1], [2, 3], [0, 2])),          # above L
+        ]
+        for error, bad in cases:
+            with pytest.raises(error):
+                forward(model, bad)
+            with pytest.raises(error):
+                forward(model, bad, traces=True)
 
     def test_row_batches_respect_budget(self):
         lengths = [4, 12, 3, 3, 5, 1, 9]
@@ -499,7 +592,7 @@ class TestLayerGroups:
         for traces in (False, True):
             calls.clear()
             groups.clear()
-            forward(model, ids_list, schedules, traces=traces)
+            forward_docs(model, ids_list, schedules, traces=traces)
             assert [id(w) for w in calls] == [id(w) for w in model.layers]
             assert len(groups) > 2 * model.num_layers
         # out=h updates h in place with the bits of the copying call, out=
@@ -529,10 +622,10 @@ class TestLayerGroups:
         model = random_model(12, 4, 8, 2, 16, seed=83)
         for _ in range(6):
             ids_list, schedules = random_batch(rng, model, int(rng.integers(2, 14)))
-            one = forward(model, ids_list, schedules)
+            one = forward_docs(model, ids_list, schedules)
             monkeypatch.setattr(encoder, "BATCH_FLOATS", budget)
             groups = self.count_groups(monkeypatch)
-            many = forward(model, ids_list, schedules)
+            many = forward_docs(model, ids_list, schedules)
             assert len(groups) > model.num_layers
             for got, want in zip(many, one):
                 assert np.max(np.abs(got - want)) <= 1e-12
@@ -543,7 +636,7 @@ class TestLayerGroups:
                                     embedding=model.embedding)
                 capped = [ExitSchedule(np.minimum(s.exit_layer, k), s.attn_mask)
                           for s in schedules]
-                short = forward(head, ids_list, capped)
+                short = forward_docs(head, ids_list, capped)
                 for sched, got, ref in zip(schedules, many, short):
                     rows = sched.exit_layer == k
                     assert np.array_equal(got[rows], ref[rows])
@@ -557,7 +650,7 @@ class TestLayerGroups:
         ids_list, schedules = mid_batch(rng, model, encoder.batch_rows(model),
                                         exits=(1, 2), p=(0.8, 0.2))
         groups = self.count_groups(monkeypatch)
-        grouped = forward(model, ids_list, schedules)
+        grouped = forward_docs(model, ids_list, schedules)
         dense = [g for g in groups if g[1] == g[2]]
         sparse = [g for g in groups if g[1] > g[2]]
         assert len(dense) + len(sparse) == len(groups)
@@ -566,7 +659,7 @@ class TestLayerGroups:
         assert all(rows <= 1536 for _, rows, _ in sparse)
         monkeypatch.setattr(encoder, "BATCH_FLOATS", 1 << 40)
         groups.clear()
-        whole = forward(model, ids_list, schedules)
+        whole = forward_docs(model, ids_list, schedules)
         assert [docs for docs, _, _ in groups] == [len(ids_list)] * 2
         for got, want in zip(grouped, whole):
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -580,11 +673,39 @@ class TestLayerGroups:
         h_nbytes = sum(ids.size for ids in ids_list) * model.d * 8
         tracemalloc.start()
         try:
-            forward(model, ids_list, schedules)
+            forward_docs(model, ids_list, schedules)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * h_nbytes
+
+    def test_cls_features_memory_stays_near_one_batch(self):
+        # cls_features over two full mid batches holds one batch's states
+        # at a time: the bound of one forward, plus the features. States
+        # kept from the first batch while the second runs would also lift
+        # the peak above that of either batch run alone
+        rng = np.random.default_rng(88)
+        model = random_model(300, 3, 256, 4, 1024, seed=87)
+        table = HashTable("rand-cons", 3, 3, 0, tuple(f"t{i}" for i in range(300)),
+                          rng.choice(3, p=(0.8, 0.1, 0.1), size=300))
+        budget = encoder.batch_rows(model)
+        seqs = [list(rng.integers(-1, 300, size=n)) for n in [64] * 16 + [128] * 24]
+        lengths = [len(seq) for seq in seqs]
+        batches = row_batches(lengths, budget)
+        assert [sum(lengths[i] for i in batch) for batch in batches] == [budget] * 2
+
+        def peak_of(seqs):
+            tracemalloc.start()
+            try:
+                feats = encoder.cls_features(model, seqs, table)
+                return feats, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        feats, peak = peak_of(seqs)
+        assert peak <= 4 * budget * model.d * 8 + feats.nbytes
+        alone = max(peak_of([seqs[i] for i in batch])[1] for batch in batches)
+        assert peak <= alone + feats.nbytes
 
     # sha256 of the states H^0..H^12 of five single documents at the mid
     # shape, recorded before layers ran in groups and updated states in
