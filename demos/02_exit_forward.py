@@ -43,12 +43,13 @@ sched = schedule(token_ids, table)
 print("\nsequence ids", token_ids.tolist(),
       "exit layers", sched.exit_layer.tolist())
 for layer in range(1, L + 1):
-    active = sched.active_at(layer)
+    active = np.flatnonzero(sched.exit_layer >= layer)
     print(f"  layer {layer}: active positions {active.tolist()}")
 
 trace = forward(model, token_ids, sched)
 print("\nper-layer (n, m) =",
-      [(sched.valid_count, sched.active_at(t).size) for t in range(1, L + 1)])
+      [(sched.valid_count, np.flatnonzero(sched.exit_layer >= t).size)
+       for t in range(1, L + 1)])
 
 # position 0 (token d) exits at layer 4, position 1 (token a) at layer 1
 states = trace.hidden  # (L+1, n, d) stack, entry 0 is the embedding

@@ -28,8 +28,6 @@ from hashexit import (
     ModelDims,
     Vocab,
     build_frequency,
-    executed_layer_macs,
-    full_layer_macs,
     oracle_count,
     reassociates,
     report,
@@ -47,7 +45,7 @@ for name, macs in cost.saved.items():
 print(f"  {'total':>12}: {cost.saved_macs:>5} MACs = "
       f"{2 * cost.saved_macs} FLOPs")
 
-full = full_layer_macs(n, d, h, d_ff)
+full = cost.full_macs  # the whole layer over n tokens, whatever m is
 reduced = oracle_count(n, m, d, h, d_ff)
 print(f"\ncross-check: full layer {full} MACs, reduced layer {reduced},"
       f" difference {full - reduced}")
@@ -58,8 +56,8 @@ assert saved_macs(n, 0, d, h, d_ff).saved_macs == full
 print("m=0 skips the layer entirely: saved equals the full layer cost")
 
 # one active row among n=4: reassociated attention skips the K/V projections
-flipped = executed_layer_macs(n, 1, d, h, d_ff)
-standard = full - saved_macs(n, 1, d, h, d_ff).saved_macs
+one = saved_macs(n, 1, d, h, d_ff)
+flipped, standard = one.executed_macs, one.full_macs - one.saved_macs
 assert reassociates(n, 1, d, h) and not reassociates(n, n, d, h)
 print(f"one active row of {n}: paper layer {standard} MACs, "
       f"executed (reassociated) {flipped} MACs")

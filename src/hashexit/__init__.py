@@ -63,8 +63,6 @@ from .flops import (
     FlopsReport,
     LayerCost,
     ModelDims,
-    executed_layer_macs,
-    full_layer_macs,
     oracle_count,
     reassociates,
     report,

@@ -135,10 +135,6 @@ class EncoderModel:
         return len(self.layers)
 
     @property
-    def d_k(self):
-        return self.d // self.heads
-
-    @property
     def vocab_size(self):
         return self.embedding.shape[0]
 
@@ -179,10 +175,6 @@ class ExitSchedule:
 
     def __len__(self):
         return self.exit_layer.size
-
-    def active_at(self, layer):
-        """Positions still being updated by processing layer `layer` (1-based)."""
-        return np.flatnonzero(self.exit_layer >= layer)
 
     @property
     def valid_count(self):
@@ -229,18 +221,6 @@ def pack(sequences):
     return ids, offsets
 
 
-def _exit_layers(ids, table, num_layers):
-    """Each id's exit layer in `table`; unknown ids (< 0 or beyond the
-    table) run to the top layer."""
-    if num_layers is not None and table.num_layers != num_layers:
-        raise ConfigError(f"table built for L={table.num_layers}, "
-                          f"model has L={num_layers}")
-    exits = np.full(ids.size, table.num_layers, dtype=np.int64)
-    known = (ids >= 0) & (ids < len(table.tokens))
-    exits[known] = table.layers[ids[known]]
-    return exits
-
-
 def route(sequences, table, num_layers):
     """Pack the id sequences `sequences` and look up every row's exit layer.
 
@@ -250,7 +230,7 @@ def route(sequences, table, num_layers):
     num_layers is a ConfigError.
     """
     ids, offsets = pack(sequences)
-    exits = _exit_layers(ids, table, num_layers)
+    exits = table.exits(ids, num_layers)
     exits[offsets[:-1][np.diff(offsets) > 0]] = table.num_layers
     return PackedBatch(ids, exits, offsets)
 
@@ -265,7 +245,7 @@ def schedule(token_ids, table, num_layers=None, *, pin_first=False):
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError("token ids must be a flat sequence")
-    exits = _exit_layers(ids, table, num_layers)
+    exits = table.exits(ids, num_layers)
     if pin_first and ids.size:
         exits[0] = table.num_layers
     return ExitSchedule._trusted(exits)
@@ -603,15 +583,15 @@ def head_loss_and_grad(head, feats, label_ids):
     """Mean cross entropy of feats @ head and its gradient in head."""
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(label_ids, dtype=np.int64)
-    probs = softmax_rows(feats @ head)
     n = feats.shape[0]
-    # saturated probabilities are reported as an infinite loss, not a crash
-    with np.errstate(divide="ignore"):
+    # runaway weights and saturated probabilities surface as a non-finite
+    # loss, which fit reports as divergence, not as a warning or a crash
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        probs = softmax_rows(feats @ head)
         loss = -np.log(probs[np.arange(n), labels]).mean()
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    grad = feats.T @ delta / n
-    return loss, grad
+        delta = probs.copy()
+        delta[np.arange(n), labels] -= 1.0
+        return loss, feats.T @ delta / n
 
 
 def cls_features(model, sequences, table):

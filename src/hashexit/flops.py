@@ -11,12 +11,14 @@ renormalization multiply is.
 Those figures price the paper's layer, which projects keys and values
 for every visible row. The encoder instead runs a layer whose few active
 rows attend over many frozen ones in the reassociated order (see
-`reassociates`); `executed_layer_macs` prices the layer as it runs.
+`reassociates`); `saved_macs(...).executed_macs` prices the layer as it
+runs.
 
 Each formula has one copy, `_layer_macs`, which takes ints or object
-arrays of ints. `report` prices a whole corpus with it in one call over
-the (documents x L) matrix of rows each layer still updates, so every
-sum is an exact Python integer at any dims.
+arrays of ints. `saved_macs` checks one layer's dims and returns its
+figures as a LayerCost. `report` prices a whole corpus with it in one
+call over the (documents x L) matrix of rows each layer still updates,
+so every sum is an exact Python integer at any dims.
 """
 
 from dataclasses import dataclass
@@ -67,23 +69,15 @@ def _layer_macs(n, m, d, h, d_ff):
     return saved, full, executed
 
 
-def full_layer_macs(n, d, h, d_ff):
-    """MACs of one full encoder layer over n positions (no exits)."""
-    _check_dims(n, n, d, h, d_ff)
-    return _layer_macs(n, n, d, h, d_ff)[1]
-
-
 @dataclass(frozen=True)
 class LayerCost:
-    """Saved MACs of one layer with n positions, m of them still active."""
+    """The closed form of one layer with n positions, m of them still
+    active: saved MACs by category, the MACs of the full layer, and the
+    MACs the encoder executes (`reassociates`)."""
 
-    n: int
-    m: int
-    d: int
-    h: int
-    d_ff: int
     saved: dict
     full_macs: int
+    executed_macs: int
 
     @property
     def saved_macs(self):
@@ -91,16 +85,17 @@ class LayerCost:
 
 
 def saved_macs(n, m, d, h, d_ff):
-    """Closed-form saved MACs, split by category.
+    """The closed form of one layer: saved MACs split by category, full
+    MACs and executed MACs.
 
     With m == 0 the layer is skipped outright, so the key/value projections
     (which the row formulas keep, since someone normally still attends to
-    them) are saved too and the total equals the full layer.
+    them) are saved too and the total equals the full layer. Executed MACs
+    are full - saved in the standard order, less the K/V projections the
+    reassociated order skips.
     """
     _check_dims(n, m, d, h, d_ff)
-    saved, full, _ = _layer_macs(n, m, d, h, d_ff)
-    return LayerCost(n=n, m=m, d=d, h=h, d_ff=d_ff, saved=saved,
-                     full_macs=full)
+    return LayerCost(*_layer_macs(n, m, d, h, d_ff))
 
 
 def reassociates(n, m, d, h):
@@ -114,14 +109,6 @@ def reassociates(n, m, d, h):
     False whenever m == n. Works elementwise on integer arrays too.
     """
     return m * (d + (h - 1) * n) < n * d
-
-
-def executed_layer_macs(n, m, d, h, d_ff):
-    """MACs the encoder executes for one layer with n visible rows, m of
-    them active: full - saved in the standard order, less the K/V
-    projections the reassociated order skips (`reassociates`)."""
-    _check_dims(n, m, d, h, d_ff)
-    return _layer_macs(n, m, d, h, d_ff)[2]
 
 
 class _MacCounter:

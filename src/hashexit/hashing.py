@@ -69,9 +69,9 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self._index[token]
 
-    def ids_for(self, tokens, unknown: int = -1) -> list[int]:
-        """Map tokens to ids; tokens outside the vocab map to `unknown`."""
-        return [self._index.get(t, unknown) for t in tokens]
+    def ids_for(self, tokens) -> list[int]:
+        """Map tokens to ids; tokens outside the vocab map to -1."""
+        return [self._index.get(t, -1) for t in tokens]
 
 
 @dataclass
@@ -186,43 +186,39 @@ class HashTable:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def layer_of(self, token_id: int) -> int:
-        """Exit layer for a token id; ids outside the table get layer L."""
-        if 0 <= token_id < len(self.tokens):
-            return int(self.layers[token_id])
-        return self.num_layers
+    def exits(self, ids, num_layers=None) -> np.ndarray:
+        """The exit layer of each token id in `ids`, as a new int64 array:
+        the one id -> layer lookup. Ids outside the table (< 0 or >= V)
+        get layer L. A num_layers other than the table's L is a
+        ConfigError."""
+        if num_layers is not None and num_layers != self.num_layers:
+            raise ConfigError(f"table built for L={self.num_layers}, "
+                              f"model has L={num_layers}")
+        ids = np.asarray(ids, dtype=np.int64)
+        exits = np.full(ids.shape, self.num_layers, dtype=np.int64)
+        known = (ids >= 0) & (ids < len(self.tokens))
+        exits[known] = self.layers[ids[known]]
+        return exits
 
     def layer_for(self, token: str) -> int:
         """Exit layer for a token string; unseen tokens get layer L."""
-        if token not in self.vocab:
-            return self.num_layers
-        return self.layer_of(self.vocab.id_of(token))
+        return int(self.exits(self.vocab.ids_for((token,)))[0])
 
     def bucket_sizes(self) -> np.ndarray:
         return np.bincount(self.buckets, minlength=self.num_buckets)
 
 
-def _chunk_sizes(count: int, num_chunks: int) -> list[int]:
-    # first (count mod chunks) chunks take the ceiling share
-    base, extra = divmod(count, num_chunks)
-    return [base + 1] * extra + [base] * (num_chunks - extra)
-
-
-def _buckets_from_order(order: np.ndarray, num_buckets: int,
-                        num_layers: int) -> np.ndarray:
-    """Assign chunk index by position in `order` (best-ranked first)."""
-    _check_buckets(num_buckets, num_layers)
-    buckets = np.empty(len(order), dtype=np.int64)
-    start = 0
-    for b, size in enumerate(_chunk_sizes(len(order), num_buckets)):
-        buckets[order[start : start + size]] = b
-        start += size
-    return buckets
-
-
 def _chunked_table(method, vocab, order, num_buckets, num_layers, seed=0):
+    """The table whose bucket b holds the b-th of num_buckets consecutive
+    chunks of `order` (best-ranked first); the first (V mod B) chunks take
+    one token more."""
+    _check_buckets(num_buckets, num_layers)
+    base, extra = divmod(len(order), num_buckets)
+    sizes = base + (np.arange(num_buckets) < extra)
+    buckets = np.empty(len(order), dtype=np.int64)
+    buckets[order] = np.repeat(np.arange(num_buckets), sizes)
     return HashTable(method, num_buckets, num_layers, seed, vocab.tokens,
-                     _buckets_from_order(order, num_buckets, num_layers))
+                     buckets)
 
 
 def _random_table(vocab, num_buckets, num_layers, seed, method) -> HashTable:

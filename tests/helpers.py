@@ -7,7 +7,7 @@ exit-aware forward, and corpora are generated with raw RNG calls.
 
 import numpy as np
 
-from hashexit.hashing import CorpusStats, Vocab
+from hashexit.hashing import CorpusStats, Vocab, bucket_to_layer
 
 
 def make_random_labeled_corpus(rng, vocab_size=None, num_docs=None):
@@ -26,6 +26,15 @@ def make_random_labeled_corpus(rng, vocab_size=None, num_docs=None):
     vocab = Vocab(tuple(tokens))
     stats = CorpusStats.from_documents(vocab, docs, labels)
     return vocab, stats, docs, labels
+
+
+def reference_exit(table, token_id):
+    """Exit layer of one token id, one id at a time through the bucket
+    map: ids outside the table (< 0 or >= V) run all L layers."""
+    if 0 <= token_id < len(table.tokens):
+        return bucket_to_layer(int(table.buckets[token_id]),
+                               table.num_buckets, table.num_layers)
+    return table.num_layers
 
 
 def vanilla_forward(model, token_ids):

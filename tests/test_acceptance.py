@@ -30,7 +30,6 @@ from hashexit.corpus import zipf_corpus
 from hashexit.flops import (
     FLOPS_PER_MAC,
     ModelDims,
-    full_layer_macs,
     oracle_count,
     report,
     saved_macs,
@@ -123,7 +122,7 @@ def test_acceptance_3_flops_oracle_equality():
         for h in (1, 2):
             for d_ff in (8, 16):
                 for n in range(1, 17):
-                    full = full_layer_macs(n, d, h, d_ff)
+                    full = saved_macs(n, n, d, h, d_ff).full_macs
                     for m in range(0, n + 1):
                         cases += 1
                         if saved_macs(n, m, d, h, d_ff).saved_macs != \

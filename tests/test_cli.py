@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,20 @@ class TestAblateCli:
         text = (tmp_path / "ablation.txt").read_text()
         assert text.count("mean") == 2
         assert capsys.readouterr().out.startswith("consistency ablation")
+
+    def test_diverging_head_is_one_error_and_no_warning(self, tmp_path,
+                                                         capsys):
+        # an infinite learning rate turns the head into nan: fit reports
+        # that as divergence, and numpy warns about nothing on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["ablate-consistency", "--seeds", "1,2", "--lr", "inf",
+                        "--epochs", 2, "--out-dir", tmp_path])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "diverged" in errors[0]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_single_seed_rejected(self, tmp_path, capsys):
         code = run(["ablate-consistency", "--seeds", "3",

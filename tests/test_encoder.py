@@ -37,7 +37,7 @@ from hashexit.hashing import (CorpusStats, EmbeddingTable, HashTable, Vocab,
                               build_frequency, build_random, load_embeddings,
                               save_embeddings)
 
-from helpers import vanilla_forward, sinusoidal_positions
+from helpers import reference_exit, sinusoidal_positions, vanilla_forward
 
 
 def all_last_schedule(n, L):
@@ -115,7 +115,7 @@ class TestSchedule:
             ids = rng.integers(-5, 50, size=int(rng.integers(0, 30)))
             pin = bool(rng.integers(0, 2))
             sched = schedule(ids, table, pin_first=pin)
-            want = [table.layer_of(int(t)) for t in ids]
+            want = [reference_exit(table, int(t)) for t in ids]
             if pin and ids.size:
                 want[0] = 6
             assert list(sched.exit_layer) == want
@@ -138,10 +138,43 @@ class TestSchedule:
 
     def test_active_sets_shrink(self):
         sched = ExitSchedule(np.array([1, 3, 2, 3]), np.ones(4, dtype=bool))
-        actives = [set(sched.active_at(t)) for t in (1, 2, 3)]
+        actives = [set(np.flatnonzero(sched.exit_layer >= t)) for t in (1, 2, 3)]
         assert actives[0] == {0, 1, 2, 3}
         assert actives[1] == {1, 2, 3}
         assert actives[2] == {1, 3}
+
+
+class TestOneLookup:
+    """HashTable.exits is the one id -> exit layer lookup: route and
+    schedule return its exits, but for the positions they pin."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exits_route_and_schedule_match_scalar_reference(self, data):
+        L = data.draw(st.integers(1, 8))
+        B = data.draw(st.integers(1, L))
+        V = data.draw(st.integers(1, 20))
+        buckets = data.draw(st.lists(st.integers(0, B - 1), min_size=V,
+                                     max_size=V))
+        table = HashTable("rand-cons", B, L, 0,
+                          tuple(f"t{i}" for i in range(V)), np.array(buckets))
+        docs = data.draw(st.lists(st.lists(st.integers(-5, V + 5),
+                                           max_size=10), max_size=6))
+        want = [[reference_exit(table, t) for t in doc] for doc in docs]
+        flat = [t for doc in docs for t in doc]
+        for num_layers in (None, L):
+            got = table.exits(np.array(flat, dtype=np.int64), num_layers)
+            assert got.dtype == np.int64
+            assert got.tolist() == [e for w in want for e in w]
+        with pytest.raises(ConfigError):
+            table.exits(flat, L + 1)
+        pinned = [[L] + w[1:] if w else w for w in want]
+        assert route(docs, table, L).exits.tolist() == [
+            e for w in pinned for e in w]
+        for doc, plain, pin in zip(docs, want, pinned):
+            assert schedule(doc, table, L).exit_layer.tolist() == plain
+            assert schedule(doc, table, L,
+                            pin_first=True).exit_layer.tolist() == pin
 
 
 class TestRoute:
@@ -350,14 +383,14 @@ class TestForward:
         model = random_model(8, 3, 8, 2, 16, seed=7)
         ids = np.array([0, 1, 2, 3])
         sched = ExitSchedule(np.array([1, 2, 3, 1]), np.ones(4, dtype=bool))
-        actives = [sched.active_at(t) for t in (1, 2, 3)]
+        actives = [np.flatnonzero(sched.exit_layer >= t) for t in (1, 2, 3)]
         assert [(sched.valid_count, a.size) for a in actives] == [(4, 4), (4, 2), (4, 1)]
         assert [list(a) for a in actives] == [[0, 1, 2, 3], [1, 2], [2]]
         prev = set(range(4))
         for a in actives:
             assert set(a) <= prev
             prev = set(a)
-        # layer t rewrites exactly the rows of active_at(t)
+        # layer t rewrites exactly the rows whose exit is t or above
         trace = forward(model, ids, sched)
         for t, a in enumerate(actives, start=1):
             changed = np.flatnonzero(np.any(trace.hidden[t] != trace.hidden[t - 1], axis=1))

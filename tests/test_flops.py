@@ -9,8 +9,6 @@ from hashexit.encoder import ExitSchedule
 from hashexit.flops import (
     FLOPS_PER_MAC,
     ModelDims,
-    executed_layer_macs,
-    full_layer_macs,
     oracle_count,
     reassociates,
     report,
@@ -77,14 +75,14 @@ class TestSavedMacs:
 class TestOracle:
     def test_full_when_all_active(self):
         for n in (1, 2, 5, 9):
-            assert oracle_count(n, n, 8, 2, 16) == full_layer_macs(n, 8, 2, 16)
+            assert oracle_count(n, n, 8, 2, 16) == saved_macs(n, n, 8, 2, 16).full_macs
 
     def test_worked_case(self):
-        full = full_layer_macs(4, 8, 2, 32)
+        full = saved_macs(4, 4, 8, 2, 32).full_macs
         assert full - oracle_count(4, 3, 8, 2, 32) == 752
 
     def test_single_token(self):
-        assert full_layer_macs(1, 8, 2, 16) == oracle_count(1, 1, 8, 2, 16)
+        assert saved_macs(1, 1, 8, 2, 16).full_macs == oracle_count(1, 1, 8, 2, 16)
         assert saved_macs(1, 1, 8, 2, 16).saved_macs == 0
 
     def test_skipped_layer_costs_nothing(self):
@@ -96,7 +94,8 @@ class TestOracle:
                 for n in range(1, 9):
                     for m in range(0, n + 1):
                         expect = saved_macs(n, m, d, h, d_ff).saved_macs
-                        got = full_layer_macs(n, d, h, d_ff) - oracle_count(n, m, d, h, d_ff)
+                        got = (saved_macs(n, n, d, h, d_ff).full_macs
+                               - oracle_count(n, m, d, h, d_ff))
                         assert expect == got
 
 
@@ -122,29 +121,30 @@ class TestExecuted:
         # 2*32, scores 2*32, scale 2*4, softmax 2*4, P.H 2*32, W_V per head
         # 2*32, output projection 64, layer norms 2*16, FFN 256+256
         assert reassociates(4, 1, 8, 2)
-        assert executed_layer_macs(4, 1, 8, 2, 32) == 944
-        full = full_layer_macs(4, 8, 2, 32)
-        assert full - saved_macs(4, 1, 8, 2, 32).saved_macs == 1264
+        cost = saved_macs(4, 1, 8, 2, 32)
+        assert cost.executed_macs == 944
+        assert cost.full_macs - cost.saved_macs == 1264
         # the K/V projections skipped: 2d(nd - m(d + (h-1)n)) = 16 * 20
         assert 1264 - 944 == 320
 
     def test_equals_full_minus_saved_in_standard_order(self):
         flipped = 0
         for n, m, d, h, d_ff in GRID:
-            standard = (full_layer_macs(n, d, h, d_ff)
-                        - saved_macs(n, m, d, h, d_ff).saved_macs)
+            cost = saved_macs(n, m, d, h, d_ff)
+            standard = (saved_macs(n, n, d, h, d_ff).full_macs
+                        - cost.saved_macs)
             if m and reassociates(n, m, d, h):
                 flipped += 1
-                assert executed_layer_macs(n, m, d, h, d_ff) < standard
+                assert cost.executed_macs < standard
             else:
-                assert executed_layer_macs(n, m, d, h, d_ff) == standard
+                assert cost.executed_macs == standard
         assert flipped
 
     def test_checks_dims(self):
         with pytest.raises(InputError):
-            executed_layer_macs(3, 4, 8, 2, 16)
+            saved_macs(3, 4, 8, 2, 16).executed_macs
         with pytest.raises(ConfigError):
-            executed_layer_macs(3, 2, 6, 4, 16)
+            saved_macs(3, 2, 6, 4, 16).executed_macs
 
 
 class TestReport:
@@ -206,7 +206,9 @@ class TestReport:
         s1 = ExitSchedule(np.array([3, 1, 1, 1, 1, 1]), np.ones(6, dtype=bool))
         s2 = all_last(4, 3)
         rep = report(self.dims, [s1, s2])
-        want = sum(executed_layer_macs(s.valid_count, s.active_at(t).size, 8, 2, 16)
+        want = sum(saved_macs(s.valid_count,
+                              np.flatnonzero(s.exit_layer >= t).size,
+                              8, 2, 16).executed_macs
                    for s in (s1, s2) for t in (1, 2, 3))
         assert rep.executed_flops == FLOPS_PER_MAC * want
         assert rep.executed_flops < rep.total_flops
@@ -262,12 +264,13 @@ def test_report_is_per_document_sum_of_closed_forms(data):
             cost = saved_macs(n, m, d, h, d_ff)
             n_sum, m_sum = n_sum + n, m_sum + m
             saved, full = saved + cost.saved_macs, full + cost.full_macs
-            executed += executed_layer_macs(n, m, d, h, d_ff)
+            executed += cost.executed_macs
         rows.append((t, n_sum, m_sum, saved, full))
         total += full - saved
     base = baseline or dims
     base_macs = sum(base.num_layers
-                    * full_layer_macs(len(e), base.d, base.heads, base.d_ff)
+                    * saved_macs(len(e), len(e), base.d, base.heads,
+                                 base.d_ff).full_macs
                     for e in exits)
     rep = report(dims, schedules, baseline_dims=baseline)
     assert [(r.layer, r.n_sum, r.m_sum, r.saved_macs, r.full_macs)

@@ -27,7 +27,7 @@ from hashexit.hashing import (
     token_label_mi,
 )
 
-from helpers import make_random_labeled_corpus
+from helpers import make_random_labeled_corpus, reference_exit
 
 
 PROPS = settings(derandomize=True, database=None, max_examples=100,
@@ -195,8 +195,8 @@ class TestRandomHash:
 
     def test_unknown_token_gets_last_layer(self):
         t = build_random(small_vocab(), 2, 4, seed=1)
-        assert t.layer_of(99) == 4
-        assert t.layer_of(-1) == 4
+        assert t.exits([99, -1, 6]).tolist() == [4, 4, 4]
+        assert t.exits([0, 99], 4).tolist() == [reference_exit(t, 0), 4]
         assert t.layer_for("zzz") == 4
 
 
@@ -308,9 +308,11 @@ class TestMiHash:
         got = hashing._mi_scores(stats)
         assert got.tobytes() == want.tobytes()
         order = np.lexsort((np.arange(len(vocab)), -want))
+        chunked = np.empty(len(vocab), dtype=np.int64)
+        for b, chunk in enumerate(np.array_split(order, 3)):
+            chunked[chunk] = b  # front chunks take the extra tokens
         table = build_mi(vocab, stats, 3, 6)
-        assert np.array_equal(table.buckets,
-                              hashing._buckets_from_order(order, 3, 6))
+        assert np.array_equal(table.buckets, chunked)
 
 
 class TestKmeans:
