@@ -102,9 +102,7 @@ def cmd_infer(args):
     if len(table.tokens) > model.vocab_size:
         raise ConfigError(f"table vocabulary ({len(table.tokens)}) exceeds "
                           f"model vocabulary ({model.vocab_size})")
-    if table.num_layers != model.num_layers:
-        raise ConfigError(f"table is built for L={table.num_layers}, "
-                          f"model has L={model.num_layers}")
+    table.exits((), model.num_layers)  # the depth check, for any corpus
     corpus = load_corpus(args.corpus, labeled=args.labeled)
     _report_skipped(corpus)
     ids_list = [table.vocab.ids_for(doc) for doc in corpus.documents]
@@ -202,12 +200,20 @@ def _bool_flag(value):
     raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, so that main
+    reports a malformed flag like any other error, with exit status 1."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hashexit",
         description="hash-routed token early exit: tables, inference, "
                     "FLOPs accounting and difficulty experiments")
@@ -286,9 +292,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)

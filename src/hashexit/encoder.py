@@ -15,6 +15,10 @@ layer is one matmul over the stacked active rows, and attention stays
 inside each document. There is one path: a single sequence is a batch of
 one and takes the same per-document attention.
 
+A layer's work is set by two numbers per document, its rows and its active
+rows. forward_layer counts the active rows once, and the grouping, the
+choice of association and the padding of attention all read those counts.
+
 Q, K and V carry no biases, so attention has two associations. The
 standard one projects K and V for all n visible rows of a document. The
 reassociated one projects neither: per head it scores (q_h·W_K,hᵀ)·Hᵀ and
@@ -278,17 +282,7 @@ def embed(model, token_ids, positions):
     return rows + positional_encoding(longest, model.d)[positions]
 
 
-def _slots(doc, count):
-    """Rank of each entry among the entries of its own document."""
-    order = np.argsort(doc, kind="stable")
-    sizes = np.bincount(doc, minlength=count)
-    starts = np.cumsum(sizes) - sizes
-    slot = np.empty_like(doc)
-    slot[order] = np.arange(doc.size) - starts[doc[order]]
-    return slot, sizes
-
-
-def _attention(q, hk, weights, heads, reassociate, q_doc, k_doc, docs):
+def _attention(q, hk, weights, heads, reassociate, q_sizes, k_sizes):
     """Multi-head attention of each query row over its own document's keys.
 
     q holds the projected queries, hk the raw rows that serve as keys and
@@ -297,25 +291,25 @@ def _attention(q, hk, weights, heads, reassociate, q_doc, k_doc, docs):
     (q_h·W_K,hᵀ)·hkᵀ and mixes (P_h·hk)·W_V,h, which is cheaper when few
     query rows attend over many keys (flops.reassociates).
 
-    q_doc and k_doc number the document (0..docs-1) of each query and key
-    row. Queries and keys are padded per document to the largest count in
-    the batch, a single document being a batch of one; padded key slots
-    score -inf and so get zero weight, and padded query slots are dropped.
+    The rows of q and hk run document after document; q_sizes and k_sizes
+    count each document's query and key rows. Both operands are padded per
+    document to the largest count in the batch, a single document being a
+    batch of one; padded key slots score -inf and so get zero weight, and
+    padded query slots are dropped.
     """
     d = q.shape[1]
-    q_slot, _ = _slots(q_doc, docs)
-    k_slot, k_sizes = _slots(k_doc, docs)
-    qp = np.zeros((docs, int(q_slot.max()) + 1, d))
-    qp[q_doc, q_slot] = q
-    kp = np.zeros((docs, int(k_sizes.max()), d))
-    kp[k_doc, k_slot] = hk if reassociate else hk @ weights.wk
+    q_mask = np.arange(q_sizes.max()) < q_sizes[:, None]
+    k_mask = np.arange(k_sizes.max()) < k_sizes[:, None]
+    qp = np.zeros(q_mask.shape + (d,))
+    qp[q_mask] = q
+    kp = np.zeros(k_mask.shape + (d,))
+    kp[k_mask] = hk if reassociate else hk @ weights.wk
     if reassociate:
         vp = kp
     else:
         vp = np.zeros_like(kp)
-        vp[k_doc, k_slot] = hk @ weights.wv
-    bias = np.where(np.arange(kp.shape[1]) < k_sizes[:, None], 0.0, -np.inf)
-    bias = bias[:, None, :]
+        vp[k_mask] = hk @ weights.wv
+    bias = np.where(k_mask, 0.0, -np.inf)[:, None, :]
     d_k = d // heads
     ctx = np.empty_like(qp)
     for i in range(heads):
@@ -334,7 +328,7 @@ def _attention(q, hk, weights, heads, reassociate, q_doc, k_doc, docs):
             ctx[..., sl] = _rows_matmul(probs @ vp, weights.wv[:, sl])
         else:
             ctx[..., sl] = probs @ vp[..., sl]
-    return ctx[q_doc, q_slot]
+    return ctx[q_mask]
 
 
 def _rows_matmul(x, w):
@@ -342,55 +336,19 @@ def _rows_matmul(x, w):
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
 
 
-def _packed_attention(q, h, weights, heads, active, sizes):
-    """Attention of the active rows of one or more packed documents.
-
-    Documents without an active row need no keys. The rest split into at
-    most two groups, one per association, and each group is one _attention
-    call over its own documents' rows.
-    """
-    doc_of = np.repeat(np.arange(sizes.size), sizes)
-    q_doc = doc_of[active]
-    counts = np.bincount(q_doc, minlength=sizes.size)
-    flip = reassociates(sizes, counts, h.shape[1], heads)
-    live = counts > 0
-    groups = [(group, reassociate)
-              for group, reassociate in ((live & ~flip, False), (live & flip, True))
-              if group.any()]
-
-    def attend(group, reassociate, q, q_doc):
-        rank = np.cumsum(group) - 1
-        if group.all():
-            hk, k_doc = h, rank[doc_of]
-        else:
-            keys = group[doc_of]
-            hk, k_doc = h[keys], rank[doc_of[keys]]
-        return _attention(q, hk, weights, heads, reassociate, rank[q_doc],
-                          k_doc, int(rank[-1]) + 1)
-
-    if len(groups) == 1:
-        return attend(*groups[0], q, q_doc)
-    ctx = np.empty_like(q)
-    for group, reassociate in groups:
-        rows = group[q_doc]
-        ctx[rows] = attend(group, reassociate, q[rows], q_doc[rows])
-    return ctx
-
-
-def _groups(segments, active, width, d):
+def _groups(sizes, counts, width, d):
     """Consecutive document ranges (lo, hi) that one layer runs together.
 
-    Within a range, the active rows times `width` and the rows of the
-    documents with an active row times d each stay within BATCH_FLOATS,
-    unless the range is a single document. Documents without an active row
-    cost nothing and join a neighbouring range.
+    sizes and counts give each document's rows and active rows. Within a
+    range, the active rows times `width` and the rows of the documents with
+    an active row times d each stay within BATCH_FLOATS, unless the range
+    is a single document. Documents without an active row cost nothing and
+    join a neighbouring range.
     """
-    docs = segments.size - 1
-    if active.size * width <= BATCH_FLOATS and segments[-1] * d <= BATCH_FLOATS:
+    docs = sizes.size
+    if counts.sum() * width <= BATCH_FLOATS and sizes.sum() * d <= BATCH_FLOATS:
         return [(0, docs)]
-    counts = np.bincount(np.searchsorted(segments, active, side="right") - 1,
-                         minlength=docs)
-    keys = np.where(counts > 0, np.diff(segments), 0)
+    keys = np.where(counts > 0, sizes, 0)
     spent = [np.concatenate(([0], np.cumsum(c))) * w
              for c, w in ((counts, width), (keys, d))]
     cuts = [0]
@@ -402,13 +360,37 @@ def _groups(segments, active, width, d):
     return list(zip(cuts, cuts[1:]))
 
 
-def _layer_rows(h, weights, active, heads, sizes):
-    """The new states of the `active` rows of the documents packed in h."""
+def _layer_rows(h, weights, active, heads, sizes, counts):
+    """The new states of the `active` rows of the documents packed in h.
+
+    sizes and counts give each document's rows and active rows. Documents
+    without an active row need no keys. The rest split into at most two
+    parts, one per association, and each part is one _attention call over
+    its own documents' rows.
+    """
     hq = h[active]
-    ctx = _packed_attention(hq @ weights.wq, h, weights, heads, active, sizes)
+    q = hq @ weights.wq
+    flip = reassociates(sizes, counts, h.shape[1], heads)
+    live = counts > 0
+    parts = [(part, reassociate)
+             for part, reassociate in ((live & ~flip, False), (live & flip, True))
+             if part.any()]
+
+    def attend(part, reassociate, q):
+        hk = h if part.all() else h[np.repeat(part, sizes)]
+        return _attention(q, hk, weights, heads, reassociate, counts[part],
+                          sizes[part])
+
+    if len(parts) == 1:
+        ctx = attend(*parts[0], q)
+    else:
+        ctx = np.empty_like(q)
+        for part, reassociate in parts:
+            rows = np.repeat(part, counts)
+            ctx[rows] = attend(part, reassociate, q[rows])
     x = ctx @ weights.wo
     x += hq
-    del hq, ctx  # a group's temporaries dominate its memory
+    del hq, q, ctx  # a group's temporaries dominate its memory
     layer_norm(x, weights.ln1_gain, weights.ln1_bias, out=x)
     ffn = x @ weights.w1
     relu(ffn, out=ffn)
@@ -423,12 +405,14 @@ def forward_layer(h, weights, active, *, heads, segments=None, out=None):
 
     `segments` lists the start row of each document packed into h followed
     by h's row count; None reads as [0, n], all of h one document, which
-    takes the same packed attention as any other batch. Queries come from
-    the `active` rows only; keys and values span every row of each document
-    that has an active row, and each query attends to its own document
-    only. Each document takes the cheaper attention association for its
-    row and active counts (flops.reassociates); a document whose rows are
-    all active keeps the standard one. Rows outside `active` are copied
+    takes the same packed attention as any other batch. `active` lists the
+    rows the layer updates in strictly increasing order (np.flatnonzero of
+    a mask); any other order is a ShapeError. Queries come from the active
+    rows only; keys and values span every row of each document that has an
+    active row, and each query attends to its own document only. Each
+    document takes the cheaper attention association for its row and
+    active counts (flops.reassociates); a document whose rows are all
+    active keeps the standard one. Rows outside `active` are copied
     verbatim, so an empty active set makes the layer an exact identity.
 
     The documents run in consecutive groups whose temporaries stay within
@@ -446,23 +430,30 @@ def forward_layer(h, weights, active, *, heads, segments=None, out=None):
     sizes = segments[1:] - segments[:-1]
     if segments[0] != 0 or segments[-1] != n or (sizes < 0).any():
         raise ShapeError(f"segments must rise from 0 to the row count {n}")
+    active = np.asarray(active, dtype=np.int64)
+    if active.ndim != 1 or active.size and (
+            active[0] < 0 or active[-1] >= n or (active[1:] <= active[:-1]).any()):
+        raise ShapeError(f"active rows must rise strictly within 0..{n - 1}")
     if out is None:
         out = h.copy()
     elif out is not h:
         if out.shape != h.shape or out.dtype != np.float64:
             raise ShapeError(f"out must be a float64 array of shape {h.shape}")
         out[...] = h
-    active = np.asarray(active, dtype=np.int64)
     if active.size == 0:
         return out
-    groups = _groups(segments, active, max(d, weights.w1.shape[1]), d)
-    for lo, hi in groups:
-        a, b = segments[lo], segments[hi]
-        rows = active if len(groups) == 1 else active[(active >= a) & (active < b)]
+    # document of each active row: the last start at or before it, so that
+    # empty documents, which share their start with the next, get none
+    counts = np.bincount(np.searchsorted(segments, active, side="right") - 1,
+                         minlength=sizes.size)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    for lo, hi in _groups(sizes, counts, max(d, weights.w1.shape[1]), d):
+        a = segments[lo]
+        rows = active[bounds[lo]:bounds[hi]]
         if rows.size:
             # each group reads only its own documents' rows of h
-            out[rows] = _layer_rows(h[a:b], weights, rows - a, heads,
-                                    sizes[lo:hi])
+            out[rows] = _layer_rows(h[a:segments[hi]], weights, rows - a, heads,
+                                    sizes[lo:hi], counts[lo:hi])
     return out
 
 

@@ -232,6 +232,21 @@ class TestInfer:
         assert code == 1
         assert "classifier head" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("docs", [[["a", "b"]], []], ids=["docs", "no-docs"])
+    def test_depth_mismatch_rejected(self, tmp_path, capsys, docs):
+        # a corpus with no documents never reaches route, and is refused too
+        _, _, _, table_path, _ = make_model_and_table(tmp_path)
+        deeper = random_model(6, 4, 8, 2, 16, seed=1, num_classes=2)
+        save_model(deeper, tmp_path / "deeper.bin")
+        corpus_path = tmp_path / "docs.txt"
+        save_corpus(Corpus(documents=docs), corpus_path)
+        code = run(["infer", "--model", tmp_path / "deeper.bin", "--table",
+                    table_path, "--corpus", corpus_path, "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "L=3" in err and "L=4" in err
+        assert not (tmp_path / "predictions.tsv").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         _, model_path, _, table_path, _ = make_model_and_table(tmp_path)
         code = run(["infer", "--model", model_path, "--table", table_path,
@@ -480,6 +495,37 @@ class TestMalformedFlags:
         assert run(argv + ["--out-dir", tmp_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and says in err
+
+    @pytest.mark.parametrize("argv, says", [
+        pytest.param(["build-hash", "--method", "random", "--buckets", "x",
+                      "--layers", 4], "--buckets", id="buckets-not-int"),
+        pytest.param(["build-hash", "--method", "random", "--buckets", 2,
+                      "--layers", 4, "--consistent", "maybe"], "--consistent",
+                     id="consistent-maybe"),
+        pytest.param(["build-hash", "--method", "hashing", "--buckets", 2,
+                      "--layers", 4], "--method", id="unknown-method"),
+        pytest.param(["infer", "--model"], "--model", id="infer-model-no-value"),
+        pytest.param(["infer", "--table", "t", "--corpus", "c"], "--model",
+                     id="infer-model-missing"),
+        pytest.param(["difficulty", "--floor", "high"], "--floor",
+                     id="difficulty-floor-not-float"),
+        pytest.param(["flops-report", "--table", "t", "--corpus", "c", "--bogus"],
+                     "--bogus", id="unknown-flag"),
+        pytest.param(["train"], "train", id="unknown-command"),
+        pytest.param([], "command", id="no-command"),
+    ])
+    def test_parse_error_exits_1(self, capsys, argv, says):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: hashexit") and says in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["infer", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert "usage: hashexit" in capsys.readouterr().out
 
 
 class TestUnreadableInput:

@@ -260,6 +260,33 @@ class TestForwardLayer:
         assert np.max(np.abs(packed - np.vstack([first, second]))) <= 1e-12
         assert np.array_equal(packed[[1, 4]], h[[1, 4]])
 
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("at", [0, 1, 2, 3])
+    def test_empty_document_changes_nothing(self, monkeypatch, budget, at):
+        # an empty document shares its start row with the next one, so the
+        # active rows there must count towards the next document
+        rng = np.random.default_rng(6)
+        model = random_model(5, 1, 8, 2, 16, seed=7)
+        h = rng.normal(size=(9, 8))
+        segments = [0, 3, 4, 9]
+        active = [0, 2, 3, 4, 8]
+        if budget is not None:
+            monkeypatch.setattr(encoder, "BATCH_FLOATS", budget)
+        want = forward_layer(h, model.layers[0], active, heads=2,
+                             segments=segments)
+        for padded in (segments[:at] + [segments[at]] + segments[at:],
+                       segments[:at] + [segments[at]] * 3 + segments[at:]):
+            got = forward_layer(h, model.layers[0], active, heads=2,
+                                segments=padded)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("active", [[2, 0], [0, 1, 1], [1, 0, 2], [-1, 0],
+                                        [0, 3], [[0, 1]]])
+    def test_active_must_rise_strictly(self, active):
+        model = random_model(5, 1, 8, 2, 16, seed=4)
+        with pytest.raises(ShapeError, match="active"):
+            forward_layer(np.zeros((3, 8)), model.layers[0], active, heads=2)
+
     def test_bad_segments(self):
         model = random_model(5, 1, 8, 2, 16, seed=4)
         with pytest.raises(ShapeError):
@@ -287,9 +314,9 @@ class TestReassociation:
         active = np.sort(rng.choice(96, size=m, replace=False))
         assert reassociates(96, m, 256, 4)
         q = h[active] @ weights.wq
-        q_doc, k_doc = np.zeros(m, dtype=np.int64), np.zeros(96, dtype=np.int64)
-        flipped = encoder._attention(q, h, weights, 4, True, q_doc, k_doc, 1)
-        standard = encoder._attention(q, h, weights, 4, False, q_doc, k_doc, 1)
+        q_sizes, k_sizes = np.array([m]), np.array([96])
+        flipped = encoder._attention(q, h, weights, 4, True, q_sizes, k_sizes)
+        standard = encoder._attention(q, h, weights, 4, False, q_sizes, k_sizes)
         assert np.max(np.abs(flipped - standard)) <= 1e-12
         got = forward_layer(h, weights, active, heads=4)
         standard_only(monkeypatch)
@@ -600,9 +627,9 @@ class TestLayerGroups:
         groups = []
         real = encoder._layer_rows
 
-        def counted(h, weights, active, heads, sizes):
+        def counted(h, weights, active, heads, sizes, counts):
             groups.append((sizes.size, len(h), active.size))
-            return real(h, weights, active, heads, sizes)
+            return real(h, weights, active, heads, sizes, counts)
 
         monkeypatch.setattr(encoder, "_layer_rows", counted)
         return groups
@@ -762,6 +789,64 @@ class TestLayerGroups:
             for state in trace.hidden:
                 digest.update(state.tobytes())
         assert digest.hexdigest() == self.GOLDEN_MID_TRACES
+
+    # sha256 of the packed states H^0..H^L of multi-document batches,
+    # recorded before attention padded its operands by per-document counts.
+    # Each batch holds a dense document, documents with no active row above
+    # layer 1 and documents of one or a few active rows, so that its layers
+    # take both associations; budget 1 runs each document with an active
+    # row as a group of its own. The float64 results are those of numpy's
+    # bundled OpenBLAS; another BLAS may round the matmuls differently.
+    GOLDEN_PACKED_TRACES = {
+        ("toy", None):
+            "829ced7ced11fd659beccd798d58913f9f18a2de9b39a8d4525dad9872ef20fc",
+        ("toy", 1):
+            "d5345d37f0ca1da9374ce6a0b4c824118ca8971b59c6a37a4bbf1f11548ba355",
+        ("toy", 80):
+            "d5345d37f0ca1da9374ce6a0b4c824118ca8971b59c6a37a4bbf1f11548ba355",
+        ("mid", None):
+            "694b0d5d3e4dba2d0057bab24a8b7c637ba0225a12c329acbe2fb8bc9746d92e",
+        ("mid", 1):
+            "af2d0d5586eaffc2ac900bec27c45290fc9e77cb782982ececb84cb449114725",
+        ("mid", 4096):
+            "89af4e80aa64645a464b8eb07f79f5f959810e9ef5c7a1c23bfefc1d6fde7853",
+    }
+
+    @pytest.mark.parametrize("shape, budget", list(GOLDEN_PACKED_TRACES))
+    def test_golden_packed_traces(self, monkeypatch, shape, budget):
+        dims = {"toy": (6, 8, 2, 16), "mid": (6, 64, 4, 128)}[shape]
+        model = random_model(50, *dims, seed=72)
+        L = model.num_layers
+        rng = np.random.default_rng(73)
+        exits = [np.full(24, L),                        # dense
+                 np.ones(9, dtype=np.int64),            # no active row above 1
+                 np.array([L]),                         # one token
+                 np.array([L] + [1] * 39),              # one query row
+                 np.ones(3, dtype=np.int64)]
+        for n in (40, 17, 64, 5, 31):
+            e = rng.choice([1, 2, 4, L], p=[0.6, 0.2, 0.1, 0.1], size=n)
+            e[0] = L
+            exits.append(e)
+        ids_list = [rng.integers(-1, 50, size=e.size) for e in exits]
+        schedules = [ExitSchedule(e, np.ones(e.size, dtype=bool)) for e in exits]
+        if budget is not None:
+            monkeypatch.setattr(encoder, "BATCH_FLOATS", budget)
+        calls = []
+        real = encoder._attention
+
+        def spy(*args):
+            calls.append(args[4])  # reassociate
+            return real(*args)
+
+        monkeypatch.setattr(encoder, "_attention", spy)
+        states = forward(model, packed_batch(ids_list, schedules), traces=True)
+        assert True in calls and False in calls
+        if budget == 1:
+            assert len(calls) > 3 * L
+        digest = hashlib.sha256()
+        for state in states:
+            digest.update(state.tobytes())
+        assert digest.hexdigest() == self.GOLDEN_PACKED_TRACES[shape, budget]
 
 
 class TestPositionalEncoding:
