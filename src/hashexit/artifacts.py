@@ -1,11 +1,13 @@
-"""Every file format the package reads or writes.
+"""The one module that opens files, and the rules its formats share.
 
 Text files (hash tables, corpora, difficulty datasets, reports) are UTF-8
-with "\\n" line ends, written whole by `write_text`. Their tokens are
-non-empty and free of whitespace, and other tab-separated fields hold no
-tab or line break. Models and token embeddings share one binary codec,
-`BinaryFormat`: a header line `<magic> key=int ...`, raw little-endian
-float64 blocks sized by it, then, for embeddings, UTF-8 token lines.
+with "\\n" line ends, written whole by `write_text`; each format keeps its
+row layout next to its type. Tokens are non-empty and free of whitespace,
+and other tab-separated fields hold no tab or line break. Models, token
+embeddings and hash tables open with one header line, `<magic> key=value
+...` (`format_header`, `parse_header`). Models and embeddings share one
+binary codec, `BinaryFormat`: that header, raw little-endian float64
+blocks sized by it, then, for embeddings, UTF-8 token lines.
 """
 
 import math
@@ -64,6 +66,35 @@ def open_text(path):
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
+def format_header(magic, fields, values):
+    """The line `magic key=value ...` for each key in `fields`, unended."""
+    return " ".join([magic] + [f"{key}={values[key]}" for key in fields])
+
+
+def parse_header(line, magic, fields, kind, text=()):
+    """The values of a `format_header` line by key: ints, or strings for
+    the keys in `text`. Another magic, or a field that is unknown,
+    repeated, missing or not an integer, is a ParseError naming `kind`."""
+    if not line.startswith(magic + " "):
+        raise ParseError(f"not a {kind} file (bad magic header)")
+    values = {}
+    for part in line[len(magic) + 1:].split(" "):
+        key, _, value = part.partition("=")
+        if key not in fields:
+            raise ParseError(f"{kind} header has unknown field {part!r}")
+        if key in values:
+            raise ParseError(f"{kind} header repeats field {key}")
+        try:
+            values[key] = value if key in text else int(value)
+        except ValueError:
+            raise ParseError(f"{kind} header field {part!r} is not "
+                             "key=integer") from None
+    missing = [key for key in fields if key not in values]
+    if missing:
+        raise ParseError(f"{kind} header is missing {missing[0]}")
+    return values
+
+
 @dataclass(frozen=True)
 class BinaryFormat:
     """Header `magic k=int ...` with one value per name in `fields` (each
@@ -83,7 +114,7 @@ class BinaryFormat:
 
     def write(self, path, meta, blocks, lines=()):
         """The header, each of `blocks` from its own memory, then `lines`."""
-        head = " ".join([self.magic] + [f"{k}={meta[k]}" for k in self.fields])
+        head = format_header(self.magic, self.fields, meta)
         tail = "".join(f"{line}\n" for line in lines).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(head.encode("ascii") + b"\n")
@@ -112,27 +143,15 @@ class BinaryFormat:
     def _parse_header(self, line):
         if self.legacy is not None and re.match(self.legacy[0], line):
             raise ParseError(self.legacy[1])
-        if not line.startswith(self.magic.encode() + b" "):
-            raise ParseError(f"not a {self.kind} file (bad magic header)")
+        meta = parse_header(line.decode("ascii", "replace").removesuffix("\n"),
+                            self.magic, self.fields, self.kind)
         if not line.endswith(b"\n"):
             raise ParseError(f"{self.kind} header line does not end within "
                              f"{HEADER_MAX} bytes")
-        meta = {}
-        for part in line[len(self.magic) + 1:].decode("ascii", "replace").split():
-            key, _, val = part.partition("=")
-            try:
-                meta[key] = int(val)
-            except ValueError:
-                raise ParseError(f"{self.kind} header field {part!r} is not "
-                                 "key=integer") from None
         for key in self.fields:
-            if key not in meta:
-                raise ParseError(f"{self.kind} header is missing {key}")
             if meta[key] < (0 if key in self.zero_ok else 1):
                 raise ParseError(f"{self.kind} header field {key}={meta[key]} "
                                  "is out of range")
-        if len(meta) != len(self.fields):
-            raise ParseError(f"{self.kind} header has unknown fields")
         return meta
 
 

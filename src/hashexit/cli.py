@@ -59,10 +59,9 @@ def cmd_build_hash(args):
     else:
         if args.corpus is None:
             raise ConfigError(f"method {args.method} needs --corpus")
-        labeled = args.labeled or args.method == "mi"
         if args.method == "mi" and not args.labeled:
             raise ConfigError("method mi needs a labeled corpus; pass --labeled")
-        corpus = load_corpus(args.corpus, labeled=labeled)
+        corpus = load_corpus(args.corpus, labeled=args.labeled)
         _report_skipped(corpus)
         vocab = Vocab.from_documents(corpus.documents)
         if args.method == "random":

@@ -38,7 +38,7 @@ import numpy as np
 
 from .artifacts import BinaryFormat, read_floats
 from .errors import ConfigError, InputError, ParseError, ShapeError, TrainingError
-from .flops import reassociates
+from .flops import ModelDims, reassociates
 from .linalg import layer_norm, relu, softmax_rows
 
 MAX_SEQUENCE_LEN = 512
@@ -114,14 +114,9 @@ class EncoderModel:
     head: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.d <= 0 or self.heads <= 0 or self.d_ff <= 0:
-            raise ConfigError("model dims must be positive")
+        ModelDims(len(self.layers), self.d, self.heads, self.d_ff)
         if self.d % 2 != 0:
             raise ConfigError("d must be even for the sinusoidal positions")
-        if self.d % self.heads != 0:
-            raise ConfigError(f"heads={self.heads} does not divide d={self.d}")
-        if not self.layers:
-            raise ConfigError("model needs at least one layer")
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
         if self.embedding.ndim != 2 or self.embedding.shape[1] != self.d:
             raise ShapeError(f"embedding shape {self.embedding.shape} "

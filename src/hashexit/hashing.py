@@ -18,8 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .artifacts import (BinaryFormat, index_tokens, open_text, read_floats,
-                        read_lines, write_text)
+from .artifacts import (BinaryFormat, format_header, index_tokens, open_text,
+                        parse_header, read_floats, read_lines, write_text)
 from .errors import ConfigError, InputError, ParseError
 
 HASH_METHODS = (
@@ -31,7 +31,7 @@ HASH_METHODS = (
     "clustered",
 )
 
-_TABLE_MAGIC = "#hashee v1"
+_TABLE_HEADER = ("#hashee v1", ("method", "B", "L", "seed"))  # magic, fields
 
 _EMBEDDINGS_FORMAT = BinaryFormat(
     kind="token embedding", magic="#hashee-embeddings v1", fields=("V", "d"),
@@ -235,8 +235,6 @@ def build_random(vocab: Vocab, num_buckets: int, num_layers: int, seed: int,
     from seeds derived from `seed` and returned as a (train, infer) pair
     ("rand-incons-A"/"rand-incons-B").
     """
-    if len(vocab) == 0:
-        raise ConfigError("empty vocab")
     if consistent:
         return _random_table(vocab, num_buckets, num_layers, seed, "rand-cons")
     rng = np.random.default_rng(seed)
@@ -392,12 +390,11 @@ def _repair_empty(points, centers, labels, k):
     return labels
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 50,
-           tol: float = 1e-6):
+def kmeans(points: np.ndarray, k: int, seed: int):
     """Lloyd's k-means with k-means++ seeding.
 
-    Stops after max_iter sweeps or once the summed centroid movement
-    drops below tol. Empty clusters claim the point farthest from its
+    Stops after 50 sweeps or once the summed centroid movement drops
+    below 1e-6. Empty clusters claim the point farthest from its
     current centroid. Deterministic for a fixed seed.
 
     Returns (labels, centroids); centroids are the means of the returned
@@ -424,14 +421,14 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 50,
 
     sq_norms = (points ** 2).sum(axis=1)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(50):
         labels = _nearest(points, sq_norms, centers)
         labels = _repair_empty(points, centers, labels, k)
         new_centers = np.stack([np.compress(labels == c, points, axis=0)
                                 .mean(axis=0) for c in range(k)])
         movement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).sum()
         centers = new_centers
-        if movement < tol:
+        if movement < 1e-6:
             break
     return labels, centers
 
@@ -462,30 +459,19 @@ def build_clustered(vocab: Vocab, emb: EmbeddingTable, num_buckets: int,
 
 def serialize_hash_table(table: HashTable) -> str:
     """Render the v1 text format; byte-exact round trip with parse."""
+    head = format_header(*_TABLE_HEADER, {
+        "method": table.method, "B": table.num_buckets,
+        "L": table.num_layers, "seed": table.seed})
     rows = zip(table.tokens, table.buckets.tolist(), table.layers.tolist())
-    return (f"{_TABLE_MAGIC} method={table.method} B={table.num_buckets} "
-            f"L={table.num_layers} seed={table.seed}\n"
-            + "".join(f"{t}\t{b}\t{layer}\n" for t, b, layer in rows))
+    return head + "\n" + "".join(f"{t}\t{b}\t{layer}\n" for t, b, layer in rows)
 
 
 def parse_hash_table(text: str) -> HashTable:
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty hash table file")
-    head = lines[0].split(" ")
-    if len(head) != 6 or " ".join(head[:2]) != _TABLE_MAGIC:
-        raise ParseError(f"bad header: {lines[0]!r}")
-    fields = {}
-    for part in head[2:]:
-        key, _, value = part.partition("=")
-        fields[key] = value
-    try:
-        method = fields["method"]
-        num_buckets = int(fields["B"])
-        num_layers = int(fields["L"])
-        seed = int(fields["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad header: {lines[0]!r}") from exc
+    head = parse_header(lines[0], *_TABLE_HEADER, "hash table",
+                        text=("method",))
     tokens, buckets, layers = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
@@ -498,8 +484,8 @@ def parse_hash_table(text: str) -> HashTable:
             raise ParseError(f"line {lineno}: non-integer bucket/layer") from exc
         tokens.append(parts[0])
     try:
-        table = HashTable(method, num_buckets, num_layers, seed, tuple(tokens),
-                          np.array(buckets, dtype=np.int64))
+        table = HashTable(head["method"], head["B"], head["L"], head["seed"],
+                          tuple(tokens), np.array(buckets, dtype=np.int64))
         wrong = np.flatnonzero(np.array(layers, dtype=np.int64) != table.layers)
     except (ConfigError, InputError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hashexit.corpus import Corpus, load_corpus, save_corpus
-from hashexit.encoder import random_model, save_model
-from hashexit.errors import InputError
-from hashexit.hashing import (EmbeddingTable, HashTable, load_hash_table,
-                              save_embeddings, save_hash_table)
+from hashexit.encoder import load_model, random_model, save_model
+from hashexit.errors import InputError, ParseError
+from hashexit.hashing import (EmbeddingTable, HashTable, load_embeddings,
+                              load_hash_table, save_embeddings,
+                              save_hash_table)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hashexit"
 
@@ -22,15 +23,46 @@ ROUND_TRIP = settings(derandomize=True, database=None, max_examples=150,
                       suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def test_only_artifacts_module_touches_files():
-    calls = re.compile(r"\bopen\(|\bnp\.fromfile\b|\.tofile\b")
-    offenders = sorted(
+def lines_outside_artifacts(pattern):
+    """`file:line` of each source line outside artifacts.py that matches."""
+    found = re.compile(pattern)
+    return sorted(
         f"{path.name}:{lineno}"
         for path in SRC.glob("*.py") if path.name != "artifacts.py"
         for lineno, line in enumerate(path.read_text(encoding="utf-8")
                                       .splitlines(), start=1)
-        if calls.search(line))
-    assert offenders == []
+        if found.search(line))
+
+
+def test_only_artifacts_module_touches_files():
+    assert lines_outside_artifacts(r"\bopen\(|\bnp\.fromfile\b|\.tofile\b") == []
+
+
+def test_only_artifacts_module_splits_header_fields():
+    # the key=value header grammar has one home: no other module takes a
+    # header field apart at "="
+    assert lines_outside_artifacts(r"""\.r?(partition|split)\(\s*["']=["']""") == []
+
+
+@pytest.mark.parametrize("save, load, header, field", [
+    (lambda path: save_model(random_model(2, 1, 4, 1, 8), path), load_model,
+     (b" L=1 d=4 ", b" L=7 L=1 d=4 "), "L"),
+    (lambda path: save_embeddings(EmbeddingTable(
+        ("a", "b"), np.ones((2, 3))), path), load_embeddings,
+     (b" V=2 d=3", b" V=9 V=2 d=3"), "V"),
+    (lambda path: save_hash_table(HashTable(
+        "frequency", 1, 2, 0, ("a",), np.zeros(1, dtype=np.int64)), path),
+     load_hash_table, (b" B=1 L=2 ", b" B=1 B=1 L=2 "), "B"),
+], ids=["model", "embeddings", "hash-table"])
+def test_repeated_header_field_is_parse_error(tmp_path, save, load, header,
+                                              field):
+    path = tmp_path / "artifact"
+    save(path)
+    data = path.read_bytes()
+    assert data.count(header[0]) == 1
+    path.write_bytes(data.replace(*header))
+    with pytest.raises(ParseError, match=f"header repeats field {field}$"):
+        load(path)
 
 
 def traced_peak(fn):

@@ -739,6 +739,29 @@ class TestLayerGroups:
             tracemalloc.stop()
         assert peak <= 4 * h_nbytes
 
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_peak_memory_at_bert_base_width(self, num_layers):
+        # at d=768 a full batch holds 682 rows; grouping keeps one forward
+        # near its states there as well, where one ungrouped call held 10x
+        rng = np.random.default_rng(89)
+        model = random_model(50, num_layers, 768, 12, 3072, seed=90)
+        lengths = [256, 200, 130, 96]
+        assert sum(lengths) == encoder.batch_rows(model) == 682
+        ids_list = [rng.integers(-1, 50, size=n) for n in lengths]
+        schedules = []
+        for n in lengths:
+            e = rng.integers(1, num_layers + 1, size=n)
+            e[0] = num_layers
+            schedules.append(ExitSchedule(e, np.ones(n, dtype=bool)))
+        h_nbytes = sum(lengths) * model.d * 8
+        tracemalloc.start()
+        try:
+            forward_docs(model, ids_list, schedules)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * h_nbytes
+
     def test_cls_features_memory_stays_near_one_batch(self):
         # cls_features over two full mid batches holds one batch's states
         # at a time: the bound of one forward, plus the features. States

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -187,6 +188,11 @@ class TestRandomHash:
             if np.any(train.buckets != infer.buckets):
                 differing += 1
         assert differing >= 1
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_empty_vocab_rejected(self, consistent):
+        with pytest.raises(ConfigError, match="empty vocab"):
+            build_random(Vocab(()), 1, 2, seed=0, consistent=consistent)
 
     def test_consistent_is_single_table(self):
         t = build_random(small_vocab(), 2, 4, seed=1)
@@ -429,7 +435,7 @@ class TestKmeansMatchesBroadcast:
         points = np.random.default_rng(0).normal(size=(4096, 256))
         tracemalloc.start()
         try:
-            kmeans(points, 12, seed=0, max_iter=3)
+            kmeans(points, 12, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -496,6 +502,19 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             parse_hash_table("#wrong v9 method=mi B=1 L=1 seed=0\n")
+
+    @pytest.mark.parametrize("head, says", [
+        ("#hashee v2 method=mi B=1 L=1 seed=0", "not a hash table file"),
+        ("#hashee v1 method=mi B=1 L=1", "header is missing seed"),
+        ("#hashee v1 method=mi B=1 L=1 seed=0 x=1", "unknown field 'x=1'"),
+        ("#hashee v1 method=mi  B=1 L=1 seed=0", "unknown field ''"),
+        ("#hashee v1 method=mi B=one L=1 seed=0", "'B=one' is not key=integer"),
+        ("#hashee v1 method=mi B L=1 seed=0", "'B' is not key=integer"),
+    ], ids=["magic", "missing", "unknown", "double-space", "non-integer",
+            "no-value"])
+    def test_malformed_header_names_its_fault(self, head, says):
+        with pytest.raises(ParseError, match=re.escape(says)):
+            parse_hash_table(head + "\na\t0\t1\n")
 
     def test_inconsistent_layer_rejected(self):
         text = "#hashee v1 method=rand-cons B=2 L=4 seed=0\na\t0\t1\nb\t1\t4\n"
