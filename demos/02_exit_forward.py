@@ -15,16 +15,16 @@ Things worth noticing in the output:
     forward reproduces the no-exit forward exactly
   - route packs documents into one flat batch (every row's id and exit
     layer, and each document's start row) with one table lookup; forward
-    runs it and gives the same states as one-by-one runs; a corpus is cut
-    into batches of at most batch_rows(model) rows, and each layer runs a
-    batch in groups of documents sized to that layer's own work
+    runs it and gives the same states as one-by-one runs; batches walks a
+    corpus in such batches, shortest documents first, each within a row
+    budget, and each layer runs a batch in groups of documents sized to
+    that layer's own work
 """
 
 import numpy as np
 
-from hashexit import (HashTable, forward, random_model, route, row_batches,
-                      schedule)
-from hashexit.encoder import BATCH_FLOATS, batch_rows
+from hashexit import HashTable, batches, forward, random_model, route, schedule
+from hashexit.encoder import BATCH_FLOATS
 
 L, d, heads, d_ff = 4, 8, 2, 16
 model = random_model(vocab_size=10, num_layers=L, d=d, heads=heads,
@@ -89,16 +89,18 @@ gap = max(np.abs(packed[a:b] - forward(model, ids, schedule(
           for a, b, ids in zip(starts, starts[1:], docs))
 print(f"packed batch of {len(batch)} docs vs one-by-one: max |diff| {gap:.1e}")
 
-# a corpus is walked in batches of at most batch_rows(model) rows, shortest
-# first; that budget bounds a batch's states (rows x d), so it shrinks as d
-# grows. Each layer then updates the states in place, one group of
-# documents at a time: a group's temporaries stay within BATCH_FLOATS, so a
-# dense layer takes a few documents per group and a layer with one active
-# row per document takes many
-lengths = [int(n) for n in np.random.default_rng(0).integers(5, 500, size=40)]
+# batches walks a corpus in packed batches, shortest documents first, and
+# routes each one through the table (without a table every row runs to the
+# top layer). Its row budget bounds a batch's states (rows x d), so it
+# shrinks as d grows. Each layer then updates the states in place, one
+# group of documents at a time: a group's temporaries stay within
+# BATCH_FLOATS, so a dense layer takes a few documents per group and a
+# layer with one active row per document takes many
+corpus = [np.zeros(n, dtype=np.int64)
+          for n in np.random.default_rng(0).integers(5, 500, size=40)]
 for dims in ((256, 4, 1024), (768, 12, 3072)):
-    budget = batch_rows(random_model(8, 1, *dims))
-    batches = row_batches(lengths, budget)
-    print(f"d={dims[0]}, d_ff={dims[2]}: {len(lengths)} docs, {sum(lengths)} "
-          f"rows -> {len(batches)} batches of <= {budget} rows; a dense layer "
-          f"runs groups of <= {BATCH_FLOATS // max(dims[0], dims[2])} rows")
+    rows = [len(packed.ids) for _, packed in
+            batches(random_model(8, 1, *dims), corpus)]
+    print(f"d={dims[0]}, d_ff={dims[2]}: {len(corpus)} docs, {sum(rows)} rows "
+          f"-> {len(rows)} batches, the largest of {max(rows)} rows; a dense "
+          f"layer runs groups of <= {BATCH_FLOATS // max(dims[0], dims[2])} rows")

@@ -43,7 +43,7 @@ from .encoder import (
     LayerWeights,
     PackedBatch,
     accuracy,
-    batch_rows,
+    batches,
     classify,
     embed,
     forward,
@@ -53,7 +53,6 @@ from .encoder import (
     positional_encoding,
     random_model,
     route,
-    row_batches,
     save_model,
     schedule,
     train_toy,

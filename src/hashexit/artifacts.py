@@ -66,15 +66,39 @@ def open_text(path):
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
+def parse_ints(texts, signed=False):
+    """The ints that `str` writes as the strings of the list `texts`:
+    ASCII digits with no leading zero, sign, padding or underscore, and a
+    leading "-" only if `signed`, so that a value parses only in the one
+    form the writers give it. Anything else is a ValueError whose second
+    argument is the index of the first text that breaks the rule. Each
+    distinct text is parsed once."""
+    values, bad = {}, []
+    for text in set(texts):
+        try:
+            values[text] = number = int(text)
+        except ValueError:
+            bad.append(text)
+            continue
+        if str(number) != text or number < 0 and not signed:
+            bad.append(text)
+    if bad:
+        first = min(map(texts.index, bad))
+        raise ValueError(f"{texts[first]!r} is not a plain decimal integer",
+                         first)
+    return list(map(values.__getitem__, texts))
+
+
 def format_header(magic, fields, values):
     """The line `magic key=value ...` for each key in `fields`, unended."""
     return " ".join([magic] + [f"{key}={values[key]}" for key in fields])
 
 
-def parse_header(line, magic, fields, kind, text=()):
-    """The values of a `format_header` line by key: ints, or strings for
-    the keys in `text`. Another magic, or a field that is unknown,
-    repeated, missing or not an integer, is a ParseError naming `kind`."""
+def parse_header(line, magic, fields, kind, text=(), signed=()):
+    """The values of a `format_header` line by key: ints (`parse_ints`,
+    negative only for the keys in `signed`), or strings for the keys in
+    `text`. Another magic, or a field that is unknown, repeated, missing
+    or not such an integer, is a ParseError naming `kind`."""
     if not line.startswith(magic + " "):
         raise ParseError(f"not a {kind} file (bad magic header)")
     values = {}
@@ -85,7 +109,8 @@ def parse_header(line, magic, fields, kind, text=()):
         if key in values:
             raise ParseError(f"{kind} header repeats field {key}")
         try:
-            values[key] = value if key in text else int(value)
+            values[key] = (value if key in text
+                           else parse_ints([value], signed=key in signed)[0])
         except ValueError:
             raise ParseError(f"{kind} header field {part!r} is not "
                              "key=integer") from None

@@ -15,8 +15,7 @@ import numpy as np
 from .artifacts import write_text
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus
-from .encoder import (batch_rows, classify, forward, load_model, route,
-                      row_batches, schedule)
+from .encoder import batches, classify, forward, load_model, schedule
 from .flops import ModelDims, report
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
@@ -41,11 +40,11 @@ def _report_skipped(corpus):
 
 
 def _histogram_text(table):
-    lines = []
-    for b, size in enumerate(table.bucket_sizes()):
-        layer = bucket_to_layer(b, table.num_buckets, table.num_layers)
-        lines.append(f"bucket {b} -> layer {layer}: {size} tokens")
-    return "\n".join(lines)
+    sizes = table.bucket_sizes()
+    layers = bucket_to_layer(np.arange(sizes.size), table.num_buckets,
+                             table.num_layers)
+    return "\n".join(f"bucket {b} -> layer {layers[b]}: {size} tokens"
+                     for b, size in enumerate(sizes))
 
 
 def cmd_build_hash(args):
@@ -110,8 +109,7 @@ def cmd_infer(args):
     # each call (bench/ times and traces them); the packed states are
     # dropped as soon as their first rows are read
     feats = np.empty((len(ids_list), model.d))
-    for batch in row_batches([len(ids) for ids in ids_list], batch_rows(model)):
-        packed = route([ids_list[i] for i in batch], table, model.num_layers)
+    for batch, packed in batches(model, ids_list, table):
         feats[batch] = forward(model, packed)[packed.offsets[:-1]]
     preds = np.argmax(classify(model, feats), axis=1)
     lines = [f"{i}\t{pred}" for i, pred in enumerate(preds)]
@@ -211,6 +209,16 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
+    # the toy encoder and task of ablate-consistency and difficulty
+    toy = argparse.ArgumentParser(add_help=False)
+    toy.add_argument("--d", type=int, default=8)
+    toy.add_argument("--heads", type=int, default=2)
+    toy.add_argument("--d-ff", type=int, default=16)
+    toy.add_argument("--lr", type=float, default=0.5)
+    toy.add_argument("--num-train", type=int, default=40)
+    toy.add_argument("--num-eval", type=int, default=40)
+    toy.add_argument("--vocab-size", type=int, default=11)
+    toy.add_argument("--seq-len", type=int, default=5)
 
     parser = _Parser(
         prog="hashexit",
@@ -253,35 +261,19 @@ def build_parser():
     p.add_argument("--baseline-d-ff", type=int)
     p.set_defaults(func=cmd_flops_report)
 
-    p = sub.add_parser("ablate-consistency", parents=[common],
+    p = sub.add_parser("ablate-consistency", parents=[common, toy],
                        help="train/infer hash consistency ablation")
     p.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
     p.add_argument("--buckets", type=int, default=2)
     p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--d-ff", type=int, default=16)
     p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--num-train", type=int, default=40)
-    p.add_argument("--num-eval", type=int, default=40)
-    p.add_argument("--vocab-size", type=int, default=11)
-    p.add_argument("--seq-len", type=int, default=5)
     p.add_argument("--force-identical", action="store_true")
     p.set_defaults(func=cmd_ablate_consistency)
 
-    p = sub.add_parser("difficulty", parents=[common],
+    p = sub.add_parser("difficulty", parents=[common, toy],
                        help="annotate and score difficulty predictors")
     p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--d-ff", type=int, default=16)
     p.add_argument("--floor", type=float, default=0.3)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--num-train", type=int, default=40)
-    p.add_argument("--num-eval", type=int, default=40)
-    p.add_argument("--vocab-size", type=int, default=11)
-    p.add_argument("--seq-len", type=int, default=5)
     p.add_argument("--annotator-epochs", type=int, default=150)
     p.add_argument("--predictor-epochs", type=int, default=300)
     p.add_argument("--per-layer", action="store_true")

@@ -16,8 +16,7 @@ import numpy as np
 
 from .artifacts import check_field, check_tokens, write_text
 from .errors import ConfigError, InputError
-from .encoder import (PackedBatch, batch_rows, fit, forward,
-                      head_loss_and_grad, pack, row_batches)
+from .encoder import batches, fit, forward, head_loss_and_grad
 
 
 @dataclass
@@ -94,19 +93,13 @@ class NegClassMetrics:
 
 
 def _traces(model, sequences):
-    """(batch, offsets, hidden) of full, no-exit forwards over packed batches.
-
-    Sequences run in packed batches of at most batch_rows(model) rows, one
-    forward call each, shortest first: `batch` indexes a batch's sequences
-    and `offsets` their rows, and hidden[r, l] is row r's state after
-    layer l + 1.
-    """
-    lengths = [len(seq) for seq in sequences]
-    for batch in row_batches(lengths, batch_rows(model)):
-        ids, offsets = pack([sequences[i] for i in batch])
-        full = PackedBatch(ids, np.full(ids.size, model.num_layers), offsets)
-        states = forward(model, full, traces=True)
-        yield batch, offsets, np.stack(states[1:], axis=1)
+    """(batch, offsets, hidden) of full, no-exit forwards, one forward call
+    per batch of `batches`: `batch` indexes a batch's sequences and
+    `offsets` their rows, and hidden[r, l] is row r's state after layer
+    l + 1."""
+    for batch, packed in batches(model, sequences):
+        states = forward(model, packed, traces=True)
+        yield batch, packed.offsets, np.stack(states[1:], axis=1)
 
 
 def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):

@@ -43,16 +43,17 @@ from .linalg import layer_norm, relu, softmax_rows
 
 MAX_SEQUENCE_LEN = 512
 
-# Budgets of a packed batch. batch_rows(model) caps the rows of a batch's
-# states, h and each state of a trace, at BATCH_ROWS and at STATE_FLOATS
-# float64s (4 MiB): 2048 rows up to d=256. Inside a layer, forward_layer
-# runs the batch's documents in consecutive groups whose widest temporary
-# (active rows x max(d, d_ff), or the documents' key rows x d) stays
-# within BATCH_FLOATS, 3 MiB, below the 4 MiB from which numpy asks for
-# huge pages; larger temporaries are mapped and page-faulted afresh. A
-# dense layer at d=256, d_ff=1024 then runs groups of 384 rows, and a
-# layer with one active row per document groups about 16 documents of 96
-# rows, where a batch sized for the dense layer held 4.
+# Budgets of a packed batch. `batches` cuts a corpus into batches whose
+# states (h, and each state of a trace) hold at most BATCH_ROWS rows and
+# STATE_FLOATS float64s (4 MiB): 2048 rows up to d=256. Inside a layer,
+# forward_layer runs the batch's documents in consecutive groups whose
+# widest temporary (active rows x max(d, d_ff), or the documents' key rows
+# x d) stays within BATCH_FLOATS, 3 MiB, below the 4 MiB from which numpy
+# asks for huge pages; larger temporaries are mapped and page-faulted
+# afresh. A dense layer at d=256, d_ff=1024 then runs groups of 384 rows,
+# and a layer with one active row per document groups about 16 documents
+# of 96 rows, where a batch sized for the dense layer held 4. Both cuts
+# follow one rule, `_cuts`.
 BATCH_ROWS = 2048
 STATE_FLOATS = 1 << 19
 BATCH_FLOATS = 3 << 17
@@ -65,6 +66,14 @@ def _layer_shapes(d, d_ff):
     """The shape of each of a layer's `_LAYER_FIELDS`, in that order."""
     return dict(zip(_LAYER_FIELDS, [(d, d)] * 4 + [(d, d_ff), (d_ff, d)]
                     + [(d,)] * 4))
+
+
+def _check_model_dims(num_layers, d, heads, d_ff):
+    """ConfigError unless an encoder of these dims can run: the rules of
+    ModelDims, and an even d for the sinusoidal positions."""
+    ModelDims(num_layers, d, heads, d_ff)
+    if d % 2 != 0:
+        raise ConfigError("d must be even for the sinusoidal positions")
 
 
 def _model_floats(meta):
@@ -114,9 +123,7 @@ class EncoderModel:
     head: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        ModelDims(len(self.layers), self.d, self.heads, self.d_ff)
-        if self.d % 2 != 0:
-            raise ConfigError("d must be even for the sinusoidal positions")
+        _check_model_dims(len(self.layers), self.d, self.heads, self.d_ff)
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
         if self.embedding.ndim != 2 or self.embedding.shape[1] != self.d:
             raise ShapeError(f"embedding shape {self.embedding.shape} "
@@ -331,6 +338,24 @@ def _rows_matmul(x, w):
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
 
 
+def _cuts(costs, budget):
+    """Consecutive ranges (lo, hi) of items, cut greedily in order.
+
+    Each of `costs` gives every item's cost in one resource. A range takes
+    items while it spends at most `budget` of each resource; an item over
+    budget on its own gets a range of its own, and items that cost nothing
+    join a neighbouring range.
+    """
+    spent = [np.concatenate(([0], np.cumsum(c))) for c in costs]
+    cuts = [0]
+    while cuts[-1] < spent[0].size - 1:
+        lo = cuts[-1]
+        hi = min(int(np.searchsorted(s, s[lo] + budget, side="right"))
+                 for s in spent) - 1
+        cuts.append(max(hi, lo + 1))
+    return list(zip(cuts, cuts[1:]))
+
+
 def _groups(sizes, counts, width, d):
     """Consecutive document ranges (lo, hi) that one layer runs together.
 
@@ -340,19 +365,10 @@ def _groups(sizes, counts, width, d):
     is a single document. Documents without an active row cost nothing and
     join a neighbouring range.
     """
-    docs = sizes.size
     if counts.sum() * width <= BATCH_FLOATS and sizes.sum() * d <= BATCH_FLOATS:
-        return [(0, docs)]
+        return [(0, sizes.size)]
     keys = np.where(counts > 0, sizes, 0)
-    spent = [np.concatenate(([0], np.cumsum(c))) * w
-             for c, w in ((counts, width), (keys, d))]
-    cuts = [0]
-    while cuts[-1] < docs:
-        lo = cuts[-1]
-        hi = min(int(np.searchsorted(s, s[lo] + BATCH_FLOATS, side="right"))
-                 for s in spent) - 1
-        cuts.append(max(hi, lo + 1))
-    return list(zip(cuts, cuts[1:]))
+    return _cuts((counts * width, keys * d), BATCH_FLOATS)
 
 
 def _layer_rows(h, weights, active, heads, sizes, counts):
@@ -503,8 +519,8 @@ def forward(model, batch, sched=None, *, traces=False):
     call, which runs the batch in groups of documents sized to that
     layer's work. Without traces the layers update one (rows, d) state
     matrix in place, and the layers' temporaries stay within BATCH_FLOATS
-    per group; with traces each layer keeps a new one, L+1 in all. So split
-    a corpus with row_batches into batches of batch_rows(model) rows.
+    per group; with traces each layer keeps a new one, L+1 in all. So walk
+    a corpus in the batches that `batches` cuts.
     """
     if sched is not None:
         ids = np.asarray(batch, dtype=np.int64)
@@ -514,29 +530,28 @@ def forward(model, batch, sched=None, *, traces=False):
     return states if traces else states[0]
 
 
-def batch_rows(model):
-    """Row budget of one packed batch: its states, not its layers'
-    temporaries, which forward_layer bounds by grouping documents."""
-    return max(1, min(BATCH_ROWS, STATE_FLOATS // model.d))
+def batches(model, sequences, table=None):
+    """Walk the id sequences `sequences` in packed batches for `forward`.
 
-
-def row_batches(lengths, max_rows):
-    """Split documents into packed batches of at most max_rows rows.
-
-    Returns index arrays. Documents are taken shortest first, so each
-    batch holds documents of similar length and pads little; a document
-    longer than the budget gets a batch of its own.
+    Yields each batch's indices into `sequences` and its PackedBatch.
+    Documents are taken shortest first, so a batch holds documents of
+    similar length, and a batch's states stay within BATCH_ROWS rows and
+    STATE_FLOATS floats; a document longer than that gets a batch of its
+    own. With a table, each batch is routed (`route`); without one, every
+    row runs to the top layer.
     """
-    order = np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
-    batches, start, rows = [], 0, 0
-    for i, doc in enumerate(order):
-        if rows and rows + lengths[doc] > max_rows:
-            batches.append(order[start:i])
-            start, rows = i, 0
-        rows += lengths[doc]
-    if rows:
-        batches.append(order[start:])
-    return batches
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    order = np.argsort(lengths, kind="stable")
+    budget = min(BATCH_ROWS, STATE_FLOATS // model.d)
+    for lo, hi in _cuts((lengths[order],), budget):
+        batch = order[lo:hi]
+        docs = [sequences[i] for i in batch]
+        if table is not None:
+            yield batch, route(docs, table, model.num_layers)
+        else:
+            ids, offsets = pack(docs)
+            yield batch, PackedBatch(ids, np.full(ids.size, model.num_layers),
+                                     offsets)
 
 
 def classify(model, feats):
@@ -581,14 +596,10 @@ def head_loss_and_grad(head, feats, label_ids):
 
 
 def cls_features(model, sequences, table):
-    """Frozen-encoder features: final state of position 0 per sequence.
-
-    Sequences run in packed batches of at most batch_rows(model) rows.
-    """
+    """Frozen-encoder features: final state of position 0 per sequence,
+    run in the routed batches of `batches`."""
     feats = np.empty((len(sequences), model.d))
-    lengths = [len(seq) for seq in sequences]
-    for batch in row_batches(lengths, batch_rows(model)):
-        packed = route([sequences[i] for i in batch], table, model.num_layers)
+    for batch, packed in batches(model, sequences, table):
         feats[batch] = forward(model, packed)[packed.offsets[:-1]]
     return feats
 
@@ -671,18 +682,19 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a `save_model` file. The header is checked against the file
-    size before any weight is read, then each tensor is read straight
-    into its own array."""
+    """Read a `save_model` file. The header's dims, and the file size they
+    declare, are checked before any weight is read, then each tensor is
+    read straight into its own array."""
     with _MODEL_FORMAT.read(path) as (meta, fh):
-        L, d, d_ff, V, C = (meta[k] for k in ("L", "d", "d_ff", "V", "C"))
+        L, d, h, d_ff, V, C = (meta[k] for k in _MODEL_FORMAT.fields)
+        try:
+            _check_model_dims(L, d, h, d_ff)
+        except ConfigError as exc:
+            raise ParseError(f"model header: {exc}") from None
         embedding = read_floats(fh, "embedding", V, d)
         layers = [LayerWeights(**{
             name: read_floats(fh, f"layer{i}.{name}", *shape)
             for name, shape in _layer_shapes(d, d_ff).items()}) for i in range(L)]
         head = read_floats(fh, "head", d, C) if C else None
-    try:
-        return EncoderModel(d=d, heads=meta["h"], d_ff=d_ff, layers=layers,
-                            embedding=embedding, head=head)
-    except (ConfigError, ShapeError) as exc:
-        raise ParseError(f"model header: {exc}") from None
+    return EncoderModel(d=d, heads=h, d_ff=d_ff, layers=layers,
+                        embedding=embedding, head=head)

@@ -19,7 +19,8 @@ from itertools import chain
 import numpy as np
 
 from .artifacts import (BinaryFormat, format_header, index_tokens, open_text,
-                        parse_header, read_floats, read_lines, write_text)
+                        parse_header, parse_ints, read_floats, read_lines,
+                        write_text)
 from .errors import ConfigError, InputError, ParseError
 
 HASH_METHODS = (
@@ -128,12 +129,19 @@ def _check_buckets(num_buckets: int, num_layers: int) -> None:
         )
 
 
-def bucket_to_layer(b: int, num_buckets: int, num_layers: int) -> int:
-    """Exit layer of bucket b: 1 + floor(L*b/B); bucket 0 is always layer 1."""
+def bucket_to_layer(b, num_buckets: int, num_layers: int):
+    """Exit layer of bucket b: 1 + floor(L*b/B); bucket 0 is always layer 1.
+
+    b is an int, which gives an int, or an array of buckets, which gives
+    an int64 array of their layers."""
     _check_buckets(num_buckets, num_layers)
-    if b < 0 or b >= num_buckets:
-        raise ConfigError(f"bucket {b} out of range 0..{num_buckets - 1}")
-    return 1 + (num_layers * b) // num_buckets
+    buckets = np.asarray(b, dtype=np.int64)
+    bad = (buckets < 0) | (buckets >= num_buckets)
+    if bad.any():
+        raise ConfigError(f"bucket {buckets[bad].flat[0]} out of range "
+                          f"0..{num_buckets - 1}")
+    layers = 1 + (num_layers * buckets) // num_buckets
+    return layers if layers.ndim else int(layers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +170,8 @@ class HashTable:
         buckets = np.asarray(self.buckets, dtype=np.int64)
         if buckets.shape != (len(self.tokens),):
             raise ConfigError("one bucket per token required")
-        if buckets.min() < 0 or buckets.max() >= self.num_buckets:
-            raise ConfigError("bucket index out of range")
         object.__setattr__(self, "buckets", buckets)
-        layers = 1 + (self.num_layers * buckets) // self.num_buckets
+        layers = bucket_to_layer(buckets, self.num_buckets, self.num_layers)
         layers.setflags(write=False)
         buckets.setflags(write=False)
         object.__setattr__(self, "layers", layers)
@@ -471,18 +477,21 @@ def parse_hash_table(text: str) -> HashTable:
     if not lines:
         raise ParseError("empty hash table file")
     head = parse_header(lines[0], *_TABLE_HEADER, "hash table",
-                        text=("method",))
-    tokens, buckets, layers = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected token<TAB>bucket<TAB>layer")
-        try:
-            buckets.append(int(parts[1]))
-            layers.append(int(parts[2]))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer bucket/layer") from exc
-        tokens.append(parts[0])
+                        text=("method",), signed=("seed",))
+    rows = lines[1:]
+    tabs = [row.count("\t") for row in rows]
+    if tabs.count(2) != len(rows):
+        short = next(i for i, count in enumerate(tabs) if count != 2)
+        raise ParseError(f"line {short + 2}: expected token<TAB>bucket<TAB>layer")
+    fields = "\t".join(rows).split("\t") if rows else []
+    tokens = fields[0::3]
+    del fields[0::3]  # bucket, layer, bucket, ...: field i is on line i//2 + 2
+    try:
+        numbers = parse_ints(fields)
+    except ValueError as exc:
+        raise ParseError(f"line {exc.args[1] // 2 + 2}: non-integer "
+                         "bucket/layer") from None
+    buckets, layers = numbers[0::2], numbers[1::2]
     try:
         table = HashTable(head["method"], head["B"], head["L"], head["seed"],
                           tuple(tokens), np.array(buckets, dtype=np.int64))

@@ -7,7 +7,7 @@ exit-aware forward, and corpora are generated with raw RNG calls.
 
 import numpy as np
 
-from hashexit.hashing import CorpusStats, Vocab, bucket_to_layer
+from hashexit.hashing import CorpusStats, Vocab
 
 
 def make_random_labeled_corpus(rng, vocab_size=None, num_docs=None):
@@ -32,23 +32,45 @@ def reference_exit(table, token_id):
     """Exit layer of one token id, one id at a time through the bucket
     map: ids outside the table (< 0 or >= V) run all L layers."""
     if 0 <= token_id < len(table.tokens):
-        return bucket_to_layer(int(table.buckets[token_id]),
-                               table.num_buckets, table.num_layers)
+        bucket = int(table.buckets[token_id])
+        return 1 + table.num_layers * bucket // table.num_buckets
     return table.num_layers
 
 
-def vanilla_forward(model, token_ids):
-    """Reference full forward pass: every token through every layer.
+def greedy_batches(lengths, max_rows):
+    """Documents cut into batches of at most max_rows rows, one document
+    at a time: shortest first (a stable sort), and a new batch whenever
+    the next document would overflow the current one, so a document longer
+    than the budget gets a batch of its own."""
+    order = sorted(range(len(lengths)), key=lambda i: lengths[i])
+    batches, rows = [], 0
+    for i in order:
+        if not batches or rows + lengths[i] > max_rows:
+            batches.append([])
+            rows = 0
+        batches[-1].append(i)
+        rows += lengths[i]
+    return batches
 
-    Implemented directly on the weight arrays (no shared kernels, no
-    active-set logic) so it is an independent check of the exit-aware path.
+
+def vanilla_forward(model, token_ids, exits=None):
+    """Reference forward pass of one document; without `exits` every token
+    runs through every layer.
+
+    With `exits`, each layer computes every row as a plain encoder layer
+    over all rows of the document, then keeps the new state only for the
+    rows whose exit is that layer or above; the others carry their state
+    up unchanged. Implemented directly on the weight arrays (no shared
+    kernels, no active-set logic, one association) so it is an
+    independent check of the exit-aware path.
     """
     ids = np.asarray(token_ids)
     n = len(ids)
     d = model.d
+    exits = np.full(n, model.num_layers) if exits is None else np.asarray(exits)
     h = np.where(ids[:, None] >= 0, model.embedding[np.maximum(ids, 0)], 0.0)
     h = h + sinusoidal_positions(n, d)
-    for lw in model.layers:
+    for t, lw in enumerate(model.layers, start=1):
         q = h @ lw.wq
         k = h @ lw.wk
         v = h @ lw.wv
@@ -64,7 +86,8 @@ def vanilla_forward(model, token_ids):
         attn_out = ctx @ lw.wo
         h1 = _norm_rows(h + attn_out, lw.ln1_gain, lw.ln1_bias)
         ffn = np.maximum(h1 @ lw.w1, 0.0) @ lw.w2
-        h = _norm_rows(h1 + ffn, lw.ln2_gain, lw.ln2_bias)
+        h = np.where((exits >= t)[:, None],
+                     _norm_rows(h1 + ffn, lw.ln2_gain, lw.ln2_bias), h)
     return h
 
 

@@ -23,6 +23,8 @@ from hashexit.hashing import (
     serialize_hash_table,
 )
 
+from helpers import greedy_batches
+
 
 FIXTURE_FREQS = {"a": 100, "b": 50, "c": 40, "d": 10, "e": 5, "f": 1}
 
@@ -220,6 +222,25 @@ class TestInfer:
         assert code == 0
         assert "accuracy:" in capsys.readouterr().out
 
+    def test_all_empty_labeled_corpus_is_one_error(self, tmp_path, capsys):
+        # label-only lines load as empty documents; they run through
+        # forward, which rejects them, instead of leaving their features
+        # unset and predicting from them
+        _, model_path, _, table_path, _ = make_model_and_table(tmp_path)
+        corpus_path = tmp_path / "docs.tsv"
+        corpus_path.write_text("0\t\n1\t\n")
+        code = run(["infer", "--model", model_path, "--table", table_path,
+                    "--corpus", corpus_path, "--labeled",
+                    "--out-dir", tmp_path])
+        assert code == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: cannot run a forward pass on an empty "
+                          "sequence"]
+        assert "accuracy" not in captured.out
+        assert not (tmp_path / "predictions.tsv").exists()
+
     def test_headless_model_rejected(self, tmp_path, capsys):
         _, _, _, table_path, _ = make_model_and_table(tmp_path)
         headless = random_model(6, 3, 8, 2, 16, seed=1)
@@ -289,7 +310,7 @@ class TestInfer:
         rng = np.random.default_rng(5)
         docs = [[vocab.tokens[i] for i in rng.integers(0, 6, size=rng.integers(1, 30))]
                 for _ in range(400)]
-        assert sum(len(doc) for doc in docs) > 10 * encoder.batch_rows(model)
+        assert sum(len(doc) for doc in docs) > 10 * encoder.BATCH_ROWS  # d=8
         corpus_path = tmp_path / "docs.txt"
         save_corpus(Corpus(documents=docs), corpus_path)
         code = run(["infer", "--model", model_path, "--table", table_path,
@@ -320,7 +341,7 @@ class TestInfer:
         code = run(["infer", "--model", model_path, "--table", table_path,
                     "--corpus", corpus_path, "--out-dir", tmp_path])
         assert code == 0
-        batches = encoder.row_batches([len(d) for d in docs], 40)
+        batches = greedy_batches([len(d) for d in docs], 40)
         assert calls == [len(b) for b in batches]
 
     # sha256 of predictions.tsv for a toy-shaped corpus (2000 documents,
@@ -444,6 +465,24 @@ class TestAblateCli:
                     "--out-dir", tmp_path])
         assert code == 1
         assert "seeds" in capsys.readouterr().err
+
+
+class TestToyFlags:
+    TOY_DEFAULTS = {"d": 8, "heads": 2, "d_ff": 16, "lr": 0.5, "num_train": 40,
+                    "num_eval": 40, "vocab_size": 11, "seq_len": 5}
+
+    @pytest.mark.parametrize("command", ["ablate-consistency", "difficulty"])
+    def test_toy_flags_and_defaults(self, command):
+        parser = cli.build_parser()
+        args = vars(parser.parse_args([command]))
+        assert {key: args[key] for key in self.TOY_DEFAULTS} == self.TOY_DEFAULTS
+        args = vars(parser.parse_args([command, "--d", "4", "--heads", "1",
+                                       "--d-ff", "6", "--lr", "0.25",
+                                       "--num-train", "3", "--num-eval", "2",
+                                       "--vocab-size", "7", "--seq-len", "9"]))
+        assert {key: args[key] for key in self.TOY_DEFAULTS} == {
+            "d": 4, "heads": 1, "d_ff": 6, "lr": 0.25, "num_train": 3,
+            "num_eval": 2, "vocab_size": 7, "seq_len": 9}
 
 
 class TestMalformedFlags:

@@ -19,10 +19,9 @@ from hashexit.difficulty import (
     train_annotator,
 )
 from hashexit import difficulty, encoder
-from hashexit.encoder import (ExitSchedule, batch_rows, forward, random_model,
-                              row_batches)
+from hashexit.encoder import ExitSchedule, forward, random_model
 
-import helpers  # noqa: F401  (sys.path side effect when run as a script)
+from helpers import greedy_batches
 
 
 def random_annotator(seed=0, L=3, num_classes=2, d=8):
@@ -109,6 +108,18 @@ class TestAnnotate:
         with pytest.raises(InputError):
             annotate(ann, [], [])
 
+    @pytest.mark.parametrize("seqs", [[[]], [[], []]])
+    def test_empty_documents_raise(self, seqs):
+        # documents with no rows run through forward, which rejects them,
+        # rather than leaving their states unset
+        ann = random_annotator(seed=10)
+        with pytest.raises(InputError, match="empty sequence"):
+            train_annotator(ann.model, seqs, [0] * len(seqs), epochs=1)
+        for mode, labels in (("sentence", [0] * len(seqs)),
+                             ("token", [[] for _ in seqs])):
+            with pytest.raises(InputError, match="empty sequence"):
+                annotate(ann, seqs, labels, mode=mode)
+
 
 class TestPackedWalk:
     """The lab runs its sequences as packed batches, one forward call per
@@ -145,7 +156,7 @@ class TestPackedWalk:
         rng, seqs = self.ragged(12, longest=6)
         golds = [int(rng.integers(0, 2)) for _ in seqs]
         token_golds = [[int(g) for g in rng.integers(0, 2, len(s))] for s in seqs]
-        batches = row_batches([len(s) for s in seqs], batch_rows(ann.model))
+        batches = greedy_batches([len(s) for s in seqs], encoder.BATCH_ROWS)
         assert 1 < len(batches) < len(seqs)
         calls = self.count_forward_calls(monkeypatch)
         train_annotator(ann.model, seqs, golds, epochs=2)
@@ -186,8 +197,7 @@ class TestPackedWalk:
         rng, seqs = self.ragged(16)
         golds = [int(rng.integers(0, 2)) for _ in seqs]
         packed = train_annotator(model, seqs, golds, epochs=30)
-        monkeypatch.setattr(difficulty, "row_batches", lambda lengths, _: [
-            np.array([i]) for i in range(len(lengths))])
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 1)  # a batch per document
         alone = train_annotator(model, seqs, golds, epochs=30)
         for a, b in zip(packed.heads, alone.heads):
             assert np.abs(a - b).max() <= 1e-9

@@ -21,7 +21,6 @@ from hashexit.encoder import (
     head_loss_and_grad,
     positional_encoding,
     random_model,
-    row_batches,
     save_model,
     load_model,
     pack,
@@ -37,7 +36,8 @@ from hashexit.hashing import (CorpusStats, EmbeddingTable, HashTable, Vocab,
                               build_frequency, build_random, load_embeddings,
                               save_embeddings)
 
-from helpers import reference_exit, sinusoidal_positions, vanilla_forward
+from helpers import (greedy_batches, reference_exit, sinusoidal_positions,
+                     vanilla_forward)
 
 
 def all_last_schedule(n, L):
@@ -458,6 +458,13 @@ class TestForward:
             embed(model, [8], [0])
 
 
+def row_budget(model):
+    """Rows of the first batch that `batches` cuts from one-row documents,
+    one more of them than BATCH_ROWS: its row budget for this model."""
+    cut = encoder.batches(model, [[0]] * (encoder.BATCH_ROWS + 1))
+    return next(cut)[1].offsets[-1]
+
+
 def random_batch(rng, model, docs):
     """Ragged documents with random exits."""
     L, V = model.num_layers, model.vocab_size
@@ -525,16 +532,16 @@ class TestForwardBatch:
             got, = forward_docs(model, [ids], [sched])
             assert np.array_equal(got, forward(model, ids, sched).final)
 
-    def test_batch_rows_bound_the_states(self, monkeypatch):
+    def test_batches_bound_the_states(self, monkeypatch):
         # rows of h: BATCH_ROWS, and STATE_FLOATS over d; d_ff does not count
-        assert encoder.batch_rows(random_model(12, 2, 256, 4, 1024)) == 2048
-        assert encoder.batch_rows(random_model(12, 2, 8, 2, 16)) == encoder.BATCH_ROWS
+        assert row_budget(random_model(12, 2, 256, 4, 1024)) == 2048
+        assert row_budget(random_model(12, 2, 8, 2, 16)) == encoder.BATCH_ROWS
         wide_ffn = random_model(12, 1, 4, 2, 2 * encoder.BATCH_FLOATS)
-        assert encoder.batch_rows(wide_ffn) == encoder.BATCH_ROWS
-        assert encoder.batch_rows(random_model(12, 1, 768, 12, 8)) == \
+        assert row_budget(wide_ffn) == encoder.BATCH_ROWS
+        assert row_budget(random_model(12, 1, 768, 12, 8)) == \
             encoder.STATE_FLOATS // 768
         monkeypatch.setattr(encoder, "STATE_FLOATS", 4)
-        assert encoder.batch_rows(random_model(12, 1, 8, 2, 16)) == 1
+        assert row_budget(random_model(12, 1, 8, 2, 16)) == 1
 
     def test_empty_batch(self):
         model = random_model(12, 2, 8, 2, 16, seed=47)
@@ -576,13 +583,49 @@ class TestForwardBatch:
             with pytest.raises(error):
                 forward(model, bad, traces=True)
 
-    def test_row_batches_respect_budget(self):
+    def test_batches_respect_budget(self, monkeypatch):
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 10)
+        model = random_model(12, 3, 8, 2, 16, seed=54)
+        table = build_random(Vocab(tuple(f"w{i}" for i in range(12))), 2, 3, seed=4)
         lengths = [4, 12, 3, 3, 5, 1, 9]
-        batches = row_batches(lengths, 10)
+        seqs = [list(range(n)) for n in lengths]
+        batches = [batch.tolist() for batch, _ in encoder.batches(model, seqs)]
         assert sorted(i for b in batches for i in b) == list(range(len(lengths)))
         for batch in batches:
             rows = sum(lengths[i] for i in batch)
             assert rows <= 10 or len(batch) == 1
+        # shortest first, cut where the next document would overflow
+        assert batches == greedy_batches(lengths, 10)
+        # each batch packs its documents in order; without a table every
+        # row runs to the top layer, with one each batch is its route
+        for (batch, packed), (again, routed) in zip(
+                encoder.batches(model, seqs), encoder.batches(model, seqs, table)):
+            assert np.array_equal(batch, again)
+            ids, offsets = pack([seqs[i] for i in batch])
+            assert np.array_equal(packed.ids, ids)
+            assert np.array_equal(packed.offsets, offsets)
+            assert np.array_equal(packed.exits, np.full(ids.size, 3))
+            want = route([seqs[i] for i in batch], table, 3)
+            for got, ref in zip(routed.__dict__.values(), want.__dict__.values()):
+                assert np.array_equal(got, ref)
+        assert list(encoder.batches(model, [])) == []
+
+    def test_batches_of_empty_documents_raise(self):
+        # a document with no rows lands in a batch like any other, and
+        # forward rejects it: a batch of empty documents is never skipped,
+        # which would leave their features unset
+        model = random_model(12, 2, 8, 2, 16, seed=55, num_classes=2)
+        table = build_random(Vocab(tuple(f"w{i}" for i in range(12))), 2, 2, seed=5)
+        cut = list(encoder.batches(model, [[], [3], []], table))
+        assert [batch.tolist() for batch, _ in cut] == [[0, 2, 1]]
+        assert cut[0][1].offsets.tolist() == [0, 0, 0, 1]
+        for seqs in ([[], []], [[]], [[], [1, 2]]):
+            with pytest.raises(InputError, match="empty sequence"):
+                encoder.cls_features(model, seqs, table)
+            with pytest.raises(InputError, match="empty sequence"):
+                accuracy(model, seqs, [0] * len(seqs), table)
+            with pytest.raises(InputError, match="empty sequence"):
+                train_toy(model, seqs, [0] * len(seqs), table, epochs=1)
 
     def test_cls_features_cross_batches(self, monkeypatch):
         rng = np.random.default_rng(49)
@@ -593,8 +636,8 @@ class TestForwardBatch:
         # batches of 16 rows, and layers run in groups of about 4 rows
         monkeypatch.setattr(encoder, "BATCH_ROWS", 16)
         monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 4)
-        assert encoder.batch_rows(model) == 16
-        assert len(row_batches([len(s) for s in seqs], 16)) > 3
+        assert row_budget(model) == 16
+        assert len(list(encoder.batches(model, seqs, table))) > 3
         split = encoder.cls_features(model, seqs, table)
         for seq, got in zip(seqs, split):
             sched = schedule(seq, table, 2, pin_first=True)
@@ -616,6 +659,64 @@ def mid_batch(rng, model, max_rows, exits=(1, 2, 3), p=(0.8, 0.1, 0.1)):
         e = rng.choice(exits, p=p, size=n)
         e[0] = model.num_layers
         schedules.append(ExitSchedule(e, np.ones(n, dtype=bool)))
+
+
+class TestCorpusAgainstReference:
+    """Random corpora walked through `batches` and `forward` give each
+    document the states of the plain reference encoder with per-row exits
+    (helpers.vanilla_forward), across many batches and layer groups."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_routed_corpus_matches_reference(self, monkeypatch, data):
+        V, d, d_ff = 10, 8, 12
+        L = data.draw(st.integers(2, 4), label="L")
+        heads = data.draw(st.sampled_from([1, 2, 4]), label="heads")
+        model = random_model(V, L, d, heads, d_ff,
+                             seed=data.draw(st.integers(0, 99), label="seed"))
+        B = data.draw(st.integers(1, L), label="B")
+        # token 0 sits in bucket 0, so it exits at layer 1
+        buckets = [0] + data.draw(st.lists(st.integers(0, B - 1), min_size=V - 1,
+                                           max_size=V - 1), label="buckets")
+        table = HashTable("rand-cons", B, L, 0, tuple(f"t{i}" for i in range(V)),
+                          np.array(buckets))
+        docs = data.draw(st.lists(st.lists(st.integers(-1, V - 1), min_size=1,
+                                           max_size=40),
+                                  min_size=1, max_size=12), label="docs")
+        # one query row above layer 1 among many keys: that document's
+        # layer 2 takes the reassociated attention
+        docs.append([0] * data.draw(st.integers(3, 40), label="sparse"))
+        budget = data.draw(st.sampled_from([1, 16, 48]), label="rows")
+        if data.draw(st.booleans(), label="state floats"):
+            monkeypatch.setattr(encoder, "STATE_FLOATS", budget * d)
+        else:
+            monkeypatch.setattr(encoder, "BATCH_ROWS", budget)
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", data.draw(
+            st.sampled_from([1, 4 * d_ff, 16 * d_ff]), label="batch floats"))
+        associations = []
+        real = encoder._attention
+
+        def spy(*args):
+            associations.append(args[4])  # reassociate
+            return real(*args)
+
+        monkeypatch.setattr(encoder, "_attention", spy)
+        try:
+            seen = []
+            for batch, packed in encoder.batches(model, docs, table):
+                assert packed.offsets[-1] <= budget or len(batch) == 1
+                final = forward(model, packed)
+                for i, lo, hi in zip(batch, packed.offsets, packed.offsets[1:]):
+                    exits = [L] + [reference_exit(table, t) for t in docs[i][1:]]
+                    assert packed.exits[lo:hi].tolist() == exits
+                    want = vanilla_forward(model, docs[i], exits)
+                    assert np.max(np.abs(final[lo:hi] - want)) <= 1e-12
+                seen += batch.tolist()
+            assert sorted(seen) == list(range(len(docs)))
+            assert True in associations and False in associations
+        finally:
+            monkeypatch.undo()  # the next example patches afresh
 
 
 class TestLayerGroups:
@@ -707,7 +808,7 @@ class TestLayerGroups:
         # the sparse ones groups of about 16 documents
         rng = np.random.default_rng(84)
         model = random_model(300, 2, 256, 4, 1024, seed=85)
-        ids_list, schedules = mid_batch(rng, model, encoder.batch_rows(model),
+        ids_list, schedules = mid_batch(rng, model, row_budget(model),
                                         exits=(1, 2), p=(0.8, 0.2))
         groups = self.count_groups(monkeypatch)
         grouped = forward_docs(model, ids_list, schedules)
@@ -729,7 +830,7 @@ class TestLayerGroups:
         # plus one group's temporaries; a single ungrouped call held 12x
         rng = np.random.default_rng(86)
         model = random_model(300, 3, 256, 4, 1024, seed=87)
-        ids_list, schedules = mid_batch(rng, model, encoder.batch_rows(model))
+        ids_list, schedules = mid_batch(rng, model, row_budget(model))
         h_nbytes = sum(ids.size for ids in ids_list) * model.d * 8
         tracemalloc.start()
         try:
@@ -746,7 +847,7 @@ class TestLayerGroups:
         rng = np.random.default_rng(89)
         model = random_model(50, num_layers, 768, 12, 3072, seed=90)
         lengths = [256, 200, 130, 96]
-        assert sum(lengths) == encoder.batch_rows(model) == 682
+        assert sum(lengths) == row_budget(model) == 682
         ids_list = [rng.integers(-1, 50, size=n) for n in lengths]
         schedules = []
         for n in lengths:
@@ -771,10 +872,10 @@ class TestLayerGroups:
         model = random_model(300, 3, 256, 4, 1024, seed=87)
         table = HashTable("rand-cons", 3, 3, 0, tuple(f"t{i}" for i in range(300)),
                           rng.choice(3, p=(0.8, 0.1, 0.1), size=300))
-        budget = encoder.batch_rows(model)
+        budget = row_budget(model)
         seqs = [list(rng.integers(-1, 300, size=n)) for n in [64] * 16 + [128] * 24]
         lengths = [len(seq) for seq in seqs]
-        batches = row_batches(lengths, budget)
+        batches = [batch for batch, _ in encoder.batches(model, seqs, table)]
         assert [sum(lengths[i] for i in batch) for batch in batches] == [budget] * 2
 
         def peak_of(seqs):
@@ -1084,6 +1185,36 @@ class TestModelIO:
         path, data = saved_model_bytes(tmp_path, random_model(4, 1, 4, 1, 8, seed=35))
         path.write_bytes(data.replace(b" V=4 ", b" V=1000000000000 ", 1))
         with pytest.raises(ParseError, match="truncated"):
+            load_model(path)
+
+    def test_bad_dims_are_rejected_before_reading(self, tmp_path):
+        # the header's dims decide whether the model can run, so no weight
+        # is read for a header whose heads do not divide d
+        model = random_model(2000, 4, 64, 2, 256, seed=38)
+        path, data = saved_model_bytes(tmp_path, model)
+        assert data.count(b" h=2 ") == 1
+        path.write_bytes(data.replace(b" h=2 ", b" h=3 "))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="^model header: heads=3 "
+                               "does not divide d=64$"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        params = model.embedding.nbytes + sum(
+            getattr(lw, name).nbytes for lw in model.layers
+            for name in encoder._LAYER_FIELDS)
+        assert peak < params / 50  # 2.6 MB of weights
+
+    @pytest.mark.parametrize("edit", [(b" L=1 ", b" L=+1 "), (b" d=4 ", b" d=04 "),
+                                      (b" V=4 ", b" V=\xd9\xa4 "),
+                                      (b" h=1 ", b" h=-1 ")])
+    def test_header_takes_only_written_integers(self, tmp_path, edit):
+        path, data = saved_model_bytes(tmp_path, random_model(4, 1, 4, 1, 8, seed=39))
+        assert data.count(edit[0]) == 1
+        path.write_bytes(data.replace(*edit))
+        with pytest.raises(ParseError, match="is not key=integer"):
             load_model(path)
 
     def test_load_memory_stays_near_parameter_bytes(self, tmp_path):

@@ -153,6 +153,24 @@ class TestBucketToLayer:
         with pytest.raises(ConfigError):
             bucket_to_layer(3, 3, 12)
 
+    def test_arrays_map_like_ints(self):
+        for L in range(1, 13):
+            for B in range(1, L + 1):
+                got = bucket_to_layer(np.arange(B), B, L)
+                assert got.dtype == np.int64
+                assert got.tolist() == [bucket_to_layer(b, B, L) for b in range(B)]
+        assert type(bucket_to_layer(np.int64(1), 3, 6)) is int
+        assert bucket_to_layer(np.empty(0, dtype=np.int64), 2, 4).shape == (0,)
+        with pytest.raises(ConfigError, match="bucket -1 out of range 0..2"):
+            bucket_to_layer(np.array([0, 2, -1, 3]), 3, 12)
+
+    def test_table_layers_follow_the_map(self):
+        table = build_random(small_vocab(), 3, 7, seed=2)
+        assert table.layers.tolist() == [bucket_to_layer(int(b), 3, 7)
+                                          for b in table.buckets]
+        with pytest.raises(ConfigError, match="bucket 3 out of range"):
+            HashTable("frequency", 3, 7, 0, ("a", "b"), np.array([0, 3]))
+
 
 class TestRandomHash:
     def test_single_bucket(self):
@@ -515,6 +533,34 @@ class TestSerialization:
     def test_malformed_header_names_its_fault(self, head, says):
         with pytest.raises(ParseError, match=re.escape(says)):
             parse_hash_table(head + "\na\t0\t1\n")
+
+    @pytest.mark.parametrize("field", [
+        "B=\u0663", "B=3\u00a0", "B=03", "B=+3", "B=-3", "B= 3", "L=1_2",
+        "L=12.0", "seed=+7", "seed=07", "seed=-0", "seed=--7", "seed=\uff17"])
+    def test_header_takes_only_written_integers(self, field):
+        # a field parses only in the form format_header writes, so a table
+        # that loads re-saves as the same bytes
+        fields = dict(part.split("=") for part in ["B=3", "L=12", "seed=-7"])
+        key, value = field.split("=", 1)
+        fields[key] = value
+        head = "#hashee v1 method=frequency " + " ".join(
+            f"{k}={v}" for k, v in fields.items())
+        with pytest.raises(ParseError, match="is not key=integer"):
+            parse_hash_table(head + "\na\t0\t1\n")
+
+    @pytest.mark.parametrize("row", ["a\t+0\t1", "a\t0\t 1", "a\t0\t1 ",
+                                     "a\t00\t1", "a\t0\t\u0661", "a\t0\t0_1",
+                                     "a\t-0\t1"])
+    def test_rows_take_only_written_integers(self, row):
+        with pytest.raises(ParseError, match="line 2: non-integer bucket/layer"):
+            parse_hash_table("#hashee v1 method=frequency B=3 L=12 seed=7\n"
+                             + row + "\n")
+
+    def test_negative_seed_round_trips(self):
+        text = "#hashee v1 method=frequency B=3 L=12 seed=-7\na\t0\t1\nb\t2\t9\n"
+        table = parse_hash_table(text)
+        assert table.seed == -7
+        assert serialize_hash_table(table) == text
 
     def test_inconsistent_layer_rejected(self):
         text = "#hashee v1 method=rand-cons B=2 L=4 seed=0\na\t0\t1\nb\t1\t4\n"
