@@ -2,12 +2,14 @@
 
 Text files (hash tables, corpora, difficulty datasets, reports) are UTF-8
 with "\\n" line ends, written whole by `write_text`; each format keeps its
-row layout next to its type. Tokens are non-empty and free of whitespace,
-and other tab-separated fields hold no tab or line break. Models, token
-embeddings and hash tables open with one header line, `<magic> key=value
-...` (`format_header`, `parse_header`). Models and embeddings share one
-binary codec, `BinaryFormat`: that header, raw little-endian float64
-blocks sized by it, then, for embeddings, UTF-8 token lines.
+row layout next to its type. Artifacts are read back split only at "\\n"
+(`split_lines`); corpora, being user text, split at any line break.
+Tokens are non-empty and free of whitespace, and other tab-separated
+fields hold no tab or line break. Models, token embeddings and hash tables
+open with one header line, `<magic> key=value ...` (`format_header`,
+`parse_header`). Models and embeddings share one binary codec,
+`BinaryFormat`: that header, raw little-endian float64 blocks sized by
+it, then, for embeddings, UTF-8 token lines.
 """
 
 import math
@@ -58,8 +60,9 @@ def write_text(path, text):
 
 @contextmanager
 def open_text(path):
-    """`path` opened as UTF-8 text; undecodable bytes are a ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """`path` opened as UTF-8 text with its line ends kept as they are;
+    undecodable bytes are a ParseError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -191,13 +194,24 @@ def read_floats(fh, name, *shape):
     return arr.reshape(shape)
 
 
+def split_lines(text, error):
+    """The lines of `text`, split only at the "\\n" that must end each one
+    (a "\\r" or other break stays in its line, for the format to refuse);
+    a last line without it is ParseError(`error`)."""
+    lines = text.split("\n")
+    if lines.pop():
+        raise ParseError(error)
+    return lines
+
+
 def read_lines(fh, count, what):
     """The rest of the file as exactly `count` UTF-8 lines ended by "\\n"."""
+    error = (f"{what} are not the {count} lines, each ended by a line break, "
+             "that the header declares")
     try:
-        lines = fh.read().decode("utf-8").split("\n")
+        lines = split_lines(fh.read().decode("utf-8"), error)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} are not UTF-8 text: {exc.reason}") from None
-    if lines.pop() or len(lines) != count:
-        raise ParseError(f"{what} are not the {count} lines, each ended by "
-                         "a line break, that the header declares")
+    if len(lines) != count:
+        raise ParseError(error)
     return lines

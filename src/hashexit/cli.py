@@ -48,13 +48,13 @@ def _histogram_text(table):
 
 
 def cmd_build_hash(args):
-    out_dir = Path(args.out_dir)
+    names = [args.out]
     if args.method == "clustered":
         if args.embeddings is None:
             raise ConfigError("method clustered needs --embeddings")
         emb = load_embeddings(args.embeddings)
-        table = build_clustered(emb.vocab, emb, args.buckets, args.layers,
-                                seed=args.seed)
+        tables = [build_clustered(emb.vocab, emb, args.buckets, args.layers,
+                                  seed=args.seed)]
     else:
         if args.corpus is None:
             raise ConfigError(f"method {args.method} needs --corpus")
@@ -64,31 +64,22 @@ def cmd_build_hash(args):
         _report_skipped(corpus)
         vocab = Vocab.from_documents(corpus.documents)
         if args.method == "random":
+            tables = build_random(vocab, args.buckets, args.layers,
+                                  seed=args.seed, consistent=args.consistent)
             if args.consistent:
-                table = build_random(vocab, args.buckets, args.layers,
-                                     seed=args.seed)
+                tables = [tables]
             else:
-                train_t, infer_t = build_random(vocab, args.buckets,
-                                                args.layers, seed=args.seed,
-                                                consistent=False)
-                train_path = out_dir / (args.out + ".train")
-                infer_path = out_dir / (args.out + ".infer")
-                save_hash_table(train_t, train_path)
-                save_hash_table(infer_t, infer_path)
-                print(_histogram_text(train_t))
-                print(f"wrote {train_path} and {infer_path}")
-                return
+                names = [args.out + ".train", args.out + ".infer"]
         else:
             stats = CorpusStats.from_documents(vocab, corpus.documents,
                                                corpus.labels)
-            if args.method == "frequency":
-                table = build_frequency(vocab, stats, args.buckets, args.layers)
-            else:
-                table = build_mi(vocab, stats, args.buckets, args.layers)
-    path = out_dir / args.out
-    save_hash_table(table, path)
-    print(_histogram_text(table))
-    print(f"wrote {path}")
+            build = build_frequency if args.method == "frequency" else build_mi
+            tables = [build(vocab, stats, args.buckets, args.layers)]
+    paths = [Path(args.out_dir) / name for name in names]
+    for table, path in zip(tables, paths):
+        save_hash_table(table, path)
+    print(_histogram_text(tables[0]))
+    print("wrote " + " and ".join(map(str, paths)))
 
 
 def cmd_infer(args):

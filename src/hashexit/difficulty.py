@@ -92,14 +92,25 @@ class NegClassMetrics:
                 f"recall {self.recall:.4f} f1 {self.f1:.4f}")
 
 
-def _traces(model, sequences):
-    """(batch, offsets, hidden) of full, no-exit forwards, one forward call
-    per batch of `batches`: `batch` indexes a batch's sequences and
-    `offsets` their rows, and hidden[r, l] is row r's state after layer
-    l + 1."""
+def _instance_states(model, sequences, counts):
+    """Per-layer states of every instance, an (instances, L, d) array in
+    `sequences` order: [k, l] is instance k's state after layer l + 1. An
+    instance is a (document, row) pair, and document i's instances are its
+    first counts[i] rows. One no-exit forward per batch of `batches`, each
+    layer's states read only at the instances' rows."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    feats = np.empty((counts.sum(), model.num_layers, model.d))
     for batch, packed in batches(model, sequences):
-        states = forward(model, packed, traces=True)
-        yield batch, packed.offsets, np.stack(states[1:], axis=1)
+        n = counts[batch]
+        # the k-th instance of batch document j: row offsets[j] + k, stored
+        # at starts[batch[j]] + k
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        rows = np.repeat(packed.offsets[:-1], n) + k
+        at = np.repeat(starts[batch], n) + k
+        for l, state in enumerate(forward(model, packed, traces=True)[1:]):
+            feats[at, l] = state[rows]
+    return feats
 
 
 def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
@@ -107,16 +118,13 @@ def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
     if len(sequences) == 0:
         raise InputError("annotator training set is empty")
     labels = np.asarray(labels, dtype=np.int64)
-    L, d = model.num_layers, model.d
-    feats = np.empty((L, len(sequences), d))
-    for batch, offsets, hidden in _traces(model, sequences):
-        feats[:, batch] = hidden[offsets[:-1]].swapaxes(0, 1)
+    feats = _instance_states(model, sequences, [1] * len(sequences))
     num_classes = int(labels.max()) + 1
     rng = np.random.default_rng(seed)
     heads = []
-    for l in range(L):
-        head = rng.normal(0.0, 0.01, size=(d, num_classes))
-        head, = fit(lambda head: head_loss_and_grad(head, feats[l], labels),
+    for l in range(model.num_layers):
+        head = rng.normal(0.0, 0.01, size=(model.d, num_classes))
+        head, = fit(lambda head: head_loss_and_grad(head, feats[:, l], labels),
                     (head,), epochs=epochs, lr=lr,
                     what=f"annotator head {l + 1}")
         heads.append(head)
@@ -136,24 +144,14 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
         raise ConfigError(f"unknown annotation mode {mode!r}")
     if len(sequences) == 0:
         raise InputError("nothing to annotate")
-    model = annotator.model
-    L = model.num_layers
     sentence = mode == "sentence"
     counts = [1 if sentence else len(seq) for seq in sequences]
-    starts = np.cumsum([0] + counts)
-    feats = np.empty((starts[-1], L, model.d))
-    for batch, offsets, hidden in _traces(model, sequences):
-        if sentence:
-            feats[starts[batch]] = hidden[offsets[:-1]]
-        else:
-            # row r of document j goes to starts[batch[j]] + r - offsets[j]
-            shift = np.repeat(starts[batch] - offsets[:-1], np.diff(offsets))
-            feats[shift + np.arange(offsets[-1])] = hidden
+    feats = _instance_states(annotator.model, sequences, counts)
     instances = [(i, p) for i, n in enumerate(counts) for p in range(n)]
     gold = np.array([labels[i] if sentence else labels[i][p]
                      for i, p in instances], dtype=np.int64)
     ids = [str(i) if sentence else f"{i}.{p}" for i, p in instances]
-    bits = np.empty((starts[-1], L), dtype=np.int8)
+    bits = np.empty(feats.shape[:2], dtype=np.int8)
     for l, head in enumerate(annotator.heads):
         bits[:, l] = np.argmax(feats[:, l] @ head, axis=1) == gold
     out_tokens = None

@@ -115,19 +115,14 @@ def run_consistency_ablation(seeds, *, buckets=2, num_layers=4, d=8, heads=2,
         model = random_model(len(task.vocab.tokens), num_layers, d, heads,
                              d_ff, seed=seed)
         cons = build_random(task.vocab, buckets, num_layers, seed=seed)
-        trained = train_toy(model, task.train_seqs, task.train_labels, cons,
-                            epochs=epochs, lr=lr, seed=seed)
-        cons_accs.append(accuracy(trained, task.eval_seqs, task.eval_labels,
-                                  cons))
-        if force_identical:
-            table_a = table_b = cons
-        else:
-            table_a, table_b = build_random(task.vocab, buckets, num_layers,
-                                            seed=seed, consistent=False)
-        trained = train_toy(model, task.train_seqs, task.train_labels,
-                            table_a, epochs=epochs, lr=lr, seed=seed)
-        incons_accs.append(accuracy(trained, task.eval_seqs,
-                                    task.eval_labels, table_b))
+        incons = (cons, cons) if force_identical else build_random(
+            task.vocab, buckets, num_layers, seed=seed, consistent=False)
+        for accs, (train_table, infer_table) in ((cons_accs, (cons, cons)),
+                                                 (incons_accs, incons)):
+            trained = train_toy(model, task.train_seqs, task.train_labels,
+                                train_table, epochs=epochs, lr=lr, seed=seed)
+            accs.append(accuracy(trained, task.eval_seqs, task.eval_labels,
+                                 infer_table))
     return AblationResult(seeds=seeds, cons_accuracies=cons_accs,
                           incons_accuracies=incons_accs)
 

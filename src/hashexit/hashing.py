@@ -20,7 +20,7 @@ import numpy as np
 
 from .artifacts import (BinaryFormat, format_header, index_tokens, open_text,
                         parse_header, parse_ints, read_floats, read_lines,
-                        write_text)
+                        split_lines, write_text)
 from .errors import ConfigError, InputError, ParseError
 
 HASH_METHODS = (
@@ -473,7 +473,7 @@ def serialize_hash_table(table: HashTable) -> str:
 
 
 def parse_hash_table(text: str) -> HashTable:
-    lines = text.splitlines()
+    lines = split_lines(text, "hash table's last line has no line break")
     if not lines:
         raise ParseError("empty hash table file")
     head = parse_header(lines[0], *_TABLE_HEADER, "hash table",

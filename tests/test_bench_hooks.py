@@ -83,8 +83,15 @@ def test_cli_exposes_encoder_entry_points():
         assert getattr(hashexit.cli, name) is getattr(encoder, name)
 
 
-@pytest.mark.parametrize("name", [w["name"] for w in json.loads(
-    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]])
+# toy's difficulty run oversamples a slot that has no negative instances
+NO_NEGATIVES = pytest.mark.filterwarnings(
+    "ignore:slot .* has no negative instances:UserWarning")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(w["name"], marks=NO_NEGATIVES if w["name"] == "toy" else ())
+    for w in json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))["workloads"]])
 def test_workload_output_checks_pass(name, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import workload

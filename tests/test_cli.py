@@ -54,7 +54,7 @@ class TestBuildHash:
         out = capsys.readouterr().out
         assert "bucket 0 -> layer 1: 2 tokens" in out
 
-    def test_random_inconsistent_writes_pair(self, tmp_path):
+    def test_random_inconsistent_writes_pair(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         save_corpus(Corpus(documents=[[f"t{i}" for i in range(16)]]), corpus)
         code = run(["build-hash", "--method", "random", "--consistent",
@@ -65,6 +65,11 @@ class TestBuildHash:
         infer = load_hash_table(tmp_path / "table.hash.infer")
         assert train.method == "rand-incons-A"
         assert infer.method == "rand-incons-B"
+        # the train table's histogram, then both paths
+        assert capsys.readouterr().out == "".join(
+            f"bucket {b} -> layer {1 + 2 * b}: 4 tokens\n" for b in range(4)
+        ) + (f"wrote {tmp_path / 'table.hash.train'} and "
+             f"{tmp_path / 'table.hash.infer'}\n")
 
     def test_too_many_buckets(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
@@ -629,6 +634,9 @@ class TestUnreadableInput:
 
 
 class TestDifficultyCli:
+    # seed 4 leaves a slot without negative instances to oversample
+    @pytest.mark.filterwarnings(
+        "ignore:slot .* has no negative instances:UserWarning")
     def test_byte_identical_across_runs(self, tmp_path):
         args = ["difficulty", "--seed", 4, "--num-train", 20, "--num-eval",
                 20, "--annotator-epochs", 60, "--predictor-epochs", 80]

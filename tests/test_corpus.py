@@ -54,6 +54,15 @@ class TestRoundTrip:
         assert back.documents == c.documents
         assert back.labels == c.labels
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_any_line_break_ends_a_document(self, tmp_path, end):
+        # corpora are user text, so unlike the artifacts they load with
+        # whatever line ends they were written with
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(f"1\ta b{end}0\tc{end}".encode())
+        back = load_corpus(path, labeled=True)
+        assert back.documents == [["a", "b"], ["c"]] and back.labels == ["1", "0"]
+
     def test_empty_doc_cannot_serialize_unlabeled(self):
         with pytest.raises(InputError):
             serialize_corpus(Corpus(documents=[["a"], []]))

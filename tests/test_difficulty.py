@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ class TestPackedWalk:
         alone = train_annotator(model, seqs, golds, epochs=30)
         for a, b in zip(packed.heads, alone.heads):
             assert np.abs(a - b).max() <= 1e-9
+
+    def test_sentence_annotation_memory_stays_near_one_batch(self):
+        # a batch's L+1 trace states are read at the instances' rows only;
+        # a further copy of every row's states would reach 47x here
+        ann = random_annotator(seed=17, L=12, d=64)
+        rng, seqs = self.ragged(18, count=200, longest=60)
+        golds = [int(rng.integers(0, 2)) for _ in seqs]
+        rows = min(encoder.BATCH_ROWS, encoder.STATE_FLOATS // 64)
+        tracemalloc.start()
+        try:
+            annotate(ann, seqs, golds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * rows * 64 * 8
 
 
 class TestOversample:

@@ -1240,7 +1240,8 @@ FUZZ = settings(derandomize=True, database=None, max_examples=100,
 
 class Saved(NamedTuple):
     """One saved binary artifact: its bytes, the length of its header line,
-    where its float blocks end, its loader and its header fields."""
+    where its float blocks end, its loader, its header fields and its
+    saver."""
 
     path: object
     data: bytes
@@ -1248,6 +1249,7 @@ class Saved(NamedTuple):
     payload_end: int
     load: object
     fields: tuple
+    save: object
 
 
 class TestModelFuzz:
@@ -1264,22 +1266,28 @@ class TestModelFuzz:
         save_embeddings(EmbeddingTable(tokens, np.random.default_rng(37)
                                        .normal(size=(5, 3))), emb_path)
         artifacts = []
-        for path, load, fields, floats in (
-                (model_path, load_model, ("L", "d", "h", "d_ff", "V", "C"), None),
-                (emb_path, load_embeddings, ("V", "d"), 5 * 3)):
+        for path, load, fields, floats, save in (
+                (model_path, load_model, ("L", "d", "h", "d_ff", "V", "C"),
+                 None, save_model),
+                (emb_path, load_embeddings, ("V", "d"), 5 * 3,
+                 save_embeddings)):
             data = path.read_bytes()
             header_len = data.index(b"\n") + 1
             end = len(data) if floats is None else header_len + 8 * floats
-            artifacts.append(Saved(path, data, header_len, end, load, fields))
+            artifacts.append(Saved(path, data, header_len, end, load, fields,
+                                   save))
         return artifacts
 
     @staticmethod
     def load_or_typed_error(art, data):
+        """Load `data`: a typed error, or a file that saves back as `data`."""
         art.path.write_bytes(data)
         try:
-            art.load(art.path)
+            loaded = art.load(art.path)
         except HashExitError:
-            pass
+            return
+        art.save(loaded, art.path)
+        assert art.path.read_bytes() == data
 
     @FUZZ
     @given(cut=st.integers(0, 10 ** 6))

@@ -562,6 +562,18 @@ class TestSerialization:
         assert table.seed == -7
         assert serialize_hash_table(table) == text
 
+    @pytest.mark.parametrize("end", ["\r\n", "\x1c", "\u2028", None],
+                             ids=["crlf", "file-separator", "line-separator",
+                                  "unterminated"])
+    def test_lines_end_only_in_newline(self, tmp_path, end):
+        # each of these once loaded, then saved as other bytes: the "\n" form
+        text = "#hashee v1 method=frequency B=3 L=12 seed=7\na\t0\t1\nb\t2\t9\n"
+        path = tmp_path / "table.hash"
+        path.write_bytes((text[:-1] if end is None
+                          else text.replace("\n", end)).encode())
+        with pytest.raises(ParseError):
+            load_hash_table(path)
+
     def test_inconsistent_layer_rejected(self):
         text = "#hashee v1 method=rand-cons B=2 L=4 seed=0\na\t0\t1\nb\t1\t4\n"
         with pytest.raises(ParseError):

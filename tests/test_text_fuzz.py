@@ -5,9 +5,10 @@ whose binary file starts with a header line and ends with token lines)
 starts from a file its own saver wrote; Hypothesis then cuts it, flips
 bytes in it, inserts lines into it, or rewrites one of its
 whitespace-separated fields (header and count fields included) as a
-negative, huge or non-numeric value. Lines are split and joined again
-with surrogateescape, so bytes that are not UTF-8, like the embeddings'
-float blocks, pass through unchanged.
+negative, huge or non-numeric value. A mangled table or embeddings file
+that still loads must save back as the same bytes. Lines are split and
+joined again with surrogateescape, so bytes that are not UTF-8, like the
+embeddings' float blocks, pass through unchanged.
 """
 
 import re
@@ -49,11 +50,14 @@ def _labeled_corpus(path):
                        labels=["0", "1"]), path)
 
 
+# (writer, loader, saver of what loads); corpora have no saver here, since
+# they drop blank lines and normalize whitespace by design
 LOADERS = {
-    "hash-table": (_table, load_hash_table),
-    "embeddings": (_embeddings, load_embeddings),
-    "corpus": (_corpus, load_corpus),
-    "labeled-corpus": (_labeled_corpus, lambda p: load_corpus(p, labeled=True)),
+    "hash-table": (_table, load_hash_table, save_hash_table),
+    "embeddings": (_embeddings, load_embeddings, save_embeddings),
+    "corpus": (_corpus, load_corpus, None),
+    "labeled-corpus": (_labeled_corpus, lambda p: load_corpus(p, labeled=True),
+                       None),
 }
 
 # a replacement for one field: negative, huge, any integer, or any text
@@ -65,20 +69,25 @@ FIELD = st.one_of(st.integers(-10 ** 13, -1).map(str),
 
 @pytest.fixture(scope="module", params=sorted(LOADERS))
 def saved(request, tmp_path_factory):
-    save, load = LOADERS[request.param]
+    write, load, save = LOADERS[request.param]
     path = tmp_path_factory.mktemp(request.param) / "artifact"
-    save(path)
+    write(path)
     load(path)  # the unmangled file loads
-    return path, path.read_bytes(), load
+    return path, path.read_bytes(), load, save
 
 
 def load_or_typed_error(saved, data):
-    path, _, load = saved
+    """Load `data`: a typed error, or, where the artifact has a saver, a
+    file that saves back as `data`."""
+    path, _, load, save = saved
     path.write_bytes(data)
     try:
-        load(path)
+        loaded = load(path)
     except HashExitError:
-        pass
+        return
+    if save is not None:
+        save(loaded, path)
+        assert path.read_bytes() == data
 
 
 @FUZZ
