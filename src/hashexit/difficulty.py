@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import check_field, check_tokens, write_text
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ShapeError
 from .encoder import batches, fit, forward, head_loss_and_grad
 
 
@@ -57,6 +57,11 @@ class DifficultyDataset:
             self.features = np.asarray(self.features, dtype=np.float64)
             if self.features.shape[:2] != self.bits.shape:
                 raise ConfigError("features do not align with bit labels")
+        for name in ("tokens", "ids"):
+            column = getattr(self, name)
+            if column is not None and len(column) != len(self.bits):
+                raise ConfigError(f"{len(column)} {name} for "
+                                  f"{len(self.bits)} bit rows")
 
     def __len__(self):
         return self.bits.shape[0]
@@ -96,8 +101,10 @@ def _instance_states(model, sequences, counts):
     """Per-layer states of every instance, an (instances, L, d) array in
     `sequences` order: [k, l] is instance k's state after layer l + 1. An
     instance is a (document, row) pair, and document i's instances are its
-    first counts[i] rows. One no-exit forward per batch of `batches`, each
-    layer's states read only at the instances' rows."""
+    first counts[i] rows. One no-exit forward per batch of `batches`, its
+    traces read as they arrive: H^0 is skipped and each layer's state is
+    read only at the instances' rows, so a batch holds about two states,
+    not L+1."""
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
     feats = np.empty((counts.sum(), model.num_layers, model.d))
@@ -108,7 +115,9 @@ def _instance_states(model, sequences, counts):
         k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         rows = np.repeat(packed.offsets[:-1], n) + k
         at = np.repeat(starts[batch], n) + k
-        for l, state in enumerate(forward(model, packed, traces=True)[1:]):
+        states = forward(model, packed, traces=True)
+        next(states)  # H^0, the embedding
+        for l, state in enumerate(states):
             feats[at, l] = state[rows]
     return feats
 
@@ -117,6 +126,8 @@ def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
     """Fit one classifier head per layer on the pinned position's states."""
     if len(sequences) == 0:
         raise InputError("annotator training set is empty")
+    if len(sequences) != len(labels):
+        raise ShapeError("sequences and labels differ in length")
     labels = np.asarray(labels, dtype=np.int64)
     feats = _instance_states(model, sequences, [1] * len(sequences))
     num_classes = int(labels.max()) + 1
@@ -144,7 +155,13 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
         raise ConfigError(f"unknown annotation mode {mode!r}")
     if len(sequences) == 0:
         raise InputError("nothing to annotate")
+    if len(sequences) != len(labels):
+        raise ShapeError("sequences and labels differ in length")
     sentence = mode == "sentence"
+    for i, (seq, gold) in enumerate(zip(sequences, labels)):
+        if not sentence and len(gold) != len(seq):
+            raise ShapeError(f"document {i} has {len(seq)} tokens and "
+                             f"{len(gold)} labels")
     counts = [1 if sentence else len(seq) for seq in sequences]
     feats = _instance_states(annotator.model, sequences, counts)
     instances = [(i, p) for i, n in enumerate(counts) for p in range(n)]
@@ -189,8 +206,8 @@ def oversample(dataset, seed=0, floor=0.3):
             negatives.append(pick)
     idx = np.array(keep)
     return DifficultyDataset(
-        bits=bits[idx].copy(),
-        features=None if dataset.features is None else dataset.features[idx].copy(),
+        bits=bits[idx],
+        features=None if dataset.features is None else dataset.features[idx],
         tokens=None if dataset.tokens is None else [dataset.tokens[i] for i in keep],
         ids=None if dataset.ids is None else [dataset.ids[i] for i in keep])
 

@@ -468,11 +468,12 @@ def forward_layer(h, weights, active, *, heads, segments=None, out=None):
     return out
 
 
-def _run_packed(model, batch, keep_hidden):
-    """Run a PackedBatch.
+def _layers(model, batch):
+    """Walk a PackedBatch through the layers.
 
-    Returns the packed (rows, d) states after every layer (H^0..H^L) if
-    keep_hidden, else only H^L, which the layers then update in place.
+    Checks the batch and embeds it at once, then returns an iterator over
+    the packed (rows, d) states H^0..H^L: one array, which each step
+    updates in place with the next layer (forward_layer(..., out=h)).
     """
     ids, exits, offsets = (np.asarray(a, dtype=np.int64)
                            for a in (batch.ids, batch.exits, batch.offsets))
@@ -497,37 +498,35 @@ def _run_packed(model, batch, keep_hidden):
         raise ConfigError("schedule assigns layers beyond the model depth")
     positions = np.arange(ids.size) - np.repeat(offsets[:-1], lengths)
     h = embed(model, ids, positions)
-    states = [h]
-    for t, weights in enumerate(model.layers, start=1):
-        h = forward_layer(h, weights, np.flatnonzero(exits >= t),
-                          heads=model.heads, segments=offsets,
-                          out=None if keep_hidden else h)
-        states = states + [h] if keep_hidden else [h]
-    return states
+    return chain([h], (forward_layer(h, weights, np.flatnonzero(exits >= t),
+                                     heads=model.heads, segments=offsets, out=h)
+                       for t, weights in enumerate(model.layers, start=1)))
 
 
 def forward(model, batch, sched=None, *, traces=False):
     """One forward pass under the exit schedule.
 
     For a PackedBatch (see `route`) returns the packed (rows, d) final
-    states, or with traces=True the L+1 packed states H^0..H^L; document
-    i's rows are batch.offsets[i]:batch.offsets[i + 1]. One document (an
-    id sequence as `batch` and its ExitSchedule as `sched`) runs as a batch
-    of one through the same path and returns its ForwardTrace; a
-    document's states in a larger batch match its batch of one up to the
-    summation order of the packed matmuls. Each layer is one forward_layer
-    call, which runs the batch in groups of documents sized to that
-    layer's work. Without traces the layers update one (rows, d) state
-    matrix in place, and the layers' temporaries stay within BATCH_FLOATS
-    per group; with traces each layer keeps a new one, L+1 in all. So walk
-    a corpus in the batches that `batches` cuts.
+    states; document i's rows are batch.offsets[i]:batch.offsets[i + 1].
+    With traces=True it returns a lazy iterator over copies of the packed
+    states H^0..H^L: each layer runs when the iterator reaches it, and
+    list() gives all L+1. One document (an id sequence as `batch` and its
+    ExitSchedule as `sched`) runs as a batch of one through the same path
+    and returns its ForwardTrace; a document's states in a larger batch
+    match its batch of one up to the summation order of the packed
+    matmuls. Each layer is one forward_layer call, which updates one state
+    matrix in place, its temporaries within BATCH_FLOATS per group of
+    documents. So walk a corpus in the batches that `batches` cuts.
     """
     if sched is not None:
         ids = np.asarray(batch, dtype=np.int64)
         one = PackedBatch(ids, sched.exit_layer, np.array([0, ids.size]))
-        return ForwardTrace(hidden=_run_packed(model, one, keep_hidden=True))
-    states = _run_packed(model, batch, keep_hidden=traces)
-    return states if traces else states[0]
+        return ForwardTrace(hidden=list(forward(model, one, traces=True)))
+    states = _layers(model, batch)
+    if traces:
+        return map(np.copy, states)
+    *_, final = states
+    return final
 
 
 def batches(model, sequences, table=None):

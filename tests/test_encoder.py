@@ -59,7 +59,8 @@ def forward_docs(model, ids_list, schedules, *, traces=False):
     out = forward(model, batch, traces=traces)
     spans = list(zip(batch.offsets, batch.offsets[1:]))
     if traces:
-        return [[h[a:b] for h in out] for a, b in spans]
+        states = list(out)
+        return [[h[a:b] for h in states] for a, b in spans]
     return [out[a:b] for a, b in spans]
 
 
@@ -775,6 +776,32 @@ class TestLayerGroups:
         with pytest.raises(ShapeError):
             real(h, weights, active, heads=2, segments=bounds, out=h[1:])
 
+    def test_traces_stream_copies(self, monkeypatch):
+        # a traced forward runs each layer only when its iterator reaches
+        # it, every layer updating one state matrix in place, and yields a
+        # copy of each state, so a caller can keep some and drop the rest
+        rng = np.random.default_rng(91)
+        model = random_model(12, 4, 8, 2, 16, seed=92)
+        batch = packed_batch(*random_batch(rng, model, 5))
+        in_place = []
+        real = encoder.forward_layer
+
+        def counted(h, weights, active, **kwargs):
+            in_place.append(kwargs.get("out") is h)
+            return real(h, weights, active, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward_layer", counted)
+        states = forward(model, batch, traces=True)
+        first = next(states)
+        assert in_place == []
+        every = [first] + list(states)
+        assert in_place == [True] * model.num_layers
+        assert len(every) == model.num_layers + 1
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(every) for b in every[i + 1:])
+        assert np.array_equal(every[-1], forward(model, batch))
+        assert in_place == [True] * 2 * model.num_layers
+
     @pytest.mark.parametrize("budget", [1, 16 * 5])
     def test_many_groups_match_one(self, monkeypatch, budget):
         # budget 1 gives each document with an active row a group of its
@@ -963,7 +990,8 @@ class TestLayerGroups:
             return real(*args)
 
         monkeypatch.setattr(encoder, "_attention", spy)
-        states = forward(model, packed_batch(ids_list, schedules), traces=True)
+        states = list(forward(model, packed_batch(ids_list, schedules),
+                              traces=True))
         assert True in calls and False in calls
         if budget == 1:
             assert len(calls) > 3 * L
