@@ -103,9 +103,8 @@ def cmd_infer(args):
     for batch, packed in batches(model, ids_list, table):
         feats[batch] = forward(model, packed)[packed.offsets[:-1]]
     preds = np.argmax(classify(model, feats), axis=1)
-    lines = [f"{i}\t{pred}" for i, pred in enumerate(preds)]
     path = out_dir / "predictions.tsv"
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "".join(f"{i}\t{pred}\n" for i, pred in enumerate(preds)))
     print(f"wrote {path}")
     if corpus.labeled and corpus.documents:
         hits = sum(str(pred) == label for pred, label in zip(preds, corpus.labels))

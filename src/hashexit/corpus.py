@@ -71,8 +71,8 @@ def serialize_corpus(corpus):
         if not line.strip():
             raise InputError(f"document {i} is empty; its line would read "
                              "back as blank")
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        lines.append(line + "\n")
+    return "".join(lines)
 
 
 def save_corpus(corpus, path):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import check_field, check_tokens, write_text
 from .errors import ConfigError, InputError, ShapeError
-from .encoder import batches, fit, forward, head_loss_and_grad
+from .encoder import _label_ids, batches, fit, forward, head_loss_and_grad
 
 
 @dataclass
@@ -126,9 +126,7 @@ def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
     """Fit one classifier head per layer on the pinned position's states."""
     if len(sequences) == 0:
         raise InputError("annotator training set is empty")
-    if len(sequences) != len(labels):
-        raise ShapeError("sequences and labels differ in length")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _label_ids(sequences, labels)
     feats = _instance_states(model, sequences, [1] * len(sequences))
     num_classes = int(labels.max()) + 1
     rng = np.random.default_rng(seed)
@@ -155,18 +153,15 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
         raise ConfigError(f"unknown annotation mode {mode!r}")
     if len(sequences) == 0:
         raise InputError("nothing to annotate")
-    if len(sequences) != len(labels):
-        raise ShapeError("sequences and labels differ in length")
     sentence = mode == "sentence"
-    for i, (seq, gold) in enumerate(zip(sequences, labels)):
-        if not sentence and len(gold) != len(seq):
-            raise ShapeError(f"document {i} has {len(seq)} tokens and "
-                             f"{len(gold)} labels")
+    gold = _label_ids(sequences, labels,
+                      min(head.shape[1] for head in annotator.heads),
+                      per_token=not sentence)
+    if tokens is not None and len(tokens) != len(sequences):
+        raise ShapeError("sequences and tokens differ in length")
     counts = [1 if sentence else len(seq) for seq in sequences]
     feats = _instance_states(annotator.model, sequences, counts)
     instances = [(i, p) for i, n in enumerate(counts) for p in range(n)]
-    gold = np.array([labels[i] if sentence else labels[i][p]
-                     for i, p in instances], dtype=np.int64)
     ids = [str(i) if sentence else f"{i}.{p}" for i, p in instances]
     bits = np.empty(feats.shape[:2], dtype=np.int8)
     for l, head in enumerate(annotator.heads):
@@ -335,8 +330,8 @@ def serialize_difficulty_dataset(dataset):
         check_field(str(ids[i]), "instance id")
         check_tokens(dataset.tokens[i])
         bitstring = "".join(str(int(b)) for b in dataset.bits[i])
-        lines.append(f"{ids[i]}\t{bitstring}\t{' '.join(dataset.tokens[i])}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{ids[i]}\t{bitstring}\t{' '.join(dataset.tokens[i])}\n")
+    return "".join(lines)
 
 
 def save_difficulty_dataset(dataset, path):

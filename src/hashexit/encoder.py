@@ -324,7 +324,7 @@ def _attention(q, hk, weights, heads, reassociate, q_sizes, k_sizes):
         scores /= np.sqrt(d_k)
         scores += bias
         rows = scores.reshape(-1, scores.shape[-1])  # a view of scores
-        softmax_rows(rows, out=rows)
+        softmax_rows(rows)
         probs = scores
         if reassociate:
             ctx[..., sl] = _rows_matmul(probs @ vp, weights.wv[:, sl])
@@ -402,34 +402,33 @@ def _layer_rows(h, weights, active, heads, sizes, counts):
     x = ctx @ weights.wo
     x += hq
     del hq, q, ctx  # a group's temporaries dominate its memory
-    layer_norm(x, weights.ln1_gain, weights.ln1_bias, out=x)
+    layer_norm(x, weights.ln1_gain, weights.ln1_bias)
     ffn = x @ weights.w1
-    relu(ffn, out=ffn)
+    relu(ffn)
     y = ffn @ weights.w2
     del ffn
     y += x
-    return layer_norm(y, weights.ln2_gain, weights.ln2_bias, out=y)
+    return layer_norm(y, weights.ln2_gain, weights.ln2_bias)
 
 
-def forward_layer(h, weights, active, *, heads, segments=None, out=None):
+def forward_layer(h, weights, active, *, heads, segments):
     """One exit-aware encoder layer over one or more packed documents.
 
     `segments` lists the start row of each document packed into h followed
-    by h's row count; None reads as [0, n], all of h one document, which
-    takes the same packed attention as any other batch. `active` lists the
-    rows the layer updates in strictly increasing order (np.flatnonzero of
-    a mask); any other order is a ShapeError. Queries come from the active
-    rows only; keys and values span every row of each document that has an
-    active row, and each query attends to its own document only. Each
-    document takes the cheaper attention association for its row and
-    active counts (flops.reassociates); a document whose rows are all
-    active keeps the standard one. Rows outside `active` are copied
-    verbatim, so an empty active set makes the layer an exact identity.
+    by h's row count. `active` lists the rows the layer updates in strictly
+    increasing order (np.flatnonzero of a mask); any other order is a
+    ShapeError. Queries come from the active rows only; keys and values
+    span every row of each document that has an active row, and each query
+    attends to its own document only. Each document takes the cheaper
+    attention association for its row and active counts
+    (flops.reassociates); a document whose rows are all active keeps the
+    standard one. Rows outside `active` are left as they are, so an empty
+    active set makes the layer an exact identity.
 
     The documents run in consecutive groups whose temporaries stay within
     BATCH_FLOATS (_groups); a batch that fits runs as one group. The new
-    states go to a new array, or to `out` (an (n, d) float64 array) if it
-    is given; out=h updates h in place, with the same bits.
+    states overwrite h, which is returned: a float64 array is updated in
+    place, anything else is first converted into a new one.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2:
@@ -437,7 +436,7 @@ def forward_layer(h, weights, active, *, heads, segments=None, out=None):
     n, d = h.shape
     if weights.wq.shape[0] != d:
         raise ShapeError(f"weights expect d={weights.wq.shape[0]}, states have d={d}")
-    segments = np.asarray((0, n) if segments is None else segments, dtype=np.int64)
+    segments = np.asarray(segments, dtype=np.int64)
     sizes = segments[1:] - segments[:-1]
     if segments[0] != 0 or segments[-1] != n or (sizes < 0).any():
         raise ShapeError(f"segments must rise from 0 to the row count {n}")
@@ -445,14 +444,6 @@ def forward_layer(h, weights, active, *, heads, segments=None, out=None):
     if active.ndim != 1 or active.size and (
             active[0] < 0 or active[-1] >= n or (active[1:] <= active[:-1]).any()):
         raise ShapeError(f"active rows must rise strictly within 0..{n - 1}")
-    if out is None:
-        out = h.copy()
-    elif out is not h:
-        if out.shape != h.shape or out.dtype != np.float64:
-            raise ShapeError(f"out must be a float64 array of shape {h.shape}")
-        out[...] = h
-    if active.size == 0:
-        return out
     # document of each active row: the last start at or before it, so that
     # empty documents, which share their start with the next, get none
     counts = np.bincount(np.searchsorted(segments, active, side="right") - 1,
@@ -462,10 +453,10 @@ def forward_layer(h, weights, active, *, heads, segments=None, out=None):
         a = segments[lo]
         rows = active[bounds[lo]:bounds[hi]]
         if rows.size:
-            # each group reads only its own documents' rows of h
-            out[rows] = _layer_rows(h[a:segments[hi]], weights, rows - a, heads,
-                                    sizes[lo:hi], counts[lo:hi])
-    return out
+            # each group reads and writes only its own documents' rows of h
+            h[rows] = _layer_rows(h[a:segments[hi]], weights, rows - a, heads,
+                                  sizes[lo:hi], counts[lo:hi])
+    return h
 
 
 def _layers(model, batch):
@@ -473,7 +464,7 @@ def _layers(model, batch):
 
     Checks the batch and embeds it at once, then returns an iterator over
     the packed (rows, d) states H^0..H^L: one array, which each step
-    updates in place with the next layer (forward_layer(..., out=h)).
+    overwrites with the next layer (forward_layer).
     """
     ids, exits, offsets = (np.asarray(a, dtype=np.int64)
                            for a in (batch.ids, batch.exits, batch.offsets))
@@ -499,7 +490,7 @@ def _layers(model, batch):
     positions = np.arange(ids.size) - np.repeat(offsets[:-1], lengths)
     h = embed(model, ids, positions)
     return chain([h], (forward_layer(h, weights, np.flatnonzero(exits >= t),
-                                     heads=model.heads, segments=offsets, out=h)
+                                     heads=model.heads, segments=offsets)
                        for t, weights in enumerate(model.layers, start=1)))
 
 
@@ -594,6 +585,33 @@ def head_loss_and_grad(head, feats, label_ids):
         return loss, feats.T @ delta / n
 
 
+def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
+    """The labels of `sequences` as one int64 vector.
+
+    labels holds one label per sequence, or with per_token one list per
+    sequence with a label per token, concatenated in order. Labels that do
+    not line up with the sequences are a ShapeError. A label outside
+    0..num_classes - 1 is an InputError naming it; num_classes None stands
+    for a head not made yet, whose classes the labels set, so only negative
+    labels are rejected.
+    """
+    if len(sequences) != len(labels):
+        raise ShapeError("sequences and labels differ in length")
+    if per_token:
+        for i, (seq, gold) in enumerate(zip(sequences, labels)):
+            if len(gold) != len(seq):
+                raise ShapeError(f"document {i} has {len(seq)} tokens and "
+                                 f"{len(gold)} labels")
+        labels = list(chain.from_iterable(labels))
+    ids = np.asarray(labels, dtype=np.int64)
+    bad = ids < 0 if num_classes is None else (ids < 0) | (ids >= num_classes)
+    if bad.any():
+        classes = "0 or more" if num_classes is None else f"in 0..{num_classes - 1}"
+        raise InputError(f"label {ids[bad][0]} is not a class: labels must be "
+                         f"{classes}")
+    return ids
+
+
 def cls_features(model, sequences, table):
     """Frozen-encoder features: final state of position 0 per sequence,
     run in the routed batches of `batches`."""
@@ -611,9 +629,8 @@ def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
     """
     if len(sequences) == 0:
         raise InputError("training set is empty")
-    if len(sequences) != len(labels):
-        raise ShapeError("sequences and labels differ in length")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _label_ids(sequences, labels,
+                        None if model.head is None else model.head.shape[1])
     feats = cls_features(model, sequences, table)
     if model.head is not None:
         head = model.head.copy()
@@ -630,11 +647,11 @@ def accuracy(model, sequences, labels, table):
     """Fraction of sequences whose argmax class matches the label."""
     if len(sequences) == 0:
         raise InputError("evaluation set is empty")
-    if len(sequences) != len(labels):
-        raise ShapeError("sequences and labels differ in length")
+    labels = _label_ids(sequences, labels,
+                        None if model.head is None else model.head.shape[1])
     preds = np.argmax(classify(model, cls_features(model, sequences, table)),
                       axis=1)
-    hits = np.count_nonzero(preds == [int(lab) for lab in labels])
+    hits = np.count_nonzero(preds == labels)
     return int(hits) / len(sequences)
 
 

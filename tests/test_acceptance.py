@@ -3,10 +3,12 @@
 Runs under pytest (one test per criterion) or directly via
 `python3 tests/test_acceptance.py`. Every check prints
 `[acceptance N] PASS|FAIL <name>`; tolerances and runtime budgets are
-pinned in-line next to each check.
+pinned in-line next to each check. The direct run goes on past a failing
+check, so every check prints its line, and exits 1 if any failed.
 """
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -49,10 +51,14 @@ from hashexit.hashing import (
 from helpers import make_random_labeled_corpus, vanilla_forward
 
 
+_PRINTED = set()  # numbers of the checks whose verdict line is out
+
+
 def _verdict(num, name, ok, detail, elapsed, budget):
     status = "PASS" if ok and elapsed < budget else "FAIL"
     print(f"[acceptance {num}] {status} {name} ({detail}; {elapsed:.2f}s "
           f"of {budget:.0f}s budget)")
+    _PRINTED.add(num)
     assert ok, f"acceptance {num} {name}: {detail}"
     assert elapsed < budget, f"acceptance {num} overran {budget}s: {elapsed:.2f}s"
 
@@ -283,13 +289,21 @@ def test_acceptance_9_gradient_checks():
 
 
 if __name__ == "__main__":
-    for fn in (test_acceptance_1_no_exit_equivalence,
-               test_acceptance_2_freeze_exactness,
-               test_acceptance_3_flops_oracle_equality,
-               test_acceptance_4_bucket_map_constant,
-               test_acceptance_5_hash_law_properties,
-               test_acceptance_6_frequency_beats_random_flops,
-               test_acceptance_7_consistency_ablation_direction,
-               test_acceptance_8_difficulty_metric_fixture,
-               test_acceptance_9_gradient_checks):
-        fn()
+    failed = False
+    for num, fn in enumerate((test_acceptance_1_no_exit_equivalence,
+                              test_acceptance_2_freeze_exactness,
+                              test_acceptance_3_flops_oracle_equality,
+                              test_acceptance_4_bucket_map_constant,
+                              test_acceptance_5_hash_law_properties,
+                              test_acceptance_6_frequency_beats_random_flops,
+                              test_acceptance_7_consistency_ablation_direction,
+                              test_acceptance_8_difficulty_metric_fixture,
+                              test_acceptance_9_gradient_checks), start=1):
+        try:
+            fn()
+        except Exception as exc:
+            failed = True
+            if num not in _PRINTED:  # it died before reaching its verdict
+                print(f"[acceptance {num}] FAIL {fn.__name__} "
+                      f"({type(exc).__name__}: {exc})")
+    sys.exit(1 if failed else 0)

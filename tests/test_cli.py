@@ -216,6 +216,15 @@ class TestInfer:
             want = predict_one(model, vocab.ids_for(doc), table)
             assert lines[i] == f"{i}\t{want}"
 
+    def test_no_documents_write_no_predictions(self, tmp_path, capsys):
+        _, model_path, _, table_path, _ = make_model_and_table(tmp_path)
+        corpus_path = tmp_path / "docs.txt"
+        corpus_path.write_text("")
+        code = run(["infer", "--model", model_path, "--table", table_path,
+                    "--corpus", corpus_path, "--out-dir", tmp_path])
+        assert code == 0
+        assert (tmp_path / "predictions.tsv").read_bytes() == b""
+
     def test_labeled_reports_accuracy(self, tmp_path, capsys):
         _, model_path, _, table_path, _ = make_model_and_table(tmp_path)
         corpus_path = tmp_path / "docs.tsv"

@@ -63,6 +63,15 @@ class TestRoundTrip:
         back = load_corpus(path, labeled=True)
         assert back.documents == [["a", "b"], ["c"]] and back.labels == ["1", "0"]
 
+    @pytest.mark.parametrize("labels", [None, []])
+    def test_no_documents_round_trip_as_no_bytes(self, tmp_path, labels):
+        c = Corpus(documents=[], labels=labels)
+        assert serialize_corpus(c) == ""
+        path = tmp_path / "corpus.txt"
+        save_corpus(c, path)
+        back = load_corpus(path, labeled=c.labeled)
+        assert back == c and back.skipped_empty == 0
+
     def test_empty_doc_cannot_serialize_unlabeled(self):
         with pytest.raises(InputError):
             serialize_corpus(Corpus(documents=[["a"], []]))

@@ -138,6 +138,25 @@ class TestAnnotate:
         with pytest.raises(ShapeError, match="document 1 has 3 tokens"):
             annotate(ann, [[0, 1], [2, 3, 4]], labels, mode="token")
 
+    @pytest.mark.parametrize("tokens", [[["a"]], [["a"], ["b"], ["c"]]])
+    def test_token_count_must_match_sequences(self, tokens):
+        ann = random_annotator(seed=21)
+        with pytest.raises(ShapeError, match="sequences and tokens"):
+            annotate(ann, [[0, 1], [2, 3]], [0, 1], tokens=tokens)
+
+    @pytest.mark.parametrize("mode, labels, bad", [
+        ("sentence", [0, -1], -1), ("sentence", [2, 0], 2),
+        ("token", [[0, 1], [1, 2]], 2), ("token", [[0, 1], [-3, 0]], -3)])
+    def test_labels_must_be_classes_of_the_heads(self, mode, labels, bad):
+        ann = random_annotator(seed=22, num_classes=2)
+        with pytest.raises(InputError, match=f"label {bad} is not a class"):
+            annotate(ann, [[0, 1], [2, 3]], labels, mode=mode)
+
+    def test_new_heads_reject_negative_labels(self):
+        model = random_model(9, 3, 8, 2, 16, seed=23)
+        with pytest.raises(InputError, match="label -1 is not a class"):
+            train_annotator(model, [[0, 1], [2, 3], [4]], [0, -1, 1], epochs=1)
+
 
 class TestPackedWalk:
     """The lab runs its sequences as packed batches, one forward call per
@@ -500,6 +519,11 @@ class TestSerialization:
         ds = DifficultyDataset(bits=np.array([[1, 0]], dtype=np.int8),
                                tokens=[["a", "b"]], ids=["7"])
         assert serialize_difficulty_dataset(ds) == "7\t10\ta b\n"
+
+    def test_zero_rows_write_nothing(self):
+        ds = DifficultyDataset(bits=np.zeros((0, 3), dtype=np.int8), tokens=[],
+                               ids=[])
+        assert serialize_difficulty_dataset(ds) == ""
 
     def test_tokens_required_to_write(self):
         ds = DifficultyDataset(bits=np.array([[1]], dtype=np.int8))

@@ -226,15 +226,17 @@ class TestForwardLayer:
         rng = np.random.default_rng(0)
         model = random_model(5, 1, 8, 2, 16, seed=1)
         h = rng.normal(size=(4, 8))
-        out = forward_layer(h, model.layers[0], [], heads=2)
-        assert out is not h
-        assert np.array_equal(out, h)
+        before = h.copy()
+        assert forward_layer(h, model.layers[0], [], heads=2,
+                             segments=[0, 4]) is h
+        assert np.array_equal(h, before)
 
     def test_frozen_row_bits_preserved(self):
         rng = np.random.default_rng(1)
         model = random_model(5, 1, 8, 2, 16, seed=2)
         h = rng.normal(size=(3, 8))
-        out = forward_layer(h, model.layers[0], [0, 2], heads=2)
+        out = forward_layer(h.copy(), model.layers[0], [0, 2], heads=2,
+                            segments=[0, 3])
         assert np.array_equal(out[1], h[1])
         assert not np.array_equal(out[0], h[0])
         assert not np.array_equal(out[2], h[2])
@@ -244,20 +246,24 @@ class TestForwardLayer:
         rng = np.random.default_rng(2)
         model = random_model(5, 1, 8, 2, 16, seed=3)
         h = rng.normal(size=(3, 8))
-        out_a = forward_layer(h, model.layers[0], [0, 2], heads=2)
         h2 = h.copy()
         h2[1] += 1.0
-        out_b = forward_layer(h2, model.layers[0], [0, 2], heads=2)
+        out_a = forward_layer(h, model.layers[0], [0, 2], heads=2,
+                              segments=[0, 3])
+        out_b = forward_layer(h2, model.layers[0], [0, 2], heads=2,
+                              segments=[0, 3])
         assert not np.allclose(out_a[0], out_b[0])
 
     def test_segments_keep_documents_apart(self):
         rng = np.random.default_rng(3)
         model = random_model(5, 1, 8, 2, 16, seed=5)
         h = rng.normal(size=(5, 8))
-        packed = forward_layer(h, model.layers[0], [0, 2, 3], heads=2,
+        packed = forward_layer(h.copy(), model.layers[0], [0, 2, 3], heads=2,
                                segments=[0, 3, 5])
-        first = forward_layer(h[:3], model.layers[0], [0, 2], heads=2)
-        second = forward_layer(h[3:], model.layers[0], [0], heads=2)
+        first = forward_layer(h[:3].copy(), model.layers[0], [0, 2], heads=2,
+                              segments=[0, 3])
+        second = forward_layer(h[3:].copy(), model.layers[0], [0], heads=2,
+                               segments=[0, 2])
         assert np.max(np.abs(packed - np.vstack([first, second]))) <= 1e-12
         assert np.array_equal(packed[[1, 4]], h[[1, 4]])
 
@@ -273,11 +279,11 @@ class TestForwardLayer:
         active = [0, 2, 3, 4, 8]
         if budget is not None:
             monkeypatch.setattr(encoder, "BATCH_FLOATS", budget)
-        want = forward_layer(h, model.layers[0], active, heads=2,
+        want = forward_layer(h.copy(), model.layers[0], active, heads=2,
                              segments=segments)
         for padded in (segments[:at] + [segments[at]] + segments[at:],
                        segments[:at] + [segments[at]] * 3 + segments[at:]):
-            got = forward_layer(h, model.layers[0], active, heads=2,
+            got = forward_layer(h.copy(), model.layers[0], active, heads=2,
                                 segments=padded)
             assert np.array_equal(got, want)
 
@@ -286,7 +292,8 @@ class TestForwardLayer:
     def test_active_must_rise_strictly(self, active):
         model = random_model(5, 1, 8, 2, 16, seed=4)
         with pytest.raises(ShapeError, match="active"):
-            forward_layer(np.zeros((3, 8)), model.layers[0], active, heads=2)
+            forward_layer(np.zeros((3, 8)), model.layers[0], active, heads=2,
+                          segments=[0, 3])
 
     def test_bad_segments(self):
         model = random_model(5, 1, 8, 2, 16, seed=4)
@@ -297,7 +304,8 @@ class TestForwardLayer:
     def test_shape_mismatch(self):
         model = random_model(5, 1, 8, 2, 16, seed=4)
         with pytest.raises(ShapeError):
-            forward_layer(np.zeros((3, 6)), model.layers[0], [0], heads=2)
+            forward_layer(np.zeros((3, 6)), model.layers[0], [0], heads=2,
+                          segments=[0, 3])
 
 
 def standard_only(monkeypatch):
@@ -319,9 +327,9 @@ class TestReassociation:
         flipped = encoder._attention(q, h, weights, 4, True, q_sizes, k_sizes)
         standard = encoder._attention(q, h, weights, 4, False, q_sizes, k_sizes)
         assert np.max(np.abs(flipped - standard)) <= 1e-12
-        got = forward_layer(h, weights, active, heads=4)
+        got = forward_layer(h.copy(), weights, active, heads=4, segments=[0, 96])
         standard_only(monkeypatch)
-        want = forward_layer(h, weights, active, heads=4)
+        want = forward_layer(h.copy(), weights, active, heads=4, segments=[0, 96])
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(np.delete(got, active, axis=0),
                               np.delete(h, active, axis=0))
@@ -757,24 +765,17 @@ class TestLayerGroups:
             forward_docs(model, ids_list, schedules, traces=traces)
             assert [id(w) for w in calls] == [id(w) for w in model.layers]
             assert len(groups) > 2 * model.num_layers
-        # out=h updates h in place with the bits of the copying call, out=
-        # another array receives the frozen rows too, and the default
-        # leaves h untouched
+        # a float64 array is overwritten in place and returned; a list is
+        # converted into a new array, with the same bits, and left alone
         bounds = np.cumsum([0] + [ids.size for ids in ids_list])
         weights = model.layers[0]
         h = rng.normal(size=(bounds[-1], 8))
         active = np.flatnonzero(rng.random(bounds[-1]) < 0.4)
-        before = h.copy()
-        copied = real(h, weights, active, heads=2, segments=bounds)
-        assert np.array_equal(h, before)
-        elsewhere = np.full_like(h, np.nan)
-        assert real(h, weights, active, heads=2, segments=bounds,
-                    out=elsewhere) is elsewhere
-        assert np.array_equal(elsewhere, copied)
-        assert real(h, weights, active, heads=2, segments=bounds, out=h) is h
-        assert np.array_equal(h, copied)
-        with pytest.raises(ShapeError):
-            real(h, weights, active, heads=2, segments=bounds, out=h[1:])
+        listed = h.tolist()
+        converted = real(listed, weights, active, heads=2, segments=bounds)
+        assert listed == h.tolist()
+        assert real(h, weights, active, heads=2, segments=bounds) is h
+        assert h.tobytes() == converted.tobytes()
 
     def test_traces_stream_copies(self, monkeypatch):
         # a traced forward runs each layer only when its iterator reaches
@@ -787,8 +788,9 @@ class TestLayerGroups:
         real = encoder.forward_layer
 
         def counted(h, weights, active, **kwargs):
-            in_place.append(kwargs.get("out") is h)
-            return real(h, weights, active, **kwargs)
+            new = real(h, weights, active, **kwargs)
+            in_place.append(new is h)
+            return new
 
         monkeypatch.setattr(encoder, "forward_layer", counted)
         states = forward(model, batch, traces=True)
@@ -801,6 +803,38 @@ class TestLayerGroups:
                        for i, a in enumerate(every) for b in every[i + 1:])
         assert np.array_equal(every[-1], forward(model, batch))
         assert in_place == [True] * 2 * model.num_layers
+
+    def test_forward_never_writes_its_inputs(self, monkeypatch):
+        # the kernels overwrite whatever they are handed, so a forward must
+        # hand them only its own state matrix and temporaries
+        model = random_model(12, 3, 8, 2, 16, seed=64, num_classes=2)
+        rng = np.random.default_rng(65)
+        exits = [np.full(10, 3), np.array([3] + [1] * 9),
+                 np.ones(4, dtype=np.int64), np.array([3, 2, 2, 1, 1, 1, 1, 3]),
+                 np.array([3, 1, 1, 1, 1, 1, 3, 3, 1, 1, 1])]
+        batch = packed_batch([rng.integers(0, 12, size=e.size) for e in exits],
+                             [ExitSchedule(e, np.ones(e.size, dtype=bool))
+                              for e in exits])
+        inputs = ([batch.ids, batch.exits, batch.offsets, model.embedding,
+                   model.head]
+                  + [getattr(lw, name) for lw in model.layers
+                     for name in encoder._LAYER_FIELDS])
+        before = [a.tobytes() for a in inputs]
+        monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 2)
+        groups = self.count_groups(monkeypatch)
+        associations = []
+        real = encoder._attention
+
+        def spy(q, hk, weights, heads, reassociate, *rest):
+            associations.append(reassociate)
+            return real(q, hk, weights, heads, reassociate, *rest)
+
+        monkeypatch.setattr(encoder, "_attention", spy)
+        forward(model, batch)
+        list(forward(model, batch, traces=True))
+        assert len(groups) > 2 * 2 * model.num_layers
+        assert set(associations) == {False, True}
+        assert [a.tobytes() for a in inputs] == before
 
     @pytest.mark.parametrize("budget", [1, 16 * 5])
     def test_many_groups_match_one(self, monkeypatch, budget):
@@ -1085,6 +1119,25 @@ class TestTrainToy:
         model = random_model(11, 2, 8, 2, 16, seed=2)
         with pytest.raises(InputError):
             train_toy(model, [], [], table)
+
+    @pytest.mark.parametrize("head, labels, bad", [
+        (None, [-1] * 30, -1), (None, [0, -1] * 15, -1),
+        (2, [0, 1] * 14 + [2, 0], 2), (2, [1] * 29 + [-2], -2)])
+    def test_labels_outside_the_classes(self, head, labels, bad):
+        # a new head takes its classes from the labels, so only a negative
+        # label is out; a 2-class head also refuses 2 and above
+        seqs, _, table = self.make_task()
+        model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=head)
+        with pytest.raises(InputError, match=f"label {bad} is not a class"):
+            train_toy(model, seqs, labels, table, epochs=1)
+
+    def test_accuracy_labels_outside_the_classes(self):
+        seqs, _, table = self.make_task()
+        model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=2)
+        with pytest.raises(InputError, match="label -1 is not a class"):
+            accuracy(model, seqs[:4], [-1, 5, 7, 9], table)
+        with pytest.raises(InputError, match="label 5 is not a class"):
+            accuracy(model, seqs[:4], [0, 5, 7, 9], table)
 
     def test_gradcheck_head_loss(self):
         rng = np.random.default_rng(21)
