@@ -56,18 +56,18 @@ emb = EmbeddingTable(vocab.tokens, rng.normal(size=(len(vocab.tokens), 8)))
 tables["clustered"] = build_clustered(vocab, emb, B, L, seed=0)
 
 for name, table in tables.items():
-    per_token = " ".join(f"{tok}:{table.layer_for(tok)}"
-                         for tok in vocab.tokens)
+    per_token = " ".join(f"{tok}:{layer}"
+                         for tok, layer in zip(table.tokens, table.layers))
     print(f"\n{name:>9}: {per_token}")
     print(f"{'':>9}  bucket sizes {[int(s) for s in table.bucket_sizes()]}")
 
 # "dull" and "great" separate the classes perfectly; high-MI tokens are
 # routed to the earliest exits, while uninformative ones linger
 mi_table = tables["mi"]
+dull, great, throughout = mi_table.exits(
+    mi_table.vocab.ids_for(["dull", "great", "throughout"]))
 print("\nunder mi, label-bearing tokens exit first:",
-      f"dull -> {mi_table.layer_for('dull')},",
-      f"great -> {mi_table.layer_for('great')},",
-      f"throughout -> {mi_table.layer_for('throughout')}")
+      f"dull -> {dull},", f"great -> {great},", f"throughout -> {throughout}")
 
 print("\nserialized form of the frequency table:")
 print(serialize_hash_table(tables["frequency"]), end="")

@@ -36,7 +36,7 @@ table = HashTable(
     buckets=np.array([0, 1, 2, 3, 1, 2]),
 )
 print("token -> exit layer:",
-      {t: table.layer_for(t) for t in table.tokens})
+      dict(zip(table.tokens, table.layers.tolist())))
 
 token_ids = np.array([3, 0, 5, 1, 2])  # d a f b c
 sched = schedule(token_ids, table)

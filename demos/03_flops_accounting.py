@@ -21,8 +21,6 @@ W_V into the queries' side of attention (reassociation), which skips
 those projections. The corpus is priced both ways.
 """
 
-import numpy as np
-
 from hashexit import (
     CorpusStats,
     ModelDims,
@@ -69,10 +67,7 @@ stats = CorpusStats.from_documents(vocab, corpus.documents)
 dims = ModelDims(num_layers=6, d=64, heads=4, d_ff=256)
 
 table = build_frequency(vocab, stats, num_buckets=3, num_layers=dims.num_layers)
-schedules = [
-    schedule(np.array([vocab.id_of(t) for t in doc]), table)
-    for doc in corpus.documents
-]
+schedules = [schedule(vocab.ids_for(doc), table) for doc in corpus.documents]
 rep = report(dims, schedules)
 print(f"\n{len(corpus.documents)} documents, L={dims.num_layers}, "
       f"d={dims.d}:")

@@ -24,6 +24,8 @@ Things you can try:
 
 import sys
 
+import numpy as np
+
 from hashexit import run_consistency_ablation
 
 seeds = range(10)
@@ -33,5 +35,5 @@ if len(sys.argv) > 1:
 result = run_consistency_ablation(list(seeds))
 print(result.to_text())
 
-gap = result.mean_cons - result.mean_incons
+gap = np.mean(result.cons_accuracies) - np.mean(result.incons_accuracies)
 print(f"\nconsistent beats inconsistent by {gap:+.4f} accuracy on average")

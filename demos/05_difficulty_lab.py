@@ -27,6 +27,7 @@ import numpy as np
 
 from hashexit import (
     DifficultyDataset,
+    DifficultyOutcome,
     evaluate,
     majority_baseline,
     negative_class_metrics,
@@ -63,4 +64,6 @@ print(f"worked fixture: precision {m.precision:.4f}, recall {m.recall:.4f}, "
 all_pos = DifficultyDataset(bits=np.ones_like(train.bits))
 silent = majority_baseline(all_pos)
 print("\nmajority trained on all-positive bits, scored on real eval data:")
-print(evaluate(silent, eval_ds).to_text())
+metrics = {"majority": evaluate(silent, eval_ds),
+           "linear_b": outcome.metrics["linear_b"]}
+print(DifficultyOutcome(all_pos, eval_ds, metrics).to_text(), end="")

@@ -7,7 +7,6 @@ artifacts under --out-dir; exit status is 0 exactly when no error occurred.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,11 +125,7 @@ def cmd_flops_report(args):
                  for doc in corpus.documents]
     dims = ModelDims(num_layers=table.num_layers, d=args.d, heads=args.heads,
                      d_ff=args.d_ff)
-    overrides = {"num_layers": args.baseline_layers, "d": args.baseline_d,
-                 "heads": args.baseline_heads, "d_ff": args.baseline_d_ff}
-    baseline = replace(dims, **{name: value for name, value in overrides.items()
-                                if value is not None})
-    rep = report(dims, schedules, baseline_dims=baseline)
+    rep = report(dims, schedules)
     write_text(out_dir / "flops.csv", rep.to_csv())
     write_text(out_dir / "flops.txt", rep.to_text())
     print(rep.to_text(), end="")
@@ -245,10 +240,6 @@ def build_parser():
     p.add_argument("--d", type=int, default=768)
     p.add_argument("--heads", type=int, default=12)
     p.add_argument("--d-ff", type=int, default=3072)
-    p.add_argument("--baseline-layers", type=int)
-    p.add_argument("--baseline-d", type=int)
-    p.add_argument("--baseline-heads", type=int)
-    p.add_argument("--baseline-d-ff", type=int)
     p.set_defaults(func=cmd_flops_report)
 
     p = sub.add_parser("ablate-consistency", parents=[common, toy],

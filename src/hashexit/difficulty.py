@@ -88,14 +88,6 @@ class NegClassMetrics:
     fp: int
     fn: int
 
-    def to_text(self):
-        if not self.applicable:
-            return ("negative-class metrics: no negative predictions; "
-                    "precision/F1 not applicable "
-                    f"(recall {self.recall:.4f})")
-        return (f"negative-class metrics: precision {self.precision:.4f} "
-                f"recall {self.recall:.4f} f1 {self.f1:.4f}")
-
 
 def _instance_states(model, sequences, counts):
     """Per-layer states of every instance, an (instances, L, d) array in

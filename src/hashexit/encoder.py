@@ -206,7 +206,8 @@ class PackedBatch:
     ids and exits hold each row's token id and exit layer, offsets each
     document's start row followed by the row count: document i is rows
     offsets[i]:offsets[i + 1]. len() counts the documents. `forward`
-    checks the three int64 vectors against each other and the model.
+    checks that all three are integer vectors (`_int_vector`), and checks
+    them against each other and the model.
     """
 
     ids: np.ndarray
@@ -215,6 +216,21 @@ class PackedBatch:
 
     def __len__(self):
         return len(self.offsets) - 1
+
+
+def _int_vector(values, what):
+    """`values` as an int64 vector. Anything but a flat sequence is a
+    ShapeError, and a non-empty one of another dtype than an integer one
+    (floats, strings, bools) is an InputError, never truncated."""
+    try:
+        vector = np.asarray(values)
+    except ValueError:  # ragged nesting
+        vector = None
+    if vector is None or vector.ndim != 1:
+        raise ShapeError(f"{what} must be a flat sequence")
+    if vector.size and vector.dtype.kind not in "iu":
+        raise InputError(f"{what} must be integers, not {vector.dtype}")
+    return vector.astype(np.int64, copy=False)
 
 
 def pack(sequences):
@@ -466,14 +482,12 @@ def _layers(model, batch):
     the packed (rows, d) states H^0..H^L: one array, which each step
     overwrites with the next layer (forward_layer).
     """
-    ids, exits, offsets = (np.asarray(a, dtype=np.int64)
-                           for a in (batch.ids, batch.exits, batch.offsets))
-    if ids.ndim != 1:
-        raise ShapeError("token ids must be a flat sequence")
+    ids = _int_vector(batch.ids, "token ids")
+    exits = _int_vector(batch.exits, "exit layers")
+    offsets = _int_vector(batch.offsets, "offsets")
     if exits.shape != ids.shape:
         raise ShapeError(f"{exits.size} exit layers for {ids.size} token ids")
-    if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 \
-            or offsets[-1] != ids.size:
+    if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != ids.size:
         raise ShapeError(f"offsets must run from 0 to the row count {ids.size}")
     lengths = np.diff(offsets)
     if (lengths < 0).any():
@@ -510,7 +524,7 @@ def forward(model, batch, sched=None, *, traces=False):
     documents. So walk a corpus in the batches that `batches` cuts.
     """
     if sched is not None:
-        ids = np.asarray(batch, dtype=np.int64)
+        ids = _int_vector(batch, "token ids")
         one = PackedBatch(ids, sched.exit_layer, np.array([0, ids.size]))
         return ForwardTrace(hidden=list(forward(model, one, traces=True)))
     states = _layers(model, batch)
@@ -590,7 +604,8 @@ def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
 
     labels holds one label per sequence, or with per_token one list per
     sequence with a label per token, concatenated in order. Labels that do
-    not line up with the sequences are a ShapeError. A label outside
+    not line up with the sequences, or do not form one flat vector, are a
+    ShapeError, and labels other than integers an InputError. A label outside
     0..num_classes - 1 is an InputError naming it; num_classes None stands
     for a head not made yet, whose classes the labels set, so only negative
     labels are rejected.
@@ -603,7 +618,7 @@ def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
                 raise ShapeError(f"document {i} has {len(seq)} tokens and "
                                  f"{len(gold)} labels")
         labels = list(chain.from_iterable(labels))
-    ids = np.asarray(labels, dtype=np.int64)
+    ids = _int_vector(labels, "labels")
     bad = ids < 0 if num_classes is None else (ids < 0) | (ids >= num_classes)
     if bad.any():
         classes = "0 or more" if num_classes is None else f"in 0..{num_classes - 1}"

@@ -73,14 +73,6 @@ class AblationResult:
     cons_accuracies: list
     incons_accuracies: list
 
-    @property
-    def mean_cons(self):
-        return float(np.mean(self.cons_accuracies))
-
-    @property
-    def mean_incons(self):
-        return float(np.mean(self.incons_accuracies))
-
     def to_text(self):
         lines = ["consistency ablation: eval accuracy per arm",
                  "arm     seed  accuracy"]

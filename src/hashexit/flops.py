@@ -181,8 +181,11 @@ class LayerTotals:
 
 @dataclass(frozen=True)
 class FlopsReport:
+    """A corpus priced under one set of model dims (`report`): per-layer
+    totals, the exit histogram, and FLOPs routed, with no exits (the
+    baseline) and as the encoder executes them."""
+
     dims: ModelDims
-    baseline_dims: ModelDims
     rows: tuple
     exit_histogram: dict
     total_flops: int
@@ -209,9 +212,6 @@ class FlopsReport:
             "head costs are excluded)",
             f"dims: L={self.dims.num_layers} d={self.dims.d} "
             f"h={self.dims.heads} d_ff={self.dims.d_ff}",
-            f"baseline dims: L={self.baseline_dims.num_layers} "
-            f"d={self.baseline_dims.d} h={self.baseline_dims.heads} "
-            f"d_ff={self.baseline_dims.d_ff}",
             "layer  n_sum  m_sum  saved_macs  full_macs",
         ]
         for r in self.rows:
@@ -227,19 +227,17 @@ class FlopsReport:
         return "\n".join(lines) + "\n"
 
 
-def report(dims, schedules, baseline_dims=None):
+def report(dims, schedules):
     """Aggregate exit-aware cost over a corpus of schedules.
 
-    The baseline is the same corpus pushed through a no-exit model of
-    baseline_dims (defaults to dims), so speedup isolates what the exit
-    schedule and depth change buy. total_flops is the paper's figure;
-    executed_flops prices the layers as the encoder runs them.
+    The baseline is the same corpus pushed through the same model with no
+    exits, so speedup isolates what the exit schedule buys. total_flops is
+    the paper's figure; executed_flops prices the layers as the encoder
+    runs them.
 
     Every figure is the closed form of one layer summed over a (documents
     x L) matrix of active row counts, built from all exits at once.
     """
-    if baseline_dims is None:
-        baseline_dims = dims
     schedules = list(schedules)
     if not schedules:
         raise InputError("no schedules to account for")
@@ -261,15 +259,13 @@ def report(dims, schedules, baseline_dims=None):
     total_macs = L * full_sum - sum(saved_sums)
     if total_macs == 0:
         raise InputError("corpus contains no computation to account for")
-    baseline_macs = baseline_dims.num_layers * _layer_macs(
-        n, n, baseline_dims.d, baseline_dims.heads, baseline_dims.d_ff)[1].sum()
     m_sums = m.sum(axis=0).tolist()
     rows = tuple(LayerTotals(t + 1, n_sum, m_sums[t], saved_sums[t], full_sum)
                  for t in range(L))
     histogram = counts.sum(axis=0).tolist()
-    return FlopsReport(dims=dims, baseline_dims=baseline_dims, rows=rows,
+    return FlopsReport(dims=dims, rows=rows,
                        exit_histogram={t: c for t, c in
                                        enumerate(histogram, start=1) if c},
                        total_flops=FLOPS_PER_MAC * total_macs,
-                       baseline_flops=FLOPS_PER_MAC * baseline_macs,
+                       baseline_flops=FLOPS_PER_MAC * L * full_sum,
                        executed_flops=FLOPS_PER_MAC * executed.sum())

@@ -64,12 +64,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def id_of(self, token: str) -> int:
-        return self._index[token]
-
     def ids_for(self, tokens) -> list[int]:
         """Map tokens to ids; tokens outside the vocab map to -1."""
         return [self._index.get(t, -1) for t in tokens]
@@ -149,9 +143,10 @@ class HashTable:
     """Immutable token -> (bucket, exit layer) map. Tokens are non-empty,
     free of whitespace and distinct.
 
-    Lookups by out-of-range token id (or unseen token string) return the
-    last layer: unknown tokens run the full model. `vocab` is the Vocab
-    of `tokens`, the table's own index: its ids are table rows.
+    `vocab` is the Vocab of `tokens`, the table's own index: its ids are
+    table rows, whose exit layers `layers` holds. `exits` looks ids up;
+    an id outside the table (an unseen token's -1) gets the last layer,
+    so unknown tokens run the full model. `==` is identity.
     """
 
     method: str
@@ -177,21 +172,6 @@ class HashTable:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "vocab", Vocab(self.tokens))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HashTable):
-            return NotImplemented
-        return (
-            self.method == other.method
-            and self.num_buckets == other.num_buckets
-            and self.num_layers == other.num_layers
-            and self.seed == other.seed
-            and self.tokens == other.tokens
-            and np.array_equal(self.buckets, other.buckets)
-        )
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def exits(self, ids, num_layers=None) -> np.ndarray:
         """The exit layer of each token id in `ids`, as a new int64 array:
         the one id -> layer lookup. Ids outside the table (< 0 or >= V)
@@ -205,10 +185,6 @@ class HashTable:
         known = (ids >= 0) & (ids < len(self.tokens))
         exits[known] = self.layers[ids[known]]
         return exits
-
-    def layer_for(self, token: str) -> int:
-        """Exit layer for a token string; unseen tokens get layer L."""
-        return int(self.exits(self.vocab.ids_for((token,)))[0])
 
     def bucket_sizes(self) -> np.ndarray:
         return np.bincount(self.buckets, minlength=self.num_buckets)

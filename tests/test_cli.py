@@ -40,6 +40,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def sha256s(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
 class TestBuildHash:
     def test_frequency_matches_library(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
@@ -177,9 +182,7 @@ class TestBuildHash:
              "--seed", 5, "--out", "clustered.hash"],
         ):
             assert run(["build-hash", *argv, *common]) == 0
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
-                   .hexdigest() for name in self.GOLDEN}
-        assert digests == self.GOLDEN
+        assert sha256s(tmp_path, self.GOLDEN) == self.GOLDEN
 
 
 def predict_one(model, ids, table):
@@ -387,8 +390,8 @@ class TestInfer:
                     tmp_path / "table.hash", "--corpus", tmp_path / "corpus.txt",
                     "--out-dir", tmp_path])
         assert code == 0
-        digest = hashlib.sha256((tmp_path / "predictions.tsv").read_bytes())
-        assert digest.hexdigest() == self.GOLDEN_PREDICTIONS[shape]
+        assert sha256s(tmp_path, ["predictions.tsv"]) == {
+            "predictions.tsv": self.GOLDEN_PREDICTIONS[shape]}
 
 
 class TestFlopsReport:
@@ -441,14 +444,38 @@ class TestFlopsReport:
                     "--out-dir", tmp_path])
         assert code == 1
 
-    def test_deeper_baseline(self, tmp_path):
-        _, table_path = self.make_all_last_table(tmp_path)
-        corpus_path = tmp_path / "c.txt"
-        save_corpus(Corpus(documents=[["a", "b"]]), corpus_path)
-        run(["flops-report", "--table", table_path, "--corpus", corpus_path,
-             "--d", 8, "--heads", 2, "--d-ff", 16, "--baseline-layers", 8,
-             "--out-dir", tmp_path])
-        assert "speedup: 2.0000" in (tmp_path / "flops.txt").read_text()
+    # sha256 of the artifacts for a small Zipf corpus under a B=3 frequency
+    # table at L=12, by corpus seed; recorded when flops.txt also stated
+    # the baseline dims, with that line dropped. Every figure is an exact
+    # integer.
+    GOLDEN = {
+        0: {
+            "flops.csv":
+                "3acede1e79fb324acd61821c5572d95dc7c51545ebbf9bd59872db5007e2ca53",
+            "flops.txt":
+                "373bdfae54ee77131512ba27beb904937dd5cfbaed200c3aeb5b2f4c42bb96d2",
+        },
+        1: {
+            "flops.csv":
+                "33c8bbdee18729619d15dfdba04ecf031145636e4ce04432034937c1dd848278",
+            "flops.txt":
+                "6531ec54535ec60146f118f531dedf98f5ce4c2530ea106e62c7b66ad1981d92",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_golden_report(self, tmp_path, capsys, seed):
+        corpus = zipf_corpus(300, 60, seed=seed, min_len=8, max_len=64)
+        save_corpus(corpus, tmp_path / "corpus.txt")
+        vocab = Vocab.from_documents(corpus.documents)
+        stats = CorpusStats.from_documents(vocab, corpus.documents)
+        save_hash_table(build_frequency(vocab, stats, 3, 12),
+                        tmp_path / "table.hash")
+        code = run(["flops-report", "--table", tmp_path / "table.hash",
+                    "--corpus", tmp_path / "corpus.txt", "--d", 64,
+                    "--heads", 4, "--d-ff", 256, "--out-dir", tmp_path])
+        assert code == 0
+        assert sha256s(tmp_path, self.GOLDEN[seed]) == self.GOLDEN[seed]
 
 
 class TestAblateCli:
@@ -473,6 +500,27 @@ class TestAblateCli:
                   if line.startswith("error:")]
         assert len(errors) == 1 and "diverged" in errors[0]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    # sha256 of ablation.txt for seeds (s, s + 1) at 40 epochs, by s. The
+    # accuracies follow float64 training, so another BLAS than numpy's
+    # bundled OpenBLAS may round them differently.
+    GOLDEN = {
+        0: {
+            "ablation.txt":
+                "6aafd132cbb8094ce3eaf2cccf35b4539fddf5f0a6946dacbd2260f3fcfb0b83",
+        },
+        1: {
+            "ablation.txt":
+                "a725d5b34c13c9c09c1c6b305b0cd5f0e62f66bb1d9e2bf1c1e0afd6bda7c580",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_golden_ablation(self, tmp_path, capsys, seed):
+        code = run(["ablate-consistency", "--seeds", f"{seed},{seed + 1}",
+                    "--epochs", 40, "--out-dir", tmp_path])
+        assert code == 0
+        assert sha256s(tmp_path, self.GOLDEN[seed]) == self.GOLDEN[seed]
 
     def test_single_seed_rejected(self, tmp_path, capsys):
         code = run(["ablate-consistency", "--seeds", "3",
@@ -523,14 +571,13 @@ class TestMalformedFlags:
                      id="difficulty-negative-seed"),
         pytest.param(["ablate-consistency", "--seeds=-1,2"], "seeds",
                      id="ablate-negative-seed"),
-        pytest.param(["flops-report", "--baseline-layers", 0], "positive",
-                     id="baseline-layers-0"),
-        pytest.param(["flops-report", "--baseline-d", 0], "positive",
-                     id="baseline-d-0"),
-        pytest.param(["flops-report", "--baseline-heads", 0], "positive",
-                     id="baseline-heads-0"),
-        pytest.param(["flops-report", "--baseline-d-ff", 0], "positive",
-                     id="baseline-d-ff-0"),
+        pytest.param(["flops-report", "--layers", 0], "--layers",
+                     id="flops-layers-0"),
+        pytest.param(["flops-report", "--d", 0], "positive", id="flops-d-0"),
+        pytest.param(["flops-report", "--heads", 0], "positive",
+                     id="flops-heads-0"),
+        pytest.param(["flops-report", "--d-ff", 0], "positive",
+                     id="flops-d-ff-0"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, says):
         corpus = tmp_path / "c.txt"
@@ -543,8 +590,9 @@ class TestMalformedFlags:
             argv = argv + ["--corpus", corpus]
         elif argv[0] == "flops-report":
             table_path = make_model_and_table(tmp_path)[3]
-            argv = argv + ["--table", table_path, "--corpus", corpus,
-                           "--d", 8, "--heads", 2, "--d-ff", 16]
+            # the flag under test comes last, so it overrides these dims
+            argv = [argv[0], "--table", table_path, "--corpus", corpus,
+                    "--d", 8, "--heads", 2, "--d-ff", 16, *argv[1:]]
         assert run(argv + ["--out-dir", tmp_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and says in err
@@ -656,6 +704,35 @@ class TestDifficultyCli:
                      "metrics.txt"):
             assert (tmp_path / "one" / name).read_bytes() == \
                 (tmp_path / "two" / name).read_bytes()
+
+    # sha256 of the three artifacts at the small config below, by seed;
+    # float64 training, numpy's bundled OpenBLAS
+    GOLDEN = {
+        0: {
+            "metrics.txt":
+                "eeee06469bb72f4873a2bc89af94ba2cd2d09a79fde5498e713aadaf3b093f31",
+            "difficulty_train.tsv":
+                "2d29fced8a1ece5be37daa7f1c89146db3cf5b1c9ce5f12b6809b3ff54188135",
+            "difficulty_eval.tsv":
+                "1c350d28a6b2f7298d2f64475ab6b8b263fa25c0256bccf751929e191c12ee0a",
+        },
+        1: {
+            "metrics.txt":
+                "65ff9329202ade1e785cd4d201c4311f71f82a77d0d44aa7e1d905be7fd93f89",
+            "difficulty_train.tsv":
+                "e4b21a5616c5cb6531ef6c311a76bed97a29156f890369c6e1554ec6f6d3fd15",
+            "difficulty_eval.tsv":
+                "15e4d5930695584da08ab63a825c39841ea249209cc1ecf7a2963b5ed3a80129",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_golden_artifacts(self, tmp_path, capsys, seed):
+        code = run(["difficulty", "--seed", seed, "--num-train", 20,
+                    "--num-eval", 20, "--annotator-epochs", 60,
+                    "--predictor-epochs", 80, "--out-dir", tmp_path])
+        assert code == 0
+        assert sha256s(tmp_path, self.GOLDEN[seed]) == self.GOLDEN[seed]
 
     def test_metrics_file_matches_stdout(self, tmp_path, capsys):
         code = run(["difficulty", "--seed", 0, "--num-train", 20,

@@ -112,9 +112,7 @@ class TestZipf:
         c = zipf_corpus(50, 2000, seed=1)
         vocab = Vocab.from_documents(c.documents)
         stats = CorpusStats.from_documents(vocab, c.documents)
-        first = stats.freq[vocab.id_of("w00")]
-        mid = stats.freq[vocab.id_of("w24")]
-        last = stats.freq[vocab.id_of("w49")]
+        first, mid, last = stats.freq[vocab.ids_for(["w00", "w24", "w49"])]
         assert first > mid > last
 
     def test_lengths_in_range(self):

@@ -21,6 +21,7 @@ from hashexit.difficulty import (
 )
 from hashexit import difficulty, encoder
 from hashexit.encoder import ExitSchedule, forward, random_model
+from hashexit.experiments import DifficultyOutcome
 
 from helpers import greedy_batches
 
@@ -151,6 +152,21 @@ class TestAnnotate:
         ann = random_annotator(seed=22, num_classes=2)
         with pytest.raises(InputError, match=f"label {bad} is not a class"):
             annotate(ann, [[0, 1], [2, 3]], labels, mode=mode)
+
+    @pytest.mark.parametrize("mode, labels, error", [
+        ("sentence", ["a", "b"], InputError),
+        ("sentence", [0.0, 1.0], InputError),
+        ("sentence", [[0, 1], [1, 0]], ShapeError),
+        ("sentence", [[0, 1], [1]], ShapeError),
+        ("token", [["a", "b"], ["c", "d"]], InputError),
+        ("token", [[0.5, 1], [1, 0]], InputError)])
+    def test_labels_must_be_integers(self, mode, labels, error):
+        ann = random_annotator(seed=24, num_classes=2)
+        with pytest.raises(error):
+            annotate(ann, [[0, 1], [2, 3]], labels, mode=mode)
+        if mode == "sentence":
+            with pytest.raises(error):
+                train_annotator(ann.model, [[0, 1], [2, 3]], labels, epochs=1)
 
     def test_new_heads_reject_negative_labels(self):
         model = random_model(9, 3, 8, 2, 16, seed=23)
@@ -363,7 +379,10 @@ class TestMajority:
         metrics = evaluate(pred, test)
         assert not metrics.applicable
         assert metrics.recall == 0.0
-        assert "not applicable" in metrics.to_text()
+        text = DifficultyOutcome(train, test, {"majority": metrics,
+                                               "linear_b": metrics}).to_text()
+        assert text.splitlines()[2].split()[:4] == [
+            "majority", "n/a", "0.0000", "n/a"]
 
     def test_majority_is_best_constant(self):
         rng = np.random.default_rng(8)

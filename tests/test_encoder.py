@@ -466,6 +466,25 @@ class TestForward:
         with pytest.raises(InputError):
             embed(model, [8], [0])
 
+    @pytest.mark.parametrize("field", ["ids", "exits", "offsets"])
+    def test_float_vectors_rejected(self, field):
+        # each float vector would run truncated: ids as other tokens, exits
+        # as lower layers, offsets as other document starts
+        model = random_model(8, 2, 8, 2, 16, seed=15)
+        batch = {"ids": np.array([1, 2, 3]), "exits": np.array([1, 2, 2]),
+                 "offsets": np.array([0, 2, 3])}
+        batch[field] = batch[field] + 0.9
+        with pytest.raises(InputError, match="must be integers"):
+            forward(model, PackedBatch(**batch))
+        if field == "ids":
+            with pytest.raises(InputError, match="must be integers"):
+                forward(model, batch["ids"], all_last_schedule(3, 2))
+
+    def test_nested_ids_rejected(self):
+        model = random_model(8, 2, 8, 2, 16, seed=16)
+        with pytest.raises(ShapeError, match="flat sequence"):
+            forward(model, PackedBatch([[1], [2, 3]], [2, 2, 2], [0, 3]))
+
 
 def row_budget(model):
     """Rows of the first batch that `batches` cuts from one-row documents,
@@ -1130,6 +1149,22 @@ class TestTrainToy:
         model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=head)
         with pytest.raises(InputError, match=f"label {bad} is not a class"):
             train_toy(model, seqs, labels, table, epochs=1)
+
+    @pytest.mark.parametrize("labels, error", [
+        pytest.param([0.5, 1.7] * 15, InputError, id="floats"),
+        pytest.param(["0", "1"] * 15, InputError, id="strings"),
+        pytest.param([[0, 1]] * 30, ShapeError, id="per-document-lists"),
+        pytest.param([[0]] * 29 + [[0, 1]], ShapeError, id="ragged-lists")])
+    def test_labels_must_be_a_flat_integer_vector(self, labels, error):
+        # floats trained as their truncations, and the others raised bare
+        # numpy errors
+        seqs, _, table = self.make_task()
+        for head in (None, 2):
+            model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=head)
+            with pytest.raises(error):
+                train_toy(model, seqs, labels, table, epochs=1)
+        with pytest.raises(error):
+            accuracy(model, seqs, labels, table)
 
     def test_accuracy_labels_outside_the_classes(self):
         seqs, _, table = self.make_task()

@@ -49,10 +49,10 @@ def reference_stats(vocab, documents, labels=None):
         cooccur = np.zeros((len(vocab), len(label_set)), dtype=np.int64)
     for i, doc in enumerate(documents):
         present = set()
-        for tok in doc:
-            if tok in vocab:
-                freq[vocab.id_of(tok)] += 1
-                present.add(vocab.id_of(tok))
+        for tid in vocab.ids_for(doc):
+            if tid >= 0:
+                freq[tid] += 1
+                present.add(tid)
         if labels is not None:
             j = label_set.index(labels[i])
             label_counts[j] += 1
@@ -181,7 +181,6 @@ class TestRandomHash:
     def test_deterministic(self):
         a = build_random(small_vocab(), 3, 6, seed=42)
         b = build_random(small_vocab(), 3, 6, seed=42)
-        assert a == b
         assert serialize_hash_table(a) == serialize_hash_table(b)
 
     def test_equal_bucket_sizes(self):
@@ -221,7 +220,8 @@ class TestRandomHash:
         t = build_random(small_vocab(), 2, 4, seed=1)
         assert t.exits([99, -1, 6]).tolist() == [4, 4, 4]
         assert t.exits([0, 99], 4).tolist() == [reference_exit(t, 0), 4]
-        assert t.layer_for("zzz") == 4
+        assert t.exits(t.vocab.ids_for(["zzz", "a"])).tolist() == [
+            4, reference_exit(t, 0)]
 
 
 class TestFrequencyHash:
@@ -230,7 +230,7 @@ class TestFrequencyHash:
         vocab = small_vocab()
         stats = CorpusStats(np.array([100, 50, 40, 10, 5, 1]), doc_count=6)
         t = build_frequency(vocab, stats, 3, 6)
-        assert [t.layer_for(x) for x in "abcdef"] == [1, 1, 3, 3, 5, 5]
+        assert t.layers.tolist() == [1, 1, 3, 3, 5, 5]
 
     def test_all_equal_ties_by_token_id(self):
         vocab = small_vocab()
@@ -297,16 +297,14 @@ class TestMiHash:
         docs = [["hi", "lo"], ["hi", "lo"], ["lo"], ["lo"]]
         stats = CorpusStats.from_documents(vocab, docs, ["1", "1", "0", "0"])
         t = build_mi(vocab, stats, 2, 2)
-        assert t.layer_for("hi") == 1
-        assert t.layer_for("lo") == 2
+        assert t.layers.tolist() == [1, 2]
 
     def test_all_equal_mi_ties_by_token_id(self):
         vocab = Vocab(("x", "y"))
         docs = [["x", "y"], ["x", "y"], ["x", "y"], ["x", "y"]]
         stats = CorpusStats.from_documents(vocab, docs, ["1", "1", "0", "0"])
         t = build_mi(vocab, stats, 2, 2)
-        assert t.layer_for("x") == 1
-        assert t.layer_for("y") == 2
+        assert t.layers.tolist() == [1, 2]
 
     def test_single_bucket(self):
         vocab = Vocab(("x", "y"))
@@ -476,10 +474,7 @@ class TestClusteredHash:
             [3.1, 2.9],
         ])
         t = build_clustered(vocab, EmbeddingTable(vocab.tokens, vectors), 2, 2, seed=0)
-        assert t.layer_for("a") == 1
-        assert t.layer_for("b") == 1
-        assert t.layer_for("c") == 2
-        assert t.layer_for("d") == 2
+        assert t.layers.tolist() == [1, 1, 2, 2]
 
     def test_identical_embeddings_still_partition(self):
         vocab = small_vocab()
@@ -499,7 +494,9 @@ class TestClusteredHash:
 class TestSerialization:
     def test_round_trip_equality(self):
         t = build_random(small_vocab(), 3, 6, seed=5)
-        assert parse_hash_table(serialize_hash_table(t)) == t
+        back = parse_hash_table(serialize_hash_table(t))
+        assert serialize_hash_table(back) == serialize_hash_table(t)
+        assert np.array_equal(back.layers, t.layers)
 
     def test_round_trip_bytes(self):
         t = build_random(small_vocab(), 2, 8, seed=5)
@@ -510,7 +507,8 @@ class TestSerialization:
         t = build_random(small_vocab(), 3, 6, seed=7)
         path = tmp_path / "table.hash"
         save_hash_table(t, path)
-        assert load_hash_table(path) == t
+        assert serialize_hash_table(load_hash_table(path)) == \
+            serialize_hash_table(t)
 
     def test_header_carries_metadata(self):
         t = build_random(small_vocab(), 3, 6, seed=12)
@@ -738,4 +736,5 @@ class TestTableLaws:
                     for t2 in range(len(vocab)):
                         if key[t1] > key[t2]:
                             assert layers[t1] <= layers[t2]
-                assert parse_hash_table(serialize_hash_table(table)) == table
+                text = serialize_hash_table(table)
+                assert serialize_hash_table(parse_hash_table(text)) == text
