@@ -21,6 +21,8 @@ W_V into the queries' side of attention (reassociation), which skips
 those projections. The corpus is priced both ways.
 """
 
+import numpy as np
+
 from hashexit import (
     CorpusStats,
     ModelDims,
@@ -30,7 +32,6 @@ from hashexit import (
     reassociates,
     report,
     saved_macs,
-    schedule,
     zipf_corpus,
 )
 
@@ -67,8 +68,11 @@ stats = CorpusStats.from_documents(vocab, corpus.documents)
 dims = ModelDims(num_layers=6, d=64, heads=4, d_ff=256)
 
 table = build_frequency(vocab, stats, num_buckets=3, num_layers=dims.num_layers)
-schedules = [schedule(vocab.ids_for(doc), table) for doc in corpus.documents]
-rep = report(dims, schedules)
+# the corpus packed as a PackedBatch holds it: every token's exit layer in
+# one vector, each document's start row in another; one lookup, one report
+ids = [vocab.ids_for(doc) for doc in corpus.documents]
+offsets = np.cumsum([0] + [len(doc) for doc in ids])
+rep = report(dims, table.exits(np.concatenate(ids)), offsets)
 print(f"\n{len(corpus.documents)} documents, L={dims.num_layers}, "
       f"d={dims.d}:")
 print(f"  baseline FLOPs {rep.baseline_flops:,}")

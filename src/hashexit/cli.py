@@ -14,7 +14,10 @@ import numpy as np
 from .artifacts import write_text
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus
-from .encoder import batches, classify, forward, load_model, schedule
+# schedule is no longer called here; it stays importable from this module
+# for the wrappers that bench/ places at hashexit.cli names until the
+# per-document schedule goes (ROADMAP item 1)
+from .encoder import batches, classify, forward, load_model, pack, schedule
 from .flops import ModelDims, report
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
@@ -118,14 +121,15 @@ def cmd_flops_report(args):
                           f"table's L={table.num_layers}")
     corpus = load_corpus(args.corpus)
     _report_skipped(corpus)
-    vocab = table.vocab
-    # unpinned, unlike infer: the benchmark checks this report against the
-    # unpinned lookup, so pinning waits for a benchmark change (ROADMAP)
-    schedules = [schedule(vocab.ids_for(doc), table)
-                 for doc in corpus.documents]
+    # the corpus packed once and looked up once; unpinned, unlike infer:
+    # the benchmark checks this report against the unpinned lookup, so
+    # pinning waits for a benchmark change (ROADMAP)
+    ids, offsets = pack([table.vocab.ids_for(doc) for doc in corpus.documents])
+    exits = table.exits(ids)
+    del ids  # not held through report's temporaries, which set the peak
     dims = ModelDims(num_layers=table.num_layers, d=args.d, heads=args.heads,
                      d_ff=args.d_ff)
-    rep = report(dims, schedules)
+    rep = report(dims, exits, offsets)
     write_text(out_dir / "flops.csv", rep.to_csv())
     write_text(out_dir / "flops.txt", rep.to_text())
     print(rep.to_text(), end="")

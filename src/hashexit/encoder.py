@@ -37,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import BinaryFormat, read_floats
-from .errors import ConfigError, InputError, ParseError, ShapeError, TrainingError
+from .errors import (ConfigError, InputError, ParseError, ShapeError,
+                     TrainingError, int_vector)
 from .flops import ModelDims, reassociates
 from .linalg import layer_norm, relu, softmax_rows
 
@@ -206,8 +207,8 @@ class PackedBatch:
     ids and exits hold each row's token id and exit layer, offsets each
     document's start row followed by the row count: document i is rows
     offsets[i]:offsets[i + 1]. len() counts the documents. `forward`
-    checks that all three are integer vectors (`_int_vector`), and checks
-    them against each other and the model.
+    checks that all three are integer vectors (`errors.int_vector`), and
+    checks them against each other and the model.
     """
 
     ids: np.ndarray
@@ -216,21 +217,6 @@ class PackedBatch:
 
     def __len__(self):
         return len(self.offsets) - 1
-
-
-def _int_vector(values, what):
-    """`values` as an int64 vector. Anything but a flat sequence is a
-    ShapeError, and a non-empty one of another dtype than an integer one
-    (floats, strings, bools) is an InputError, never truncated."""
-    try:
-        vector = np.asarray(values)
-    except ValueError:  # ragged nesting
-        vector = None
-    if vector is None or vector.ndim != 1:
-        raise ShapeError(f"{what} must be a flat sequence")
-    if vector.size and vector.dtype.kind not in "iu":
-        raise InputError(f"{what} must be integers, not {vector.dtype}")
-    return vector.astype(np.int64, copy=False)
 
 
 def pack(sequences):
@@ -288,14 +274,15 @@ def embed(model, token_ids, positions):
     """Token embeddings plus position signal; ids < 0 embed as zero vectors.
 
     `positions` gives each row's position in its document, so the rows of
-    several documents can be embedded in one call.
+    several documents can be embedded in one call. Both are integer
+    vectors (`errors.int_vector`).
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
+    ids = int_vector(token_ids, "token ids")
     if ids.size and ids.max() >= model.vocab_size:
         raise InputError(f"token id {int(ids.max())} outside vocabulary "
                          f"of size {model.vocab_size}")
     rows = np.where(ids[:, None] >= 0, model.embedding[np.maximum(ids, 0)], 0.0)
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = int_vector(positions, "positions")
     longest = int(positions.max()) + 1 if positions.size else 0
     return rows + positional_encoding(longest, model.d)[positions]
 
@@ -482,9 +469,9 @@ def _layers(model, batch):
     the packed (rows, d) states H^0..H^L: one array, which each step
     overwrites with the next layer (forward_layer).
     """
-    ids = _int_vector(batch.ids, "token ids")
-    exits = _int_vector(batch.exits, "exit layers")
-    offsets = _int_vector(batch.offsets, "offsets")
+    ids = int_vector(batch.ids, "token ids")
+    exits = int_vector(batch.exits, "exit layers")
+    offsets = int_vector(batch.offsets, "offsets")
     if exits.shape != ids.shape:
         raise ShapeError(f"{exits.size} exit layers for {ids.size} token ids")
     if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != ids.size:
@@ -524,7 +511,7 @@ def forward(model, batch, sched=None, *, traces=False):
     documents. So walk a corpus in the batches that `batches` cuts.
     """
     if sched is not None:
-        ids = _int_vector(batch, "token ids")
+        ids = int_vector(batch, "token ids")
         one = PackedBatch(ids, sched.exit_layer, np.array([0, ids.size]))
         return ForwardTrace(hidden=list(forward(model, one, traces=True)))
     states = _layers(model, batch)
@@ -618,7 +605,7 @@ def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
                 raise ShapeError(f"document {i} has {len(seq)} tokens and "
                                  f"{len(gold)} labels")
         labels = list(chain.from_iterable(labels))
-    ids = _int_vector(labels, "labels")
+    ids = int_vector(labels, "labels")
     bad = ids < 0 if num_classes is None else (ids < 0) | (ids >= num_classes)
     if bad.any():
         classes = "0 or more" if num_classes is None else f"in 0..{num_classes - 1}"

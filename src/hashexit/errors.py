@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that reads
+integer vectors with them (`int_vector`)."""
+
+import numpy as np
 
 
 class HashExitError(Exception):
@@ -24,3 +27,17 @@ class ParseError(HashExitError, ValueError):
 class TrainingError(HashExitError, RuntimeError):
     """Training diverged (non-finite loss)."""
 
+
+def int_vector(values, what):
+    """`values` as an int64 vector. Anything but a flat sequence is a
+    ShapeError, and a non-empty one of another dtype than an integer one
+    (floats, strings, bools) is an InputError, never truncated."""
+    try:
+        vector = np.asarray(values)
+    except ValueError:  # ragged nesting
+        vector = None
+    if vector is None or vector.ndim != 1:
+        raise ShapeError(f"{what} must be a flat sequence")
+    if vector.size and vector.dtype.kind not in "iu":
+        raise InputError(f"{what} must be integers, not {vector.dtype}")
+    return vector.astype(np.int64, copy=False)

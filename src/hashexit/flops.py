@@ -18,14 +18,18 @@ Each formula has one copy, `_layer_macs`, which takes ints or object
 arrays of ints. `saved_macs` checks one layer's dims and returns its
 figures as a LayerCost. `report` prices a whole corpus with it in one
 call over the (documents x L) matrix of rows each layer still updates,
-so every sum is an exact Python integer at any dims.
+so every sum is an exact Python integer at any dims. It reads the corpus
+packed, as a PackedBatch holds it: every row's exit layer in one vector
+and each document's start row in another, counted into that matrix with
+one `np.bincount`. It still takes a list of ExitSchedules, which it packs
+with one concatenation, until ExitSchedule goes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ShapeError, int_vector
 
 FLOPS_PER_MAC = 2
 
@@ -227,8 +231,16 @@ class FlopsReport:
         return "\n".join(lines) + "\n"
 
 
-def report(dims, schedules):
-    """Aggregate exit-aware cost over a corpus of schedules.
+def report(dims, exits, offsets=None):
+    """Aggregate exit-aware cost over a packed corpus.
+
+    `exits` holds every row's exit layer, 1..L, and `offsets` each
+    document's start row followed by the row count, as in a PackedBatch:
+    document i is rows offsets[i]:offsets[i + 1], and may be empty. Both
+    are integer vectors (`errors.int_vector`); offsets that do not rise
+    from 0 to the row count are a ShapeError, an exit outside 1..L a
+    ConfigError. A list of ExitSchedules in place of `exits`, with no
+    offsets, is packed here first; that form goes with ExitSchedule.
 
     The baseline is the same corpus pushed through the same model with no
     exits, so speedup isolates what the exit schedule buys. total_flops is
@@ -238,21 +250,33 @@ def report(dims, schedules):
     Every figure is the closed form of one layer summed over a (documents
     x L) matrix of active row counts, built from all exits at once.
     """
-    schedules = list(schedules)
-    if not schedules:
+    if offsets is None:
+        schedules = list(exits)
+        exits = np.concatenate([np.zeros(0, dtype=np.int64)]
+                               + [sched.exit_layer for sched in schedules])
+        offsets = np.cumsum([0] + [len(sched) for sched in schedules])
+    exits = int_vector(exits, "exit layers")
+    offsets = int_vector(offsets, "offsets")
+    lengths = np.diff(offsets)
+    if (offsets.size == 0 or offsets[0] != 0 or offsets[-1] != exits.size
+            or (lengths < 0).any()):
+        raise ShapeError(f"offsets must rise from 0 to the row count "
+                         f"{exits.size}")
+    if lengths.size == 0:
         raise InputError("no schedules to account for")
     L = dims.num_layers
-    exits = np.concatenate([sched.exit_layer for sched in schedules])
+    if exits.size and exits.min() < 1:
+        raise ConfigError(f"exit layer {int(exits.min())}: exit layers "
+                          f"start at 1")
     if exits.size and exits.max() > L:
         raise ConfigError(f"schedule assigns layer {int(exits.max())} "
                           f"beyond the model depth L={L}")
-    lengths = [len(sched) for sched in schedules]
-    doc = np.repeat(np.arange(len(schedules)), lengths)
-    counts = np.bincount(doc * L + exits - 1, minlength=len(schedules) * L)
+    doc = np.repeat(np.arange(lengths.size), lengths)
+    counts = np.bincount(doc * L + exits - 1, minlength=lengths.size * L)
     counts = counts.reshape(-1, L)
     # rows exiting at layer t or above are the rows layer t updates
     m = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1].astype(object)
-    n = np.array(lengths, dtype=object)[:, None]
+    n = lengths.astype(object)[:, None]
     saved, full, executed = _layer_macs(n, m, dims.d, dims.heads, dims.d_ff)
     saved_sums = sum(saved.values()).sum(axis=0).tolist()
     n_sum, full_sum = n.sum(), full.sum()

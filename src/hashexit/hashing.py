@@ -21,7 +21,7 @@ import numpy as np
 from .artifacts import (BinaryFormat, format_header, index_tokens, open_text,
                         parse_header, parse_ints, read_floats, read_lines,
                         split_lines, write_text)
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, int_vector
 
 HASH_METHODS = (
     "rand-cons",
@@ -141,7 +141,8 @@ def bucket_to_layer(b, num_buckets: int, num_layers: int):
 @dataclass(frozen=True, eq=False)
 class HashTable:
     """Immutable token -> (bucket, exit layer) map. Tokens are non-empty,
-    free of whitespace and distinct.
+    free of whitespace and distinct; `buckets` holds one integer bucket
+    per token (`errors.int_vector`).
 
     `vocab` is the Vocab of `tokens`, the table's own index: its ids are
     table rows, whose exit layers `layers` holds. `exits` looks ids up;
@@ -162,8 +163,8 @@ class HashTable:
         if not self.tokens:
             raise ConfigError("empty vocab")
         _check_buckets(self.num_buckets, self.num_layers)
-        buckets = np.asarray(self.buckets, dtype=np.int64)
-        if buckets.shape != (len(self.tokens),):
+        buckets = int_vector(self.buckets, "buckets")
+        if buckets.size != len(self.tokens):
             raise ConfigError("one bucket per token required")
         object.__setattr__(self, "buckets", buckets)
         layers = bucket_to_layer(buckets, self.num_buckets, self.num_layers)
@@ -175,12 +176,12 @@ class HashTable:
     def exits(self, ids, num_layers=None) -> np.ndarray:
         """The exit layer of each token id in `ids`, as a new int64 array:
         the one id -> layer lookup. Ids outside the table (< 0 or >= V)
-        get layer L. A num_layers other than the table's L is a
-        ConfigError."""
+        get layer L. `ids` is an integer vector (`errors.int_vector`). A
+        num_layers other than the table's L is a ConfigError."""
         if num_layers is not None and num_layers != self.num_layers:
             raise ConfigError(f"table built for L={self.num_layers}, "
                               f"model has L={num_layers}")
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = int_vector(ids, "token ids")
         exits = np.full(ids.shape, self.num_layers, dtype=np.int64)
         known = (ids >= 0) & (ids < len(self.tokens))
         exits[known] = self.layers[ids[known]]

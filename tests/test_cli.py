@@ -425,6 +425,30 @@ class TestFlopsReport:
         rep = report(ModelDims(4, 8, 2, 16), schedules)
         assert (tmp_path / "flops.csv").read_text() == rep.to_csv()
 
+    def test_prices_the_corpus_in_one_packed_call(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # one lookup over the packed corpus and one report call, with no
+        # per-document schedule (bench/ hooks both names on hashexit.cli)
+        _, table_path = self.make_all_last_table(tmp_path)
+        corpus_path = tmp_path / "c.txt"
+        save_corpus(Corpus(documents=[["a", "b"], ["c"], ["zzz", "a", "c"]]),
+                    corpus_path)
+        calls = {"schedule": 0, "report": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        code = run(["flops-report", "--table", table_path, "--corpus",
+                    corpus_path, "--d", 8, "--heads", 2, "--d-ff", 16,
+                    "--out-dir", tmp_path])
+        assert code == 0
+        assert calls == {"schedule": 0, "report": 1}
+
     def test_layers_mismatch(self, tmp_path, capsys):
         _, table_path = self.make_all_last_table(tmp_path, L=4)
         corpus_path = tmp_path / "c.txt"

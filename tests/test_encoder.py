@@ -466,6 +466,17 @@ class TestForward:
         with pytest.raises(InputError):
             embed(model, [8], [0])
 
+    @pytest.mark.parametrize("ids, positions, error", [
+        ([1.9], [0], InputError),       # once embedded as token 1
+        ([1], [0.5], InputError),       # once embedded at position 0
+        ([True], [0], InputError),
+        ([[1]], [0], ShapeError),
+    ], ids=["float-ids", "float-positions", "bool-ids", "nested-ids"])
+    def test_embed_takes_integer_vectors(self, ids, positions, error):
+        model = random_model(4, 1, 8, 2, 16, seed=14)
+        with pytest.raises(error):
+            embed(model, ids, positions)
+
     @pytest.mark.parametrize("field", ["ids", "exits", "offsets"])
     def test_float_vectors_rejected(self, field):
         # each float vector would run truncated: ids as other tokens, exits

@@ -2,9 +2,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hashexit.errors import ConfigError, InputError
+from hashexit.errors import ConfigError, InputError, ShapeError
 from hashexit.encoder import ExitSchedule
 from hashexit.flops import (
     FLOPS_PER_MAC,
@@ -184,8 +184,28 @@ class TestReport:
         assert rep.speedup > 1.0
 
     def test_empty_corpus(self):
-        with pytest.raises(InputError):
-            report(self.dims, [])
+        for args in (([],), ([], [0])):
+            with pytest.raises(InputError, match="no schedules to account for"):
+                report(self.dims, *args)
+
+    @pytest.mark.parametrize("exits, offsets, error", [
+        ([1.0, 2.0], [0, 2], InputError),
+        ([1, 2], [0.0, 2.0], InputError),
+        ([True, True], [0, 2], InputError),
+        ([1, 2], [False, True], InputError),
+        ([[1, 2]], [0, 2], ShapeError),
+        ([1, 2], [], ShapeError),
+        ([1, 2], [1, 2], ShapeError),       # does not start at row 0
+        ([1, 2], [0, 1], ShapeError),       # does not end at the row count
+        ([1, 2, 3], [0, 2, 1, 3], ShapeError),  # falls
+        ([1, 0], [0, 1, 2], ConfigError),   # would count in layer L of doc 0
+        ([1, 4], [0, 1, 2], ConfigError),
+    ], ids=["float-exits", "float-offsets", "bool-exits", "bool-offsets",
+            "nested-exits", "no-offsets", "late-start", "short-end", "falling",
+            "exit-0", "exit-beyond-L"])
+    def test_packed_input_checked(self, exits, offsets, error):
+        with pytest.raises(error):
+            report(self.dims, exits, offsets)
 
     def test_csv_layout(self):
         rep = report(self.dims, [all_last(3, 3)])
@@ -272,3 +292,31 @@ def test_report_is_per_document_sum_of_closed_forms(data):
                *(v for r in rep.rows for v in (r.n_sum, r.m_sum,
                                                 r.saved_macs, r.full_macs))]
     assert all(type(v) is int for v in figures)
+
+
+def packed(docs):
+    """The exits of `docs`, lists of exit layers, in one vector, and each
+    document's start row followed by the row count."""
+    offsets = np.cumsum([0] + [len(doc) for doc in docs])
+    return np.array([x for doc in docs for x in doc], dtype=np.int64), offsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(1, 5).flatmap(lambda L: st.tuples(
+    st.just(L), st.lists(st.lists(st.integers(1, L), max_size=12),
+                         min_size=1, max_size=6))))
+@example(case=(1, [[1, 1, 1]]))                  # L=1, one document
+@example(case=(3, [[3, 1, 2]]))                  # one document
+@example(case=(3, [[], [3, 1, 2], [], [2], []]))  # ragged, empty documents
+def test_packed_and_list_forms_agree(case):
+    L, docs = case
+    dims = ModelDims(num_layers=L, d=8, heads=2, d_ff=16)
+    schedules = [ExitSchedule(np.array(e, dtype=np.int64),
+                              np.ones(len(e), dtype=bool)) for e in docs]
+    if not any(docs):
+        for args in ((schedules,), packed(docs)):
+            with pytest.raises(InputError):
+                report(dims, *args)
+        return
+    # every field: rows, histogram, total, baseline and executed FLOPs
+    assert report(dims, *packed(docs)) == report(dims, schedules)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hashexit import hashing
-from hashexit.errors import ConfigError, InputError, ParseError
+from hashexit.errors import ConfigError, InputError, ParseError, ShapeError
 from hashexit.hashing import (
     CorpusStats,
     EmbeddingTable,
@@ -222,6 +222,19 @@ class TestRandomHash:
         assert t.exits([0, 99], 4).tolist() == [reference_exit(t, 0), 4]
         assert t.exits(t.vocab.ids_for(["zzz", "a"])).tolist() == [
             4, reference_exit(t, 0)]
+
+    @pytest.mark.parametrize("ids, error", [
+        ([0.9, 1.7], InputError),       # once truncated to ids 0 and 1
+        ([True, False], InputError),    # once read as ids 1 and 0
+        (["1", "0"], InputError),       # once parsed as ids 1 and 0
+        ([[0, 1]], ShapeError),         # once looked up as a 2-d array
+    ], ids=["floats", "bools", "strings", "nested"])
+    def test_exits_take_an_integer_vector(self, ids, error):
+        t = build_random(small_vocab(), 2, 4, seed=1)
+        with pytest.raises(error):
+            t.exits(ids)
+        # () is a float64 array to numpy, and an empty one still passes
+        assert t.exits((), 4).tolist() == []
 
 
 class TestFrequencyHash:
@@ -606,6 +619,16 @@ class TestSerialization:
         text = f"#hashee v1 method=rand-cons {header} seed=0\n{rows}"
         with pytest.raises(ParseError):
             parse_hash_table(text)
+
+    @pytest.mark.parametrize("buckets, error", [
+        (np.array([0.5, 1.9]), InputError),   # once stored as buckets 0, 1
+        (np.array([True, False]), InputError),
+        (np.array([[0], [1]]), ShapeError),
+    ], ids=["floats", "bools", "nested"])
+    def test_buckets_must_be_an_integer_vector(self, buckets, error):
+        with pytest.raises(error):
+            HashTable(method="frequency", num_buckets=2, num_layers=2, seed=0,
+                      tokens=("a", "b"), buckets=buckets)
 
     @pytest.mark.parametrize("tokens", [("a", "a\tb"), ("", "b"), ("a", "a")])
     def test_table_refuses_tokens_its_file_cannot_hold(self, tokens):
