@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Subcommands: build-hash, infer, flops-report, ablate-consistency,
-difficulty. Every command is deterministic given --seed and writes its
+difficulty. Every command is deterministic given its flags and writes its
 artifacts under --out-dir; exit status is 0 exactly when no error occurred.
 """
 
@@ -188,7 +188,11 @@ def _bool_flag(value):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ConfigError, so that main
-    reports a malformed flag like any other error, with exit status 1."""
+    reports a malformed flag like any other error, with exit status 1.
+    Flags are never abbreviated, so --seed is not a --seeds."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -196,7 +200,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
     # the toy encoder and task of ablate-consistency and difficulty
     toy = argparse.ArgumentParser(add_help=False)
@@ -226,6 +229,7 @@ def build_parser():
     p.add_argument("--embeddings")
     p.add_argument("--consistent", type=_bool_flag, default=True)
     p.add_argument("--out", default="table.hash")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_build_hash)
 
     p = sub.add_parser("infer", parents=[common],
@@ -262,6 +266,7 @@ def build_parser():
     p.add_argument("--annotator-epochs", type=int, default=150)
     p.add_argument("--predictor-epochs", type=int, default=300)
     p.add_argument("--per-layer", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_difficulty)
 
     return parser
@@ -270,7 +275,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         args.func(args)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .artifacts import BinaryFormat, read_floats
 from .errors import (ConfigError, InputError, ParseError, ShapeError,
-                     TrainingError, int_vector)
+                     TrainingError, int_vector, packed_layout)
 from .flops import ModelDims, reassociates
 from .linalg import layer_norm, relu, softmax_rows
 
@@ -150,35 +150,27 @@ class EncoderModel:
 class ExitSchedule:
     """Per-position exit layers of one document.
 
-    There is no padding: attn_mask marks every position as a token, and a
-    False entry is a ConfigError. It stays a field so that callers which
-    build or copy schedules with it keep working.
+    Its one constructor checks exit_layer, an integer vector of layers from
+    1 up (`errors.int_vector`). There is no padding: attn_mask marks every
+    position as a token, and a False entry is a ConfigError. It stays a
+    field for the callers that build or copy schedules with it (bench/).
     """
 
     exit_layer: np.ndarray
     attn_mask: np.ndarray
 
     def __post_init__(self):
-        exit_layer = np.asarray(self.exit_layer, dtype=np.int64)
+        exit_layer = int_vector(self.exit_layer, "exit layers")
         attn_mask = np.asarray(self.attn_mask, dtype=bool)
         object.__setattr__(self, "exit_layer", exit_layer)
         object.__setattr__(self, "attn_mask", attn_mask)
-        if exit_layer.shape != attn_mask.shape or exit_layer.ndim != 1:
+        if exit_layer.shape != attn_mask.shape:
             raise ShapeError("exit_layer and attn_mask must be equal-length vectors")
         if not attn_mask.all():
             raise ConfigError("schedules carry no padding: attn_mask must be "
                               "all True")
         if exit_layer.size and exit_layer.min() < 1:
             raise ConfigError("exit layers start at 1")
-
-    @classmethod
-    def _trusted(cls, exit_layer):
-        """An instance over an int64 vector of exit layers that is valid by
-        construction, skipping __post_init__'s checks."""
-        sched = object.__new__(cls)
-        object.__setattr__(sched, "exit_layer", exit_layer)
-        object.__setattr__(sched, "attn_mask", np.ones(exit_layer.size, dtype=bool))
-        return sched
 
     def __len__(self):
         return self.exit_layer.size
@@ -250,13 +242,10 @@ def schedule(token_ids, table, num_layers=None, *, pin_first=False):
     pin_first forces position 0 to the top layer (it hosts the classifier
     readout). Unknown ids (< 0 or beyond the table) run to the top layer.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError("token ids must be a flat sequence")
-    exits = table.exits(ids, num_layers)
-    if pin_first and ids.size:
+    exits = table.exits(token_ids, num_layers)
+    if pin_first and exits.size:
         exits[0] = table.num_layers
-    return ExitSchedule._trusted(exits)
+    return ExitSchedule(exits, np.ones(exits.size, dtype=bool))
 
 
 def positional_encoding(n, d):
@@ -420,9 +409,10 @@ def forward_layer(h, weights, active, *, heads, segments):
     `segments` lists the start row of each document packed into h followed
     by h's row count. `active` lists the rows the layer updates in strictly
     increasing order (np.flatnonzero of a mask); any other order is a
-    ShapeError. Queries come from the active rows only; keys and values
-    span every row of each document that has an active row, and each query
-    attends to its own document only. Each document takes the cheaper
+    ShapeError; both are integer vectors (`errors.int_vector`). Queries come
+    from the active rows only; keys and values span every row of each
+    document that has an active row, and each query attends to its own
+    document only. Each document takes the cheaper
     attention association for its row and active counts
     (flops.reassociates); a document whose rows are all active keeps the
     standard one. Rows outside `active` are left as they are, so an empty
@@ -439,12 +429,13 @@ def forward_layer(h, weights, active, *, heads, segments):
     n, d = h.shape
     if weights.wq.shape[0] != d:
         raise ShapeError(f"weights expect d={weights.wq.shape[0]}, states have d={d}")
-    segments = np.asarray(segments, dtype=np.int64)
+    segments = int_vector(segments, "segments")
     sizes = segments[1:] - segments[:-1]
-    if segments[0] != 0 or segments[-1] != n or (sizes < 0).any():
+    if (not segments.size or segments[0] != 0 or segments[-1] != n
+            or (sizes < 0).any()):
         raise ShapeError(f"segments must rise from 0 to the row count {n}")
-    active = np.asarray(active, dtype=np.int64)
-    if active.ndim != 1 or active.size and (
+    active = int_vector(active, "active rows")
+    if active.size and (
             active[0] < 0 or active[-1] >= n or (active[1:] <= active[:-1]).any()):
         raise ShapeError(f"active rows must rise strictly within 0..{n - 1}")
     # document of each active row: the last start at or before it, so that
@@ -465,29 +456,22 @@ def forward_layer(h, weights, active, *, heads, segments):
 def _layers(model, batch):
     """Walk a PackedBatch through the layers.
 
-    Checks the batch and embeds it at once, then returns an iterator over
+    Checks the batch (`errors.packed_layout`) and embeds it at once, then
+    returns an iterator over
     the packed (rows, d) states H^0..H^L: one array, which each step
     overwrites with the next layer (forward_layer).
     """
     ids = int_vector(batch.ids, "token ids")
     exits = int_vector(batch.exits, "exit layers")
-    offsets = int_vector(batch.offsets, "offsets")
     if exits.shape != ids.shape:
         raise ShapeError(f"{exits.size} exit layers for {ids.size} token ids")
-    if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != ids.size:
-        raise ShapeError(f"offsets must run from 0 to the row count {ids.size}")
-    lengths = np.diff(offsets)
-    if (lengths < 0).any():
-        raise ShapeError("offsets must not fall")
+    exits, offsets, lengths = packed_layout(exits, batch.offsets,
+                                            model.num_layers)
     if (lengths == 0).any():
         raise InputError("cannot run a forward pass on an empty sequence")
     if (lengths > MAX_SEQUENCE_LEN).any():
         raise InputError(f"sequence length {int(lengths.max())} exceeds "
                          f"{MAX_SEQUENCE_LEN}")
-    if exits.size and exits.min() < 1:
-        raise ConfigError("exit layers start at 1")
-    if exits.size and exits.max() > model.num_layers:
-        raise ConfigError("schedule assigns layers beyond the model depth")
     positions = np.arange(ids.size) - np.repeat(offsets[:-1], lengths)
     h = embed(model, ids, positions)
     return chain([h], (forward_layer(h, weights, np.flatnonzero(exits >= t),
@@ -574,7 +558,7 @@ def fit(loss_and_grad, params, *, epochs, lr, what):
 def head_loss_and_grad(head, feats, label_ids):
     """Mean cross entropy of feats @ head and its gradient in head."""
     feats = np.asarray(feats, dtype=np.float64)
-    labels = np.asarray(label_ids, dtype=np.int64)
+    labels = int_vector(label_ids, "labels")
     n = feats.shape[0]
     # runaway weights and saturated probabilities surface as a non-finite
     # loss, which fit reports as divergence, not as a warning or a crash

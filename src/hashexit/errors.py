@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one rule that reads
-integer vectors with them (`int_vector`)."""
+"""Exception types shared across the package, the one rule that reads
+integer vectors with them (`int_vector`) and the one packed-layout check."""
 
 import numpy as np
 
@@ -41,3 +41,24 @@ def int_vector(values, what):
     if vector.size and vector.dtype.kind not in "iu":
         raise InputError(f"{what} must be integers, not {vector.dtype}")
     return vector.astype(np.int64, copy=False)
+
+
+def packed_layout(exits, offsets, num_layers):
+    """`exits` and `offsets` of a packed corpus (as in a PackedBatch) read
+    by `int_vector`, and the document lengths. Offsets that do not rise from
+    0 to the row count are a ShapeError, an exit outside 1..num_layers a
+    ConfigError."""
+    exits = int_vector(exits, "exit layers")
+    offsets = int_vector(offsets, "offsets")
+    lengths = np.diff(offsets)
+    if (offsets.size == 0 or offsets[0] != 0 or offsets[-1] != exits.size
+            or (lengths < 0).any()):
+        raise ShapeError(f"offsets must rise from 0 to the row count "
+                         f"{exits.size}")
+    if exits.size and exits.min() < 1:
+        raise ConfigError(f"exit layer {int(exits.min())}: exit layers "
+                          f"start at 1")
+    if exits.size and exits.max() > num_layers:
+        raise ConfigError(f"schedule assigns layer {int(exits.max())} "
+                          f"beyond the model depth L={num_layers}")
+    return exits, offsets, lengths

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError, int_vector
+from .errors import ConfigError, InputError, packed_layout
 
 FLOPS_PER_MAC = 2
 
@@ -237,10 +237,10 @@ def report(dims, exits, offsets=None):
     `exits` holds every row's exit layer, 1..L, and `offsets` each
     document's start row followed by the row count, as in a PackedBatch:
     document i is rows offsets[i]:offsets[i + 1], and may be empty. Both
-    are integer vectors (`errors.int_vector`); offsets that do not rise
-    from 0 to the row count are a ShapeError, an exit outside 1..L a
-    ConfigError. A list of ExitSchedules in place of `exits`, with no
-    offsets, is packed here first; that form goes with ExitSchedule.
+    are checked as `forward` checks them (`errors.packed_layout`), and no
+    documents is an InputError. A list of ExitSchedules in place of
+    `exits`, with no offsets, is packed here first; that form goes with
+    ExitSchedule.
 
     The baseline is the same corpus pushed through the same model with no
     exits, so speedup isolates what the exit schedule buys. total_flops is
@@ -255,22 +255,10 @@ def report(dims, exits, offsets=None):
         exits = np.concatenate([np.zeros(0, dtype=np.int64)]
                                + [sched.exit_layer for sched in schedules])
         offsets = np.cumsum([0] + [len(sched) for sched in schedules])
-    exits = int_vector(exits, "exit layers")
-    offsets = int_vector(offsets, "offsets")
-    lengths = np.diff(offsets)
-    if (offsets.size == 0 or offsets[0] != 0 or offsets[-1] != exits.size
-            or (lengths < 0).any()):
-        raise ShapeError(f"offsets must rise from 0 to the row count "
-                         f"{exits.size}")
+    L = dims.num_layers
+    exits, _, lengths = packed_layout(exits, offsets, L)
     if lengths.size == 0:
         raise InputError("no schedules to account for")
-    L = dims.num_layers
-    if exits.size and exits.min() < 1:
-        raise ConfigError(f"exit layer {int(exits.min())}: exit layers "
-                          f"start at 1")
-    if exits.size and exits.max() > L:
-        raise ConfigError(f"schedule assigns layer {int(exits.max())} "
-                          f"beyond the model depth L={L}")
     doc = np.repeat(np.arange(lengths.size), lengths)
     counts = np.bincount(doc * L + exits - 1, minlength=lengths.size * L)
     counts = counts.reshape(-1, L)

@@ -127,14 +127,15 @@ def bucket_to_layer(b, num_buckets: int, num_layers: int):
     """Exit layer of bucket b: 1 + floor(L*b/B); bucket 0 is always layer 1.
 
     b is an int, which gives an int, or an array of buckets, which gives
-    an int64 array of their layers."""
+    an int64 array of their layers in its shape; a float or bool bucket is
+    an InputError (`errors.int_vector`), never truncated."""
     _check_buckets(num_buckets, num_layers)
-    buckets = np.asarray(b, dtype=np.int64)
+    buckets = int_vector(np.ravel(b), "buckets")
     bad = (buckets < 0) | (buckets >= num_buckets)
     if bad.any():
-        raise ConfigError(f"bucket {buckets[bad].flat[0]} out of range "
+        raise ConfigError(f"bucket {buckets[bad][0]} out of range "
                           f"0..{num_buckets - 1}")
-    layers = 1 + (num_layers * buckets) // num_buckets
+    layers = (1 + (num_layers * buckets) // num_buckets).reshape(np.shape(b))
     return layers if layers.ndim else int(layers)
 
 

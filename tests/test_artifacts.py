@@ -1,6 +1,7 @@
 """The artifact layer: one module opens every file, its writers copy no
 tensor, and the text writers either refuse a value or give it back."""
 
+import ast
 import re
 import tracemalloc
 from pathlib import Path
@@ -36,6 +37,70 @@ def lines_outside_artifacts(pattern):
 
 def test_only_artifacts_module_touches_files():
     assert lines_outside_artifacts(r"\bopen\(|\bnp\.fromfile\b|\.tofile\b") == []
+
+
+def parameters_cast_to_int64(tree):
+    """`line` of each place that passes a function parameter, or an
+    attribute of one, straight to np.asarray/np.array(..., dtype=np.int64)
+    or to .astype(np.int64): a cast that truncates floats and reads bools
+    as integers."""
+
+    def is_int64(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "int64"
+                and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+    def root(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) else None
+
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = func.args
+        params = {a.arg for a in (args.posonlyargs + args.args
+                                  + args.kwonlyargs)}
+        params.update(a.arg for a in (args.vararg, args.kwarg) if a)
+        for call in ast.walk(func):
+            if not isinstance(call, ast.Call) or not isinstance(
+                    call.func, ast.Attribute):
+                continue
+            if (call.func.attr in ("asarray", "array")
+                    and root(call.func) == "np" and call.args
+                    and any(k.arg == "dtype" and is_int64(k.value)
+                            for k in call.keywords)):
+                value = call.args[0]
+            elif (call.func.attr == "astype" and call.args
+                    and is_int64(call.args[0])):
+                value = call.func.value
+            else:
+                continue
+            if root(value) in params:
+                found.append(call.lineno)
+    return sorted(set(found))
+
+
+def test_integer_boundaries_read_through_int_vector():
+    # errors.int_vector is the one place a caller's values become int64;
+    # anywhere else such a cast would truncate floats and read bools
+    found = [f"{path.name}:{line}"
+             for path in SRC.glob("*.py") if path.name != "errors.py"
+             for line in parameters_cast_to_int64(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_the_int64_rule_finds_casts():
+    tree = ast.parse(
+        "def f(a, b, *, c):\n"
+        "    x = np.asarray(a, dtype=np.int64)\n"
+        "    y = b.astype(np.int64)\n"
+        "    z = np.array(c.field, dtype=np.int64)\n"
+        "    w = np.asarray(len(a), dtype=np.int64)\n"
+        "    v = np.asarray(a, dtype=np.float64)\n"
+        "    return lambda q: q.astype(np.int64)\n")
+    assert parameters_cast_to_int64(tree) == [2, 3, 4, 7]
 
 
 def test_only_artifacts_module_splits_header_fields():

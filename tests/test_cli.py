@@ -636,6 +636,16 @@ class TestMalformedFlags:
                      id="difficulty-floor-not-float"),
         pytest.param(["flops-report", "--table", "t", "--corpus", "c", "--bogus"],
                      "--bogus", id="unknown-flag"),
+        # --seed is read by build-hash and difficulty alone, and is no
+        # abbreviation of ablate-consistency's --seeds
+        pytest.param(["infer", "--model", "m", "--table", "t", "--corpus", "c",
+                      "--seed", 1], "--seed", id="infer-seed"),
+        pytest.param(["flops-report", "--table", "t", "--corpus", "c",
+                      "--seed", 1], "--seed", id="flops-report-seed"),
+        pytest.param(["ablate-consistency", "--seed", 3], "--seed",
+                     id="ablate-seed"),
+        pytest.param(["ablate-consistency", "--seed", "0,1"], "--seed",
+                     id="ablate-seed-list"),
         pytest.param(["train"], "train", id="unknown-command"),
         pytest.param([], "command", id="no-command"),
     ])

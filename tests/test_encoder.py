@@ -31,7 +31,7 @@ from hashexit.encoder import (
 from hashexit import encoder
 from hashexit.difficulty import annotate, linear_b, train_annotator
 from hashexit.experiments import make_separable_task
-from hashexit.flops import reassociates
+from hashexit.flops import ModelDims, reassociates, report
 from hashexit.hashing import (CorpusStats, EmbeddingTable, HashTable, Vocab,
                               build_frequency, build_random, load_embeddings,
                               save_embeddings)
@@ -123,7 +123,7 @@ class TestSchedule:
             assert sched.attn_mask.all() and sched.attn_mask.size == ids.size
 
     def test_matches_validated_schedule(self):
-        # schedule() skips ExitSchedule's checks; what it builds must pass them
+        # schedule() builds through ExitSchedule's one checked constructor
         table = freq_fixture_table()
         cases = [([0, 5, 3], dict(pin_first=True)),
                  ([-1, 99, 0], dict(pin_first=True)),
@@ -136,6 +136,24 @@ class TestSchedule:
             assert got.attn_mask.dtype == checked.attn_mask.dtype == bool
             assert np.array_equal(got.exit_layer, checked.exit_layer)
             assert np.array_equal(got.attn_mask, checked.attn_mask)
+
+    @pytest.mark.parametrize("ids, error", [
+        (np.array([0.9, 1.7]), InputError),     # once looked up as [0, 1]
+        (np.array([True, False]), InputError),
+        ([[0, 1]], ShapeError),
+    ], ids=["floats", "bools", "nested"])
+    def test_ids_must_be_an_integer_vector(self, ids, error):
+        with pytest.raises(error):
+            schedule(ids, freq_fixture_table())
+
+    @pytest.mark.parametrize("exits, error", [
+        (np.array([1.9, 2.2]), InputError),     # once stored as [1, 2]
+        (np.array([True, True]), InputError),
+        ([[1], [2]], ShapeError),
+    ], ids=["floats", "bools", "nested"])
+    def test_exits_must_be_an_integer_vector(self, exits, error):
+        with pytest.raises(error):
+            ExitSchedule(exits, np.ones(2, dtype=bool))
 
     def test_active_sets_shrink(self):
         sched = ExitSchedule(np.array([1, 3, 2, 3]), np.ones(4, dtype=bool))
@@ -295,11 +313,25 @@ class TestForwardLayer:
             forward_layer(np.zeros((3, 8)), model.layers[0], active, heads=2,
                           segments=[0, 3])
 
+    @pytest.mark.parametrize("active, segments", [
+        ([0.5, 1.5], [0, 3]),       # once ran as rows [0, 1]
+        ([0, 1], [0.0, 3.0]),
+        ([True, True], [0, 3]),
+        ([0, 1], [False, True]),
+    ], ids=["float-active", "float-segments", "bool-active", "bool-segments"])
+    def test_takes_integer_vectors(self, active, segments):
+        model = random_model(5, 1, 8, 2, 16, seed=4)
+        with pytest.raises(InputError, match="must be integers"):
+            forward_layer(np.zeros((3, 8)), model.layers[0], active, heads=2,
+                          segments=segments)
+
     def test_bad_segments(self):
         model = random_model(5, 1, 8, 2, 16, seed=4)
-        with pytest.raises(ShapeError):
-            forward_layer(np.zeros((3, 8)), model.layers[0], [0], heads=2,
-                          segments=[0, 2])
+        # no segments at all once raised a bare IndexError
+        for segments in ([0, 2], [1, 3], [0, 2, 1, 3], []):
+            with pytest.raises(ShapeError, match="segments"):
+                forward_layer(np.zeros((3, 8)), model.layers[0], [0], heads=2,
+                              segments=segments)
 
     def test_shape_mismatch(self):
         model = random_model(5, 1, 8, 2, 16, seed=4)
@@ -621,6 +653,26 @@ class TestForwardBatch:
                 forward(model, bad)
             with pytest.raises(error):
                 forward(model, bad, traces=True)
+
+    @pytest.mark.parametrize("exits, offsets", [
+        ([1, 2, 2], [0, 2, 1, 3]),  # falling
+        ([1, 2, 2], [0, 2]),        # short of the row count
+        ([1, 2, 2], [1, 3]),        # not starting at row 0
+        ([1, 0, 2], [0, 1, 3]),     # an exit of 0
+        ([1, 3, 2], [0, 1, 3]),     # an exit above L
+        ([1.0, 2.0, 2.0], [0, 1, 3]),
+    ], ids=["falling", "short", "late-start", "exit-0", "exit-beyond-L",
+            "float-exits"])
+    def test_forward_and_report_reject_a_layout_alike(self, exits, offsets):
+        # one layout check: the schedule forward runs and the one report
+        # prices fail it the same way
+        model = random_model(12, 2, 8, 2, 16, seed=56)
+        with pytest.raises(HashExitError) as ran:
+            forward(model, PackedBatch([0, 1, 2], exits, offsets))
+        with pytest.raises(HashExitError) as priced:
+            report(ModelDims(2, 8, 2, 16), exits, offsets)
+        assert type(ran.value) is type(priced.value)
+        assert str(ran.value) == str(priced.value)
 
     def test_batches_respect_budget(self, monkeypatch):
         monkeypatch.setattr(encoder, "BATCH_ROWS", 10)
@@ -1168,7 +1220,7 @@ class TestTrainToy:
         pytest.param([[0]] * 29 + [[0, 1]], ShapeError, id="ragged-lists")])
     def test_labels_must_be_a_flat_integer_vector(self, labels, error):
         # floats trained as their truncations, and the others raised bare
-        # numpy errors
+        # numpy errors; head_loss_and_grad read strings as integers too
         seqs, _, table = self.make_task()
         for head in (None, 2):
             model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=head)
@@ -1176,6 +1228,8 @@ class TestTrainToy:
                 train_toy(model, seqs, labels, table, epochs=1)
         with pytest.raises(error):
             accuracy(model, seqs, labels, table)
+        with pytest.raises(error):
+            head_loss_and_grad(np.zeros((8, 2)), np.ones((30, 8)), labels)
 
     def test_accuracy_labels_outside_the_classes(self):
         seqs, _, table = self.make_task()

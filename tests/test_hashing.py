@@ -171,6 +171,20 @@ class TestBucketToLayer:
         with pytest.raises(ConfigError, match="bucket 3 out of range"):
             HashTable("frequency", 3, 7, 0, ("a", "b"), np.array([0, 3]))
 
+    @pytest.mark.parametrize("b", [
+        1.7,                        # once bucket 1, layer 3
+        np.array([True, False]),    # once layers [3, 1]
+        np.array([[0.5, 1.0]]),
+        np.True_,
+    ], ids=["float", "bools", "float-matrix", "bool-scalar"])
+    def test_buckets_must_be_integers(self, b):
+        with pytest.raises(InputError, match="buckets must be integers"):
+            bucket_to_layer(b, 3, 6)
+
+    def test_keeps_the_shape_of_its_buckets(self):
+        assert bucket_to_layer(np.array([[0, 1], [2, 2]]), 3, 6).tolist() == [
+            [1, 3], [5, 5]]
+
 
 class TestRandomHash:
     def test_single_bucket(self):
