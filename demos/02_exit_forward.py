@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Walk one sequence through an encoder whose tokens exit at fixed layers.
 
-The schedule comes from a hash table: each token's bucket decides the last
-layer that updates it. After that layer the token's hidden row is frozen --
-later layers copy it bit for bit -- but the frozen row still participates
-as a key and value, so surviving tokens keep attending to it.
+The exit layers come from a hash table: each token's bucket decides the
+last layer that updates it. `route` looks them up for a whole batch; one
+sequence is a batch of one. After its exit layer a token's hidden row is
+frozen -- later layers copy it bit for bit -- but the frozen row still
+participates as a key and value, so surviving tokens keep attending to it.
 
 Things worth noticing in the output:
 
   - the active set shrinks layer by layer and the per-layer (n, m) pairs
     feed the savings accounting directly
   - rows frozen at layer k compare bit-equal across all later layers
-  - with a table that sends every bucket to the last layer, the traced
+  - with a table that sends every bucket to the last layer, the routed
     forward reproduces the no-exit forward exactly
   - route packs documents into one flat batch (every row's id and exit
     layer, and each document's start row) with one table lookup; forward
@@ -23,7 +24,7 @@ Things worth noticing in the output:
 
 import numpy as np
 
-from hashexit import HashTable, batches, forward, random_model, route, schedule
+from hashexit import HashTable, batches, forward, random_model, route
 from hashexit.encoder import BATCH_FLOATS
 
 L, d, heads, d_ff = 4, 8, 2, 16
@@ -39,20 +40,18 @@ print("token -> exit layer:",
       dict(zip(table.tokens, table.layers.tolist())))
 
 token_ids = np.array([3, 0, 5, 1, 2])  # d a f b c
-sched = schedule(token_ids, table)
+one = route([token_ids], table, L)  # position 0 pinned to the top layer
 print("\nsequence ids", token_ids.tolist(),
-      "exit layers", sched.exit_layer.tolist())
+      "exit layers", one.exits.tolist())
 for layer in range(1, L + 1):
-    active = np.flatnonzero(sched.exit_layer >= layer)
+    active = np.flatnonzero(one.exits >= layer)
     print(f"  layer {layer}: active positions {active.tolist()}")
-
-trace = forward(model, token_ids, sched)
 print("\nper-layer (n, m) =",
-      [(sched.valid_count, np.flatnonzero(sched.exit_layer >= t).size)
+      [(one.ids.size, np.flatnonzero(one.exits >= t).size)
        for t in range(1, L + 1)])
 
 # position 0 (token d) exits at layer 4, position 1 (token a) at layer 1
-states = trace.hidden  # (L+1, n, d) stack, entry 0 is the embedding
+states = list(forward(model, one, traces=True))  # H^0..H^L, H^0 the embedding
 frozen_after_1 = states[1][1]
 for layer in range(2, L + 1):
     assert np.array_equal(states[layer][1], frozen_after_1)
@@ -63,15 +62,14 @@ print("position 1 froze after layer 1; layers 2..4 carry exact copies")
 late = HashTable(method="rand-cons", num_buckets=L, num_layers=L, seed=0,
                  tokens=table.tokens,
                  buckets=np.full(len(table.tokens), L - 1, dtype=np.int64))
-late_sched = schedule(token_ids, late)
-late_trace = forward(model, token_ids, late_sched)
-diff = np.abs(late_trace.final - states[L]).max()
+late_final = forward(model, route([token_ids], late, L))
+diff = np.abs(late_final - states[L]).max()
 print(f"\nall-last-layer table vs early-exit run differ by {diff:.3f} "
       "(they should differ; tokens stopped updating early)")
 
-no_exit = forward(model, token_ids, late_sched)
-print("no-exit forward repeated:",
-      "bit-identical" if np.array_equal(no_exit.final, late_trace.final)
+_, no_exit = next(batches(model, [token_ids]))  # no table: every row to L
+print("no-exit forward vs all-last-layer table:",
+      "bit-identical" if np.array_equal(forward(model, no_exit), late_final)
       else "MISMATCH")
 
 # route packs documents into one flat batch: every row's id and exit layer
@@ -84,8 +82,7 @@ batch = route(docs, table, L)
 print("\npacked exits", batch.exits.tolist(), "offsets", batch.offsets.tolist())
 packed = forward(model, batch)
 starts = batch.offsets
-gap = max(np.abs(packed[a:b] - forward(model, ids, schedule(
-    ids, table, pin_first=True)).final).max()
+gap = max(np.abs(packed[a:b] - forward(model, route([ids], table, L))).max()
           for a, b, ids in zip(starts, starts[1:], docs))
 print(f"packed batch of {len(batch)} docs vs one-by-one: max |diff| {gap:.1e}")
 

@@ -14,7 +14,6 @@ it, then, for embeddings, UTF-8 token lines.
 
 import math
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
@@ -127,9 +126,9 @@ def parse_header(line, magic, fields, kind, text=(), signed=()):
 class BinaryFormat:
     """Header `magic k=int ...` with one value per name in `fields` (each
     >= 1, or >= 0 if in `zero_ok`), then `floats(meta)` float64s, then
-    text lines if `has_lines`. `legacy` pairs a byte pattern that marks an
-    older format's header line with its error. `kind` and `contents` name
-    the file and its floats in errors."""
+    text lines if `has_lines`. A file that opens with another line, an
+    older format's included, is a ParseError from the magic check. `kind`
+    and `contents` name the file and its floats in errors."""
 
     kind: str
     magic: str
@@ -138,7 +137,6 @@ class BinaryFormat:
     contents: str
     zero_ok: tuple = ()
     has_lines: bool = False
-    legacy: tuple = None
 
     def write(self, path, meta, blocks, lines=()):
         """The header, each of `blocks` from its own memory, then `lines`."""
@@ -169,8 +167,6 @@ class BinaryFormat:
             yield meta, fh
 
     def _parse_header(self, line):
-        if self.legacy is not None and re.match(self.legacy[0], line):
-            raise ParseError(self.legacy[1])
         meta = parse_header(line.decode("ascii", "replace").removesuffix("\n"),
                             self.magic, self.fields, self.kind)
         if not line.endswith(b"\n"):

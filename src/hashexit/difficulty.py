@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import check_field, check_tokens, write_text
-from .errors import ConfigError, InputError, ShapeError
-from .encoder import _label_ids, batches, fit, forward, head_loss_and_grad
+from .errors import ConfigError, InputError, ShapeError, int_vector
+from .encoder import _head_loss_and_grad, _label_ids, batches, fit, forward
 
 
 @dataclass
@@ -39,7 +39,9 @@ class MultiExitAnnotator:
 class DifficultyDataset:
     """Instances with L-bit correctness labels and optional features.
 
-    bits: (N, L), 1 where the matching internal head was correct.
+    bits: (N, L), 1 where the matching internal head was correct, else 0;
+    read by `errors.int_vector`, so a float, bool or other bit is an
+    InputError, never truncated or wrapped.
     features: (N, L, d) per-layer states of the annotated position, kept
     for the linear predictor; None when not recorded.
     """
@@ -50,7 +52,11 @@ class DifficultyDataset:
     ids: Optional[list] = None
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.int8)
+        bits = int_vector(np.ravel(self.bits), "bit labels")
+        bad = (bits != 0) & (bits != 1)
+        if bad.any():
+            raise InputError(f"bit label {bits[bad][0]} is not 0 or 1")
+        self.bits = bits.astype(np.int8).reshape(np.shape(self.bits))
         if self.bits.ndim != 2:
             raise ConfigError("bit labels must form an (instances, layers) array")
         if self.features is not None:
@@ -125,7 +131,7 @@ def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
     heads = []
     for l in range(model.num_layers):
         head = rng.normal(0.0, 0.01, size=(model.d, num_classes))
-        head, = fit(lambda head: head_loss_and_grad(head, feats[:, l], labels),
+        head, = fit(lambda head: _head_loss_and_grad(head, feats[:, l], labels),
                     (head,), epochs=epochs, lr=lr,
                     what=f"annotator head {l + 1}")
         heads.append(head)

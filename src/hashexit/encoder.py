@@ -38,7 +38,7 @@ import numpy as np
 
 from .artifacts import BinaryFormat, read_floats
 from .errors import (ConfigError, InputError, ParseError, ShapeError,
-                     TrainingError, int_vector, packed_layout)
+                     TrainingError, int_vector, packed_layout, row_offsets)
 from .flops import ModelDims, reassociates
 from .linalg import layer_norm, relu, softmax_rows
 
@@ -85,9 +85,7 @@ def _model_floats(meta):
 _MODEL_FORMAT = BinaryFormat(
     kind="model", magic="#hashee-model v2",
     fields=("L", "d", "h", "d_ff", "V", "C"), zero_ok=("C",),
-    floats=_model_floats, contents="weights",
-    legacy=(rb"#hashee-model v1 ", "text model format v1 is no longer read; "
-            "re-save it with save_model"))
+    floats=_model_floats, contents="weights")
 
 
 @dataclass
@@ -171,9 +169,6 @@ class ExitSchedule:
                               "all True")
         if exit_layer.size and exit_layer.min() < 1:
             raise ConfigError("exit layers start at 1")
-
-    def __len__(self):
-        return self.exit_layer.size
 
     @property
     def valid_count(self):
@@ -409,7 +404,8 @@ def forward_layer(h, weights, active, *, heads, segments):
     `segments` lists the start row of each document packed into h followed
     by h's row count. `active` lists the rows the layer updates in strictly
     increasing order (np.flatnonzero of a mask); any other order is a
-    ShapeError; both are integer vectors (`errors.int_vector`). Queries come
+    ShapeError; both are integer vectors (`errors.int_vector`), and
+    segments are checked by `errors.row_offsets`. Queries come
     from the active rows only; keys and values span every row of each
     document that has an active row, and each query attends to its own
     document only. Each document takes the cheaper
@@ -429,11 +425,7 @@ def forward_layer(h, weights, active, *, heads, segments):
     n, d = h.shape
     if weights.wq.shape[0] != d:
         raise ShapeError(f"weights expect d={weights.wq.shape[0]}, states have d={d}")
-    segments = int_vector(segments, "segments")
-    sizes = segments[1:] - segments[:-1]
-    if (not segments.size or segments[0] != 0 or segments[-1] != n
-            or (sizes < 0).any()):
-        raise ShapeError(f"segments must rise from 0 to the row count {n}")
+    segments, sizes = row_offsets(segments, n, "segments")
     active = int_vector(active, "active rows")
     if active.size and (
             active[0] < 0 or active[-1] >= n or (active[1:] <= active[:-1]).any()):
@@ -556,9 +548,16 @@ def fit(loss_and_grad, params, *, epochs, lr, what):
 
 
 def head_loss_and_grad(head, feats, label_ids):
-    """Mean cross entropy of feats @ head and its gradient in head."""
+    """Mean cross entropy of feats @ head and its gradient in head; the
+    labels are read by `_label_ids`, one class of head per row of feats."""
     feats = np.asarray(feats, dtype=np.float64)
-    labels = int_vector(label_ids, "labels")
+    labels = _label_ids(feats, label_ids, np.shape(head)[1])
+    return _head_loss_and_grad(head, feats, labels)
+
+
+def _head_loss_and_grad(head, feats, labels):
+    """head_loss_and_grad over float64 feats and the checked int64 labels
+    of `_label_ids`, for loops that read their labels once."""
     n = feats.shape[0]
     # runaway weights and saturated probabilities surface as a non-finite
     # loss, which fit reports as divergence, not as a warning or a crash
@@ -581,15 +580,21 @@ def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
     for a head not made yet, whose classes the labels set, so only negative
     labels are rejected.
     """
-    if len(sequences) != len(labels):
-        raise ShapeError("sequences and labels differ in length")
     if per_token:
-        for i, (seq, gold) in enumerate(zip(sequences, labels)):
-            if len(gold) != len(seq):
-                raise ShapeError(f"document {i} has {len(seq)} tokens and "
-                                 f"{len(gold)} labels")
+        try:
+            sizes = [len(gold) for gold in labels]
+        except TypeError:  # a scalar in place of the lists, or in one
+            raise ShapeError("per-token labels must be one list per "
+                             "sequence") from None
         labels = list(chain.from_iterable(labels))
     ids = int_vector(labels, "labels")
+    if len(sequences) != (len(sizes) if per_token else ids.size):
+        raise ShapeError("sequences and labels differ in length")
+    if per_token:
+        for i, (seq, size) in enumerate(zip(sequences, sizes)):
+            if size != len(seq):
+                raise ShapeError(f"document {i} has {len(seq)} tokens and "
+                                 f"{size} labels")
     bad = ids < 0 if num_classes is None else (ids < 0) | (ids >= num_classes)
     if bad.any():
         classes = "0 or more" if num_classes is None else f"in 0..{num_classes - 1}"
@@ -624,7 +629,7 @@ def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
         num_classes = int(labels.max()) + 1
         rng = np.random.default_rng(seed)
         head = rng.normal(0.0, 0.01, size=(model.d, num_classes))
-    head, = fit(lambda head: head_loss_and_grad(head, feats, labels), (head,),
+    head, = fit(lambda head: _head_loss_and_grad(head, feats, labels), (head,),
                 epochs=epochs, lr=lr, what="classifier head")
     return replace(model, layers=list(model.layers), head=head)
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the one rule that reads
-integer vectors with them (`int_vector`) and the one packed-layout check."""
+integer vectors with them (`int_vector`), the one check of the start rows
+of packed documents (`row_offsets`) and the one packed-layout check."""
 
 import numpy as np
 
@@ -43,18 +44,25 @@ def int_vector(values, what):
     return vector.astype(np.int64, copy=False)
 
 
+def row_offsets(offsets, rows, what):
+    """`offsets`, each packed document's start row followed by the row
+    count, read by `int_vector`, and the document lengths. Offsets that do
+    not rise from 0 to `rows` are a ShapeError naming them `what`."""
+    offsets = int_vector(offsets, what)
+    lengths = np.diff(offsets)
+    if (offsets.size == 0 or offsets[0] != 0 or offsets[-1] != rows
+            or (lengths < 0).any()):
+        raise ShapeError(f"{what} must rise from 0 to the row count {rows}")
+    return offsets, lengths
+
+
 def packed_layout(exits, offsets, num_layers):
     """`exits` and `offsets` of a packed corpus (as in a PackedBatch) read
     by `int_vector`, and the document lengths. Offsets that do not rise from
-    0 to the row count are a ShapeError, an exit outside 1..num_layers a
-    ConfigError."""
+    0 to the row count are a ShapeError (`row_offsets`), an exit outside
+    1..num_layers a ConfigError."""
     exits = int_vector(exits, "exit layers")
-    offsets = int_vector(offsets, "offsets")
-    lengths = np.diff(offsets)
-    if (offsets.size == 0 or offsets[0] != 0 or offsets[-1] != exits.size
-            or (lengths < 0).any()):
-        raise ShapeError(f"offsets must rise from 0 to the row count "
-                         f"{exits.size}")
+    offsets, lengths = row_offsets(offsets, exits.size, "offsets")
     if exits.size and exits.min() < 1:
         raise ConfigError(f"exit layer {int(exits.min())}: exit layers "
                           f"start at 1")

@@ -2,11 +2,11 @@
 
 Two independent routes to the same number: closed-form saved-MACs rows
 (linear projection, attention, output projection, two layer norms, FFN)
-and an oracle that walks the layer's computation graph operation by
-operation. Tests hold them equal on a dense grid. All counts are integers;
-FLOPs are defined as twice the MACs. Softmax exponentials and divisions
-are not multiply-accumulates and are never counted; the per-weight
-renormalization multiply is.
+and an oracle, `oracle_count`, that adds up the MACs of the layer's
+operations one by one. Tests hold them equal on a dense grid. All counts
+are integers; FLOPs are defined as twice the MACs. Softmax exponentials
+and divisions are not multiply-accumulates and are never counted; the
+per-weight renormalization multiply is.
 
 Those figures price the paper's layer, which projects keys and values
 for every visible row. The encoder instead runs a layer whose few active
@@ -115,23 +115,6 @@ def reassociates(n, m, d, h):
     return m * (d + (h - 1) * n) < n * d
 
 
-class _MacCounter:
-    """Tallies multiply-accumulates as the layer walk announces each op."""
-
-    def __init__(self):
-        self.total = 0
-
-    def matmul(self, rows, inner, cols):
-        self.total += rows * inner * cols
-
-    def elementwise_mul(self, count):
-        self.total += count
-
-    def layer_norm(self, rows, cols):
-        # per element: one multiply by 1/std, one by the gain
-        self.total += 2 * rows * cols
-
-
 def oracle_count(n, m, d, h, d_ff):
     """MACs of the exit-aware layer in the standard order, counted op by op.
 
@@ -143,22 +126,21 @@ def oracle_count(n, m, d, h, d_ff):
     _check_dims(n, m, d, h, d_ff)
     if m == 0:
         return 0
-    c = _MacCounter()
     d_k = d // h
-    c.matmul(m, d, d)            # queries, active rows only
-    c.matmul(n, d, d)            # keys over every visible row
-    c.matmul(n, d, d)            # values
+    macs = m * d * d                # queries, active rows only
+    macs += n * d * d               # keys over every visible row
+    macs += n * d * d               # values
     for _ in range(h):
-        c.matmul(m, d_k, n)      # attention scores
-        c.elementwise_mul(m * n)  # scale by 1/sqrt(d_k)
-        c.elementwise_mul(m * n)  # softmax renormalization multiplies
-        c.matmul(m, n, d_k)      # weighted value aggregation
-    c.matmul(m, d, d)            # output projection
-    c.layer_norm(m, d)
-    c.matmul(m, d, d_ff)         # FFN in
-    c.matmul(m, d_ff, d)         # FFN out
-    c.layer_norm(m, d)
-    return c.total
+        macs += m * d_k * n         # attention scores
+        macs += m * n               # scale by 1/sqrt(d_k)
+        macs += m * n               # softmax renormalization multiplies
+        macs += m * n * d_k         # weighted value aggregation
+    macs += m * d * d               # output projection
+    macs += 2 * m * d               # layer norm: times 1/std and the gain
+    macs += m * d * d_ff            # FFN in
+    macs += m * d_ff * d            # FFN out
+    macs += 2 * m * d               # layer norm
+    return macs
 
 
 @dataclass(frozen=True)
@@ -254,7 +236,7 @@ def report(dims, exits, offsets=None):
         schedules = list(exits)
         exits = np.concatenate([np.zeros(0, dtype=np.int64)]
                                + [sched.exit_layer for sched in schedules])
-        offsets = np.cumsum([0] + [len(sched) for sched in schedules])
+        offsets = np.cumsum([0] + [sched.valid_count for sched in schedules])
     L = dims.num_layers
     exits, _, lengths = packed_layout(exits, offsets, L)
     if lengths.size == 0:

@@ -37,9 +37,7 @@ _TABLE_HEADER = ("#hashee v1", ("method", "B", "L", "seed"))  # magic, fields
 _EMBEDDINGS_FORMAT = BinaryFormat(
     kind="token embedding", magic="#hashee-embeddings v1", fields=("V", "d"),
     zero_ok=("V",), floats=lambda meta: meta["V"] * meta["d"],
-    contents="vectors", has_lines=True,
-    legacy=(rb"\s*[-+]?\d+\s+[-+]?\d+\s*$", "text embeddings are no longer "
-            "read; re-save them with save_embeddings"))
+    contents="vectors", has_lines=True)
 
 
 @dataclass(frozen=True)

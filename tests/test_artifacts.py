@@ -39,14 +39,19 @@ def test_only_artifacts_module_touches_files():
     assert lines_outside_artifacts(r"\bopen\(|\bnp\.fromfile\b|\.tofile\b") == []
 
 
-def parameters_cast_to_int64(tree):
-    """`line` of each place that passes a function parameter, or an
-    attribute of one, straight to np.asarray/np.array(..., dtype=np.int64)
-    or to .astype(np.int64): a cast that truncates floats and reads bools
-    as integers."""
+INTEGER_DTYPES = {f"{sign}int{bits}" for sign in ("", "u")
+                  for bits in (8, 16, 32, 64)} | {"intp"}
 
-    def is_int64(node):
-        return (isinstance(node, ast.Attribute) and node.attr == "int64"
+
+def parameters_cast_to_integers(tree):
+    """`line` of each place that passes a function parameter, or an
+    attribute of one, straight to np.asarray/np.array(..., dtype=np.<int>)
+    or to .astype(np.<int>), for any numpy integer dtype: a cast that
+    truncates floats, wraps what the dtype cannot hold and reads bools as
+    integers."""
+
+    def is_integer_dtype(node):
+        return (isinstance(node, ast.Attribute) and node.attr in INTEGER_DTYPES
                 and isinstance(node.value, ast.Name) and node.value.id == "np")
 
     def root(node):
@@ -68,11 +73,11 @@ def parameters_cast_to_int64(tree):
                 continue
             if (call.func.attr in ("asarray", "array")
                     and root(call.func) == "np" and call.args
-                    and any(k.arg == "dtype" and is_int64(k.value)
+                    and any(k.arg == "dtype" and is_integer_dtype(k.value)
                             for k in call.keywords)):
                 value = call.args[0]
             elif (call.func.attr == "astype" and call.args
-                    and is_int64(call.args[0])):
+                    and is_integer_dtype(call.args[0])):
                 value = call.func.value
             else:
                 continue
@@ -82,11 +87,12 @@ def parameters_cast_to_int64(tree):
 
 
 def test_integer_boundaries_read_through_int_vector():
-    # errors.int_vector is the one place a caller's values become int64;
-    # anywhere else such a cast would truncate floats and read bools
+    # errors.int_vector is the one place a caller's values become integers;
+    # anywhere else such a cast would truncate floats, wrap large values
+    # and read bools
     found = [f"{path.name}:{line}"
              for path in SRC.glob("*.py") if path.name != "errors.py"
-             for line in parameters_cast_to_int64(
+             for line in parameters_cast_to_integers(
                  ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
 
@@ -99,8 +105,9 @@ def test_the_int64_rule_finds_casts():
         "    z = np.array(c.field, dtype=np.int64)\n"
         "    w = np.asarray(len(a), dtype=np.int64)\n"
         "    v = np.asarray(a, dtype=np.float64)\n"
+        "    u = np.asarray(c, dtype=np.int8)\n"
         "    return lambda q: q.astype(np.int64)\n")
-    assert parameters_cast_to_int64(tree) == [2, 3, 4, 7]
+    assert parameters_cast_to_integers(tree) == [2, 3, 4, 7, 8]
 
 
 def test_only_artifacts_module_splits_header_fields():

@@ -159,7 +159,11 @@ class TestAnnotate:
         ("sentence", [[0, 1], [1, 0]], ShapeError),
         ("sentence", [[0, 1], [1]], ShapeError),
         ("token", [["a", "b"], ["c", "d"]], InputError),
-        ("token", [[0.5, 1], [1, 0]], InputError)])
+        ("token", [[0.5, 1], [1, 0]], InputError),
+        ("sentence", 5, ShapeError),
+        ("sentence", None, ShapeError),
+        ("token", 5, ShapeError),
+        ("token", [0, 1], ShapeError)])
     def test_labels_must_be_integers(self, mode, labels, error):
         ann = random_annotator(seed=24, num_classes=2)
         with pytest.raises(error):
@@ -548,6 +552,18 @@ class TestSerialization:
         ds = DifficultyDataset(bits=np.array([[1]], dtype=np.int8))
         with pytest.raises(ConfigError):
             serialize_difficulty_dataset(ds)
+
+    @pytest.mark.parametrize("bits", [
+        pytest.param([[0.7, 1.0], [2, -1]], id="floats"),
+        pytest.param([[True, False]], id="bools"),
+        pytest.param([[0, 1], [2, -1]], id="not-0-or-1"),
+        pytest.param([[1, 300]], id="past-int8"),
+        pytest.param(np.array([[0, 256]]), id="wraps-to-0")])
+    def test_bits_must_be_0_or_1(self, bits):
+        # every bit is read as an integer and checked: a cast to int8 would
+        # truncate floats, wrap 256 to 0 and keep 2 and -1
+        with pytest.raises(InputError):
+            DifficultyDataset(bits=bits)
 
     @pytest.mark.parametrize("column", [
         {"tokens": [["a"]]}, {"tokens": [["a"], ["b"], ["c"]]},

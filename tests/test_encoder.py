@@ -107,7 +107,7 @@ class TestSchedule:
 
     def test_matching_layer_count_accepted(self):
         sched = schedule([0], freq_fixture_table(), 6)
-        assert len(sched) == 1
+        assert sched.valid_count == 1
 
     def test_gather_matches_layer_of(self):
         rng = np.random.default_rng(3)
@@ -1204,7 +1204,8 @@ class TestTrainToy:
 
     @pytest.mark.parametrize("head, labels, bad", [
         (None, [-1] * 30, -1), (None, [0, -1] * 15, -1),
-        (2, [0, 1] * 14 + [2, 0], 2), (2, [1] * 29 + [-2], -2)])
+        (2, [0, 1] * 14 + [2, 0], 2), (2, [1] * 29 + [-2], -2),
+        (2, [5, 0] * 15, 5)])
     def test_labels_outside_the_classes(self, head, labels, bad):
         # a new head takes its classes from the labels, so only a negative
         # label is out; a 2-class head also refuses 2 and above
@@ -1212,15 +1213,26 @@ class TestTrainToy:
         model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=head)
         with pytest.raises(InputError, match=f"label {bad} is not a class"):
             train_toy(model, seqs, labels, table, epochs=1)
+        # head_loss_and_grad checks its labels against its own head: numpy
+        # indexing would read -1 as the last class
+        with pytest.raises(InputError, match=f"label {bad} is not a class"):
+            head_loss_and_grad(np.zeros((8, head or 2)), np.ones((30, 8)),
+                               labels)
 
     @pytest.mark.parametrize("labels, error", [
         pytest.param([0.5, 1.7] * 15, InputError, id="floats"),
         pytest.param(["0", "1"] * 15, InputError, id="strings"),
         pytest.param([[0, 1]] * 30, ShapeError, id="per-document-lists"),
-        pytest.param([[0]] * 29 + [[0, 1]], ShapeError, id="ragged-lists")])
+        pytest.param([[0]] * 29 + [[0, 1]], ShapeError, id="ragged-lists"),
+        pytest.param(5, ShapeError, id="scalar"),
+        pytest.param(None, ShapeError, id="none"),
+        pytest.param([0, 1] * 14, ShapeError, id="too-few"),
+        pytest.param([0, 1] * 16, ShapeError, id="too-many")])
     def test_labels_must_be_a_flat_integer_vector(self, labels, error):
         # floats trained as their truncations, and the others raised bare
-        # numpy errors; head_loss_and_grad read strings as integers too
+        # numpy errors; head_loss_and_grad read strings as integers too.
+        # A scalar, or a label count other than the rows, is a ShapeError
+        # everywhere, head_loss_and_grad included
         seqs, _, table = self.make_task()
         for head in (None, 2):
             model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=head)
@@ -1359,7 +1371,8 @@ class TestModelIO:
         path = tmp_path / "model.txt"
         path.write_text("#hashee-model v1 L=1 d=4 h=1 d_ff=8 V=2\n"
                         "[tensor embedding 2 4]\n0.0 0.0 0.0 0.0\n")
-        with pytest.raises(ParseError, match="re-save it with save_model"):
+        with pytest.raises(ParseError, match="^not a model file "
+                           r"\(bad magic header\)$"):
             load_model(path)
 
     def test_huge_header_is_rejected_before_reading(self, tmp_path):

@@ -678,8 +678,8 @@ class TestEmbeddingIO:
     def test_text_format_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\na 1.0 2.0\nb 3.0 4.0\n")
-        with pytest.raises(ParseError, match="^text embeddings are no longer "
-                           "read; re-save them with save_embeddings$"):
+        with pytest.raises(ParseError, match="^not a token embedding file "
+                           r"\(bad magic header\)$"):
             load_embeddings(path)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
