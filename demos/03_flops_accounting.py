@@ -21,8 +21,6 @@ W_V into the queries' side of attention (reassociation), which skips
 those projections. The corpus is priced both ways.
 """
 
-import numpy as np
-
 from hashexit import (
     CorpusStats,
     ModelDims,
@@ -68,11 +66,11 @@ stats = CorpusStats.from_documents(vocab, corpus.documents)
 dims = ModelDims(num_layers=6, d=64, heads=4, d_ff=256)
 
 table = build_frequency(vocab, stats, num_buckets=3, num_layers=dims.num_layers)
-# the corpus packed as a PackedBatch holds it: every token's exit layer in
-# one vector, each document's start row in another; one lookup, one report
-ids = [vocab.ids_for(doc) for doc in corpus.documents]
-offsets = np.cumsum([0] + [len(doc) for doc in ids])
-rep = report(dims, table.exits(np.concatenate(ids)), offsets)
+# the corpus packed as a PackedBatch holds it: every token's id (one flat
+# lookup) and exit layer (one table lookup) in a vector each, and each
+# document's start row in another; then one report
+ids, offsets = vocab.packed_ids(corpus.documents)
+rep = report(dims, table.exits(ids), offsets)
 print(f"\n{len(corpus.documents)} documents, L={dims.num_layers}, "
       f"d={dims.d}:")
 print(f"  baseline FLOPs {rep.baseline_flops:,}")

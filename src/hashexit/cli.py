@@ -17,7 +17,7 @@ from .corpus import load_corpus
 # schedule is no longer called here; it stays importable from this module
 # for the wrappers that bench/ places at hashexit.cli names until the
 # per-document schedule goes (ROADMAP item 1)
-from .encoder import batches, classify, forward, load_model, pack, schedule
+from .encoder import batches, classify, forward, load_model, schedule
 from .flops import ModelDims, report
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
@@ -121,10 +121,11 @@ def cmd_flops_report(args):
                           f"table's L={table.num_layers}")
     corpus = load_corpus(args.corpus)
     _report_skipped(corpus)
-    # the corpus packed once and looked up once; unpinned, unlike infer:
+    # the corpus's token ids looked up in one flat pass, with no list per
+    # document, and every exit layer in one lookup; unpinned, unlike infer:
     # the benchmark checks this report against the unpinned lookup, so
     # pinning waits for a benchmark change (ROADMAP)
-    ids, offsets = pack([table.vocab.ids_for(doc) for doc in corpus.documents])
+    ids, offsets = table.vocab.packed_ids(corpus.documents)
     exits = table.exits(ids)
     del ids  # not held through report's temporaries, which set the peak
     dims = ModelDims(num_layers=table.num_layers, d=args.d, heads=args.heads,

@@ -207,12 +207,12 @@ class PackedBatch:
 
 
 def pack(sequences):
-    """The rows of the id sequences `sequences` as one int64 vector, and
-    each sequence's start row followed by the row count."""
+    """The rows of the id sequences `sequences` as one int64 vector, read
+    by `errors.int_vector` (float or bool ids are an InputError, never
+    truncated), and each sequence's start row followed by the row count."""
     offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
     np.cumsum([len(seq) for seq in sequences], out=offsets[1:])
-    ids = np.fromiter(chain.from_iterable(sequences), dtype=np.int64,
-                      count=int(offsets[-1]))
+    ids = int_vector(list(chain.from_iterable(sequences)), "token ids")
     return ids, offsets
 
 

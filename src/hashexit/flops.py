@@ -14,15 +14,18 @@ rows attend over many frozen ones in the reassociated order (see
 `reassociates`); `saved_macs(...).executed_macs` prices the layer as it
 runs.
 
-Each formula has one copy, `_layer_macs`, which takes ints or object
-arrays of ints. `saved_macs` checks one layer's dims and returns its
-figures as a LayerCost. `report` prices a whole corpus with it in one
-call over the (documents x L) matrix of rows each layer still updates,
-so every sum is an exact Python integer at any dims. It reads the corpus
-packed, as a PackedBatch holds it: every row's exit layer in one vector
-and each document's start row in another, counted into that matrix with
-one `np.bincount`. It still takes a list of ExitSchedules, which it packs
-with one concatenation, until ExitSchedule goes.
+Each formula has one copy, `_layer_macs`, which takes ints or integer
+arrays. `saved_macs` checks one layer's dims and returns its figures as a
+LayerCost. `report` prices a whole corpus with it in one call over the
+(documents x L) matrix of rows each layer still updates. That matrix is
+int64 when one exact bound on the longest document (`_fits_int64`) shows
+that no figure, and no sum of them, can leave int64, and an object array
+of Python ints otherwise, so every figure is an exact Python integer at
+any dims. It reads the corpus packed, as a PackedBatch holds it: every
+row's exit layer in one vector and each document's start row in another,
+counted into that matrix with one `np.bincount`. It still takes a list
+of ExitSchedules, which it packs with one concatenation, until
+ExitSchedule goes.
 """
 
 from dataclasses import dataclass
@@ -49,9 +52,10 @@ def _layer_macs(n, m, d, h, d_ff):
     """Saved MACs by category, full MACs and executed MACs of a layer with
     n visible rows, m of them active.
 
-    n and m are ints, or object arrays of ints that broadcast together,
-    for many layers at once. Masks multiply rather than select, so every
-    figure stays an exact Python integer at any dims.
+    n and m are ints, or integer arrays that broadcast together, for many
+    layers at once. Masks multiply rather than select, so on ints and
+    object arrays every figure is an exact Python integer at any dims; on
+    int64 arrays it is exact where `_fits_int64` holds.
     """
     gap = n - m
     saved = {
@@ -71,6 +75,21 @@ def _layer_macs(n, m, d, h, d_ff):
     executed = (keys + 2 * m * d * d + 2 * h * m * n + 4 * m * d
                 + 2 * m * d * d_ff)
     return saved, full, executed
+
+
+def _fits_int64(rows, cells, d, h, d_ff):
+    """Whether int64 holds every figure `_layer_macs` forms on `cells`
+    layers of at most `rows` rows, and every sum of them.
+
+    With n, m and n - m at most `rows`, no figure exceeds both key
+    branches plus the rest of the executed MACs, each term at `rows`:
+    2·rows·(3d² + (h+1)·rows·d + h·rows + 2d + d·d_ff). That bound covers
+    the flip test, the saved MACs and the full layer too, and `cells`
+    times it covers any sum. All in Python ints, so it is exact.
+    """
+    cell = 2 * rows * (3 * d * d + (h + 1) * rows * d + h * rows + 2 * d
+                       + d * d_ff)
+    return cells * cell < 2**63
 
 
 @dataclass(frozen=True)
@@ -230,7 +249,8 @@ def report(dims, exits, offsets=None):
     runs them.
 
     Every figure is the closed form of one layer summed over a (documents
-    x L) matrix of active row counts, built from all exits at once.
+    x L) matrix of active row counts, built from all exits at once, in
+    int64 where `_fits_int64` holds and in Python ints otherwise.
     """
     if offsets is None:
         schedules = list(exits)
@@ -245,11 +265,14 @@ def report(dims, exits, offsets=None):
     counts = np.bincount(doc * L + exits - 1, minlength=lengths.size * L)
     counts = counts.reshape(-1, L)
     # rows exiting at layer t or above are the rows layer t updates
-    m = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1].astype(object)
-    n = lengths.astype(object)[:, None]
+    m = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+    n = lengths[:, None]
+    if not _fits_int64(int(lengths.max()), m.size, dims.d, dims.heads,
+                       dims.d_ff):
+        m, n = m.astype(object), n.astype(object)
     saved, full, executed = _layer_macs(n, m, dims.d, dims.heads, dims.d_ff)
     saved_sums = sum(saved.values()).sum(axis=0).tolist()
-    n_sum, full_sum = n.sum(), full.sum()
+    n_sum, full_sum = int(n.sum()), int(full.sum())
     total_macs = L * full_sum - sum(saved_sums)
     if total_macs == 0:
         raise InputError("corpus contains no computation to account for")
@@ -262,4 +285,4 @@ def report(dims, exits, offsets=None):
                                        enumerate(histogram, start=1) if c},
                        total_flops=FLOPS_PER_MAC * total_macs,
                        baseline_flops=FLOPS_PER_MAC * L * full_sum,
-                       executed_flops=FLOPS_PER_MAC * executed.sum())
+                       executed_flops=FLOPS_PER_MAC * int(executed.sum()))

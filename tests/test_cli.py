@@ -427,13 +427,16 @@ class TestFlopsReport:
 
     def test_prices_the_corpus_in_one_packed_call(self, tmp_path, capsys,
                                                   monkeypatch):
-        # one lookup over the packed corpus and one report call, with no
-        # per-document schedule (bench/ hooks both names on hashexit.cli)
+        # one flat id lookup, one exit lookup and one report call, with no
+        # per-document id list, pack or schedule (bench/ hooks schedule and
+        # report on hashexit.cli)
         _, table_path = self.make_all_last_table(tmp_path)
         corpus_path = tmp_path / "c.txt"
         save_corpus(Corpus(documents=[["a", "b"], ["c"], ["zzz", "a", "c"]]),
                     corpus_path)
-        calls = {"schedule": 0, "report": 0}
+        owners = {"schedule": cli, "report": cli, "pack": encoder,
+                  "ids_for": Vocab, "packed_ids": Vocab, "exits": HashTable}
+        calls = dict.fromkeys(owners, 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -441,13 +444,15 @@ class TestFlopsReport:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        for name, owner in owners.items():
+            monkeypatch.setattr(owner, name,
+                                counted(name, getattr(owner, name)))
         code = run(["flops-report", "--table", table_path, "--corpus",
                     corpus_path, "--d", 8, "--heads", 2, "--d-ff", 16,
                     "--out-dir", tmp_path])
         assert code == 0
-        assert calls == {"schedule": 0, "report": 1}
+        assert calls == {"schedule": 0, "report": 1, "pack": 0, "ids_for": 0,
+                         "packed_ids": 1, "exits": 1}
 
     def test_layers_mismatch(self, tmp_path, capsys):
         _, table_path = self.make_all_last_table(tmp_path, L=4)

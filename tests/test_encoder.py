@@ -220,6 +220,15 @@ class TestRoute:
         for part in ("ids", "exits", "offsets"):
             assert np.array_equal(getattr(arrays, part), getattr(batch, part))
 
+    @pytest.mark.parametrize("docs", [[[0.9, 1.7], [2.5]], [[True, False]]],
+                             ids=["float-ids", "bool-ids"])
+    def test_ids_must_be_integers(self, docs):
+        # read through errors.int_vector, never truncated to [0, 1, 2] or
+        # taken as ids [1, 0]
+        for call in (lambda: pack(docs), lambda: route(docs, self.TABLE, 6)):
+            with pytest.raises(InputError, match="token ids"):
+                call()
+
     def test_layer_count_mismatch(self):
         with pytest.raises(ConfigError):
             route([[0, 1]], self.TABLE, 5)

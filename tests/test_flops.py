@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hashexit import flops
 from hashexit.errors import ConfigError, InputError, ShapeError
 from hashexit.encoder import ExitSchedule
 from hashexit.flops import (
@@ -320,3 +321,91 @@ def test_packed_and_list_forms_agree(case):
         return
     # every field: rows, histogram, total, baseline and executed FLOPs
     assert report(dims, *packed(docs)) == report(dims, schedules)
+
+
+def closed_form_figures(dims, docs):
+    """The per-layer rows and the total, baseline and executed FLOPs of
+    the documents `docs`, exit-layer vectors, summed one saved_macs call
+    per (document, layer) in Python ints."""
+    L, d, h, d_ff = dims.num_layers, dims.d, dims.heads, dims.d_ff
+    rows, total, executed, base = [], 0, 0, 0
+    for t in range(1, L + 1):
+        n_sum = m_sum = saved = full = 0
+        for e in docs:
+            n, m = len(e), int(np.count_nonzero(e >= t))
+            cost = saved_macs(n, m, d, h, d_ff)
+            n_sum, m_sum = n_sum + n, m_sum + m
+            saved, full = saved + cost.saved_macs, full + cost.full_macs
+            executed += cost.executed_macs
+            base += cost.full_macs
+        rows.append((t, n_sum, m_sum, saved, full))
+        total += full - saved
+    return (rows, FLOPS_PER_MAC * total, FLOPS_PER_MAC * base,
+            FLOPS_PER_MAC * executed)
+
+
+def spy_dtypes(monkeypatch):
+    """The dtype of the active counts of each `flops._layer_macs` call."""
+    seen = []
+    layer_macs = flops._layer_macs
+
+    def spy(n, m, *dims):
+        seen.append(m.dtype)
+        return layer_macs(n, m, *dims)
+
+    monkeypatch.setattr(flops, "_layer_macs", spy)
+    return seen
+
+
+def largest_int64_d_ff(rows, cells, d, h):
+    """The largest d_ff at which `_fits_int64` still holds."""
+    lo, hi = 1, 2**63
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if flops._fits_int64(rows, cells, d, h, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("past, dtype", [(0, np.int64), (1, object)],
+                         ids=["just-under-2**63", "just-over-2**63"])
+@pytest.mark.parametrize("exits", [
+    np.full(512, 12), np.arange(512) % 12 + 1, np.full(512, 1)],
+    ids=["all-last", "every-layer", "all-first"])
+def test_int64_switch_at_its_edge(monkeypatch, exits, past, dtype):
+    # one 512-row document at L=12, d=768, h=12, with d_ff the widest the
+    # int64 path takes, or one wider: the sums reach close to 2**63
+    d_ff = largest_int64_d_ff(512, 12, 768, 12) + past
+    dims = ModelDims(num_layers=12, d=768, heads=12, d_ff=d_ff)
+    rows, total, baseline, executed = closed_form_figures(dims, [exits])
+    seen = spy_dtypes(monkeypatch)
+    rep = report(dims, exits, [0, 512])
+    assert seen == [dtype]
+    assert rep.baseline_flops // FLOPS_PER_MAC > 2**62
+    assert [(r.layer, r.n_sum, r.m_sum, r.saved_macs, r.full_macs)
+            for r in rep.rows] == rows
+    assert (rep.total_flops, rep.baseline_flops, rep.executed_flops) == (
+        total, baseline, executed)
+    figures = [rep.total_flops, rep.baseline_flops, rep.executed_flops,
+               *rep.exit_histogram.values(),
+               *(v for r in rep.rows for v in (r.n_sum, r.m_sum,
+                                                r.saved_macs, r.full_macs))]
+    assert all(type(v) is int for v in figures)
+
+
+def test_bert_base_corpus_takes_the_int64_path(monkeypatch):
+    # price-bert's shape: 1000 documents of up to 512 rows at BERT-base
+    # dims; the object path, forced, gives the same report
+    rng = np.random.default_rng(24)
+    lengths = np.append(rng.integers(64, 512, size=999), 512)
+    exits = rng.integers(1, 13, size=int(lengths.sum()))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    dims = ModelDims(num_layers=12, d=768, heads=12, d_ff=3072)
+    seen = spy_dtypes(monkeypatch)
+    rep = report(dims, exits, offsets)
+    assert seen == [np.int64]
+    monkeypatch.setattr(flops, "_fits_int64", lambda *args: False)
+    assert report(dims, exits, offsets) == rep
+    assert seen == [np.int64, object]

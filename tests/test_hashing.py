@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hashexit import hashing
+from hashexit.encoder import pack
 from hashexit.errors import ConfigError, InputError, ParseError, ShapeError
 from hashexit.hashing import (
     CorpusStats,
@@ -96,6 +97,21 @@ class TestCheckToken:
 
 
 TOKENS = st.sampled_from(["a", "b", "c", "d", "zz", "qq"])  # zz, qq unknown
+
+
+class TestPackedIds:
+    @PROPS
+    @given(documents=st.lists(st.lists(TOKENS, max_size=12), max_size=10))
+    @example(documents=[])
+    @example(documents=[[], ["zz"], []])
+    def test_matches_packed_id_lists(self, documents):
+        # unseen tokens (zz, qq) are -1, as in ids_for
+        vocab = Vocab(("a", "b", "c", "d"))
+        ids, offsets = vocab.packed_ids(documents)
+        want = pack([vocab.ids_for(doc) for doc in documents])
+        for got, expected in zip((ids, offsets), want):
+            assert got.dtype == np.int64 and got.ndim == 1
+            assert np.array_equal(got, expected)
 
 
 class TestCorpusStats:
