@@ -42,8 +42,6 @@ from .errors import (ConfigError, InputError, ParseError, ShapeError,
 from .flops import ModelDims, reassociates
 from .linalg import layer_norm, relu, softmax_rows
 
-MAX_SEQUENCE_LEN = 512
-
 # Budgets of a packed batch. `batches` cuts a corpus into batches whose
 # states (h, and each state of a trace) hold at most BATCH_ROWS rows and
 # STATE_FLOATS float64s (4 MiB): 2048 rows up to d=256. Inside a layer,
@@ -461,9 +459,6 @@ def _layers(model, batch):
                                             model.num_layers)
     if (lengths == 0).any():
         raise InputError("cannot run a forward pass on an empty sequence")
-    if (lengths > MAX_SEQUENCE_LEN).any():
-        raise InputError(f"sequence length {int(lengths.max())} exceeds "
-                         f"{MAX_SEQUENCE_LEN}")
     positions = np.arange(ids.size) - np.repeat(offsets[:-1], lengths)
     h = embed(model, ids, positions)
     return chain([h], (forward_layer(h, weights, np.flatnonzero(exits >= t),
@@ -649,6 +644,7 @@ def accuracy(model, sequences, labels, table):
 def random_model(vocab_size, num_layers, d, heads, d_ff, *, seed=0,
                  num_classes=None):
     """Small random post-norm encoder; weights scaled to keep softmax sane."""
+    _check_model_dims(num_layers, d, heads, d_ff)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d)
     layers = []

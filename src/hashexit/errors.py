@@ -1,8 +1,11 @@
 """Exception types shared across the package, the one rule that reads
 integer vectors with them (`int_vector`), the one check of the start rows
-of packed documents (`row_offsets`) and the one packed-layout check."""
+of packed documents (`row_offsets`) and the one packed-layout check, which
+also holds every document to MAX_SEQUENCE_LEN rows."""
 
 import numpy as np
+
+MAX_SEQUENCE_LEN = 512
 
 
 class HashExitError(Exception):
@@ -59,10 +62,14 @@ def row_offsets(offsets, rows, what):
 def packed_layout(exits, offsets, num_layers):
     """`exits` and `offsets` of a packed corpus (as in a PackedBatch) read
     by `int_vector`, and the document lengths. Offsets that do not rise from
-    0 to the row count are a ShapeError (`row_offsets`), an exit outside
+    0 to the row count are a ShapeError (`row_offsets`), a document of more
+    than MAX_SEQUENCE_LEN rows an InputError, and an exit outside
     1..num_layers a ConfigError."""
     exits = int_vector(exits, "exit layers")
     offsets, lengths = row_offsets(offsets, exits.size, "offsets")
+    if (lengths > MAX_SEQUENCE_LEN).any():
+        raise InputError(f"sequence length {int(lengths.max())} exceeds "
+                         f"{MAX_SEQUENCE_LEN}")
     if exits.size and exits.min() < 1:
         raise ConfigError(f"exit layer {int(exits.min())}: exit layers "
                           f"start at 1")

@@ -14,18 +14,17 @@ rows attend over many frozen ones in the reassociated order (see
 `reassociates`); `saved_macs(...).executed_macs` prices the layer as it
 runs.
 
-Each formula has one copy, `_layer_macs`, which takes ints or integer
-arrays. `saved_macs` checks one layer's dims and returns its figures as a
-LayerCost. `report` prices a whole corpus with it in one call over the
-(documents x L) matrix of rows each layer still updates. That matrix is
-int64 when one exact bound on the longest document (`_fits_int64`) shows
-that no figure, and no sum of them, can leave int64, and an object array
-of Python ints otherwise, so every figure is an exact Python integer at
-any dims. It reads the corpus packed, as a PackedBatch holds it: every
-row's exit layer in one vector and each document's start row in another,
-counted into that matrix with one `np.bincount`. It still takes a list
-of ExitSchedules, which it packs with one concatenation, until
-ExitSchedule goes.
+Each formula has one copy, `_layer_macs`, linear in a few products of
+the counts that hold no dim (`_products`). `saved_macs` checks one
+layer's dims and returns its figures as a LayerCost. `report` prices a
+whole corpus in one call: it sums those products in int64 over the
+(documents x L) matrix of rows each layer still updates, and applies the
+dims once per layer in Python ints, so every figure is an exact Python
+integer at any dims. It reads the corpus packed, as a PackedBatch holds
+it: every row's exit layer in one vector and each document's start row
+in another, counted into that matrix with one `np.bincount`. It still
+takes a list of ExitSchedules, which it packs with one concatenation,
+until ExitSchedule goes.
 """
 
 from dataclasses import dataclass
@@ -37,59 +36,60 @@ from .errors import ConfigError, InputError, packed_layout
 FLOPS_PER_MAC = 2
 
 
-def _check_dims(n, m, d, h, d_ff):
+def _check_dims(n, m, d, h, d_ff, num_layers=1):
+    """The counts n and m, the dims d, h and d_ff and the layer count, as
+    Python ints. Anything but an int or a numpy integer (floats, bools) is
+    an InputError, as are negative counts and m > n; dims that do not fit
+    an encoder are a ConfigError."""
+    values = (n, m, d, h, d_ff, num_layers)
+    for name, value in zip(("n", "m", "d", "heads", "d_ff", "num_layers"),
+                           values):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, not "
+                             f"{type(value).__name__}")
+    n, m, d, h, d_ff, num_layers = map(int, values)
     if n < 0 or m < 0:
         raise InputError("counts must be non-negative")
     if m > n:
         raise InputError(f"active count m={m} exceeds sequence length n={n}")
+    if num_layers <= 0:
+        raise ConfigError("layer count must be positive")
     if d <= 0 or h <= 0 or d_ff <= 0:
         raise ConfigError("model dims must be positive")
     if d % h != 0:
         raise ConfigError(f"heads={h} does not divide d={d}")
+    return n, m, d, h, d_ff, num_layers
 
 
-def _layer_macs(n, m, d, h, d_ff):
+def _products(n, m, flip):
+    """Besides n and n², the products of a layer's counts its figures are
+    linear in; flip is `reassociates`. On arrays each is at most 512², so
+    their int64 sums over fewer than 2**45 documents are exact."""
+    return m, m * n, (m == 0) * n, flip * m, flip * m * n, flip * n
+
+
+def _layer_macs(n, nn, products, d, h, d_ff):
     """Saved MACs by category, full MACs and executed MACs of a layer with
-    n visible rows, m of them active.
-
-    n and m are ints, or integer arrays that broadcast together, for many
-    layers at once. Masks multiply rather than select, so on ints and
-    object arrays every figure is an exact Python integer at any dims; on
-    int64 arrays it is exact where `_fits_int64` holds.
-    """
+    n visible rows (nn = n²), m of them active, from its `_products`; or,
+    from their sums, of many layers at once."""
+    m, mn, zero_n, flip_m, flip_mn, flip_n = products
     gap = n - m
     saved = {
         # m == 0 skips the layer, key/value projections too (saved_macs)
-        "linear_proj": gap * d * d + (m == 0) * (2 * n * d * d),
-        "attn": 2 * n * gap * (h + d),
+        "linear_proj": (gap + 2 * zero_n) * d * d,
+        "attn": 2 * (nn - mn) * (h + d),
         "out_proj": gap * d * d,
         "layer_norms": 2 * (2 * gap * d),
         "ffn": 2 * gap * d * d_ff,
     }
-    full = 4 * n * d * d + 2 * n * n * (d + h) + 4 * n * d + 2 * n * d * d_ff
-    flip = reassociates(n, m, d, h)
-    keys = (flip * (2 * m * d * d + 2 * h * m * n * d)
-            + (1 - flip) * (2 * n * d * d + 2 * m * n * d))
+    full = 4 * n * d * d + 2 * nn * (d + h) + 4 * n * d + 2 * n * d * d_ff
+    keys = (2 * (flip_m + n - flip_n) * d * d
+            + 2 * (h * flip_mn + mn - flip_mn) * d)
     # queries, output projection, scale and softmax multiplies, two layer
     # norms, FFN; every term, keys included, is 0 when m == 0
-    executed = (keys + 2 * m * d * d + 2 * h * m * n + 4 * m * d
+    executed = (keys + 2 * m * d * d + 2 * h * mn + 4 * m * d
                 + 2 * m * d * d_ff)
     return saved, full, executed
-
-
-def _fits_int64(rows, cells, d, h, d_ff):
-    """Whether int64 holds every figure `_layer_macs` forms on `cells`
-    layers of at most `rows` rows, and every sum of them.
-
-    With n, m and n - m at most `rows`, no figure exceeds both key
-    branches plus the rest of the executed MACs, each term at `rows`:
-    2·rows·(3d² + (h+1)·rows·d + h·rows + 2d + d·d_ff). That bound covers
-    the flip test, the saved MACs and the full layer too, and `cells`
-    times it covers any sum. All in Python ints, so it is exact.
-    """
-    cell = 2 * rows * (3 * d * d + (h + 1) * rows * d + h * rows + 2 * d
-                       + d * d_ff)
-    return cells * cell < 2**63
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,15 @@ def saved_macs(n, m, d, h, d_ff):
     are full - saved in the standard order, less the K/V projections the
     reassociated order skips.
     """
-    _check_dims(n, m, d, h, d_ff)
-    return LayerCost(*_layer_macs(n, m, d, h, d_ff))
+    n, m, d, h, d_ff, _ = _check_dims(n, m, d, h, d_ff)
+    products = _products(n, m, reassociates(n, m, d, h))
+    return LayerCost(*_layer_macs(n, n * n, products, d, h, d_ff))
+
+
+def _fewest_standard(n, d, h):
+    """The fewest active rows of n that keep the standard association,
+    ⌈n·d / (d + (h−1)·n)⌉."""
+    return -(-n * d // (d + (h - 1) * n))
 
 
 def reassociates(n, m, d, h):
@@ -128,10 +135,11 @@ def reassociates(n, m, d, h):
     Q, K and V carry no biases, so per head scores_h = (q_h·W_K,hᵀ)·Hᵀ
     and ctx_h = (P_h·H)·W_V,h, where H holds the n visible rows. That
     costs 2·m·d² + 2·h·m·n·d MACs in place of the 2·n·d² + 2·m·n·d of
-    projecting K and V, so it wins exactly when m·(d + (h−1)·n) < n·d.
-    False whenever m == n. Works elementwise on integer arrays too.
+    projecting K and V, so it wins exactly when m·(d + (h−1)·n) < n·d,
+    that is below `_fewest_standard` rows. False whenever m == n. Works
+    elementwise on integer arrays too.
     """
-    return m * (d + (h - 1) * n) < n * d
+    return m < _fewest_standard(n, d, h)
 
 
 def oracle_count(n, m, d, h, d_ff):
@@ -142,7 +150,7 @@ def oracle_count(n, m, d, h, d_ff):
     two layer norms and the FFN on active rows only. Residual additions,
     exponentials and divisions are free.
     """
-    _check_dims(n, m, d, h, d_ff)
+    n, m, d, h, d_ff, _ = _check_dims(n, m, d, h, d_ff)
     if m == 0:
         return 0
     d_k = d // h
@@ -170,9 +178,12 @@ class ModelDims:
     d_ff: int
 
     def __post_init__(self):
-        if self.num_layers <= 0:
-            raise ConfigError("layer count must be positive")
-        _check_dims(0, 0, self.d, self.heads, self.d_ff)
+        # held as Python ints, so report's per-layer arithmetic is exact
+        checked = _check_dims(0, 0, self.d, self.heads, self.d_ff,
+                              self.num_layers)
+        for name, value in zip(("d", "heads", "d_ff", "num_layers"),
+                               checked[2:]):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -248,16 +259,16 @@ def report(dims, exits, offsets=None):
     the paper's figure; executed_flops prices the layers as the encoder
     runs them.
 
-    Every figure is the closed form of one layer summed over a (documents
-    x L) matrix of active row counts, built from all exits at once, in
-    int64 where `_fits_int64` holds and in Python ints otherwise.
+    Every figure is `_layer_macs` of the per-layer int64 sums of the
+    `_products` of a (documents x L) matrix of active row counts, built
+    from all exits at once, with one association bound per length.
     """
     if offsets is None:
         schedules = list(exits)
         exits = np.concatenate([np.zeros(0, dtype=np.int64)]
                                + [sched.exit_layer for sched in schedules])
         offsets = np.cumsum([0] + [sched.valid_count for sched in schedules])
-    L = dims.num_layers
+    L, d, h, d_ff = dims.num_layers, dims.d, dims.heads, dims.d_ff
     exits, _, lengths = packed_layout(exits, offsets, L)
     if lengths.size == 0:
         raise InputError("no schedules to account for")
@@ -266,23 +277,25 @@ def report(dims, exits, offsets=None):
     counts = counts.reshape(-1, L)
     # rows exiting at layer t or above are the rows layer t updates
     m = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
-    n = lengths[:, None]
-    if not _fits_int64(int(lengths.max()), m.size, dims.d, dims.heads,
-                       dims.d_ff):
-        m, n = m.astype(object), n.astype(object)
-    saved, full, executed = _layer_macs(n, m, dims.d, dims.heads, dims.d_ff)
-    saved_sums = sum(saved.values()).sum(axis=0).tolist()
-    n_sum, full_sum = int(n.sum()), int(full.sum())
+    sizes, which = np.unique(lengths, return_inverse=True)
+    fewest = np.array([_fewest_standard(n, d, h) for n in sizes.tolist()])
+    flip = m < fewest[which, None]
+    # summed one at a time: a stacked copy fragments the heap (peak RSS)
+    sums = list(zip(*(p.sum(axis=0).tolist()
+                      for p in _products(lengths[:, None], m, flip))))
+    n_sum, nn_sum = int(lengths.sum()), int((lengths * lengths).sum())
+    saved, full, executed = zip(*(_layer_macs(n_sum, nn_sum, layer, d, h, d_ff)
+                                  for layer in sums))
+    saved_sums, full_sum = [sum(layer.values()) for layer in saved], full[0]
     total_macs = L * full_sum - sum(saved_sums)
     if total_macs == 0:
         raise InputError("corpus contains no computation to account for")
-    m_sums = m.sum(axis=0).tolist()
-    rows = tuple(LayerTotals(t + 1, n_sum, m_sums[t], saved_sums[t], full_sum)
-                 for t in range(L))
+    rows = tuple(LayerTotals(t + 1, n_sum, sums[t][0], saved_sums[t], full_sum)
+                 for t in range(L))  # sums[t][0] sums m
     histogram = counts.sum(axis=0).tolist()
     return FlopsReport(dims=dims, rows=rows,
                        exit_histogram={t: c for t, c in
                                        enumerate(histogram, start=1) if c},
                        total_flops=FLOPS_PER_MAC * total_macs,
                        baseline_flops=FLOPS_PER_MAC * L * full_sum,
-                       executed_flops=FLOPS_PER_MAC * int(executed.sum()))
+                       executed_flops=FLOPS_PER_MAC * sum(executed))

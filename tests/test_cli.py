@@ -454,6 +454,21 @@ class TestFlopsReport:
         assert calls == {"schedule": 0, "report": 1, "pack": 0, "ids_for": 0,
                          "packed_ids": 1, "exits": 1}
 
+    def test_documents_over_512_tokens_rejected(self, tmp_path, capsys):
+        # as infer rejects them: 512 tokens price, 513 are an error and
+        # write no artifact
+        _, table_path = self.make_all_last_table(tmp_path)
+        for n, code in ((512, 0), (513, 1)):
+            out = tmp_path / str(n)
+            corpus_path = tmp_path / f"c{n}.txt"
+            save_corpus(Corpus(documents=[["a", "b"], ["c"] * n]), corpus_path)
+            assert run(["flops-report", "--table", table_path, "--corpus",
+                        corpus_path, "--d", 8, "--heads", 2, "--d-ff", 16,
+                        "--out-dir", out]) == code
+            assert (out / "flops.csv").exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert err == "error: sequence length 513 exceeds 512\n"
+
     def test_layers_mismatch(self, tmp_path, capsys):
         _, table_path = self.make_all_last_table(tmp_path, L=4)
         corpus_path = tmp_path / "c.txt"
@@ -607,6 +622,14 @@ class TestMalformedFlags:
                      id="flops-heads-0"),
         pytest.param(["flops-report", "--d-ff", 0], "positive",
                      id="flops-d-ff-0"),
+        pytest.param(["ablate-consistency", "--d", -2], "positive",
+                     id="ablate-negative-d"),
+        pytest.param(["ablate-consistency", "--d-ff", -1], "positive",
+                     id="ablate-negative-d-ff"),
+        pytest.param(["difficulty", "--d", -2], "positive",
+                     id="difficulty-negative-d"),
+        pytest.param(["difficulty", "--d-ff", -1], "positive",
+                     id="difficulty-negative-d-ff"),
     ])
     def test_typed_error(self, tmp_path, capsys, argv, says):
         corpus = tmp_path / "c.txt"

@@ -670,14 +670,16 @@ class TestForwardBatch:
         ([1, 0, 2], [0, 1, 3]),     # an exit of 0
         ([1, 3, 2], [0, 1, 3]),     # an exit above L
         ([1.0, 2.0, 2.0], [0, 1, 3]),
+        ([2] * 3 + [1] * 600, [0, 3, 603]),  # a document of 600 rows
     ], ids=["falling", "short", "late-start", "exit-0", "exit-beyond-L",
-            "float-exits"])
+            "float-exits", "longer-than-512"])
     def test_forward_and_report_reject_a_layout_alike(self, exits, offsets):
         # one layout check: the schedule forward runs and the one report
         # prices fail it the same way
         model = random_model(12, 2, 8, 2, 16, seed=56)
+        ids = np.arange(len(exits)) % 12
         with pytest.raises(HashExitError) as ran:
-            forward(model, PackedBatch([0, 1, 2], exits, offsets))
+            forward(model, PackedBatch(ids, exits, offsets))
         with pytest.raises(HashExitError) as priced:
             report(ModelDims(2, 8, 2, 16), exits, offsets)
         assert type(ran.value) is type(priced.value)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hashexit import flops
 from hashexit.errors import ConfigError, InputError, ShapeError
 from hashexit.encoder import ExitSchedule
 from hashexit.flops import (
@@ -71,6 +70,36 @@ class TestSavedMacs:
     def test_heads_must_divide(self):
         with pytest.raises(ConfigError):
             saved_macs(3, 2, 6, 4, 16)
+
+
+class TestIntegerDims:
+    @pytest.mark.parametrize("call", [
+        lambda: ModelDims(2, 8.0, 2, 16),
+        lambda: ModelDims(2.0, 8, 2, 16),
+        lambda: ModelDims(True, 8, 2, 16),
+        lambda: saved_macs(4.5, 2, 8, 2, 16),
+        lambda: saved_macs(4, 2, 8.0, 2, 16),
+        lambda: oracle_count(4, 2, 8.0, 2, 16),
+    ], ids=["dims-float-d", "dims-float-layers", "dims-bool-layers",
+            "saved-float-n", "saved-float-d", "oracle-float-d"])
+    def test_non_integers_rejected(self, call):
+        with pytest.raises(InputError, match="must be an integer"):
+            call()
+
+    def test_numpy_and_wide_ints_accepted(self):
+        dims = ModelDims(np.int64(2), np.int64(8), np.int64(2), np.int64(16))
+        assert dims == ModelDims(2, 8, 2, 16)
+        assert all(type(v) is int for v in (dims.num_layers, dims.d,
+                                             dims.heads, dims.d_ff))
+        assert saved_macs(np.int64(4), np.int64(2), 8, 2, 16) == saved_macs(
+            4, 2, 8, 2, 16)
+        wide = 12 * 2**40
+        cost = saved_macs(4, 2, wide, 12, wide)
+        assert type(cost.executed_macs) is int
+        assert cost.full_macs - cost.saved_macs == oracle_count(
+            4, 2, wide, 12, wide)
+        rep = report(ModelDims(2, wide, 12, wide), [2, 1, 2], [0, 3])
+        assert f"d={wide} " in rep.to_text()
 
 
 class TestOracle:
@@ -250,8 +279,9 @@ class TestReport:
 
 @st.composite
 def model_dims(draw):
-    # widths up to 2**42, where products of counts and dims leave int64
-    wide = st.integers(1, 64) | st.integers(2**40, 2**42)
+    # widths up to 2**64, where products of counts and dims leave int64
+    wide = (st.integers(1, 64) | st.integers(2**40, 2**42)
+            | st.integers(2**60, 2**64))
     heads = draw(st.integers(1, 12))
     return ModelDims(num_layers=draw(st.integers(1, 6)),
                      d=heads * draw(wide), heads=heads, d_ff=draw(wide))
@@ -344,46 +374,9 @@ def closed_form_figures(dims, docs):
             FLOPS_PER_MAC * executed)
 
 
-def spy_dtypes(monkeypatch):
-    """The dtype of the active counts of each `flops._layer_macs` call."""
-    seen = []
-    layer_macs = flops._layer_macs
-
-    def spy(n, m, *dims):
-        seen.append(m.dtype)
-        return layer_macs(n, m, *dims)
-
-    monkeypatch.setattr(flops, "_layer_macs", spy)
-    return seen
-
-
-def largest_int64_d_ff(rows, cells, d, h):
-    """The largest d_ff at which `_fits_int64` still holds."""
-    lo, hi = 1, 2**63
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if flops._fits_int64(rows, cells, d, h, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-@pytest.mark.parametrize("past, dtype", [(0, np.int64), (1, object)],
-                         ids=["just-under-2**63", "just-over-2**63"])
-@pytest.mark.parametrize("exits", [
-    np.full(512, 12), np.arange(512) % 12 + 1, np.full(512, 1)],
-    ids=["all-last", "every-layer", "all-first"])
-def test_int64_switch_at_its_edge(monkeypatch, exits, past, dtype):
-    # one 512-row document at L=12, d=768, h=12, with d_ff the widest the
-    # int64 path takes, or one wider: the sums reach close to 2**63
-    d_ff = largest_int64_d_ff(512, 12, 768, 12) + past
-    dims = ModelDims(num_layers=12, d=768, heads=12, d_ff=d_ff)
-    rows, total, baseline, executed = closed_form_figures(dims, [exits])
-    seen = spy_dtypes(monkeypatch)
-    rep = report(dims, exits, [0, 512])
-    assert seen == [dtype]
-    assert rep.baseline_flops // FLOPS_PER_MAC > 2**62
+def assert_closed_form(rep, dims, docs):
+    """`rep` holds `closed_form_figures(dims, docs)`, every figure an int."""
+    rows, total, baseline, executed = closed_form_figures(dims, docs)
     assert [(r.layer, r.n_sum, r.m_sum, r.saved_macs, r.full_macs)
             for r in rep.rows] == rows
     assert (rep.total_flops, rep.baseline_flops, rep.executed_flops) == (
@@ -395,17 +388,57 @@ def test_int64_switch_at_its_edge(monkeypatch, exits, past, dtype):
     assert all(type(v) is int for v in figures)
 
 
-def test_bert_base_corpus_takes_the_int64_path(monkeypatch):
+# the widest d_ff at which a bound on every figure of 12 layers of 512 rows
+# at d=768, h=12, and on their sum, stays below 2**63, the largest int64
+INT64_EDGE_D_FF = 977_343_660_164
+
+
+@pytest.mark.parametrize("past", [0, 1],
+                         ids=["just-under-2**63", "just-over-2**63"])
+@pytest.mark.parametrize("exits", [
+    np.full(512, 12), np.arange(512) % 12 + 1, np.full(512, 1)],
+    ids=["all-last", "every-layer", "all-first"])
+def test_int64_switch_at_its_edge(exits, past):
+    # one 512-row document at L=12, d=768, h=12, with d_ff at that edge or
+    # one wider: the sums reach close to 2**63, and stay exact either way
+    dims = ModelDims(num_layers=12, d=768, heads=12,
+                     d_ff=INT64_EDGE_D_FF + past)
+    rep = report(dims, exits, [0, 512])
+    assert rep.baseline_flops // FLOPS_PER_MAC > 2**62
+    assert_closed_form(rep, dims, [exits])
+
+
+def test_bert_base_corpus_takes_the_int64_path():
     # price-bert's shape: 1000 documents of up to 512 rows at BERT-base
-    # dims; the object path, forced, gives the same report
+    # dims, whose products of counts are summed in int64
     rng = np.random.default_rng(24)
     lengths = np.append(rng.integers(64, 512, size=999), 512)
     exits = rng.integers(1, 13, size=int(lengths.sum()))
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     dims = ModelDims(num_layers=12, d=768, heads=12, d_ff=3072)
-    seen = spy_dtypes(monkeypatch)
-    rep = report(dims, exits, offsets)
-    assert seen == [np.int64]
-    monkeypatch.setattr(flops, "_fits_int64", lambda *args: False)
-    assert report(dims, exits, offsets) == rep
-    assert seen == [np.int64, object]
+    assert_closed_form(report(dims, exits, offsets), dims,
+                       np.split(exits, offsets[1:-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.integers(0, 512).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       h=st.integers(1, 64), k=st.integers(1, 2**64))
+@example(counts=(0, 0), h=1, k=1)
+@example(counts=(512, 511), h=1, k=1)
+@example(counts=(512, 1), h=64, k=2**64)
+def test_reassociates_is_the_cost_inequality(counts, h, k):
+    # the bound form equals m·(d + (h−1)·n) < n·d in Python ints, at any
+    # width d = h·k
+    (n, m), d = counts, h * k
+    assert reassociates(n, m, d, h) == (m * (d + (h - 1) * n) < n * d)
+
+
+@pytest.mark.parametrize("d, h", [(8, 2), (256, 4), (768, 12), (64, 64)])
+def test_reassociates_on_int64_arrays(d, h):
+    n, m = np.meshgrid(np.arange(513), np.arange(513), indexing="ij")
+    n, m = n[m <= n], m[m <= n]
+    got = reassociates(n, m, d, h)
+    want = [m_ * (d + (h - 1) * n_) < n_ * d
+            for n_, m_ in zip(n.tolist(), m.tolist())]
+    assert got.dtype == bool and got.tolist() == want
