@@ -14,10 +14,9 @@ import numpy as np
 from .artifacts import write_text
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus
-# schedule is no longer called here; it stays importable from this module
-# for the wrappers that bench/ places at hashexit.cli names until the
-# per-document schedule goes (ROADMAP item 1)
-from .encoder import batches, classify, forward, load_model, schedule
+# schedule is not called here; it stays importable for bench/'s wrappers at
+# hashexit.cli names until the per-document API goes (ROADMAP item 2)
+from .encoder import batches, classify, forward, load_model, route, schedule
 from .flops import ModelDims, report
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
@@ -93,16 +92,15 @@ def cmd_infer(args):
     if len(table.tokens) > model.vocab_size:
         raise ConfigError(f"table vocabulary ({len(table.tokens)}) exceeds "
                           f"model vocabulary ({model.vocab_size})")
-    table.exits((), model.num_layers)  # the depth check, for any corpus
     corpus = load_corpus(args.corpus, labeled=args.labeled)
     _report_skipped(corpus)
-    ids_list = [table.vocab.ids_for(doc) for doc in corpus.documents]
-    # one forward call per packed batch, and forward and classify looked
-    # up here, so that wrappers placed at these names in hashexit.cli see
-    # each call (bench/ times and traces them); the packed states are
-    # dropped as soon as their first rows are read
-    feats = np.empty((len(ids_list), model.d))
-    for batch, packed in batches(model, ids_list, table):
+    routed = route(*table.vocab.packed_ids(corpus.documents), table,
+                   model.num_layers)
+    # one forward call per packed batch, forward and classify looked up
+    # here so that bench/'s wrappers at these hashexit.cli names see each
+    # call; the packed states are dropped once their first rows are read
+    feats = np.empty((len(routed), model.d))
+    for batch, packed in batches(model, routed):
         feats[batch] = forward(model, packed)[packed.offsets[:-1]]
     preds = np.argmax(classify(model, feats), axis=1)
     path = out_dir / "predictions.tsv"
@@ -121,10 +119,9 @@ def cmd_flops_report(args):
                           f"table's L={table.num_layers}")
     corpus = load_corpus(args.corpus)
     _report_skipped(corpus)
-    # the corpus's token ids looked up in one flat pass, with no list per
-    # document, and every exit layer in one lookup; unpinned, unlike infer:
-    # the benchmark checks this report against the unpinned lookup, so
-    # pinning waits for a benchmark change (ROADMAP)
+    # unpinned, unlike infer's route: the benchmark checks this report
+    # against the unpinned lookup, so pinning waits for a benchmark change
+    # (ROADMAP item 1)
     ids, offsets = table.vocab.packed_ids(corpus.documents)
     exits = table.exits(ids)
     del ids  # not held through report's temporaries, which set the peak

@@ -16,7 +16,8 @@ import numpy as np
 
 from .artifacts import check_field, check_tokens, write_text
 from .errors import ConfigError, InputError, ShapeError, int_vector
-from .encoder import _head_loss_and_grad, _label_ids, batches, fit, forward
+from .encoder import (PackedBatch, _head_loss_and_grad, _label_ids, batches,
+                      fit, forward, pack)
 
 
 @dataclass
@@ -106,7 +107,9 @@ def _instance_states(model, sequences, counts):
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
     feats = np.empty((counts.sum(), model.num_layers, model.d))
-    for batch, packed in batches(model, sequences):
+    ids, offsets = pack(sequences)
+    corpus = PackedBatch(ids, np.full(ids.size, model.num_layers), offsets)
+    for batch, packed in batches(model, corpus):
         n = counts[batch]
         # the k-th instance of batch document j: row offsets[j] + k, stored
         # at starts[batch[j]] + k

@@ -7,11 +7,11 @@ the sequence as keys and values, so later layers still attend over the full
 sequence. Setting every exit to the top layer reproduces a plain post-norm
 encoder exactly. A schedule has no padding: every position is a token.
 
-Because the schedule is known before layer 1 runs, documents run as one
-packed batch. `route` looks the exit layers of a whole batch up at once
-and returns a flat PackedBatch: every row's token id and exit layer in two
-int64 vectors, and each document's start row. The per-row work of each
-layer is one matmul over the stacked active rows, and attention stays
+Because the schedule is known before layer 1 runs, `route` looks the exit
+layers of a whole packed corpus up at once and returns a flat PackedBatch:
+every row's token id and exit layer in two int64 vectors, and each
+document's start row. `batches` cuts it into batches. The per-row work of
+each layer is one matmul over the stacked active rows, and attention stays
 inside each document. There is one path: a single sequence is a batch of
 one and takes the same per-document attention.
 
@@ -214,17 +214,17 @@ def pack(sequences):
     return ids, offsets
 
 
-def route(sequences, table, num_layers):
-    """Pack the id sequences `sequences` and look up every row's exit layer.
-
-    Returns one PackedBatch for `forward`. Each document's position 0 is
+def route(ids, offsets, table, num_layers):
+    """The PackedBatch of a packed corpus, `ids` and `offsets` as `pack` or
+    `Vocab.packed_ids` give them (offsets read by `errors.row_offsets`),
+    with every row's exit layer looked up. Each document's position 0 is
     pinned to the top layer (it hosts the classifier readout), and unknown
     ids run to the top layer. A table built for another depth than
-    num_layers is a ConfigError.
-    """
-    ids, offsets = pack(sequences)
+    num_layers is a ConfigError."""
+    ids = int_vector(ids, "token ids")
+    offsets, lengths = row_offsets(offsets, ids.size, "offsets")
     exits = table.exits(ids, num_layers)
-    exits[offsets[:-1][np.diff(offsets) > 0]] = table.num_layers
+    exits[offsets[:-1][lengths > 0]] = table.num_layers
     return PackedBatch(ids, exits, offsets)
 
 
@@ -443,20 +443,23 @@ def forward_layer(h, weights, active, *, heads, segments):
     return h
 
 
-def _layers(model, batch):
-    """Walk a PackedBatch through the layers.
-
-    Checks the batch (`errors.packed_layout`) and embeds it at once, then
-    returns an iterator over
-    the packed (rows, d) states H^0..H^L: one array, which each step
-    overwrites with the next layer (forward_layer).
-    """
+def _checked(batch, num_layers):
+    """A PackedBatch's ids, exits, offsets and document lengths, the layout
+    read by `errors.packed_layout`; unequal ids and exits: a ShapeError."""
     ids = int_vector(batch.ids, "token ids")
     exits = int_vector(batch.exits, "exit layers")
     if exits.shape != ids.shape:
         raise ShapeError(f"{exits.size} exit layers for {ids.size} token ids")
-    exits, offsets, lengths = packed_layout(exits, batch.offsets,
-                                            model.num_layers)
+    return (ids, *packed_layout(exits, batch.offsets, num_layers))
+
+
+def _layers(model, batch):
+    """Walk a PackedBatch through the layers.
+
+    Checks the batch (`_checked`) and embeds it at once, then returns an
+    iterator over the packed (rows, d) states H^0..H^L: one array, which
+    each step overwrites with the next layer (forward_layer)."""
+    ids, exits, offsets, lengths = _checked(batch, model.num_layers)
     if (lengths == 0).any():
         raise InputError("cannot run a forward pass on an empty sequence")
     positions = np.arange(ids.size) - np.repeat(offsets[:-1], lengths)
@@ -492,28 +495,23 @@ def forward(model, batch, sched=None, *, traces=False):
     return final
 
 
-def batches(model, sequences, table=None):
-    """Walk the id sequences `sequences` in packed batches for `forward`.
+def batches(model, corpus):
+    """Cut the PackedBatch `corpus` into packed batches for `forward`.
 
-    Yields each batch's indices into `sequences` and its PackedBatch.
+    Yields each batch's document indices and its PackedBatch, the rows
+    gathered from the corpus, which is checked as `forward` checks it.
     Documents are taken shortest first, so a batch holds documents of
     similar length, and a batch's states stay within BATCH_ROWS rows and
     STATE_FLOATS floats; a document longer than that gets a batch of its
-    own. With a table, each batch is routed (`route`); without one, every
-    row runs to the top layer.
-    """
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    own."""
+    ids, exits, offsets, lengths = _checked(corpus, model.num_layers)
     order = np.argsort(lengths, kind="stable")
     budget = min(BATCH_ROWS, STATE_FLOATS // model.d)
     for lo, hi in _cuts((lengths[order],), budget):
-        batch = order[lo:hi]
-        docs = [sequences[i] for i in batch]
-        if table is not None:
-            yield batch, route(docs, table, model.num_layers)
-        else:
-            ids, offsets = pack(docs)
-            yield batch, PackedBatch(ids, np.full(ids.size, model.num_layers),
-                                     offsets)
+        batch, sizes = order[lo:hi], lengths[order[lo:hi]]
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        rows = np.arange(starts[-1]) + np.repeat(offsets[batch] - starts[:-1], sizes)
+        yield batch, PackedBatch(ids[rows], exits[rows], starts)
 
 
 def classify(model, feats):
@@ -600,9 +598,10 @@ def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
 
 def cls_features(model, sequences, table):
     """Frozen-encoder features: final state of position 0 per sequence,
-    run in the routed batches of `batches`."""
+    the sequences packed and routed once, then run in `batches`."""
     feats = np.empty((len(sequences), model.d))
-    for batch, packed in batches(model, sequences, table):
+    corpus = route(*pack(sequences), table, model.num_layers)
+    for batch, packed in batches(model, corpus):
         feats[batch] = forward(model, packed)[packed.offsets[:-1]]
     return feats
 

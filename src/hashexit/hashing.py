@@ -63,14 +63,15 @@ class Vocab:
         return len(self.tokens)
 
     def ids_for(self, tokens) -> list[int]:
-        """Map tokens to ids; tokens outside the vocab map to -1."""
+        """Map tokens to ids; tokens outside the vocab map to -1. The
+        package uses `packed_ids`; this stays for bench/, which wraps it."""
         return [self._index.get(t, -1) for t in tokens]
 
     def packed_ids(self, documents):
         """The ids of every token of `documents`, a list of token lists,
         in one int64 vector, and each document's start row followed by the
-        row count: `encoder.pack` of their `ids_for` lists, looked up in
-        one flat pass with no list per document."""
+        row count, as `encoder.route` takes them: the one text-to-ids
+        lookup, in one flat pass with no list per document."""
         offsets = np.zeros(len(documents) + 1, dtype=np.int64)
         np.cumsum([len(doc) for doc in documents], out=offsets[1:])
         ids = np.fromiter(map(self._index.get, chain.from_iterable(documents),
@@ -434,7 +435,7 @@ def build_clustered(vocab: Vocab, emb: EmbeddingTable, num_buckets: int,
     sizes follow the clustering and may be unequal.
     """
     _check_buckets(num_buckets, num_layers)
-    rows = np.array(emb.vocab.ids_for(vocab.tokens), dtype=np.int64)
+    rows, _ = emb.vocab.packed_ids([vocab.tokens])
     if (rows < 0).any():
         missing = vocab.tokens[int(np.argmax(rows < 0))]
         raise ConfigError(f"no embedding for token {missing!r}")

@@ -272,7 +272,8 @@ class TestInfer:
 
     @pytest.mark.parametrize("docs", [[["a", "b"]], []], ids=["docs", "no-docs"])
     def test_depth_mismatch_rejected(self, tmp_path, capsys, docs):
-        # a corpus with no documents never reaches route, and is refused too
+        # route makes the depth check on every corpus, one with no
+        # documents too
         _, _, _, table_path, _ = make_model_and_table(tmp_path)
         deeper = random_model(6, 4, 8, 2, 16, seed=1, num_classes=2)
         save_model(deeper, tmp_path / "deeper.bin")
@@ -284,6 +285,35 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "L=3" in err and "L=4" in err
         assert not (tmp_path / "predictions.tsv").exists()
+
+    def test_reads_text_through_packed_ids(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the corpus is looked up in one flat pass and routed once, with no
+        # per-document id list
+        model, model_path, table, table_path, vocab = make_model_and_table(tmp_path)
+        monkeypatch.setattr(encoder, "BATCH_ROWS", 4)
+        docs = [["a", "b", "c"], ["f", "e"], ["d", "zzz"], ["a"]]
+        corpus_path = tmp_path / "docs.txt"
+        save_corpus(Corpus(documents=docs), corpus_path)
+        owners = {"ids_for": Vocab, "packed_ids": Vocab, "route": cli,
+                  "pack": encoder}
+        calls = dict.fromkeys(owners, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, owner in owners.items():
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        code = run(["infer", "--model", model_path, "--table", table_path,
+                    "--corpus", corpus_path, "--out-dir", tmp_path])
+        assert code == 0
+        assert calls == {"ids_for": 0, "packed_ids": 1, "route": 1, "pack": 0}
+        lines = (tmp_path / "predictions.tsv").read_text().splitlines()
+        assert lines == [f"{i}\t{predict_one(model, vocab.ids_for(doc), table)}"
+                         for i, doc in enumerate(docs)]
 
     def test_missing_file(self, tmp_path, capsys):
         _, model_path, _, table_path, _ = make_model_and_table(tmp_path)

@@ -1,10 +1,12 @@
 """Every demo script, and every python block of README.md, runs to
 completion against the package in src/; every `hashexit` command and
-`--flag` that README.md names exists in the CLI, and every dotted name of
-the package it puts in backticks resolves."""
+`--flag` that README.md names exists in the CLI, every dotted name of the
+package it puts in backticks resolves, and every call of an exported name
+it puts in backticks binds to that name's signature."""
 
 import argparse
 import importlib
+import inspect
 import os
 import re
 import shlex
@@ -101,15 +103,64 @@ def readme_package_names():
     return sorted(names)
 
 
+def resolve(name):
+    """The package object a dotted README name stands for, or None."""
+    first, *rest = name.removeprefix("hashexit.").split(".")
+    obj = (importlib.import_module(f"hashexit.{first}")
+           if first in SUBMODULES else getattr(hashexit, first, None))
+    for part in rest:
+        obj = getattr(obj, part, None)
+    return obj
+
+
 def test_readme_names_resolve():
     names = readme_package_names()
-    dead = []
-    for name in names:
-        first, *rest = name.removeprefix("hashexit.").split(".")
-        obj = (importlib.import_module(f"hashexit.{first}")
-               if first in SUBMODULES else getattr(hashexit, first, None))
-        for part in rest:
-            obj = getattr(obj, part, None)
-        if obj is None:
-            dead.append(name)
+    dead = [name for name in names if resolve(name) is None]
     assert names and not dead, dead
+
+
+def readme_call_forms():
+    """Each backticked span of README's prose that is a whole call of an
+    exported name, `name(args)` or `Class.method(args)`, with its line
+    breaks folded: the name and its argument list."""
+    prose = re.sub(r"^```.*?^```$", "", README, flags=re.M | re.S)
+    forms = []
+    for span in re.findall(r"`([^`]+)`", prose):
+        call = re.fullmatch(r"([A-Za-z_][\w.]*)\((.*)\)", " ".join(span.split()))
+        if call and call.group(1).split(".")[0] in hashexit.__all__:
+            forms.append(call.groups())
+    return forms
+
+
+def binds(name, args):
+    """Whether `args`, a README argument list such as `ids, L` or
+    `heads=, segments=`, binds to the signature of `name`: placeholders
+    stand for the values, and a method (`Class.method`) gets one for
+    self."""
+    obj = resolve(name)
+    if obj is None:
+        return False
+    owner, _, attr = name.rpartition(".")
+    owner = resolve(owner) if owner else None
+    method = inspect.isclass(owner) and inspect.isfunction(
+        inspect.getattr_static(owner, attr))
+    positional, keywords = ["self"] if method else [], {}
+    for arg in filter(None, (a.strip() for a in args.split(","))):
+        keyword = re.match(r"(\w+)=", arg)
+        if keyword:
+            keywords[keyword.group(1)] = arg
+        else:
+            positional.append(arg)
+    try:
+        inspect.signature(obj).bind(*positional, **keywords)
+    except TypeError:
+        return False
+    return True
+
+
+def test_readme_call_forms_bind():
+    # a README form of a call that the code no longer takes, say a dropped
+    # or added parameter, fails here
+    forms = readme_call_forms()
+    stale = [f"{name}({args})" for name, args in forms if not binds(name, args)]
+    assert len(forms) >= 10 and not stale, stale

@@ -188,7 +188,7 @@ class TestOneLookup:
         with pytest.raises(ConfigError):
             table.exits(flat, L + 1)
         pinned = [[L] + w[1:] if w else w for w in want]
-        assert route(docs, table, L).exits.tolist() == [
+        assert route(*pack(docs), table, L).exits.tolist() == [
             e for w in pinned for e in w]
         for doc, plain, pin in zip(docs, want, pinned):
             assert schedule(doc, table, L).exit_layer.tolist() == plain
@@ -206,7 +206,7 @@ class TestRoute:
         # one lookup over the batch equals a pinned schedule per document,
         # ids of -1 and beyond the table's 12 tokens included
         table = self.TABLE
-        batch = route(docs, table, 6)
+        batch = route(*pack(docs), table, 6)
         want = [schedule(doc, table, 6, pin_first=True).exit_layer
                 for doc in docs]
         assert len(batch) == len(docs)
@@ -216,31 +216,36 @@ class TestRoute:
         assert batch.exits.tolist() == [int(e) for w in want for e in w]
         assert batch.offsets.tolist() == [0] + np.cumsum(
             [len(doc) for doc in docs], dtype=np.int64).tolist()
-        arrays = route([np.array(doc, dtype=np.int64) for doc in docs], table, 6)
+        # ids and offsets given as lists read as the int64 vectors
+        listed = route(batch.ids.tolist(), batch.offsets.tolist(), table, 6)
         for part in ("ids", "exits", "offsets"):
-            assert np.array_equal(getattr(arrays, part), getattr(batch, part))
+            assert np.array_equal(getattr(listed, part), getattr(batch, part))
+            assert getattr(listed, part).dtype == np.int64
 
     @pytest.mark.parametrize("docs", [[[0.9, 1.7], [2.5]], [[True, False]]],
                              ids=["float-ids", "bool-ids"])
     def test_ids_must_be_integers(self, docs):
         # read through errors.int_vector, never truncated to [0, 1, 2] or
         # taken as ids [1, 0]
-        for call in (lambda: pack(docs), lambda: route(docs, self.TABLE, 6)):
+        flat = [t for doc in docs for t in doc]
+        offsets = np.cumsum([0] + [len(doc) for doc in docs])
+        for call in (lambda: pack(docs),
+                     lambda: route(flat, offsets, self.TABLE, 6)):
             with pytest.raises(InputError, match="token ids"):
                 call()
 
     def test_layer_count_mismatch(self):
         with pytest.raises(ConfigError):
-            route([[0, 1]], self.TABLE, 5)
+            route(*pack([[0, 1]]), self.TABLE, 5)
         with pytest.raises(ConfigError):
-            route([], self.TABLE, 12)
+            route(*pack([]), self.TABLE, 12)
 
     def test_forward_matches_schedules(self):
         rng = np.random.default_rng(54)
         model = random_model(24, 6, 8, 2, 16, seed=55)
         docs = [list(rng.integers(-1, 24, size=int(rng.integers(1, 9))))
                 for _ in range(7)]
-        batch = route(docs, self.TABLE, 6)
+        batch = route(*pack(docs), self.TABLE, 6)
         finals = forward(model, batch)
         for doc, a, b in zip(docs, batch.offsets, batch.offsets[1:]):
             sched = schedule(doc, self.TABLE, 6, pin_first=True)
@@ -538,10 +543,17 @@ class TestForward:
             forward(model, PackedBatch([[1], [2, 3]], [2, 2, 2], [0, 3]))
 
 
+def no_exit_corpus(model, sequences):
+    """The id sequences packed as one PackedBatch, every row to layer L."""
+    ids, offsets = pack(sequences)
+    return PackedBatch(ids, np.full(ids.size, model.num_layers), offsets)
+
+
 def row_budget(model):
     """Rows of the first batch that `batches` cuts from one-row documents,
     one more of them than BATCH_ROWS: its row budget for this model."""
-    cut = encoder.batches(model, [[0]] * (encoder.BATCH_ROWS + 1))
+    cut = encoder.batches(
+        model, no_exit_corpus(model, [[0]] * (encoder.BATCH_ROWS + 1)))
     return next(cut)[1].offsets[-1]
 
 
@@ -662,6 +674,11 @@ class TestForwardBatch:
                 forward(model, bad)
             with pytest.raises(error):
                 forward(model, bad, traces=True)
+            # batches checks the corpus as forward does, before it cuts or
+            # gathers a row; only forward rejects an empty document
+            if bad.offsets.tolist() != [0, 0, 2]:
+                with pytest.raises(error):
+                    next(encoder.batches(model, bad))
 
     @pytest.mark.parametrize("exits, offsets", [
         ([1, 2, 2], [0, 2, 1, 3]),  # falling
@@ -674,43 +691,67 @@ class TestForwardBatch:
     ], ids=["falling", "short", "late-start", "exit-0", "exit-beyond-L",
             "float-exits", "longer-than-512"])
     def test_forward_and_report_reject_a_layout_alike(self, exits, offsets):
-        # one layout check: the schedule forward runs and the one report
-        # prices fail it the same way
+        # one layout check: the schedule forward runs, the corpus batches
+        # cuts and the one report prices fail it the same way, and route
+        # reads the offsets by the same rule
         model = random_model(12, 2, 8, 2, 16, seed=56)
         ids = np.arange(len(exits)) % 12
-        with pytest.raises(HashExitError) as ran:
-            forward(model, PackedBatch(ids, exits, offsets))
-        with pytest.raises(HashExitError) as priced:
-            report(ModelDims(2, 8, 2, 16), exits, offsets)
-        assert type(ran.value) is type(priced.value)
-        assert str(ran.value) == str(priced.value)
+        table = build_random(Vocab(tuple(f"w{i}" for i in range(12))), 2, 2,
+                             seed=4)
+        calls = [lambda: forward(model, PackedBatch(ids, exits, offsets)),
+                 lambda: next(encoder.batches(model,
+                                              PackedBatch(ids, exits, offsets))),
+                 lambda: report(ModelDims(2, 8, 2, 16), exits, offsets)]
+        if offsets not in ([0, 1, 3], [0, 3, 603]):  # the offsets cases
+            calls.append(lambda: route(ids, offsets, table, 2))
+        raised = []
+        for call in calls:
+            with pytest.raises(HashExitError) as caught:
+                call()
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised == raised[:1] * len(calls)
 
     def test_batches_respect_budget(self, monkeypatch):
         monkeypatch.setattr(encoder, "BATCH_ROWS", 10)
         model = random_model(12, 3, 8, 2, 16, seed=54)
-        table = build_random(Vocab(tuple(f"w{i}" for i in range(12))), 2, 3, seed=4)
         lengths = [4, 12, 3, 3, 5, 1, 9]
-        seqs = [list(range(n)) for n in lengths]
-        batches = [batch.tolist() for batch, _ in encoder.batches(model, seqs)]
+        corpus = no_exit_corpus(model, [list(range(n)) for n in lengths])
+        batches = [batch.tolist() for batch, _ in encoder.batches(model, corpus)]
         assert sorted(i for b in batches for i in b) == list(range(len(lengths)))
         for batch in batches:
             rows = sum(lengths[i] for i in batch)
             assert rows <= 10 or len(batch) == 1
         # shortest first, cut where the next document would overflow
         assert batches == greedy_batches(lengths, 10)
-        # each batch packs its documents in order; without a table every
-        # row runs to the top layer, with one each batch is its route
-        for (batch, packed), (again, routed) in zip(
-                encoder.batches(model, seqs), encoder.batches(model, seqs, table)):
-            assert np.array_equal(batch, again)
-            ids, offsets = pack([seqs[i] for i in batch])
-            assert np.array_equal(packed.ids, ids)
-            assert np.array_equal(packed.offsets, offsets)
-            assert np.array_equal(packed.exits, np.full(ids.size, 3))
-            want = route([seqs[i] for i in batch], table, 3)
-            for got, ref in zip(routed.__dict__.values(), want.__dict__.values()):
-                assert np.array_equal(got, ref)
-        assert list(encoder.batches(model, [])) == []
+        assert list(encoder.batches(model, no_exit_corpus(model, []))) == []
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_batches_gather_the_corpus_rows(self, monkeypatch, data):
+        # batches only cuts: its index lists are greedy_batches' and each
+        # batch holds its documents' corpus rows (ids and exits) in order,
+        # empty documents included
+        budget = data.draw(st.integers(1, 24), label="rows")
+        monkeypatch.setattr(encoder, "BATCH_ROWS", budget)
+        model = random_model(12, 4, 8, 2, 16, seed=57)
+        docs = data.draw(st.lists(st.lists(st.tuples(st.integers(-1, 11),
+                                                     st.integers(1, 4)),
+                                           max_size=30), max_size=15),
+                         label="docs")
+        ids, offsets = pack([[t for t, _ in doc] for doc in docs])
+        exits = np.array([e for doc in docs for _, e in doc], dtype=np.int64)
+        cut = list(encoder.batches(model, PackedBatch(ids, exits, offsets)))
+        assert [batch.tolist() for batch, _ in cut] == greedy_batches(
+            [len(doc) for doc in docs], budget)
+        for batch, packed in cut:
+            want = [docs[i] for i in batch]
+            assert packed.offsets.tolist() == np.cumsum(
+                [0] + [len(doc) for doc in want]).tolist()
+            assert packed.ids.tolist() == [t for doc in want for t, _ in doc]
+            assert packed.exits.tolist() == [e for doc in want for _, e in doc]
+            for part in (packed.ids, packed.exits, packed.offsets):
+                assert part.dtype == np.int64
 
     def test_batches_of_empty_documents_raise(self):
         # a document with no rows lands in a batch like any other, and
@@ -718,7 +759,7 @@ class TestForwardBatch:
         # which would leave their features unset
         model = random_model(12, 2, 8, 2, 16, seed=55, num_classes=2)
         table = build_random(Vocab(tuple(f"w{i}" for i in range(12))), 2, 2, seed=5)
-        cut = list(encoder.batches(model, [[], [3], []], table))
+        cut = list(encoder.batches(model, route(*pack([[], [3], []]), table, 2)))
         assert [batch.tolist() for batch, _ in cut] == [[0, 2, 1]]
         assert cut[0][1].offsets.tolist() == [0, 0, 0, 1]
         for seqs in ([[], []], [[]], [[], [1, 2]]):
@@ -739,7 +780,7 @@ class TestForwardBatch:
         monkeypatch.setattr(encoder, "BATCH_ROWS", 16)
         monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 4)
         assert row_budget(model) == 16
-        assert len(list(encoder.batches(model, seqs, table))) > 3
+        assert len(list(encoder.batches(model, route(*pack(seqs), table, 2)))) > 3
         split = encoder.cls_features(model, seqs, table)
         for seq, got in zip(seqs, split):
             sched = schedule(seq, table, 2, pin_first=True)
@@ -806,7 +847,8 @@ class TestCorpusAgainstReference:
         monkeypatch.setattr(encoder, "_attention", spy)
         try:
             seen = []
-            for batch, packed in encoder.batches(model, docs, table):
+            for batch, packed in encoder.batches(model,
+                                                 route(*pack(docs), table, L)):
                 assert packed.offsets[-1] <= budget or len(batch) == 1
                 final = forward(model, packed)
                 for i, lo, hi in zip(batch, packed.offsets, packed.offsets[1:]):
@@ -1029,7 +1071,8 @@ class TestLayerGroups:
         budget = row_budget(model)
         seqs = [list(rng.integers(-1, 300, size=n)) for n in [64] * 16 + [128] * 24]
         lengths = [len(seq) for seq in seqs]
-        batches = [batch for batch, _ in encoder.batches(model, seqs, table)]
+        batches = [batch for batch, _ in
+                   encoder.batches(model, route(*pack(seqs), table, 3))]
         assert [sum(lengths[i] for i in batch) for batch in batches] == [budget] * 2
 
         def peak_of(seqs):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,6 +533,25 @@ class TestClusteredHash:
         emb = EmbeddingTable(("a", "b"), np.ones((2, 3)))
         with pytest.raises(ConfigError):
             build_clustered(vocab, emb, 2, 4, seed=0)
+
+    def test_tokens_looked_up_through_packed_ids(self, monkeypatch):
+        # Vocab.ids_for stays for bench/; no package code calls it, and
+        # the clustered builder looks its tokens up with packed_ids
+        src = Path(hashing.__file__).parent
+        assert [f"{path.name}:{lineno}" for path in sorted(src.glob("*.py"))
+                for lineno, line in enumerate(path.read_text().splitlines(), 1)
+                if ".ids_for(" in line] == []
+        vocab = Vocab(("d", "a", "c", "b"))
+        emb = EmbeddingTable(("a", "b", "c", "d", "e"),
+                             np.array([[0.5, 0.0], [3.1, 2.9], [0.6, 0.1],
+                                       [3.0, 3.0], [9.0, 9.0]]))
+        want = build_clustered(vocab, emb, 2, 2, seed=0)
+        monkeypatch.setattr(Vocab, "ids_for", None)
+        got = build_clustered(vocab, emb, 2, 2, seed=0)
+        assert serialize_hash_table(got) == serialize_hash_table(want)
+        assert got.layers.tolist() == [2, 1, 1, 2]
+        with pytest.raises(ConfigError, match="'z'"):
+            build_clustered(Vocab(("a", "z")), emb, 2, 2, seed=0)
 
 
 class TestSerialization:
