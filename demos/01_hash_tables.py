@@ -8,7 +8,8 @@ served by layer 1 + floor(L*b/B). What differs between methods is only
   - random: a seeded shuffle (the train/infer-consistent baseline)
   - frequency: common tokens exit earliest
   - mi: tokens that carry the most label information exit earliest
-  - clustered: k-means over embeddings, low-norm clusters exit first
+  - clustered: k-means over the vectors of every token an embedding
+    table holds, low-norm clusters exit first
 
 Run it a second time and the output is identical; everything is seeded.
 """
@@ -53,7 +54,7 @@ tables = {
 
 rng = np.random.default_rng(7)
 emb = EmbeddingTable(vocab.tokens, rng.normal(size=(len(vocab.tokens), 8)))
-tables["clustered"] = build_clustered(vocab, emb, B, L, seed=0)
+tables["clustered"] = build_clustered(emb, B, L, seed=0)
 
 for name, table in tables.items():
     per_token = " ".join(f"{tok}:{layer}"

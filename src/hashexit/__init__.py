@@ -48,7 +48,6 @@ from .encoder import (
     embed,
     forward,
     forward_layer,
-    head_loss_and_grad,
     load_model,
     positional_encoding,
     random_model,

@@ -53,9 +53,8 @@ def cmd_build_hash(args):
     if args.method == "clustered":
         if args.embeddings is None:
             raise ConfigError("method clustered needs --embeddings")
-        emb = load_embeddings(args.embeddings)
-        tables = [build_clustered(emb.vocab, emb, args.buckets, args.layers,
-                                  seed=args.seed)]
+        tables = [build_clustered(load_embeddings(args.embeddings),
+                                  args.buckets, args.layers, seed=args.seed)]
     else:
         if args.corpus is None:
             raise ConfigError(f"method {args.method} needs --corpus")
@@ -117,6 +116,8 @@ def cmd_flops_report(args):
     if args.layers is not None and args.layers != table.num_layers:
         raise ConfigError(f"--layers {args.layers} does not match the "
                           f"table's L={table.num_layers}")
+    dims = ModelDims(num_layers=table.num_layers, d=args.d, heads=args.heads,
+                     d_ff=args.d_ff)
     corpus = load_corpus(args.corpus)
     _report_skipped(corpus)
     # unpinned, unlike infer's route: the benchmark checks this report
@@ -125,8 +126,6 @@ def cmd_flops_report(args):
     ids, offsets = table.vocab.packed_ids(corpus.documents)
     exits = table.exits(ids)
     del ids  # not held through report's temporaries, which set the peak
-    dims = ModelDims(num_layers=table.num_layers, d=args.d, heads=args.heads,
-                     d_ff=args.d_ff)
     rep = report(dims, exits, offsets)
     write_text(out_dir / "flops.csv", rep.to_csv())
     write_text(out_dir / "flops.txt", rep.to_text())

@@ -250,50 +250,47 @@ def bce_loss_and_grad(w, b, feats, targets):
 
 @dataclass
 class LinearBPredictor:
-    """Linear+sigmoid over per-layer states; weights shared across slots
-    unless trained per layer."""
+    """Linear+sigmoid over per-layer states: row l of `weights` and entry
+    l of `biases` score slot l's states. A probe shared across slots is
+    one row repeated L times."""
 
     weights: np.ndarray
     biases: np.ndarray
-    per_layer: bool
 
     def predict_bits(self, dataset):
         if dataset.features is None:
             raise ConfigError("dataset carries no hidden-state features")
         n, L, _ = dataset.features.shape
+        if L != len(self.weights):
+            raise ConfigError(f"predictor has {len(self.weights)} slots, "
+                              f"dataset has {L} layers")
         out = np.empty((n, L), dtype=np.int8)
         for l in range(L):
-            idx = l if self.per_layer else 0
-            z = dataset.features[:, l] @ self.weights[idx] + self.biases[idx]
+            z = dataset.features[:, l] @ self.weights[l] + self.biases[l]
             out[:, l] = (_sigmoid(z) >= 0.5).astype(np.int8)
         return out
 
 
 def linear_b(dataset, *, per_layer=False, epochs=300, lr=0.5, seed=0):
-    """Fit the linear difficulty predictor with gradient descent on BCE."""
+    """Fit the linear difficulty predictor with gradient descent on BCE:
+    one probe on every slot's states and bits, or with per_layer one per
+    slot."""
     if len(dataset) == 0:
         raise InputError("cannot train on an empty dataset")
     if dataset.features is None:
         raise ConfigError("linear predictor needs hidden-state features")
     n, L, d = dataset.features.shape
     rng = np.random.default_rng(seed)
-    slots = range(L) if per_layer else [None]
-    weights, biases = [], []
-    for slot in slots:
-        if slot is None:
-            feats = dataset.features.reshape(n * L, d)
-            targets = dataset.bits.astype(np.float64).reshape(n * L)
-        else:
-            feats = dataset.features[:, slot]
-            targets = dataset.bits[:, slot].astype(np.float64)
+    groups = [slice(l, l + 1) for l in range(L)] if per_layer else [slice(0, L)]
+    weights, biases = np.empty((L, d)), np.empty(L)
+    for group in groups:
+        feats = dataset.features[:, group].reshape(-1, d)
+        targets = dataset.bits[:, group].astype(np.float64).reshape(-1)
         w = rng.normal(0.0, 0.01, size=d)
-        w, b = fit(lambda w, b: bce_loss_and_grad(w, b, feats, targets),
-                   (w, 0.0), epochs=epochs, lr=lr,
-                   what="linear difficulty predictor")
-        weights.append(w)
-        biases.append(b)
-    return LinearBPredictor(weights=np.array(weights), biases=np.array(biases),
-                            per_layer=per_layer)
+        weights[group], biases[group] = fit(
+            lambda w, b: bce_loss_and_grad(w, b, feats, targets), (w, 0.0),
+            epochs=epochs, lr=lr, what="linear difficulty predictor")
+    return LinearBPredictor(weights=weights, biases=biases)
 
 
 def negative_class_metrics(bits_true, bits_pred):

@@ -514,12 +514,17 @@ def batches(model, corpus):
         yield batch, PackedBatch(ids[rows], exits[rows], starts)
 
 
+def _head(model):
+    """The model's classifier head; a model without one is a ConfigError."""
+    if model.head is None:
+        raise ConfigError("model has no classifier head")
+    return model.head
+
+
 def classify(model, feats):
     """Class scores of each row of feats, the final states of pinned first
     positions (cls_features)."""
-    if model.head is None:
-        raise ConfigError("model has no classifier head")
-    return feats @ model.head
+    return feats @ _head(model)
 
 
 def fit(loss_and_grad, params, *, epochs, lr, what):
@@ -540,17 +545,12 @@ def fit(loss_and_grad, params, *, epochs, lr, what):
     return params
 
 
-def head_loss_and_grad(head, feats, label_ids):
-    """Mean cross entropy of feats @ head and its gradient in head; the
-    labels are read by `_label_ids`, one class of head per row of feats."""
-    feats = np.asarray(feats, dtype=np.float64)
-    labels = _label_ids(feats, label_ids, np.shape(head)[1])
-    return _head_loss_and_grad(head, feats, labels)
-
-
 def _head_loss_and_grad(head, feats, labels):
-    """head_loss_and_grad over float64 feats and the checked int64 labels
-    of `_label_ids`, for loops that read their labels once."""
+    """Mean cross entropy of feats @ head and its gradient in head.
+
+    feats is a float64 (n, d) array and labels an int64 vector of n
+    classes of head, as `_label_ids` returns them: neither is checked
+    here, so loops read their labels once, before the first step."""
     n = feats.shape[0]
     # runaway weights and saturated probabilities surface as a non-finite
     # loss, which fit reports as divergence, not as a warning or a crash
@@ -632,8 +632,7 @@ def accuracy(model, sequences, labels, table):
     """Fraction of sequences whose argmax class matches the label."""
     if len(sequences) == 0:
         raise InputError("evaluation set is empty")
-    labels = _label_ids(sequences, labels,
-                        None if model.head is None else model.head.shape[1])
+    labels = _label_ids(sequences, labels, _head(model).shape[1])
     preds = np.argmax(classify(model, cls_features(model, sequences, table)),
                       axis=1)
     hits = np.count_nonzero(preds == labels)

@@ -310,8 +310,8 @@ def build_mi(vocab: Vocab, stats: CorpusStats, num_buckets: int,
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Per-token real vectors, aligned with a list of distinct tokens;
-    `vocab`, the Vocab of `tokens`, maps a token to its row."""
+    """Per-token real vectors: row i is the vector of `tokens[i]`. Tokens
+    are distinct, non-empty and free of whitespace (`index_tokens`)."""
 
     tokens: tuple[str, ...]
     vectors: np.ndarray = field(repr=False)
@@ -325,8 +325,8 @@ class EmbeddingTable:
             )
         if not np.all(np.isfinite(vectors)):
             raise InputError("embedding vectors must be finite")
+        index_tokens(self.tokens)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "vocab", Vocab(self.tokens))
 
     @property
     def dim(self) -> int:
@@ -426,27 +426,24 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     return labels, centers
 
 
-def build_clustered(vocab: Vocab, emb: EmbeddingTable, num_buckets: int,
-                    num_layers: int, seed: int) -> HashTable:
-    """Cluster token embeddings and rank clusters by mean vector norm.
+def build_clustered(emb: EmbeddingTable, num_buckets: int, num_layers: int,
+                    seed: int) -> HashTable:
+    """Cluster every embedded token and rank clusters by mean vector norm.
 
-    Each cluster is one bucket; the cluster with the smallest mean L2
-    embedding norm exits first. Unlike the frequency/MI builders, bucket
-    sizes follow the clustering and may be unequal.
+    The table holds `emb.tokens`, in their order. Each cluster is one
+    bucket; the cluster with the smallest mean L2 embedding norm exits
+    first. Unlike the frequency/MI builders, bucket sizes follow the
+    clustering and may be unequal. k-means reads `emb.vectors` as they
+    are: no token is looked up and no row is gathered into a copy.
     """
     _check_buckets(num_buckets, num_layers)
-    rows, _ = emb.vocab.packed_ids([vocab.tokens])
-    if (rows < 0).any():
-        missing = vocab.tokens[int(np.argmax(rows < 0))]
-        raise ConfigError(f"no embedding for token {missing!r}")
-    vectors = emb.vectors[rows]
-    labels, _ = kmeans(vectors, num_buckets, seed)
-    norms = np.linalg.norm(vectors, axis=1)
+    labels, _ = kmeans(emb.vectors, num_buckets, seed)
+    norms = np.linalg.norm(emb.vectors, axis=1)
     mean_norms = np.array([norms[labels == c].mean() for c in range(num_buckets)])
     order = np.lexsort((np.arange(num_buckets), mean_norms))
     rank = np.empty(num_buckets, dtype=np.int64)
     rank[order] = np.arange(num_buckets)
-    return HashTable("clustered", num_buckets, num_layers, seed, vocab.tokens,
+    return HashTable("clustered", num_buckets, num_layers, seed, emb.tokens,
                      rank[labels])
 
 

@@ -22,8 +22,8 @@ from hashexit.difficulty import (
 )
 from hashexit.encoder import (
     ExitSchedule,
+    _head_loss_and_grad,
     forward,
-    head_loss_and_grad,
     random_model,
     schedule,
 )
@@ -259,15 +259,15 @@ def test_acceptance_9_gradient_checks():
         feats = rng.normal(size=(8, 6))
         labels = rng.integers(0, 3, size=8)
         head = rng.normal(size=(6, 3))
-        _, grad = head_loss_and_grad(head, feats, labels)
+        _, grad = _head_loss_and_grad(head, feats, labels)
         eps = 1e-6
         for i in range(6):
             for j in range(3):
                 hp, hm = head.copy(), head.copy()
                 hp[i, j] += eps
                 hm[i, j] -= eps
-                num = (head_loss_and_grad(hp, feats, labels)[0]
-                       - head_loss_and_grad(hm, feats, labels)[0]) / (2 * eps)
+                num = (_head_loss_and_grad(hp, feats, labels)[0]
+                       - _head_loss_and_grad(hm, feats, labels)[0]) / (2 * eps)
                 worst = max(worst, rel_err(grad[i, j], num))
 
     for _ in range(10):

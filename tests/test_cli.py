@@ -509,6 +509,19 @@ class TestFlopsReport:
         assert code == 1
         assert "--layers" in capsys.readouterr().err
 
+    def test_dims_checked_before_the_corpus_is_read(self, tmp_path, capsys,
+                                                    monkeypatch):
+        _, table_path = self.make_all_last_table(tmp_path)
+
+        def load_corpus(*args, **kwargs):
+            raise AssertionError("corpus read before the dims were checked")
+
+        monkeypatch.setattr(cli, "load_corpus", load_corpus)
+        code = run(["flops-report", "--table", table_path, "--corpus",
+                    tmp_path / "c.txt", "--d", 0, "--out-dir", tmp_path])
+        assert code == 1
+        assert "model dims must be positive" in capsys.readouterr().err
+
     def test_empty_corpus(self, tmp_path, capsys):
         _, table_path = self.make_all_last_table(tmp_path)
         corpus_path = tmp_path / "c.txt"
@@ -825,6 +838,24 @@ class TestDifficultyCli:
                     "--predictor-epochs", 80, "--out-dir", tmp_path])
         assert code == 0
         assert sha256s(tmp_path, self.GOLDEN[seed]) == self.GOLDEN[seed]
+
+    # metrics.txt with --per-layer, one probe per slot, at the config
+    # above; the datasets are the shared probe's
+    GOLDEN_PER_LAYER_METRICS = {
+        0: "65e83258287aafbd5f9cf19c0acc8a86d57108aa2ae2da0a2953d3cb65433ffd",
+        1: "ada203e16b2b96acb02fd76c2473d03e5238dbefb9ff192b1b55ac83534cfb6d",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_golden_per_layer_artifacts(self, tmp_path, capsys, seed):
+        code = run(["difficulty", "--seed", seed, "--num-train", 20,
+                    "--num-eval", 20, "--annotator-epochs", 60,
+                    "--predictor-epochs", 80, "--per-layer",
+                    "--out-dir", tmp_path])
+        assert code == 0
+        want = dict(self.GOLDEN[seed],
+                    **{"metrics.txt": self.GOLDEN_PER_LAYER_METRICS[seed]})
+        assert sha256s(tmp_path, want) == want
 
     def test_metrics_file_matches_stdout(self, tmp_path, capsys):
         code = run(["difficulty", "--seed", 0, "--num-train", 20,

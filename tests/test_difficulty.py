@@ -433,6 +433,20 @@ class TestLinearB:
         assert acc_split >= 0.95
         assert acc_split > acc_shared
 
+    def test_one_weight_row_per_slot(self):
+        # a shared probe is one row repeated; a predictor serves only a
+        # dataset with as many slots as it has rows
+        ds = self.make_separable(L=3)
+        shared = linear_b(ds, epochs=20, seed=0)
+        assert shared.weights.shape == (3, 6) and shared.biases.shape == (3,)
+        assert (shared.weights == shared.weights[0]).all()
+        assert (shared.biases == shared.biases[0]).all()
+        other = self.make_separable(L=2)
+        for per_layer in (False, True):
+            pred = linear_b(ds, per_layer=per_layer, epochs=20, seed=0)
+            with pytest.raises(ConfigError, match="3 slots"):
+                pred.predict_bits(other)
+
     def test_zero_features_collapse_to_majority(self):
         for frac, expect in ((0.7, 1), (0.2, 0)):
             n = 20

@@ -18,7 +18,6 @@ from hashexit.encoder import (
     fit,
     forward,
     forward_layer,
-    head_loss_and_grad,
     positional_encoding,
     random_model,
     save_model,
@@ -1267,11 +1266,6 @@ class TestTrainToy:
         model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=head)
         with pytest.raises(InputError, match=f"label {bad} is not a class"):
             train_toy(model, seqs, labels, table, epochs=1)
-        # head_loss_and_grad checks its labels against its own head: numpy
-        # indexing would read -1 as the last class
-        with pytest.raises(InputError, match=f"label {bad} is not a class"):
-            head_loss_and_grad(np.zeros((8, head or 2)), np.ones((30, 8)),
-                               labels)
 
     @pytest.mark.parametrize("labels, error", [
         pytest.param([0.5, 1.7] * 15, InputError, id="floats"),
@@ -1284,9 +1278,8 @@ class TestTrainToy:
         pytest.param([0, 1] * 16, ShapeError, id="too-many")])
     def test_labels_must_be_a_flat_integer_vector(self, labels, error):
         # floats trained as their truncations, and the others raised bare
-        # numpy errors; head_loss_and_grad read strings as integers too.
-        # A scalar, or a label count other than the rows, is a ShapeError
-        # everywhere, head_loss_and_grad included
+        # numpy errors. A scalar, or a label count other than the rows, is
+        # a ShapeError everywhere
         seqs, _, table = self.make_task()
         for head in (None, 2):
             model = random_model(11, 2, 8, 2, 16, seed=2, num_classes=head)
@@ -1294,8 +1287,6 @@ class TestTrainToy:
                 train_toy(model, seqs, labels, table, epochs=1)
         with pytest.raises(error):
             accuracy(model, seqs, labels, table)
-        with pytest.raises(error):
-            head_loss_and_grad(np.zeros((8, 2)), np.ones((30, 8)), labels)
 
     def test_accuracy_labels_outside_the_classes(self):
         seqs, _, table = self.make_task()
@@ -1305,13 +1296,25 @@ class TestTrainToy:
         with pytest.raises(InputError, match="label 5 is not a class"):
             accuracy(model, seqs[:4], [0, 5, 7, 9], table)
 
+    def test_accuracy_without_a_head_runs_no_forward(self, monkeypatch):
+        # the head is checked, as classify checks it, before any document
+        # of the evaluation set is run
+        seqs, labels, table = self.make_task()
+        model = random_model(11, 2, 8, 2, 16, seed=2)
+        calls = []
+        monkeypatch.setattr(encoder, "forward",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigError, match="model has no classifier head"):
+            accuracy(model, seqs, labels, table)
+        assert calls == []
+
     def test_gradcheck_head_loss(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             feats = rng.normal(size=(6, 5))
             labels = rng.integers(0, 3, size=6)
             head = rng.normal(size=(5, 3))
-            _, grad = head_loss_and_grad(head, feats, labels)
+            _, grad = encoder._head_loss_and_grad(head, feats, labels)
             num = np.zeros_like(head)
             eps = 1e-6
             for i in range(5):
@@ -1320,8 +1323,8 @@ class TestTrainToy:
                     hp[i, j] += eps
                     hm = head.copy()
                     hm[i, j] -= eps
-                    lp, _ = head_loss_and_grad(hp, feats, labels)
-                    lm, _ = head_loss_and_grad(hm, feats, labels)
+                    lp, _ = encoder._head_loss_and_grad(hp, feats, labels)
+                    lm, _ = encoder._head_loss_and_grad(hm, feats, labels)
                     num[i, j] = (lp - lm) / (2 * eps)
             denom = np.maximum(np.abs(num), np.abs(grad))
             denom[denom == 0] = 1.0

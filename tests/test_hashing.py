@@ -506,52 +506,49 @@ class TestClusteredHash:
     def test_single_bucket(self):
         vocab = small_vocab()
         emb = EmbeddingTable(vocab.tokens, np.random.default_rng(0).normal(size=(6, 4)))
-        t = build_clustered(vocab, emb, 1, 6, seed=0)
+        t = build_clustered(emb, 1, 6, seed=0)
         assert np.all(t.layers == 1)
 
     def test_low_norm_cluster_exits_first(self):
-        vocab = Vocab(("a", "b", "c", "d"))
         vectors = np.array([
             [0.5, 0.0],
             [0.6, 0.1],
             [3.0, 3.0],
             [3.1, 2.9],
         ])
-        t = build_clustered(vocab, EmbeddingTable(vocab.tokens, vectors), 2, 2, seed=0)
+        # the table holds the embedded tokens in the embedding table's order
+        emb = EmbeddingTable(("d", "a", "c", "b"), vectors)
+        t = build_clustered(emb, 2, 2, seed=0)
+        assert t.tokens == emb.tokens
         assert t.layers.tolist() == [1, 1, 2, 2]
 
     def test_identical_embeddings_still_partition(self):
         vocab = small_vocab()
         emb = EmbeddingTable(vocab.tokens, np.ones((6, 3)))
-        t = build_clustered(vocab, emb, 3, 6, seed=0)
+        t = build_clustered(emb, 3, 6, seed=0)
         sizes = t.bucket_sizes()
         assert sizes.sum() == 6
         assert np.all(sizes >= 1)  # repair keeps every bucket non-empty
 
-    def test_missing_embedding_rejected(self):
-        vocab = small_vocab()
-        emb = EmbeddingTable(("a", "b"), np.ones((2, 3)))
-        with pytest.raises(ConfigError):
-            build_clustered(vocab, emb, 2, 4, seed=0)
-
-    def test_tokens_looked_up_through_packed_ids(self, monkeypatch):
-        # Vocab.ids_for stays for bench/; no package code calls it, and
-        # the clustered builder looks its tokens up with packed_ids
+    def test_tokens_looked_up_through_packed_ids(self):
+        # Vocab.ids_for stays for bench/; no package code calls it
         src = Path(hashing.__file__).parent
         assert [f"{path.name}:{lineno}" for path in sorted(src.glob("*.py"))
                 for lineno, line in enumerate(path.read_text().splitlines(), 1)
                 if ".ids_for(" in line] == []
-        vocab = Vocab(("d", "a", "c", "b"))
-        emb = EmbeddingTable(("a", "b", "c", "d", "e"),
-                             np.array([[0.5, 0.0], [3.1, 2.9], [0.6, 0.1],
-                                       [3.0, 3.0], [9.0, 9.0]]))
-        want = build_clustered(vocab, emb, 2, 2, seed=0)
-        monkeypatch.setattr(Vocab, "ids_for", None)
-        got = build_clustered(vocab, emb, 2, 2, seed=0)
-        assert serialize_hash_table(got) == serialize_hash_table(want)
-        assert got.layers.tolist() == [2, 1, 1, 2]
-        with pytest.raises(ConfigError, match="'z'"):
-            build_clustered(Vocab(("a", "z")), emb, 2, 2, seed=0)
+
+    def test_peak_memory_holds_no_copy_of_the_vectors(self):
+        # k-means reads the table's own vectors, so the peak holds no
+        # second copy of them
+        vectors = np.random.default_rng(0).normal(size=(4096, 64))
+        emb = EmbeddingTable(tuple(f"t{i}" for i in range(4096)), vectors)
+        tracemalloc.start()
+        try:
+            build_clustered(emb, 3, 6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * vectors.nbytes
 
 
 class TestSerialization:
