@@ -6,6 +6,7 @@ artifacts under --out-dir; exit status is 0 exactly when no error occurred.
 """
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .corpus import load_corpus
 # hashexit.cli names until the per-document API goes (ROADMAP item 2)
 from .encoder import batches, classify, forward, load_model, route, schedule
 from .flops import ModelDims, report
+from . import experiments
 from .experiments import run_consistency_ablation, run_difficulty_pipeline
 from .hashing import (
     CorpusStats,
@@ -133,6 +135,12 @@ def cmd_flops_report(args):
     print(f"wrote {out_dir / 'flops.csv'} and {out_dir / 'flops.txt'}")
 
 
+def _toy_settings(args):
+    """The toy flags given, by parameter name (`_add_toy_flags`)."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "func", "out_dir", "seeds")}
+
+
 def cmd_ablate_consistency(args):
     out_dir = Path(args.out_dir)
     try:
@@ -140,14 +148,7 @@ def cmd_ablate_consistency(args):
     except ValueError:
         raise ConfigError(f"--seeds takes comma-separated integers, "
                           f"got {args.seeds!r}") from None
-    if any(seed < 0 for seed in seeds):
-        raise ConfigError(f"--seeds must be >= 0, got {args.seeds!r}")
-    result = run_consistency_ablation(
-        seeds, buckets=args.buckets, num_layers=args.layers, d=args.d,
-        heads=args.heads, d_ff=args.d_ff, epochs=args.epochs, lr=args.lr,
-        num_train=args.num_train, num_eval=args.num_eval,
-        vocab_size=args.vocab_size, seq_len=args.seq_len,
-        force_identical=args.force_identical)
+    result = run_consistency_ablation(seeds, **_toy_settings(args))
     text = result.to_text()
     write_text(out_dir / "ablation.txt", text)
     print(text, end="")
@@ -156,13 +157,7 @@ def cmd_ablate_consistency(args):
 
 def cmd_difficulty(args):
     out_dir = Path(args.out_dir)
-    outcome = run_difficulty_pipeline(
-        seed=args.seed, num_train=args.num_train, num_eval=args.num_eval,
-        vocab_size=args.vocab_size, seq_len=args.seq_len,
-        num_layers=args.layers, d=args.d, heads=args.heads, d_ff=args.d_ff,
-        floor=args.floor, annotator_epochs=args.annotator_epochs,
-        predictor_epochs=args.predictor_epochs, lr=args.lr,
-        per_layer=args.per_layer)
+    outcome = run_difficulty_pipeline(**_toy_settings(args))
     save_difficulty_dataset(outcome.train_dataset,
                             out_dir / "difficulty_train.tsv")
     save_difficulty_dataset(outcome.eval_dataset,
@@ -195,19 +190,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _add_toy_flags(p, run):
+    """One flag per keyword-only parameter of `run`, an experiments
+    function (not the hashexit.cli name that bench/ wraps): `--layers` for
+    num_layers, else `--name-with-dashes`, typed by its default or a
+    switch for a bool. `p`'s argument_default, argparse.SUPPRESS, leaves a
+    flag not given out, so `run` holds the only default."""
+    for name, param in inspect.signature(run).parameters.items():
+        if param.kind is param.KEYWORD_ONLY:
+            flag = "--" + name.replace("num_layers", "layers").replace("_", "-")
+            how = ({"action": "store_true"} if isinstance(param.default, bool)
+                   else {"type": type(param.default)})
+            p.add_argument(flag, dest=name, **how)
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".")
-    # the toy encoder and task of ablate-consistency and difficulty
-    toy = argparse.ArgumentParser(add_help=False)
-    toy.add_argument("--d", type=int, default=8)
-    toy.add_argument("--heads", type=int, default=2)
-    toy.add_argument("--d-ff", type=int, default=16)
-    toy.add_argument("--lr", type=float, default=0.5)
-    toy.add_argument("--num-train", type=int, default=40)
-    toy.add_argument("--num-eval", type=int, default=40)
-    toy.add_argument("--vocab-size", type=int, default=11)
-    toy.add_argument("--seq-len", type=int, default=5)
 
     parser = _Parser(
         prog="hashexit",
@@ -247,23 +246,17 @@ def build_parser():
     p.add_argument("--d-ff", type=int, default=3072)
     p.set_defaults(func=cmd_flops_report)
 
-    p = sub.add_parser("ablate-consistency", parents=[common, toy],
+    p = sub.add_parser("ablate-consistency", parents=[common],
+                       argument_default=argparse.SUPPRESS,
                        help="train/infer hash consistency ablation")
     p.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    p.add_argument("--buckets", type=int, default=2)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--force-identical", action="store_true")
+    _add_toy_flags(p, experiments.run_consistency_ablation)
     p.set_defaults(func=cmd_ablate_consistency)
 
-    p = sub.add_parser("difficulty", parents=[common, toy],
+    p = sub.add_parser("difficulty", parents=[common],
+                       argument_default=argparse.SUPPRESS,
                        help="annotate and score difficulty predictors")
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--floor", type=float, default=0.3)
-    p.add_argument("--annotator-epochs", type=int, default=150)
-    p.add_argument("--predictor-epochs", type=int, default=300)
-    p.add_argument("--per-layer", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    _add_toy_flags(p, experiments.run_difficulty_pipeline)
     p.set_defaults(func=cmd_difficulty)
 
     return parser

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the one rule that reads
-integer vectors with them (`int_vector`), the one check of the start rows
+integers with them (`int_scalar`, `int_vector`, and `rng_seed` for seeds
+of numpy's generators), the one check of the start rows
 of packed documents (`row_offsets`) and the one packed-layout check, which
 also holds every document to MAX_SEQUENCE_LEN rows."""
 
@@ -30,6 +31,24 @@ class ParseError(HashExitError, ValueError):
 
 class TrainingError(HashExitError, RuntimeError):
     """Training diverged (non-finite loss)."""
+
+
+def int_scalar(value, what):
+    """`value` as a Python int. Anything but an int or a numpy integer
+    (floats, bools, strings) is an InputError, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, not "
+                         f"{type(value).__name__}")
+    return int(value)
+
+
+def rng_seed(value, what="seed"):
+    """`value` read by `int_scalar`; a negative seed, which numpy's
+    generators refuse, is a ConfigError."""
+    seed = int_scalar(value, what)
+    if seed < 0:
+        raise ConfigError(f"{what} must be >= 0, got {seed}")
+    return seed
 
 
 def int_vector(values, what):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, rng_seed
 from .encoder import accuracy, random_model, train_toy
 from .difficulty import (
     annotate,
@@ -94,9 +94,11 @@ def run_consistency_ablation(seeds, *, buckets=2, num_layers=4, d=8, heads=2,
     cons: one hash table for training and inference. incons: train under
     one random table, infer under an independently drawn one. With
     force_identical the incons arm reuses the cons table on both sides,
-    which pins the two arms to identical results (a control).
+    which pins the two arms to identical results (a control). Each seed is
+    read by `errors.rng_seed`. The keyword parameters, defaults included,
+    are the `ablate-consistency` flags (`cli.build_parser`).
     """
-    seeds = list(seeds)
+    seeds = [rng_seed(seed, "seeds") for seed in seeds]
     if len(seeds) < 2:
         raise ConfigError("ablation needs at least 2 seeds to average over")
     cons_accs, incons_accs = [], []
@@ -145,7 +147,9 @@ def run_difficulty_pipeline(*, seed=0, num_train=40, num_eval=40,
                             annotator_epochs=150, predictor_epochs=300,
                             lr=0.5, per_layer=False):
     """Annotate a toy task with a multi-exit model, then fit and score the
-    majority and linear difficulty predictors on held-out instances."""
+    majority and linear difficulty predictors on held-out instances. The
+    parameters, defaults included, are the `difficulty` flags
+    (`cli.build_parser`)."""
     task = make_separable_task(num_train=num_train, num_eval=num_eval,
                                vocab_size=vocab_size, seq_len=seq_len,
                                seed=seed)

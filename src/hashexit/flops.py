@@ -31,23 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, packed_layout
+from .errors import ConfigError, InputError, int_scalar, packed_layout
 
 FLOPS_PER_MAC = 2
 
 
 def _check_dims(n, m, d, h, d_ff, num_layers=1):
     """The counts n and m, the dims d, h and d_ff and the layer count, as
-    Python ints. Anything but an int or a numpy integer (floats, bools) is
-    an InputError, as are negative counts and m > n; dims that do not fit
-    an encoder are a ConfigError."""
-    values = (n, m, d, h, d_ff, num_layers)
-    for name, value in zip(("n", "m", "d", "heads", "d_ff", "num_layers"),
-                           values):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InputError(f"{name} must be an integer, not "
-                             f"{type(value).__name__}")
-    n, m, d, h, d_ff, num_layers = map(int, values)
+    Python ints read by `errors.int_scalar`, so floats and bools are an
+    InputError, as are negative counts and m > n; dims that do not fit an
+    encoder are a ConfigError."""
+    n, m, d, h, d_ff, num_layers = map(
+        int_scalar, (n, m, d, h, d_ff, num_layers),
+        ("n", "m", "d", "heads", "d_ff", "num_layers"))
     if n < 0 or m < 0:
         raise InputError("counts must be non-negative")
     if m > n:

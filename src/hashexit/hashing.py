@@ -21,7 +21,8 @@ import numpy as np
 from .artifacts import (BinaryFormat, format_header, index_tokens, open_text,
                         parse_header, parse_ints, read_floats, read_lines,
                         split_lines, write_text)
-from .errors import ConfigError, InputError, ParseError, int_vector
+from .errors import (ConfigError, InputError, ParseError, int_scalar,
+                     int_vector, rng_seed)
 
 HASH_METHODS = (
     "rand-cons",
@@ -125,11 +126,20 @@ class CorpusStats:
         return self.cooccur is not None
 
 
-def _check_buckets(num_buckets: int, num_layers: int) -> None:
+def _check_buckets(num_buckets: int, num_layers: int) -> tuple[int, int]:
+    """B and L as Python ints read by `errors.int_scalar`. B outside 1..L
+    is a ConfigError, as is a B*L beyond int64, in which `bucket_to_layer`
+    works."""
+    num_buckets = int_scalar(num_buckets, "buckets")
+    num_layers = int_scalar(num_layers, "layers")
     if num_buckets < 1 or num_buckets > num_layers:
         raise ConfigError(
             f"need 1 <= buckets <= layers, got B={num_buckets} L={num_layers}"
         )
+    if num_buckets * num_layers > np.iinfo(np.int64).max:
+        raise ConfigError(f"B*L must fit in int64, got B={num_buckets} "
+                          f"L={num_layers}")
+    return num_buckets, num_layers
 
 
 def bucket_to_layer(b, num_buckets: int, num_layers: int):
@@ -138,7 +148,7 @@ def bucket_to_layer(b, num_buckets: int, num_layers: int):
     b is an int, which gives an int, or an array of buckets, which gives
     an int64 array of their layers in its shape; a float or bool bucket is
     an InputError (`errors.int_vector`), never truncated."""
-    _check_buckets(num_buckets, num_layers)
+    num_buckets, num_layers = _check_buckets(num_buckets, num_layers)
     buckets = int_vector(np.ravel(b), "buckets")
     bad = (buckets < 0) | (buckets >= num_buckets)
     if bad.any():
@@ -152,7 +162,8 @@ def bucket_to_layer(b, num_buckets: int, num_layers: int):
 class HashTable:
     """Immutable token -> (bucket, exit layer) map. Tokens are non-empty,
     free of whitespace and distinct; `buckets` holds one integer bucket
-    per token (`errors.int_vector`).
+    per token (`errors.int_vector`). B, L and `seed` are held as Python
+    ints (`errors.int_scalar`); the seed is a label and may be negative.
 
     `vocab` is the Vocab of `tokens`, the table's own index: its ids are
     table rows, whose exit layers `layers` holds. `exits` looks ids up;
@@ -172,12 +183,16 @@ class HashTable:
             raise ConfigError(f"unknown hash method {self.method!r}")
         if not self.tokens:
             raise ConfigError("empty vocab")
-        _check_buckets(self.num_buckets, self.num_layers)
+        num_buckets, num_layers = _check_buckets(self.num_buckets,
+                                                 self.num_layers)
+        object.__setattr__(self, "num_buckets", num_buckets)
+        object.__setattr__(self, "num_layers", num_layers)
+        object.__setattr__(self, "seed", int_scalar(self.seed, "seed"))
         buckets = int_vector(self.buckets, "buckets")
         if buckets.size != len(self.tokens):
             raise ConfigError("one bucket per token required")
         object.__setattr__(self, "buckets", buckets)
-        layers = bucket_to_layer(buckets, self.num_buckets, self.num_layers)
+        layers = bucket_to_layer(buckets, num_buckets, num_layers)
         layers.setflags(write=False)
         buckets.setflags(write=False)
         object.__setattr__(self, "layers", layers)
@@ -226,8 +241,10 @@ def build_random(vocab: Vocab, num_buckets: int, num_layers: int, seed: int,
     With consistent=True one table serves both training and inference
     ("rand-cons"). With consistent=False two independent tables are built
     from seeds derived from `seed` and returned as a (train, infer) pair
-    ("rand-incons-A"/"rand-incons-B").
+    ("rand-incons-A"/"rand-incons-B"). `seed` is read by
+    `errors.rng_seed`, so a negative one is a ConfigError.
     """
+    seed = rng_seed(seed)
     if consistent:
         return _random_table(vocab, num_buckets, num_layers, seed, "rand-cons")
     rng = np.random.default_rng(seed)
@@ -257,7 +274,9 @@ def token_label_mi(stats: CorpusStats, token_id: int) -> float:
 
     Presence is the binary event "the token occurs in the document"; all
     probabilities are raw document fractions (no smoothing), in nats.
+    `token_id` is read by `errors.int_scalar`.
     """
+    token_id = int_scalar(token_id, "token id")
     if not stats.labeled:
         raise ConfigError("mutual information requires a labeled corpus")
     n = stats.doc_count
@@ -391,10 +410,12 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     current centroid. Deterministic for a fixed seed.
 
     Returns (labels, centroids); centroids are the means of the returned
-    assignment.
+    assignment. `k` is read by `errors.int_scalar` and `seed` by
+    `errors.rng_seed`.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
+    k, seed = int_scalar(k, "k"), rng_seed(seed)
     if k < 1 or k > n:
         raise ConfigError(f"need 1 <= k <= {n} points, got k={k}")
     rng = np.random.default_rng(seed)

@@ -1,11 +1,13 @@
+import argparse
 import hashlib
+import inspect
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from hashexit import cli, encoder
+from hashexit import cli, encoder, experiments
 from hashexit.cli import main
 from hashexit.corpus import Corpus, save_corpus, zipf_corpus
 from hashexit.encoder import (classify, forward, random_model, save_model,
@@ -617,21 +619,80 @@ class TestAblateCli:
 
 
 class TestToyFlags:
+    """The flags of the toy commands are the parameters of their run
+    functions, whose signatures hold the only defaults."""
+
+    RUNS = {"ablate-consistency": experiments.run_consistency_ablation,
+            "difficulty": experiments.run_difficulty_pipeline}
     TOY_DEFAULTS = {"d": 8, "heads": 2, "d_ff": 16, "lr": 0.5, "num_train": 40,
                     "num_eval": 40, "vocab_size": 11, "seq_len": 5}
+    DEFAULTS = {
+        "ablate-consistency": {**TOY_DEFAULTS, "buckets": 2, "num_layers": 4,
+                               "epochs": 150, "force_identical": False},
+        "difficulty": {**TOY_DEFAULTS, "seed": 0, "num_layers": 3,
+                       "floor": 0.3, "annotator_epochs": 150,
+                       "predictor_epochs": 300, "per_layer": False},
+    }
+    # each option string and its type (bool: a switch, str: no type)
+    OPTIONS = {
+        "ablate-consistency": {
+            "--seeds": str, "--buckets": int, "--layers": int, "--epochs": int,
+            "--force-identical": bool},
+        "difficulty": {
+            "--seed": int, "--layers": int, "--floor": float,
+            "--annotator-epochs": int, "--predictor-epochs": int,
+            "--per-layer": bool},
+    }
+    TOY_OPTIONS = {"-h": bool, "--help": bool, "--out-dir": str, "--d": int,
+                   "--heads": int, "--d-ff": int, "--lr": float,
+                   "--num-train": int, "--num-eval": int, "--vocab-size": int,
+                   "--seq-len": int}
+    # flags both commands take, given, and the settings they stand for
+    GIVEN_ARGV = ["--d", "4", "--heads", "1", "--d-ff", "6", "--lr", "0.25",
+                  "--num-train", "3", "--num-eval", "2", "--vocab-size", "7",
+                  "--seq-len", "9", "--layers", "5"]
+    GIVEN = {"d": 4, "heads": 1, "d_ff": 6, "lr": 0.25, "num_train": 3,
+             "num_eval": 2, "vocab_size": 7, "seq_len": 9, "num_layers": 5}
+
+    class Called(Exception):
+        pass
+
+    @pytest.mark.parametrize("command, switch, positional", [
+        pytest.param("ablate-consistency", "force_identical",
+                     (list(range(10)),), id="ablate-consistency"),
+        pytest.param("difficulty", "per_layer", (), id="difficulty"),
+    ])
+    def test_toy_flags_and_defaults(self, monkeypatch, command, switch,
+                                    positional):
+        params = inspect.signature(self.RUNS[command]).parameters.values()
+        assert {p.name: p.default for p in params
+                if p.kind is p.KEYWORD_ONLY} == self.DEFAULTS[command]
+        # a flag not given is not passed on: the signature's default holds
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise self.Called
+
+        monkeypatch.setattr(cli, self.RUNS[command].__name__, spy)
+        for argv in ([], [*self.GIVEN_ARGV, "--" + switch.replace("_", "-")]):
+            args = cli.build_parser().parse_args([command, *argv])
+            with pytest.raises(self.Called):
+                args.func(args)
+        assert calls == [(positional, {}),
+                         (positional, {**self.GIVEN, switch: True})]
 
     @pytest.mark.parametrize("command", ["ablate-consistency", "difficulty"])
-    def test_toy_flags_and_defaults(self, command):
-        parser = cli.build_parser()
-        args = vars(parser.parse_args([command]))
-        assert {key: args[key] for key in self.TOY_DEFAULTS} == self.TOY_DEFAULTS
-        args = vars(parser.parse_args([command, "--d", "4", "--heads", "1",
-                                       "--d-ff", "6", "--lr", "0.25",
-                                       "--num-train", "3", "--num-eval", "2",
-                                       "--vocab-size", "7", "--seq-len", "9"]))
-        assert {key: args[key] for key in self.TOY_DEFAULTS} == {
-            "d": 4, "heads": 1, "d_ff": 6, "lr": 0.25, "num_train": 3,
-            "num_eval": 2, "vocab_size": 7, "seq_len": 9}
+    def test_option_strings_are_pinned(self, command):
+        # a new run-function parameter would add a flag: pin them all
+        sub, = (a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        p = sub.choices[command]
+        assert {flag: bool if a.nargs == 0 else a.type or str
+                for a in p._actions for flag in a.option_strings} == {
+            **self.TOY_OPTIONS, **self.OPTIONS[command]}
+        params = inspect.signature(self.RUNS[command]).parameters
+        assert {a.dest for a in p._actions} - {"help", "out_dir"} <= set(params)
 
 
 class TestMalformedFlags:

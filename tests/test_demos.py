@@ -1,8 +1,9 @@
 """Every demo script, and every python block of README.md, runs to
 completion against the package in src/; every `hashexit` command and
-`--flag` that README.md names exists in the CLI, every dotted name of the
-package it puts in backticks resolves, and every call of an exported name
-it puts in backticks binds to that name's signature."""
+`--flag` that README.md names exists in the CLI, the toy defaults it lists
+are those of the experiments functions, every dotted name of the package
+it puts in backticks resolves, and every call of an exported name it puts
+in backticks binds to that name's signature."""
 
 import argparse
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import hashexit
-from hashexit import cli
+from hashexit import cli, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -82,6 +83,22 @@ def test_readme_flags_exist():
     named = {flag for line in README.splitlines() if "pip " not in line
              for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line)}
     assert named and named <= options, sorted(named - options)
+
+
+def test_readme_toy_defaults_match_the_run_functions():
+    # README lists the defaults the two toy commands share; the run
+    # functions' signatures hold them (cli.build_parser holds none)
+    span, = re.findall(r"`(--d \d[^`]*)`", README)
+    words = span.split()
+    listed = dict(zip(words[0::2], words[1::2]))
+    assert len(listed) == 8
+    for run in (experiments.run_consistency_ablation,
+                experiments.run_difficulty_pipeline):
+        params = inspect.signature(run).parameters
+        defaults = {flag: params[flag[2:].replace("-", "_")].default
+                    for flag in listed}
+        assert {flag: type(default)(listed[flag])
+                for flag, default in defaults.items()} == defaults, run
 
 
 def readme_package_names():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hashexit.errors import ConfigError
+from hashexit.errors import ConfigError, InputError
 from hashexit.difficulty import serialize_difficulty_dataset
 from hashexit.experiments import (
     make_separable_task,
@@ -49,6 +49,13 @@ class TestAblation:
     def test_needs_two_seeds(self):
         with pytest.raises(ConfigError):
             run_consistency_ablation([0])
+
+    @pytest.mark.parametrize("seeds, error", [
+        ([-1, 2], ConfigError), ([0.5, 1.5], InputError), ([0, True], InputError),
+    ], ids=["negative", "float", "bool"])
+    def test_seeds_are_non_negative_integers(self, seeds, error):
+        with pytest.raises(error, match="seeds"):
+            run_consistency_ablation(seeds)
 
     def test_identical_tables_control(self):
         res = run_consistency_ablation([0, 1], epochs=40, force_identical=True)

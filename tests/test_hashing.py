@@ -684,6 +684,70 @@ class TestSerialization:
                       tokens=tokens, buckets=np.zeros(2, dtype=np.int64))
 
 
+def scalars(low, high):
+    """Integers in low..high, as Python ints and, within int64, as numpy
+    ints, and the bools and floats the integer rule refuses."""
+    int64 = st.integers(max(low, -2 ** 63), min(high, 2 ** 63 - 1))
+    return st.one_of(st.integers(low, high), int64.map(np.int64),
+                     st.booleans(), st.floats())
+
+
+class TestScalarRule:
+    @PROPS
+    @given(method=st.sampled_from(hashing.HASH_METHODS),
+           num_buckets=scalars(-1, 8), num_layers=scalars(-1, 2 ** 65),
+           seed=scalars(-2 ** 65, 2 ** 65))
+    @example(method="frequency", num_buckets=2, num_layers=2 ** 64, seed=0)
+    def test_every_accepted_table_reloads_byte_identical(
+            self, method, num_buckets, num_layers, seed):
+        try:
+            table = HashTable(method, num_buckets, num_layers, seed,
+                              ("a", "b"), [0, 0])
+        except (ConfigError, InputError):
+            return
+        assert all(type(value) is int for value in
+                   (table.num_buckets, table.num_layers, table.seed))
+        text = serialize_hash_table(table)
+        assert serialize_hash_table(parse_hash_table(text)) == text
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda: HashTable("frequency", 2, 4, 1.5, ("a", "b"),
+                                       [0, 1]), InputError, id="table-seed-1.5"),
+        pytest.param(lambda: HashTable("frequency", 2, 4, True, ("a", "b"),
+                                       [0, 1]), InputError, id="table-seed-bool"),
+        pytest.param(lambda: HashTable("frequency", 1, True, 0, ("a", "b"),
+                                       [0, 0]), InputError,
+                     id="table-layers-bool"),
+        # bucket 2 of 3 once mapped to layer 0 at this L, wrapped in int64
+        pytest.param(lambda: HashTable("frequency", 3, 2 ** 63 - 1, 0,
+                                       ("a", "b", "c"), [0, 1, 2]),
+                     ConfigError, id="table-layers-beyond-int64"),
+        pytest.param(lambda: build_random(small_vocab(), 2.0, 4, 0), InputError,
+                     id="random-buckets-2.0"),
+        pytest.param(lambda: build_clustered(
+            EmbeddingTable(("a", "b"), np.eye(2)), 2.0, 4, 0), InputError,
+            id="clustered-buckets-2.0"),
+        pytest.param(lambda: kmeans(np.eye(3), 2.0, 0), InputError,
+                     id="kmeans-k-2.0"),
+        pytest.param(lambda: kmeans(np.eye(3), True, 0), InputError,
+                     id="kmeans-k-bool"),
+        pytest.param(lambda: build_random(small_vocab(), 2, 4, seed=-1),
+                     ConfigError, id="random-seed-negative"),
+        pytest.param(lambda: kmeans(np.eye(3), 2, -1), ConfigError,
+                     id="kmeans-seed-negative"),
+    ])
+    def test_counts_and_seeds_are_checked_integers(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize("token_id", [True, 1.0])
+    def test_token_id_is_an_integer(self, token_id):
+        stats = CorpusStats.from_documents(Vocab(("x", "y")), [["x"], ["y"]],
+                                           ["1", "0"])
+        with pytest.raises(InputError):
+            token_label_mi(stats, token_id)
+
+
 class TestEmbeddingIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
