@@ -17,7 +17,7 @@ one and takes the same per-document attention.
 
 A layer's work is set by two numbers per document, its rows and its active
 rows. forward_layer counts the active rows once, and the grouping, the
-choice of association and the padding of attention all read those counts.
+choice of association and the way attention runs all read those counts.
 
 Q, K and V carry no biases, so attention has two associations. The
 standard one projects K and V for all n visible rows of a document. The
@@ -27,6 +27,13 @@ reassociated one at a layer exactly when its m active rows satisfy
 m·(d + (h−1)·n) < n·d (flops.reassociates), where it costs fewer MACs.
 That never holds for m = n, so dense layers and the no-exit path keep the
 standard association.
+
+A reassociated document of n rows with n·d >= FOLDED_FLOATS attends in two
+matmuls of its own over views of the packed rows, heads folded into rows
+(_folded_attention): nothing is padded or copied. The other documents of
+each association share one stacked call per head, padded to the largest
+count (_attention), which suits small documents better than many small
+matmuls.
 """
 
 import math
@@ -38,7 +45,8 @@ import numpy as np
 
 from .artifacts import BinaryFormat, read_floats
 from .errors import (ConfigError, InputError, ParseError, ShapeError,
-                     TrainingError, int_vector, packed_layout, row_offsets)
+                     TrainingError, int_scalar, int_vector, packed_layout,
+                     rng_seed, row_offsets)
 from .flops import ModelDims, reassociates
 from .linalg import layer_norm, relu, softmax_rows
 
@@ -46,8 +54,9 @@ from .linalg import layer_norm, relu, softmax_rows
 # states (h, and each state of a trace) hold at most BATCH_ROWS rows and
 # STATE_FLOATS float64s (4 MiB): 2048 rows up to d=256. Inside a layer,
 # forward_layer runs the batch's documents in consecutive groups whose
-# widest temporary (active rows x max(d, d_ff), or the documents' key rows
-# x d) stays within BATCH_FLOATS, 3 MiB, below the 4 MiB from which numpy
+# widest temporary (active rows x max(d, d_ff), heads x d wide in a folded
+# document, or the documents' key rows x d) stays within BATCH_FLOATS,
+# 3 MiB, below the 4 MiB from which numpy
 # asks for huge pages; larger temporaries are mapped and page-faulted
 # afresh. A dense layer at d=256, d_ff=1024 then runs groups of 384 rows,
 # and a layer with one active row per document groups about 16 documents
@@ -56,6 +65,20 @@ from .linalg import layer_norm, relu, softmax_rows
 BATCH_ROWS = 2048
 STATE_FLOATS = 1 << 19
 BATCH_FLOATS = 3 << 17
+
+# A reassociated document whose key rows hold at least FOLDED_FLOATS
+# floats (n·d) attends folded (_folded_attention); below that one stacked
+# call for many documents beats a pair of small matmuls each. Whole sparse
+# layers cross over at about 2k-6k floats for d = 8 to 256 (one OpenBLAS
+# thread on a Xeon). So the benchmark's toy documents (d=8, 5-15 tokens:
+# n·d 40-120) all attend stacked, and its infer-mid ones (d=256, 64-128
+# tokens: n·d from 16k) all fold.
+FOLDED_FLOATS = 1 << 12
+
+# How a document attends at a layer: the standard association, or the
+# reassociated one, stacked with other documents or in folded matmuls of
+# its own.
+_STANDARD, _REASSOCIATED, _FOLDED = 0, 1, 2
 
 _LAYER_FIELDS = ("wq", "wk", "wv", "wo", "w1", "w2",
                  "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")
@@ -263,14 +286,17 @@ def embed(model, token_ids, positions):
     if ids.size and ids.max() >= model.vocab_size:
         raise InputError(f"token id {int(ids.max())} outside vocabulary "
                          f"of size {model.vocab_size}")
-    rows = np.where(ids[:, None] >= 0, model.embedding[np.maximum(ids, 0)], 0.0)
+    rows = model.embedding[np.maximum(ids, 0)]
+    rows[ids < 0] = 0.0
     positions = int_vector(positions, "positions")
     longest = int(positions.max()) + 1 if positions.size else 0
-    return rows + positional_encoding(longest, model.d)[positions]
+    rows += positional_encoding(longest, model.d)[positions]
+    return rows
 
 
 def _attention(q, hk, weights, heads, reassociate, q_sizes, k_sizes):
-    """Multi-head attention of each query row over its own document's keys.
+    """Multi-head attention of each query row over its own document's keys,
+    all documents in one stacked call per head.
 
     q holds the projected queries, hk the raw rows that serve as keys and
     values. The standard association projects K = hk·W_K and V = hk·W_V.
@@ -279,10 +305,10 @@ def _attention(q, hk, weights, heads, reassociate, q_sizes, k_sizes):
     query rows attend over many keys (flops.reassociates).
 
     The rows of q and hk run document after document; q_sizes and k_sizes
-    count each document's query and key rows. Both operands are padded per
-    document to the largest count in the batch, a single document being a
-    batch of one; padded key slots score -inf and so get zero weight, and
-    padded query slots are dropped.
+    count each document's query and key rows. Both operands are copied
+    into stacks padded per document to the largest count in the call, a
+    single document being a stack of one; padded key slots score -inf and
+    so get zero weight, and padded query slots are dropped.
     """
     d = q.shape[1]
     q_mask = np.arange(q_sizes.max()) < q_sizes[:, None]
@@ -318,6 +344,40 @@ def _attention(q, hk, weights, heads, reassociate, q_sizes, k_sizes):
     return ctx[q_mask]
 
 
+def _folded_attention(q, h, starts, weights, heads, q_sizes, k_sizes):
+    """Reassociated attention of each document in two matmuls of its own.
+
+    q holds the projected queries, document after document, q_sizes
+    counting each document's rows. Document j's keys and values are the
+    k_sizes[j] rows of h from starts[j], read in place. The heads fold
+    into rows: one (rows, heads, d) array takes q_h·W_K,hᵀ of every query
+    row and head, so a document of m query rows and n keys H scores
+    Q̃ (heads·m, d) @ Hᵀ and mixes P (heads·m, n) @ H into the rows Q̃
+    held, reading H twice, not twice per head. Per head, the mixed rows of
+    every document then take one matmul by W_V,h.
+    """
+    d = q.shape[1]
+    d_k = d // heads
+    folded = np.empty((q.shape[0], heads, d))
+    for i in range(heads):
+        sl = slice(i * d_k, (i + 1) * d_k)
+        np.matmul(q[:, sl], weights.wk[:, sl].T, out=folded[:, i])
+    ends = np.cumsum(q_sizes).tolist()
+    for lo, hi, start, n in zip([0] + ends, ends, starts.tolist(),
+                                k_sizes.tolist()):
+        keys = h[start:start + n]
+        rows = folded[lo:hi].reshape(-1, d)  # a view of folded
+        scores = rows @ keys.T
+        scores /= np.sqrt(d_k)
+        softmax_rows(scores)
+        np.matmul(scores, keys, out=rows)
+    ctx = np.empty_like(q)
+    for i in range(heads):
+        sl = slice(i * d_k, (i + 1) * d_k)
+        np.matmul(folded[:, i], weights.wv[:, sl], out=ctx[:, sl])
+    return ctx
+
+
 def _rows_matmul(x, w):
     """x @ w for a stack of matrices x, as one 2-D matmul over all rows."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[1:])
@@ -341,49 +401,53 @@ def _cuts(costs, budget):
     return list(zip(cuts, cuts[1:]))
 
 
-def _groups(sizes, counts, width, d):
+def _groups(sizes, counts, widths, d):
     """Consecutive document ranges (lo, hi) that one layer runs together.
 
-    sizes and counts give each document's rows and active rows. Within a
-    range, the active rows times `width` and the rows of the documents with
-    an active row times d each stay within BATCH_FLOATS, unless the range
-    is a single document. Documents without an active row cost nothing and
+    sizes and counts give each document's rows and active rows, and widths
+    the floats each of its active rows holds at once. Within a range, the
+    active rows times their widths and the rows of the documents with an
+    active row times d each stay within BATCH_FLOATS, unless the range is
+    a single document. Documents without an active row cost nothing and
     join a neighbouring range.
     """
-    if counts.sum() * width <= BATCH_FLOATS and sizes.sum() * d <= BATCH_FLOATS:
+    costs = (counts * widths, np.where(counts > 0, sizes, 0) * d)
+    if all(cost.sum() <= BATCH_FLOATS for cost in costs):
         return [(0, sizes.size)]
-    keys = np.where(counts > 0, sizes, 0)
-    return _cuts((counts * width, keys * d), BATCH_FLOATS)
+    return _cuts(costs, BATCH_FLOATS)
 
 
-def _layer_rows(h, weights, active, heads, sizes, counts):
+def _layer_rows(h, weights, active, heads, sizes, counts, how):
     """The new states of the `active` rows of the documents packed in h.
 
-    sizes and counts give each document's rows and active rows. Documents
-    without an active row need no keys. The rest split into at most two
-    parts, one per association, and each part is one _attention call over
-    its own documents' rows.
+    sizes and counts give each document's rows and active rows, and how
+    the way each attends (forward_layer). Documents without an active row
+    need no keys. The rest split into at most three parts, one per way:
+    the stacked ones are one _attention call over their own documents'
+    rows, the folded one a _folded_attention call over views of h.
     """
     hq = h[active]
     q = hq @ weights.wq
-    flip = reassociates(sizes, counts, h.shape[1], heads)
     live = counts > 0
-    parts = [(part, reassociate)
-             for part, reassociate in ((live & ~flip, False), (live & flip, True))
-             if part.any()]
+    parts = [(part, way) for way in (_STANDARD, _REASSOCIATED, _FOLDED)
+             if (part := live & (how == way)).any()]
 
-    def attend(part, reassociate, q):
+    def attend(part, way, q):
+        if way == _FOLDED:
+            starts = np.cumsum(sizes) - sizes
+            return _folded_attention(q, h, starts[part], weights, heads,
+                                     counts[part], sizes[part])
         hk = h if part.all() else h[np.repeat(part, sizes)]
-        return _attention(q, hk, weights, heads, reassociate, counts[part],
-                          sizes[part])
+        return _attention(q, hk, weights, heads, way == _REASSOCIATED,
+                          counts[part], sizes[part])
 
     if len(parts) == 1:
         ctx = attend(*parts[0], q)
     else:
         ctx = np.empty_like(q)
-        for part, reassociate in parts:
+        for part, way in parts:
             rows = np.repeat(part, counts)
-            ctx[rows] = attend(part, reassociate, q[rows])
+            ctx[rows] = attend(part, way, q[rows])
     x = ctx @ weights.wo
     x += hq
     del hq, q, ctx  # a group's temporaries dominate its memory
@@ -409,11 +473,14 @@ def forward_layer(h, weights, active, *, heads, segments):
     document only. Each document takes the cheaper
     attention association for its row and active counts
     (flops.reassociates); a document whose rows are all active keeps the
-    standard one. Rows outside `active` are left as they are, so an empty
-    active set makes the layer an exact identity.
+    standard one; a large reassociated one attends folded (FOLDED_FLOATS).
+    Rows outside `active` are left as they are, so an empty active set
+    makes the layer an exact identity.
 
     The documents run in consecutive groups whose temporaries stay within
-    BATCH_FLOATS (_groups); a batch that fits runs as one group. The new
+    BATCH_FLOATS (_groups): an active row counts max(d, d_ff) floats, or
+    max(d_ff, heads·d) in a folded document, whose queries hold one d-wide
+    row per head. A batch that fits runs as one group. The new
     states overwrite h, which is returned: a float64 array is updated in
     place, anything else is first converted into a new one.
     """
@@ -432,14 +499,19 @@ def forward_layer(h, weights, active, *, heads, segments):
     # empty documents, which share their start with the next, get none
     counts = np.bincount(np.searchsorted(segments, active, side="right") - 1,
                          minlength=sizes.size)
+    flip = reassociates(sizes, counts, d, heads)
+    how = np.select([~flip, sizes * d < FOLDED_FLOATS],
+                    [_STANDARD, _REASSOCIATED], _FOLDED)
+    width = max(d, weights.w1.shape[1])
+    widths = np.where(how == _FOLDED, max(width, heads * d), width)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    for lo, hi in _groups(sizes, counts, max(d, weights.w1.shape[1]), d):
+    for lo, hi in _groups(sizes, counts, widths, d):
         a = segments[lo]
         rows = active[bounds[lo]:bounds[hi]]
         if rows.size:
             # each group reads and writes only its own documents' rows of h
             h[rows] = _layer_rows(h[a:segments[hi]], weights, rows - a, heads,
-                                  sizes[lo:hi], counts[lo:hi])
+                                  sizes[lo:hi], counts[lo:hi], how[lo:hi])
     return h
 
 
@@ -533,8 +605,9 @@ def fit(loss_and_grad, params, *, epochs, lr, what):
     loss_and_grad(*params) returns the loss followed by one gradient per
     parameter, and each epoch steps every parameter p to p - lr * g. A
     non-finite loss raises TrainingError naming `what`. Returns the final
-    parameters as a tuple.
+    parameters as a tuple. `epochs` is read by `errors.int_scalar`.
     """
+    epochs = int_scalar(epochs, "epochs")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     for _ in range(epochs):
@@ -641,9 +714,10 @@ def accuracy(model, sequences, labels, table):
 
 def random_model(vocab_size, num_layers, d, heads, d_ff, *, seed=0,
                  num_classes=None):
-    """Small random post-norm encoder; weights scaled to keep softmax sane."""
+    """Small random post-norm encoder; weights scaled to keep softmax sane.
+    `seed` is read by `errors.rng_seed`."""
     _check_model_dims(num_layers, d, heads, d_ff)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng_seed(seed))
     scale = 1.0 / np.sqrt(d)
     layers = []
     for _ in range(num_layers):

@@ -42,6 +42,9 @@ class SeparableTask:
 
 def make_separable_task(*, num_train=40, num_eval=40, vocab_size=11,
                         seq_len=5, seed=0):
+    """The task's vocabulary and its train and eval draws; `seed` is read
+    by `errors.rng_seed`."""
+    seed = rng_seed(seed)
     if vocab_size < 3:
         raise ConfigError("need at least a class token and two word tokens")
     if seq_len < 1:
@@ -148,8 +151,9 @@ def run_difficulty_pipeline(*, seed=0, num_train=40, num_eval=40,
                             lr=0.5, per_layer=False):
     """Annotate a toy task with a multi-exit model, then fit and score the
     majority and linear difficulty predictors on held-out instances. The
-    parameters, defaults included, are the `difficulty` flags
-    (`cli.build_parser`)."""
+    seed is read by `errors.rng_seed`. The parameters, defaults included,
+    are the `difficulty` flags (`cli.build_parser`)."""
+    seed = rng_seed(seed)
     task = make_separable_task(num_train=num_train, num_eval=num_eval,
                                vocab_size=vocab_size, seq_len=seq_len,
                                seed=seed)

@@ -46,9 +46,10 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> np.ndarray:
             f"layer_norm: gain/bias must have length {a.shape[1]}, "
             f"got {gain.shape} and {bias.shape}"
         )
-    mean = a.mean(axis=1, keepdims=True)
-    var = a.var(axis=1, keepdims=True)
-    a -= mean
+    a -= a.mean(axis=1, keepdims=True)
+    # the population variance of the centred rows, as np.var takes it
+    var = np.square(a).sum(axis=1, keepdims=True)
+    var /= a.shape[1]
     var += eps
     a /= np.sqrt(var, out=var)
     a *= gain

@@ -30,7 +30,7 @@ from hashexit.encoder import (
 from hashexit import encoder
 from hashexit.difficulty import annotate, linear_b, train_annotator
 from hashexit.experiments import make_separable_task
-from hashexit.flops import ModelDims, reassociates, report
+from hashexit.flops import ModelDims, _fewest_standard, reassociates, report
 from hashexit.hashing import (CorpusStats, EmbeddingTable, HashTable, Vocab,
                               build_frequency, build_random, load_embeddings,
                               save_embeddings)
@@ -358,6 +358,34 @@ def standard_only(monkeypatch):
     monkeypatch.setattr(encoder, "reassociates", lambda n, m, d, h: m < 0)
 
 
+def fold(monkeypatch, folded):
+    """Make forward_layer fold the attention of every reassociated document
+    (FOLDED_FLOATS 0), or of none (a floor no document reaches)."""
+    monkeypatch.setattr(encoder, "FOLDED_FLOATS", 0 if folded else 1 << 62)
+
+
+def spy_ways(monkeypatch):
+    """Record, for each _layer_rows call, the set of ways its documents
+    with an active row attend (encoder._STANDARD and so on)."""
+    ways = []
+    real = encoder._layer_rows
+
+    def spy(h, weights, active, heads, sizes, counts, how):
+        ways.append(set(how[counts > 0].tolist()))
+        return real(h, weights, active, heads, sizes, counts, how)
+
+    monkeypatch.setattr(encoder, "_layer_rows", spy)
+    return ways
+
+
+def assert_frozen_rows_exact(states, exits):
+    """Each row of the states H^0..H^L keeps its state bit for bit in
+    every layer above its exit."""
+    for t in range(1, len(states)):
+        rows = exits < t
+        assert np.array_equal(states[t][rows], states[t - 1][rows])
+
+
 class TestReassociation:
     @pytest.mark.parametrize("m", [1, 20])
     def test_agrees_with_standard_at_mid_shape(self, m, monkeypatch):
@@ -422,6 +450,77 @@ class TestReassociation:
                 alone = forward(head, ids, cap).final
                 assert np.array_equal(forward(model, ids, sched).final[rows],
                                       alone[rows])
+
+
+class TestFoldedAttention:
+    """A reassociated document whose key rows hold FOLDED_FLOATS floats
+    attends in folded matmuls of its own; smaller ones stay stacked."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_documents_straddling_the_floor(self, monkeypatch, data):
+        d = 64
+        edge = encoder.FOLDED_FLOATS // d  # the fewest rows that fold
+        L = data.draw(st.integers(2, 3), label="L")
+        heads = data.draw(st.sampled_from([1, 2, 4]), label="heads")
+        model = random_model(20, L, d, heads, 32,
+                             seed=data.draw(st.integers(0, 99), label="seed"))
+        small = data.draw(st.integers(2, edge - 1), label="small")
+        large = data.draw(st.integers(edge, 2 * edge), label="large")
+        # a dense document and one query row among few and among many keys,
+        # then documents of random exits on either side of the floor
+        exits = [np.full(data.draw(st.integers(1, 2 * edge), label="dense"), L),
+                 np.array([L] + [1] * (small - 1)),
+                 np.array([L] + [1] * (large - 1))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 99), label="rng"))
+        for n in data.draw(st.lists(st.integers(1, 2 * edge), max_size=4),
+                           label="sizes"):
+            e = rng.integers(1, L + 1, size=n)
+            e[0] = L
+            exits.append(e)
+        order = data.draw(st.permutations(range(len(exits))), label="order")
+        exits = [exits[i] for i in order]
+        ids_list = [rng.integers(-1, 20, size=e.size) for e in exits]
+        schedules = [ExitSchedule(e, np.ones(e.size, dtype=bool)) for e in exits]
+        ways = spy_ways(monkeypatch)
+        try:
+            finals = forward_docs(model, ids_list, schedules)
+            # one group runs every document of layer 2, in all three ways
+            assert ways[1] == {encoder._STANDARD, encoder._REASSOCIATED,
+                               encoder._FOLDED}
+            for ids, e, got in zip(ids_list, exits, finals):
+                want = vanilla_forward(model, ids, e)
+                assert np.max(np.abs(got - want)) <= 1e-9
+            fold(monkeypatch, False)
+            for got, want in zip(finals, forward_docs(model, ids_list, schedules)):
+                assert np.max(np.abs(got - want)) <= 1e-12
+        finally:
+            monkeypatch.undo()  # the next example patches afresh
+
+    @pytest.mark.parametrize("shape", ["toy", "mid"])
+    def test_benchmark_shapes_sit_on_either_side(self, monkeypatch, shape):
+        # toy documents (d=8, 5-15 tokens) attend stacked and mid ones
+        # (d=256, 64-128 tokens) folded, so that the benchmark runs a
+        # workload on each side of FOLDED_FLOATS
+        rng = np.random.default_rng(66)
+        if shape == "toy":
+            model = random_model(200, 4, 8, 2, 16, seed=67)
+            ids_list, schedules = [], []
+            for n in rng.integers(5, 16, size=200):
+                e = rng.choice([1, 2, 4], p=[0.6, 0.3, 0.1], size=n)
+                e[0] = 4
+                ids_list.append(rng.integers(-1, 200, size=n))
+                schedules.append(ExitSchedule(e, np.ones(n, dtype=bool)))
+            reassociated = encoder._REASSOCIATED
+        else:
+            model = random_model(300, 2, 256, 4, 1024, seed=68)
+            ids_list, schedules = mid_batch(rng, model, row_budget(model),
+                                            exits=(1, 2), p=(0.8, 0.2))
+            reassociated = encoder._FOLDED
+        ways = spy_ways(monkeypatch)
+        forward_docs(model, ids_list, schedules)
+        assert set().union(*ways) == {encoder._STANDARD, reassociated}
 
 
 class TestForward:
@@ -871,9 +970,9 @@ class TestLayerGroups:
         groups = []
         real = encoder._layer_rows
 
-        def counted(h, weights, active, heads, sizes, counts):
+        def counted(h, weights, active, heads, sizes, *rest):
             groups.append((sizes.size, len(h), active.size))
-            return real(h, weights, active, heads, sizes, counts)
+            return real(h, weights, active, heads, sizes, *rest)
 
         monkeypatch.setattr(encoder, "_layer_rows", counted)
         return groups
@@ -1058,6 +1157,42 @@ class TestLayerGroups:
             tracemalloc.stop()
         assert peak <= 4 * h_nbytes
 
+    def test_peak_memory_of_folded_layers_at_bert_base_width(self, monkeypatch):
+        # layer 2 leaves each document of the full d=768 batch the most
+        # active rows that still reassociate, so every document folds its
+        # heads into (rows, 12, 768) queries; _groups counts those 12·768
+        # floats a row, which gives each document a group of its own, and
+        # the peak stays within the same bound
+        rng = np.random.default_rng(93)
+        model = random_model(50, 2, 768, 12, 3072, seed=90)
+        lengths = [256, 200, 130, 96]
+        active = [_fewest_standard(n, 768, 12) - 1 for n in lengths]
+        assert active == [54, 51, 45, 40]
+        ids_list = [rng.integers(-1, 50, size=n) for n in lengths]
+        schedules = []
+        for n, m in zip(lengths, active):
+            e = np.ones(n, dtype=np.int64)
+            e[0] = 2
+            e[1 + rng.choice(n - 1, size=m - 1, replace=False)] = 2
+            schedules.append(ExitSchedule(e, np.ones(n, dtype=bool)))
+        folded_rows = []
+        real = encoder._folded_attention
+
+        def spy(q, *args):
+            folded_rows.append(q.shape[0])
+            return real(q, *args)
+
+        monkeypatch.setattr(encoder, "_folded_attention", spy)
+        h_nbytes = sum(lengths) * model.d * 8
+        tracemalloc.start()
+        try:
+            forward_docs(model, ids_list, schedules)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert folded_rows == active  # two documents would overflow it
+        assert peak <= 4 * h_nbytes
+
     def test_cls_features_memory_stays_near_one_batch(self):
         # cls_features over two full mid batches holds one batch's states
         # at a time: the bound of one forward, plus the features. States
@@ -1087,53 +1222,25 @@ class TestLayerGroups:
         alone = max(peak_of([seqs[i] for i in batch])[1] for batch in batches)
         assert peak <= alone + feats.nbytes
 
-    # sha256 of the states H^0..H^12 of five single documents at the mid
-    # shape, recorded before layers ran in groups and updated states in
-    # place; the grouped, in-place forward must give the same bits. The
-    # float64 results are those of numpy's bundled OpenBLAS; another BLAS
-    # may round the matmuls differently.
-    GOLDEN_MID_TRACES = \
-        "6001075080b2f74357a7013d2a4cb0a8142479c5cba1ee100ceb600456fbce74"
-
-    def test_golden_single_document_traces(self):
+    @staticmethod
+    def golden_documents():
+        """The model and the five (ids, schedule) documents of the
+        single-document golden traces."""
         model = random_model(300, 12, 256, 4, 1024, seed=70)
         rng = np.random.default_rng(71)
-        digest = hashlib.sha256()
+        docs = []
         for n in (1, 7, 96, 64, 512):
             ids = rng.integers(-1, 300, size=n)
             exits = rng.choice([1, 5, 9, 12], p=[0.79, 0.11, 0.09, 0.01], size=n)
             if n == 64:
                 exits[:] = 12  # no exit: every layer dense
             exits[0] = 12
-            trace = forward(model, ids, ExitSchedule(exits, np.ones(n, dtype=bool)))
-            for state in trace.hidden:
-                digest.update(state.tobytes())
-        assert digest.hexdigest() == self.GOLDEN_MID_TRACES
+            docs.append((ids, ExitSchedule(exits, np.ones(n, dtype=bool))))
+        return model, docs
 
-    # sha256 of the packed states H^0..H^L of multi-document batches,
-    # recorded before attention padded its operands by per-document counts.
-    # Each batch holds a dense document, documents with no active row above
-    # layer 1 and documents of one or a few active rows, so that its layers
-    # take both associations; budget 1 runs each document with an active
-    # row as a group of its own. The float64 results are those of numpy's
-    # bundled OpenBLAS; another BLAS may round the matmuls differently.
-    GOLDEN_PACKED_TRACES = {
-        ("toy", None):
-            "829ced7ced11fd659beccd798d58913f9f18a2de9b39a8d4525dad9872ef20fc",
-        ("toy", 1):
-            "d5345d37f0ca1da9374ce6a0b4c824118ca8971b59c6a37a4bbf1f11548ba355",
-        ("toy", 80):
-            "d5345d37f0ca1da9374ce6a0b4c824118ca8971b59c6a37a4bbf1f11548ba355",
-        ("mid", None):
-            "694b0d5d3e4dba2d0057bab24a8b7c637ba0225a12c329acbe2fb8bc9746d92e",
-        ("mid", 1):
-            "af2d0d5586eaffc2ac900bec27c45290fc9e77cb782982ececb84cb449114725",
-        ("mid", 4096):
-            "89af4e80aa64645a464b8eb07f79f5f959810e9ef5c7a1c23bfefc1d6fde7853",
-    }
-
-    @pytest.mark.parametrize("shape, budget", list(GOLDEN_PACKED_TRACES))
-    def test_golden_packed_traces(self, monkeypatch, shape, budget):
+    @staticmethod
+    def golden_batch(shape):
+        """The model and the PackedBatch of the packed golden traces."""
         dims = {"toy": (6, 8, 2, 16), "mid": (6, 64, 4, 128)}[shape]
         model = random_model(50, *dims, seed=72)
         L = model.num_layers
@@ -1149,25 +1256,115 @@ class TestLayerGroups:
             exits.append(e)
         ids_list = [rng.integers(-1, 50, size=e.size) for e in exits]
         schedules = [ExitSchedule(e, np.ones(e.size, dtype=bool)) for e in exits]
+        return model, packed_batch(ids_list, schedules)
+
+    # sha256 of the states H^0..H^12 of five single documents at the mid
+    # shape, recorded before layers ran in groups and updated states in
+    # place; the grouped, in-place forward must give the same bits. The
+    # float64 results are those of numpy's bundled OpenBLAS; another BLAS
+    # may round the matmuls differently. GOLDEN_MID_TRACES holds the
+    # stacked attention's bits, GOLDEN_MID_TRACES_FOLDED those of every
+    # reassociated document attending folded (FOLDED_FLOATS 0), recorded
+    # after test_folded_agrees_with_stacked_on_golden_inputs passed.
+    GOLDEN_MID_TRACES = \
+        "6001075080b2f74357a7013d2a4cb0a8142479c5cba1ee100ceb600456fbce74"
+    GOLDEN_MID_TRACES_FOLDED = \
+        "6ac5e045eb7d47095f1693d64a0d51919aefe8e0ab635fcb132028b11916077d"
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["stacked", "folded"])
+    def test_golden_single_document_traces(self, monkeypatch, folded):
+        fold(monkeypatch, folded)
+        model, docs = self.golden_documents()
+        digest = hashlib.sha256()
+        for ids, sched in docs:
+            for state in forward(model, ids, sched).hidden:
+                digest.update(state.tobytes())
+        assert digest.hexdigest() == (self.GOLDEN_MID_TRACES_FOLDED if folded
+                                      else self.GOLDEN_MID_TRACES)
+
+    # sha256 of the packed states H^0..H^L of multi-document batches,
+    # recorded before attention padded its operands by per-document counts.
+    # Each batch holds a dense document, documents with no active row above
+    # layer 1 and documents of one or a few active rows, so that its layers
+    # take both associations; budget 1 runs each document with an active
+    # row as a group of its own. The float64 results are those of numpy's
+    # bundled OpenBLAS; another BLAS may round the matmuls differently.
+    # GOLDEN_PACKED_TRACES holds the stacked attention's bits, and
+    # GOLDEN_PACKED_TRACES_FOLDED those of every reassociated document
+    # attending folded, as for the single documents.
+    GOLDEN_PACKED_TRACES = {
+        ("toy", None):
+            "829ced7ced11fd659beccd798d58913f9f18a2de9b39a8d4525dad9872ef20fc",
+        ("toy", 1):
+            "d5345d37f0ca1da9374ce6a0b4c824118ca8971b59c6a37a4bbf1f11548ba355",
+        ("toy", 80):
+            "d5345d37f0ca1da9374ce6a0b4c824118ca8971b59c6a37a4bbf1f11548ba355",
+        ("mid", None):
+            "694b0d5d3e4dba2d0057bab24a8b7c637ba0225a12c329acbe2fb8bc9746d92e",
+        ("mid", 1):
+            "af2d0d5586eaffc2ac900bec27c45290fc9e77cb782982ececb84cb449114725",
+        ("mid", 4096):
+            "89af4e80aa64645a464b8eb07f79f5f959810e9ef5c7a1c23bfefc1d6fde7853",
+    }
+    GOLDEN_PACKED_TRACES_FOLDED = {
+        ("toy", None):
+            "87beb8d7237503cca71ad1729a74d4187b92e1b8e1b58b0b80213b37df47684f",
+        ("toy", 1):
+            "ee71b3a38fa026a8fa6def5eb5baf5cea039906ccdeeeec04aef02570984db04",
+        ("toy", 80):
+            "ee71b3a38fa026a8fa6def5eb5baf5cea039906ccdeeeec04aef02570984db04",
+        ("mid", None):
+            "17bdf5d20b04d39be4301455d14af0571921e862f26d594c69acd6b0a08f79b3",
+        ("mid", 1):
+            "348800a509f87e75b7ac6d3103aa11f3d07c3210d7bb330ec998306a09c746c2",
+        ("mid", 4096):
+            "5fa02d8034e96f4170ddf3898c850c771cdc4189e4a4210f49300bd1cc4e72bf",
+    }
+
+    @pytest.mark.parametrize("shape, budget, folded", [
+        pytest.param(shape, budget, folded,
+                     id=f"{shape}-{budget}" + ("-folded" if folded else ""))
+        for shape, budget in GOLDEN_PACKED_TRACES for folded in (False, True)])
+    def test_golden_packed_traces(self, monkeypatch, shape, budget, folded):
+        fold(monkeypatch, folded)
+        model, batch = self.golden_batch(shape)
+        L = model.num_layers
         if budget is not None:
             monkeypatch.setattr(encoder, "BATCH_FLOATS", budget)
-        calls = []
-        real = encoder._attention
-
-        def spy(*args):
-            calls.append(args[4])  # reassociate
-            return real(*args)
-
-        monkeypatch.setattr(encoder, "_attention", spy)
-        states = list(forward(model, packed_batch(ids_list, schedules),
-                              traces=True))
-        assert True in calls and False in calls
+        ways = spy_ways(monkeypatch)
+        states = list(forward(model, batch, traces=True))
+        seen = set().union(*ways)
+        reassociated = encoder._FOLDED if folded else encoder._REASSOCIATED
+        assert seen == {encoder._STANDARD, reassociated}
         if budget == 1:
-            assert len(calls) > 3 * L
+            assert len(ways) > 3 * L
         digest = hashlib.sha256()
         for state in states:
             digest.update(state.tobytes())
-        assert digest.hexdigest() == self.GOLDEN_PACKED_TRACES[shape, budget]
+        golden = (self.GOLDEN_PACKED_TRACES_FOLDED if folded
+                  else self.GOLDEN_PACKED_TRACES)
+        assert digest.hexdigest() == golden[shape, budget]
+
+    def test_folded_agrees_with_stacked_on_golden_inputs(self, monkeypatch):
+        # both selections on the inputs of both golden tests: their states
+        # agree to 1e-12, and within each run every row keeps, bit for
+        # bit, its state from its exit layer up
+        model, docs = self.golden_documents()
+        runs = [(model, packed_batch([ids], [sched]), None) for ids, sched in docs]
+        runs += [(*self.golden_batch(shape), budget)
+                 for shape, budget in self.GOLDEN_PACKED_TRACES]
+        for model, batch, budget in runs:
+            if budget is not None:
+                monkeypatch.setattr(encoder, "BATCH_FLOATS", budget)
+            both = []
+            for folded in (False, True):
+                fold(monkeypatch, folded)
+                states = list(forward(model, batch, traces=True))
+                assert_frozen_rows_exact(states, batch.exits)
+                both.append(states)
+            for stacked, folded in zip(*both):
+                assert np.max(np.abs(stacked - folded)) <= 1e-12
+            monkeypatch.undo()
 
 
 class TestPositionalEncoding:
@@ -1362,6 +1559,12 @@ class TestFit:
     def test_negative_epochs_rejected(self):
         with pytest.raises(ConfigError):
             fit(lambda h: (0.0, h), (np.ones(2),), epochs=-1, lr=1.0,
+                what="head")
+
+    @pytest.mark.parametrize("epochs", [1.5, True, "2"])
+    def test_epochs_are_an_integer(self, epochs):
+        with pytest.raises(InputError, match="epochs"):
+            fit(lambda h: (0.0, h), (np.ones(2),), epochs=epochs, lr=1.0,
                 what="head")
 
     @pytest.mark.parametrize("trainer", ["train_toy", "train_annotator",
@@ -1608,3 +1811,10 @@ class TestModelValidation:
     def test_odd_d_rejected(self):
         with pytest.raises(ConfigError):
             random_model(4, 1, 5, 1, 8, seed=0)
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ConfigError), (0.5, InputError), (True, InputError),
+    ], ids=["negative", "float", "bool"])
+    def test_seed_is_a_non_negative_integer(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            random_model(4, 1, 8, 2, 8, seed=seed)

@@ -44,6 +44,13 @@ class TestSeparableTask:
         with pytest.raises(ConfigError):
             make_separable_task(vocab_size=2)
 
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ConfigError), (0.5, InputError), (True, InputError),
+    ], ids=["negative", "float", "bool"])
+    def test_seed_is_a_non_negative_integer(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            make_separable_task(seed=seed)
+
 
 class TestAblation:
     def test_needs_two_seeds(self):
@@ -56,6 +63,11 @@ class TestAblation:
     def test_seeds_are_non_negative_integers(self, seeds, error):
         with pytest.raises(error, match="seeds"):
             run_consistency_ablation(seeds)
+
+    def test_epochs_are_an_integer(self):
+        # 1.5 epochs once reached range() and raised a bare TypeError
+        with pytest.raises(InputError, match="epochs"):
+            run_consistency_ablation([0, 1], epochs=1.5)
 
     def test_identical_tables_control(self):
         res = run_consistency_ablation([0, 1], epochs=40, force_identical=True)
@@ -79,6 +91,15 @@ class TestAblation:
 
 
 class TestDifficultyPipeline:
+    # numpy raised a bare ValueError for -1 and a TypeError for 0.5, and
+    # True ran as seed 1
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ConfigError), (0.5, InputError), (True, InputError),
+    ], ids=["negative", "float", "bool"])
+    def test_seed_is_a_non_negative_integer(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            run_difficulty_pipeline(seed=seed)
+
     def test_runs_and_reports_both_predictors(self):
         out = run_difficulty_pipeline(seed=0, num_train=20, num_eval=20,
                                       annotator_epochs=60,
