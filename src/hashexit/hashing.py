@@ -7,9 +7,10 @@ inference), frequency ranking, token/label mutual information, and
 k-means clustering of token embeddings ranked by mean vector norm.
 
 Building works on whole arrays, sized for vocabularies of about 30k
-tokens: corpus counts are integer `np.bincount`s, MI runs once per
-distinct co-occurrence row, and k-means never holds an (n, k, dim)
-tensor. Each table is byte-identical to one built a token at a time.
+tokens: corpus counts are integer `np.bincount`s, presence and MI
+grouping sort rather than hash, MI runs once per distinct co-occurrence
+row, and k-means holds neither an (n, k, dim) tensor nor an (n, dim)
+temporary. Each table is byte-identical to one built a token at a time.
 """
 
 import math
@@ -99,7 +100,9 @@ class CorpusStats:
     @classmethod
     def from_documents(cls, vocab: Vocab, documents, labels=None) -> "CorpusStats":
         """Count a sequence of token lists; tokens outside the vocab are
-        skipped. Every count is one integer `np.bincount`, so it is exact."""
+        skipped. Every count is one integer `np.bincount`, so it is exact.
+        Presence comes from the sorted (document, token) keys: a key that
+        differs from its left neighbour is a pair present in the corpus."""
         if labels is not None and len(labels) != len(documents):
             raise InputError(f"{len(labels)} labels for {len(documents)} documents")
         size = len(vocab)
@@ -115,7 +118,11 @@ class CorpusStats:
         label_of = np.array([label_index[y] for y in labels], dtype=np.int64)
         label_counts = np.bincount(label_of, minlength=len(label_set))
         # one key per (document, token) pair present: presence, not count
-        present = np.unique(doc_of * size + ids)
+        keys = np.sort(doc_of * size + ids)
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True  # no head at all when there is no key
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        present = keys[first]
         cells = (present % size) * len(label_set) + label_of[present // size]
         cooccur = np.bincount(cells, minlength=size * len(label_set))
         return cls(freq, len(documents), label_set, label_counts,
@@ -304,14 +311,23 @@ def _mi_scores(stats: CorpusStats) -> np.ndarray:
 
     A score depends only on the token's row of `stats.cooccur`, so the
     function runs once per distinct row and the scores are gathered back:
-    the same floats as one call per token.
+    the same floats as one call per token. One `np.lexsort` over the
+    label columns brings equal rows together, and a row that differs from
+    its left neighbour starts a new group.
     """
     if not stats.labeled:
         raise ConfigError("mutual information requires a labeled corpus")
-    _, first, inverse = np.unique(stats.cooccur, axis=0, return_index=True,
-                                  return_inverse=True)
-    distinct = np.array([token_label_mi(stats, int(t)) for t in first])
-    return distinct[inverse.reshape(-1)]
+    cooccur = stats.cooccur
+    # the zero key keeps lexsort's key list non-empty when there is no label
+    order = np.lexsort((np.zeros(len(cooccur), dtype=np.int64), *cooccur.T))
+    rows = cooccur[order]
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True  # no head at all when there is no row
+    (rows[1:] != rows[:-1]).any(axis=1, out=first[1:])
+    distinct = np.array([token_label_mi(stats, int(t)) for t in order[first]])
+    scores = np.empty(len(rows))
+    scores[order] = distinct[np.cumsum(first) - 1]
+    return scores
 
 
 def build_mi(vocab: Vocab, stats: CorpusStats, num_buckets: int,
@@ -329,14 +345,15 @@ def build_mi(vocab: Vocab, stats: CorpusStats, num_buckets: int,
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Per-token real vectors: row i is the vector of `tokens[i]`. Tokens
-    are distinct, non-empty and free of whitespace (`index_tokens`)."""
+    """Per-token real vectors: row i is the vector of `tokens[i]`, held
+    as one C-ordered float64 array. Tokens are distinct, non-empty and
+    free of whitespace (`index_tokens`)."""
 
     tokens: tuple[str, ...]
     vectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
+        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(self.tokens):
             raise ConfigError(
                 f"need one vector per token, got {vectors.shape} "
@@ -356,30 +373,68 @@ class EmbeddingTable:
 # recheck in `_nearest` may hold.
 _RECHECK_FLOATS = 1 << 20
 
+# Floats of the (rows, dim) temporary one block of `_row_sq_sums` may hold.
+_ROW_FLOATS = 1 << 16
+
+
+def _row_sq_sums(points: np.ndarray, centers=None, labels=None) -> np.ndarray:
+    """Each row's summed squares: of the row itself, of `row - centers`
+    for one (dim,) center, or, given `labels`, of `row - centers[label]`,
+    the row's own center.
+
+    Rows are squared in blocks of at most `_ROW_FLOATS` floats, so no
+    (n, dim) temporary is held. Each row of C-ordered points is summed on
+    its own, so the result equals `((points - c) ** 2).sum(axis=1)` bit
+    for bit, and its `np.sqrt` equals `np.linalg.norm(points, axis=1)`.
+    """
+    out = np.empty(len(points))
+    block = max(1, _ROW_FLOATS // max(1, points.shape[1]))
+    for start in range(0, len(points), block):
+        stop = start + block
+        rows = points[start:stop]
+        if centers is None:
+            rows = np.square(rows)
+        else:
+            rows = rows - (centers if labels is None
+                           else centers[labels[start:stop]])
+            np.square(rows, out=rows)
+        rows.sum(axis=1, out=out[start:stop])
+    return out
+
 
 def _nearest(points: np.ndarray, sq_norms: np.ndarray,
              centers: np.ndarray) -> np.ndarray:
     """Index of each point's nearest center, as the argmin of the summed
     squared differences; `sq_norms` holds each point's squared norm.
 
-    Distances come from |x|^2 - 2 x.c + |c|^2, an (n, k) array. That
-    expansion and the summed squared differences each err by at most
-    about dim * 2**-53 * (|x|^2 + |c|^2), so wherever the two smallest
-    expanded distances of a row differ by more than 1e-9 * (|x|^2 +
-    max |c|^2), both give the same nearest center (for dim up to about
-    10**6). The other rows, and any row whose distances are not finite,
-    are recomputed as summed squared differences in row blocks: the
-    labels are exactly those of that formula, ties going to the lower
-    center index, without an (n, k, dim) temporary.
+    Distances come from |x|^2 - 2 x.c + |c|^2, one (k, n) array made in
+    place from `centers @ points.T`; one scan over its k rows keeps each
+    point's nearest and second-nearest distance, a strict `<` keeping
+    ties on the lower center. That expansion and the summed squared
+    differences each err by at most about dim * 2**-53 * (|x|^2 + |c|^2),
+    so wherever a point's two smallest expanded distances differ by more
+    than 1e-9 * (|x|^2 + max |c|^2), both give the same nearest center
+    (for dim up to about 10**6). The other points, and any point whose
+    distances are not finite, are recomputed as summed squared
+    differences in row blocks: the labels are exactly those of that
+    formula, ties going to the lower center index, without an
+    (n, k, dim) temporary.
     """
-    c_sq = (centers ** 2).sum(axis=1)
-    d2 = sq_norms[:, None] - 2.0 * (points @ centers.T) + c_sq
-    labels = d2.argmin(axis=1)
+    labels = np.zeros(len(points), dtype=np.int64)
     if len(centers) == 1:
         return labels
-    two = np.partition(d2, 1, axis=1)
+    c_sq = _row_sq_sums(centers)
+    d2 = centers @ points.T
+    d2 *= -2.0
+    d2 += sq_norms
+    d2 += c_sq[:, None]
+    best, second = d2[0].copy(), np.full(len(points), np.inf)
+    for c in range(1, len(centers)):
+        np.copyto(labels, c, where=d2[c] < best)
+        np.minimum(second, np.maximum(best, d2[c]), out=second)
+        np.minimum(best, d2[c], out=best)
     bound = 1e-9 * (sq_norms + c_sq.max())
-    sure = (two[:, 1] - two[:, 0] > bound) & np.isfinite(d2).all(axis=1)
+    sure = (second - best > bound) & np.isfinite(d2).all(axis=0)
     recheck = np.flatnonzero(~sure)
     block = max(1, _RECHECK_FLOATS // centers.size)
     for start in range(0, len(recheck), block):
@@ -393,7 +448,7 @@ def _repair_empty(points, centers, labels, k):
     """Give each empty cluster the point farthest from its own centroid."""
     counts = np.bincount(labels, minlength=k)
     for c in np.flatnonzero(counts == 0):
-        dist = ((points - centers[labels]) ** 2).sum(axis=1)
+        dist = _row_sq_sums(points, centers, labels)
         dist[counts[labels] <= 1] = -1.0  # never empty another cluster
         p = int(dist.argmax())
         counts[labels[p]] -= 1
@@ -407,13 +462,15 @@ def kmeans(points: np.ndarray, k: int, seed: int):
 
     Stops after 50 sweeps or once the summed centroid movement drops
     below 1e-6. Empty clusters claim the point farthest from its
-    current centroid. Deterministic for a fixed seed.
+    current centroid. Deterministic for a fixed seed. Beside `points`
+    it holds one (k, n) distance array, each cluster's rows while its
+    mean is taken, and row blocks, never an (n, dim) temporary.
 
     Returns (labels, centroids); centroids are the means of the returned
     assignment. `k` is read by `errors.int_scalar` and `seed` by
     `errors.rng_seed`.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     n = len(points)
     k, seed = int_scalar(k, "k"), rng_seed(seed)
     if k < 1 or k > n:
@@ -423,7 +480,7 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     # k-means++ seeding
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _row_sq_sums(points, centers[0])
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -431,9 +488,9 @@ def kmeans(points: np.ndarray, k: int, seed: int):
         else:
             idx = int(rng.integers(n))  # all remaining points coincide
         centers[i] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+        np.minimum(d2, _row_sq_sums(points, centers[i]), out=d2)
 
-    sq_norms = (points ** 2).sum(axis=1)
+    sq_norms = _row_sq_sums(points)
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(50):
         labels = _nearest(points, sq_norms, centers)
@@ -459,7 +516,7 @@ def build_clustered(emb: EmbeddingTable, num_buckets: int, num_layers: int,
     """
     _check_buckets(num_buckets, num_layers)
     labels, _ = kmeans(emb.vectors, num_buckets, seed)
-    norms = np.linalg.norm(emb.vectors, axis=1)
+    norms = np.sqrt(_row_sq_sums(emb.vectors))
     mean_norms = np.array([norms[labels == c].mean() for c in range(num_buckets)])
     order = np.lexsort((np.arange(num_buckets), mean_norms))
     rank = np.empty(num_buckets, dtype=np.int64)

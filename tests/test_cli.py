@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hashexit import cli, encoder, experiments
+from hashexit import cli, encoder, experiments, hashing
 from hashexit.cli import main
 from hashexit.corpus import Corpus, save_corpus, zipf_corpus
 from hashexit.encoder import (classify, forward, random_model, save_model,
@@ -166,13 +166,26 @@ class TestBuildHash:
             "a640278069d36044b81a8faf9add2ccfaf69d82fb5c7e2052e48893c0fbe4d53",
     }
 
-    def test_golden_tables(self, tmp_path):
-        corpus = zipf_corpus(600, 150, seed=21, min_len=8, max_len=80,
-                             labeled=True)
+    # the same at a size where k-means stops at its 50-sweep cap, recorded
+    # with `np.unique` presence and MI grouping and k-means distances in
+    # an (n, k) array scanned by `argmin` and `np.partition`
+    GOLDEN_CAPPED = {
+        "frequency.hash":
+            "41a5f32a046ac4d4be4311b6c3a2994eba2e11bc5ec63be5cea409b17ea80c14",
+        "mi.hash":
+            "96734db8aa603d12b722bfee6371967f4d4ed20653111a9a87cc2d621100d2fd",
+        "clustered.hash":
+            "541ba35aae41f5776d5b4f086f68e3efa1b25a150137ac4292948aa2d011319e",
+    }
+
+    @staticmethod
+    def build_golden(tmp_path, corpus, vectors):
+        """The frequency, MI and clustered tables of `corpus` and of
+        `vectors`, each built by `build-hash` into `tmp_path`."""
         save_corpus(corpus, tmp_path / "labeled.tsv")
         save_corpus(Corpus(corpus.documents), tmp_path / "docs.txt")
-        tokens = tuple(f"w{i:03d}" for i in range(600))
-        vectors = np.random.default_rng(2022).normal(size=(600, 16))
+        width = len(str(len(vectors) - 1))
+        tokens = tuple(f"w{i:0{width}d}" for i in range(len(vectors)))
         save_embeddings(EmbeddingTable(tokens, vectors), tmp_path / "emb.txt")
         common = ["--buckets", 3, "--layers", 12, "--out-dir", tmp_path]
         for argv in (
@@ -184,7 +197,25 @@ class TestBuildHash:
              "--seed", 5, "--out", "clustered.hash"],
         ):
             assert run(["build-hash", *argv, *common]) == 0
+
+    def test_golden_tables(self, tmp_path):
+        corpus = zipf_corpus(600, 150, seed=21, min_len=8, max_len=80,
+                             labeled=True)
+        vectors = np.random.default_rng(2022).normal(size=(600, 16))
+        self.build_golden(tmp_path, corpus, vectors)
         assert sha256s(tmp_path, self.GOLDEN) == self.GOLDEN
+
+    def test_golden_tables_at_the_sweep_cap(self, tmp_path, monkeypatch):
+        sweeps = []
+        nearest = hashing._nearest
+        monkeypatch.setattr(hashing, "_nearest",
+                            lambda *args: sweeps.append(1) or nearest(*args))
+        corpus = zipf_corpus(3000, 400, seed=30, min_len=8, max_len=120,
+                             labeled=True)
+        vectors = np.random.default_rng(2030).normal(size=(5000, 32))
+        self.build_golden(tmp_path, corpus, vectors)
+        assert len(sweeps) == 50
+        assert sha256s(tmp_path, self.GOLDEN_CAPPED) == self.GOLDEN_CAPPED
 
 
 def predict_one(model, ids, table):
