@@ -10,6 +10,13 @@ open with one header line, `<magic> key=value ...` (`format_header`,
 `parse_header`). Models and embeddings share one binary codec,
 `BinaryFormat`: that header, raw little-endian float64 blocks sized by
 it, then, for embeddings, UTF-8 token lines.
+
+Each text record, the last one included, ends with "\\n", so a file of
+zero records is empty. A writer refuses anything its format cannot hold
+with an InputError, before it opens the file. Integers are read only in
+the form `str` writes them (`parse_ints`), so a header or table that
+loads saves back as the same bytes. Tests hold two rules: no other module
+opens a file, and no other module splits a header field on "=".
 """
 
 import math

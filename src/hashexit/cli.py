@@ -15,8 +15,8 @@ import numpy as np
 from .artifacts import write_text
 from .errors import ConfigError, HashExitError
 from .corpus import load_corpus
-# schedule is not called here; it stays importable for bench/'s wrappers at
-# hashexit.cli names until the per-document API goes (ROADMAP item 2)
+# schedule is not called here; it stays importable because bench/ wraps it
+# at this hashexit.cli name, and goes when bench/ drops the per-document API
 from .encoder import batches, classify, forward, load_model, route, schedule
 from .flops import ModelDims, report
 from . import experiments
@@ -113,6 +113,10 @@ def cmd_infer(args):
 
 
 def cmd_flops_report(args):
+    """Price a corpus under a table. The dims are checked before the corpus
+    is read; the corpus is then looked up in one flat `Vocab.packed_ids`
+    pass, one `HashTable.exits` call and one `report` call, with no
+    per-document id list or schedule."""
     out_dir = Path(args.out_dir)
     table = load_hash_table(args.table)
     if args.layers is not None and args.layers != table.num_layers:
@@ -122,9 +126,8 @@ def cmd_flops_report(args):
                      d_ff=args.d_ff)
     corpus = load_corpus(args.corpus)
     _report_skipped(corpus)
-    # unpinned, unlike infer's route: the benchmark checks this report
-    # against the unpinned lookup, so pinning waits for a benchmark change
-    # (ROADMAP item 1)
+    # unpinned, unlike infer's route: bench/ checks this report against the
+    # unpinned lookup, so pinning position 0 here needs a bench/ change too
     ids, offsets = table.vocab.packed_ids(corpus.documents)
     exits = table.exits(ids)
     del ids  # not held through report's temporaries, which set the peak

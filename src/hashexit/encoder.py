@@ -34,6 +34,11 @@ matmuls of its own over views of the packed rows, heads folded into rows
 each association share one stacked call per head, padded to the largest
 count (_attention), which suits small documents better than many small
 matmuls.
+
+The per-document forms (`schedule`, ExitSchedule, ForwardTrace,
+forward(model, ids, sched) and flops.report's list of schedules) stay
+because the benchmark under bench/ still calls them. New code uses `route`
+and forward(model, batch, traces=True).
 """
 
 import math
@@ -52,16 +57,16 @@ from .linalg import layer_norm, relu, softmax_rows
 
 # Budgets of a packed batch. `batches` cuts a corpus into batches whose
 # states (h, and each state of a trace) hold at most BATCH_ROWS rows and
-# STATE_FLOATS float64s (4 MiB): 2048 rows up to d=256. Inside a layer,
-# forward_layer runs the batch's documents in consecutive groups whose
-# widest temporary (active rows x max(d, d_ff), heads x d wide in a folded
-# document, or the documents' key rows x d) stays within BATCH_FLOATS,
-# 3 MiB, below the 4 MiB from which numpy
-# asks for huge pages; larger temporaries are mapped and page-faulted
-# afresh. A dense layer at d=256, d_ff=1024 then runs groups of 384 rows,
-# and a layer with one active row per document groups about 16 documents
-# of 96 rows, where a batch sized for the dense layer held 4. Both cuts
-# follow one rule, `_cuts`.
+# STATE_FLOATS float64s (4 MiB): 2048 rows up to d=256, 682 at d=768.
+# Inside a layer, forward_layer runs the batch's documents in consecutive
+# groups whose widest temporary (active rows x max(d, d_ff), heads x d wide
+# in a folded document, or the documents' key rows x d) stays within
+# BATCH_FLOATS, 3 MiB, below the 4 MiB from which numpy asks for huge
+# pages; larger temporaries are mapped and page-faulted afresh. A dense
+# layer at d=256, d_ff=1024 then runs groups of 384 rows, and a layer with
+# one active row per document groups about 16 documents of 96 rows, where
+# a batch sized for the dense layer held 4. Both cuts follow one rule,
+# `_cuts`.
 BATCH_ROWS = 2048
 STATE_FLOATS = 1 << 19
 BATCH_FLOATS = 3 << 17
@@ -547,8 +552,9 @@ def forward(model, batch, sched=None, *, traces=False):
     For a PackedBatch (see `route`) returns the packed (rows, d) final
     states; document i's rows are batch.offsets[i]:batch.offsets[i + 1].
     With traces=True it returns a lazy iterator over copies of the packed
-    states H^0..H^L: each layer runs when the iterator reaches it, and
-    list() gives all L+1. One document (an id sequence as `batch` and its
+    states H^0..H^L: each layer runs when the iterator reaches it, so a
+    caller that reads each state as it comes holds about two, and list()
+    gives all L+1. One document (an id sequence as `batch` and its
     ExitSchedule as `sched`) runs as a batch of one through the same path
     and returns its ForwardTrace; a document's states in a larger batch
     match its batch of one up to the summation order of the packed
@@ -575,7 +581,8 @@ def batches(model, corpus):
     Documents are taken shortest first, so a batch holds documents of
     similar length, and a batch's states stay within BATCH_ROWS rows and
     STATE_FLOATS floats; a document longer than that gets a batch of its
-    own."""
+    own. An empty document lands in a batch like any other, and `forward`
+    rejects it with an InputError."""
     ids, exits, offsets, lengths = _checked(corpus, model.num_layers)
     order = np.argsort(lengths, kind="stable")
     budget = min(BATCH_ROWS, STATE_FLOATS // model.d)
@@ -605,7 +612,9 @@ def fit(loss_and_grad, params, *, epochs, lr, what):
     loss_and_grad(*params) returns the loss followed by one gradient per
     parameter, and each epoch steps every parameter p to p - lr * g. A
     non-finite loss raises TrainingError naming `what`. Returns the final
-    parameters as a tuple. `epochs` is read by `errors.int_scalar`.
+    parameters as a tuple. `epochs` is read by `errors.int_scalar`. Every
+    learned part (the classifier head here, the difficulty lab's heads and
+    predictors) trains through this one loop.
     """
     epochs = int_scalar(epochs, "epochs")
     if epochs < 0:
@@ -644,7 +653,8 @@ def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
     ShapeError, and labels other than integers an InputError. A label outside
     0..num_classes - 1 is an InputError naming it; num_classes None stands
     for a head not made yet, whose classes the labels set, so only negative
-    labels are rejected.
+    labels are rejected. train_toy, accuracy (after its head check) and the
+    difficulty lab read their labels here, before any forward runs.
     """
     if per_token:
         try:

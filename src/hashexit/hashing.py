@@ -11,6 +11,12 @@ tokens: corpus counts are integer `np.bincount`s, presence and MI
 grouping sort rather than hash, MI runs once per distinct co-occurrence
 row, and k-means holds neither an (n, k, dim) tensor nor an (n, dim)
 temporary. Each table is byte-identical to one built a token at a time.
+
+Grouping sorts because numpy 2.4 runs an integer `np.unique` through a
+hash table, about 16 times slower than a sort and a neighbour mask on the
+(document, token) keys of a 1000-document corpus. So this module makes no
+`np.unique` call, and a test (`test_builders_group_by_sorting`, which
+gives the timings) holds it to that.
 """
 
 import math
@@ -464,7 +470,11 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     below 1e-6. Empty clusters claim the point farthest from its
     current centroid. Deterministic for a fixed seed. Beside `points`
     it holds one (k, n) distance array, each cluster's rows while its
-    mean is taken, and row blocks, never an (n, dim) temporary.
+    mean is taken, and row blocks, never an (n, dim) temporary. A
+    cluster's rows are gathered by one `np.compress`, in their original
+    order, so each mean sums in the order a boolean-mask copy would; that
+    copy of the largest cluster sets the peak, which is highest when a
+    sweep puts nearly every point in one cluster.
 
     Returns (labels, centroids); centroids are the means of the returned
     assignment. `k` is read by `errors.int_scalar` and `seed` by

@@ -181,3 +181,20 @@ def test_readme_call_forms_bind():
     forms = readme_call_forms()
     stale = [f"{name}({args})" for name, args in forms if not binds(name, args)]
     assert len(forms) >= 10 and not stale, stale
+
+
+def readme_layout_modules():
+    """Each `name.py` that README's Layout block names, repeats kept."""
+    block, = re.findall(r"^## Layout\n.*?^```\n(.*?)^```$", README,
+                        flags=re.M | re.S)
+    return re.findall(r"(?<![\w.])(\w+)\.py\b", block)
+
+
+def test_readme_layout_indexes_every_module_docstring():
+    # Layout is README's index into the module docstrings, which hold the
+    # mechanism: it names each module once and none that does not exist
+    modules = sorted(SUBMODULES - {"__init__", "__main__"})
+    assert sorted(readme_layout_modules()) == modules
+    for name in modules:
+        doc = importlib.import_module(f"hashexit.{name}").__doc__
+        assert doc and doc.strip(), name
