@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import check_field, check_tokens, write_text
 from .errors import ConfigError, InputError, ShapeError, int_vector
-from .encoder import (PackedBatch, _head_loss_and_grad, _label_ids, batches,
+from .encoder import (PackedBatch, _fit_heads, _label_ids, _new_heads, batches,
                       fit, forward, pack)
 
 
@@ -103,10 +103,10 @@ def _instance_states(model, sequences, counts):
     first counts[i] rows. One no-exit forward per batch of `batches`, its
     traces read as they arrive: H^0 is skipped and each layer's state is
     read only at the instances' rows, so a batch holds about two states,
-    not L+1."""
+    not L+1. No sequences give no instances."""
+    feats = np.empty((sum(counts), model.num_layers, model.d))
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
-    feats = np.empty((counts.sum(), model.num_layers, model.d))
     ids, offsets = pack(sequences)
     corpus = PackedBatch(ids, np.full(ids.size, model.num_layers), offsets)
     for batch, packed in batches(model, corpus):
@@ -123,32 +123,53 @@ def _instance_states(model, sequences, counts):
     return feats
 
 
-def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0):
-    """Fit one classifier head per layer on the pinned position's states."""
+def _states_of(model, sequences, counts, states):
+    """The instance states of `sequences` (`_instance_states`), or
+    `states` when the caller passes them, which must then hold one
+    (L, d) state per instance: another shape is a ShapeError."""
+    if states is None:
+        return _instance_states(model, sequences, counts)
+    want = (sum(counts), model.num_layers, model.d)
+    if np.shape(states) != want:
+        raise ShapeError(f"states of shape {np.shape(states)} where the "
+                         f"instances take {want}")
+    return states
+
+
+def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0,
+                    states=None):
+    """Fit one classifier head per layer on the pinned position's states.
+
+    The L heads train side by side as one stack (`encoder._fit_heads`),
+    head l on the layer-l states, from one (L, d, C) draw from `seed`.
+    `states` takes the sequences' sentence-mode states (`_instance_states`)
+    when the caller already has them; by default they are computed here.
+    """
     if len(sequences) == 0:
         raise InputError("annotator training set is empty")
     labels = _label_ids(sequences, labels)
-    feats = _instance_states(model, sequences, [1] * len(sequences))
-    num_classes = int(labels.max()) + 1
-    rng = np.random.default_rng(seed)
-    heads = []
-    for l in range(model.num_layers):
-        head = rng.normal(0.0, 0.01, size=(model.d, num_classes))
-        head, = fit(lambda head: _head_loss_and_grad(head, feats[:, l], labels),
-                    (head,), epochs=epochs, lr=lr,
-                    what=f"annotator head {l + 1}")
-        heads.append(head)
-    return MultiExitAnnotator(model=model, heads=heads)
+    feats = _states_of(model, sequences, [1] * len(sequences), states)
+    L = model.num_layers
+    heads = _fit_heads(_new_heads(seed, L, model.d, int(labels.max()) + 1),
+                       feats.transpose(1, 0, 2),
+                       np.broadcast_to(labels, (L, labels.size)),
+                       epochs=epochs, lr=lr,
+                       names=[f"annotator head {l + 1}" for l in range(L)])
+    return MultiExitAnnotator(model=model, heads=list(heads))
 
 
-def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
+def annotate(annotator, sequences, labels, mode="sentence", tokens=None, *,
+             states=None):
     """Stamp correctness bits per instance (or per token).
 
     Sentence mode reads the pinned first position through every head and
     compares argmax to the instance label. Token mode does the same at
     every position against per-token labels, producing one instance per
     token. Also records per-layer states (features) for the linear
-    predictor. Instances keep the order of `sequences`.
+    predictor. Instances keep the order of `sequences`. `states` takes
+    the instances' states when the caller already has them, as
+    `run_difficulty_pipeline` has the training set's from
+    `train_annotator`'s walk; by default they are computed here.
     """
     if mode not in ("sentence", "token"):
         raise ConfigError(f"unknown annotation mode {mode!r}")
@@ -161,7 +182,7 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None):
     if tokens is not None and len(tokens) != len(sequences):
         raise ShapeError("sequences and tokens differ in length")
     counts = [1 if sentence else len(seq) for seq in sequences]
-    feats = _instance_states(annotator.model, sequences, counts)
+    feats = _states_of(annotator.model, sequences, counts, states)
     instances = [(i, p) for i, n in enumerate(counts) for p in range(n)]
     ids = [str(i) if sentence else f"{i}.{p}" for i, p in instances]
     bits = np.empty(feats.shape[:2], dtype=np.int8)

@@ -610,38 +610,71 @@ def fit(loss_and_grad, params, *, epochs, lr, what):
     """Full-batch gradient descent from the parameter tuple `params`.
 
     loss_and_grad(*params) returns the loss followed by one gradient per
-    parameter, and each epoch steps every parameter p to p - lr * g. A
-    non-finite loss raises TrainingError naming `what`. Returns the final
+    parameter, and each epoch steps every parameter p to p - lr * g. The
+    loss is a scalar, and `what` names what trains; or it is a vector with
+    one loss per problem of a stack trained side by side, and `what` names
+    each problem in stack order. A non-finite loss raises TrainingError
+    naming the first problem whose loss is not finite. Returns the final
     parameters as a tuple. `epochs` is read by `errors.int_scalar`. Every
-    learned part (the classifier head here, the difficulty lab's heads and
-    predictors) trains through this one loop.
+    learned part (the classifier heads, as one stack, and the difficulty
+    lab's predictors) trains through this one loop.
     """
     epochs = int_scalar(epochs, "epochs")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     for _ in range(epochs):
         loss, *grads = loss_and_grad(*params)
-        if not np.isfinite(loss):
-            raise TrainingError(f"{what} diverged: loss {loss}")
+        finite = np.isfinite(loss)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            name = what[first] if np.ndim(loss) else what
+            raise TrainingError(f"{name} diverged: loss {np.ravel(loss)[first]}")
         params = tuple(p - lr * g for p, g in zip(params, grads))
     return params
 
 
-def _head_loss_and_grad(head, feats, labels):
-    """Mean cross entropy of feats @ head and its gradient in head.
+def _head_loss_and_grad(heads, feats, labels):
+    """Mean cross entropy of each problem p's feats[p] @ heads[p], and its
+    gradient in heads[p]: P losses and a (P, d, C) gradient.
 
-    feats is a float64 (n, d) array and labels an int64 vector of n
-    classes of head, as `_label_ids` returns them: neither is checked
-    here, so loops read their labels once, before the first step."""
-    n = feats.shape[0]
+    heads is a float64 (P, d, C) stack, feats a float64 (P, n, d) array (a
+    strided view will do) and labels an int64 (P, n) array of classes of
+    the heads, as `_label_ids` returns them: none is checked here, so loops
+    read their labels once, before the first step. Each problem takes the
+    gemm and the row reductions a lone (n, d) problem would, so a stack of
+    P gives each problem the bits it gets in a stack of one."""
+    P, n, _ = feats.shape
+    # each problem's labelled entry in the flat (P * n * C) scores
+    picked = np.arange(P * n) * heads.shape[2] + labels.ravel()
     # runaway weights and saturated probabilities surface as a non-finite
     # loss, which fit reports as divergence, not as a warning or a crash
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        probs = softmax_rows(feats @ head)
-        loss = -np.log(probs[np.arange(n), labels]).mean()
+        probs = feats @ heads
+        softmax_rows(probs.reshape(P * n, -1))  # in place, row by row
+        loss = -np.log(probs.ravel()[picked].reshape(P, n)).mean(axis=1)
         delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0
-        return loss, feats.T @ delta / n
+        delta.ravel()[picked] -= 1.0
+        return loss, feats.transpose(0, 2, 1) @ delta / n
+
+
+def _new_heads(seed, *shape):
+    """Untrained classifier heads of `shape`, whose last two axes are
+    (d, C): N(0, 0.01^2) entries in one draw from `seed`, so a stack of
+    L heads holds the numbers of L heads drawn in turn."""
+    return np.random.default_rng(seed).normal(0.0, 0.01, size=shape)
+
+
+def _fit_heads(heads, feats, labels, *, epochs, lr, names):
+    """Train a stack of P classifier heads in one gradient loop: heads[p]
+    descends on cross entropy over feats[p] and labels[p]
+    (`_head_loss_and_grad`), and a divergence names names[p]. Every
+    classifier head of the package trains here: `train_toy` as a stack of
+    one, `difficulty.train_annotator` as a stack of one head per layer
+    and `experiments.run_consistency_ablation` as one head per arm.
+    Returns the (P, d, C) trained heads."""
+    heads, = fit(lambda heads: _head_loss_and_grad(heads, feats, labels),
+                 (heads,), epochs=epochs, lr=lr, what=names)
+    return heads
 
 
 def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
@@ -689,12 +722,11 @@ def cls_features(model, sequences, table):
     return feats
 
 
-def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
-    """Head-only gradient descent on cross entropy over frozen features.
-
-    `table` schedules the exits. The encoder weights never move; only the
-    classifier head is (re)fit. Returns a new model.
-    """
+def _toy_problem(model, sequences, labels, table, seed):
+    """What `train_toy` fits: the initial (d, C) head, the (n, d) features
+    and the n labels. The head is a copy of the model's, or without one a
+    fresh head drawn from `seed` whose classes the labels set. The labels
+    are read before any forward runs."""
     if len(sequences) == 0:
         raise InputError("training set is empty")
     labels = _label_ids(sequences, labels,
@@ -703,12 +735,21 @@ def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
     if model.head is not None:
         head = model.head.copy()
     else:
-        num_classes = int(labels.max()) + 1
-        rng = np.random.default_rng(seed)
-        head = rng.normal(0.0, 0.01, size=(model.d, num_classes))
-    head, = fit(lambda head: _head_loss_and_grad(head, feats, labels), (head,),
-                epochs=epochs, lr=lr, what="classifier head")
-    return replace(model, layers=list(model.layers), head=head)
+        head = _new_heads(seed, model.d, int(labels.max()) + 1)
+    return head, feats, labels
+
+
+def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
+    """Head-only gradient descent on cross entropy over frozen features.
+
+    `table` schedules the exits. The encoder weights never move; only the
+    classifier head is (re)fit, as a stack of one in `_fit_heads`. Returns
+    a new model.
+    """
+    head, feats, labels = _toy_problem(model, sequences, labels, table, seed)
+    heads = _fit_heads(head[None], feats[None], labels[None], epochs=epochs,
+                       lr=lr, names=["classifier head"])
+    return replace(model, layers=list(model.layers), head=heads[0])
 
 
 def accuracy(model, sequences, labels, table):

@@ -7,13 +7,16 @@ predict which layers get an instance right). Both run on a small separable
 token task so results are deterministic and fast.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, rng_seed
-from .encoder import accuracy, random_model, train_toy
+# train_toy is not called here; it stays importable because bench/ wraps it
+from .encoder import (_fit_heads, _new_heads, _toy_problem, accuracy,
+                      random_model, train_toy)
 from .difficulty import (
+    _instance_states,
     annotate,
     evaluate,
     linear_b,
@@ -100,28 +103,41 @@ def run_consistency_ablation(seeds, *, buckets=2, num_layers=4, d=8, heads=2,
     which pins the two arms to identical results (a control). Each seed is
     read by `errors.rng_seed`. The keyword parameters, defaults included,
     are the `ablate-consistency` flags (`cli.build_parser`).
+
+    Every arm's features come first (`cls_features`, under its training
+    table); then the 2 x seeds heads train as one stack
+    (`encoder._fit_heads`), each from the two-class head `train_toy`
+    draws from its seed; then each arm is scored under its inference
+    table.
     """
     seeds = [rng_seed(seed, "seeds") for seed in seeds]
     if len(seeds) < 2:
         raise ConfigError("ablation needs at least 2 seeds to average over")
-    cons_accs, incons_accs = [], []
+    problems, names, arms = [], [], []
     for seed in seeds:
         task = make_separable_task(num_train=num_train, num_eval=num_eval,
                                    vocab_size=vocab_size, seq_len=seq_len,
                                    seed=seed)
-        model = random_model(len(task.vocab.tokens), num_layers, d, heads,
-                             d_ff, seed=seed)
+        # the task has two classes, whichever its training draw shows
+        model = replace(random_model(len(task.vocab.tokens), num_layers, d,
+                                     heads, d_ff, seed=seed),
+                        head=_new_heads(seed, d, 2))
         cons = build_random(task.vocab, buckets, num_layers, seed=seed)
         incons = (cons, cons) if force_identical else build_random(
             task.vocab, buckets, num_layers, seed=seed, consistent=False)
-        for accs, (train_table, infer_table) in ((cons_accs, (cons, cons)),
-                                                 (incons_accs, incons)):
-            trained = train_toy(model, task.train_seqs, task.train_labels,
-                                train_table, epochs=epochs, lr=lr, seed=seed)
-            accs.append(accuracy(trained, task.eval_seqs, task.eval_labels,
-                                 infer_table))
-    return AblationResult(seeds=seeds, cons_accuracies=cons_accs,
-                          incons_accuracies=incons_accs)
+        for arm, (train_table, infer_table) in (("cons", (cons, cons)),
+                                                ("incons", incons)):
+            problems.append(_toy_problem(model, task.train_seqs,
+                                         task.train_labels, train_table, seed))
+            names.append(f"classifier head of seed {seed}, {arm} arm")
+            arms.append((model, task, infer_table))
+    trained = _fit_heads(*(np.stack(part) for part in zip(*problems)),
+                         epochs=epochs, lr=lr, names=names)
+    accs = [accuracy(replace(model, head=head), task.eval_seqs,
+                     task.eval_labels, infer_table)
+            for head, (model, task, infer_table) in zip(trained, arms)]
+    return AblationResult(seeds=seeds, cons_accuracies=accs[0::2],
+                          incons_accuracies=accs[1::2])
 
 
 @dataclass
@@ -159,10 +175,15 @@ def run_difficulty_pipeline(*, seed=0, num_train=40, num_eval=40,
                                seed=seed)
     model = random_model(len(task.vocab.tokens), num_layers, d, heads, d_ff,
                          seed=seed)
+    # one walk of the training set's states serves the annotator's
+    # training and the training set's annotation
+    states = _instance_states(model, task.train_seqs,
+                              [1] * len(task.train_seqs))
     annotator = train_annotator(model, task.train_seqs, task.train_labels,
-                                epochs=annotator_epochs, lr=lr, seed=seed)
+                                epochs=annotator_epochs, lr=lr, seed=seed,
+                                states=states)
     train_ds = annotate(annotator, task.train_seqs, task.train_labels,
-                        tokens=task.token_text(task.train_seqs))
+                        tokens=task.token_text(task.train_seqs), states=states)
     eval_ds = annotate(annotator, task.eval_seqs, task.eval_labels,
                        tokens=task.token_text(task.eval_seqs))
     train_ds = oversample(train_ds, seed=seed, floor=floor)

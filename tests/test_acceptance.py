@@ -256,19 +256,20 @@ def test_acceptance_9_gradient_checks():
         return abs(analytic - numeric) / denom
 
     for _ in range(10):
-        feats = rng.normal(size=(8, 6))
-        labels = rng.integers(0, 3, size=8)
-        head = rng.normal(size=(6, 3))
+        # the stacked kernel, each problem a stack of one
+        feats = rng.normal(size=(1, 8, 6))
+        labels = rng.integers(0, 3, size=(1, 8))
+        head = rng.normal(size=(1, 6, 3))
         _, grad = _head_loss_and_grad(head, feats, labels)
         eps = 1e-6
         for i in range(6):
             for j in range(3):
                 hp, hm = head.copy(), head.copy()
-                hp[i, j] += eps
-                hm[i, j] -= eps
-                num = (_head_loss_and_grad(hp, feats, labels)[0]
-                       - _head_loss_and_grad(hm, feats, labels)[0]) / (2 * eps)
-                worst = max(worst, rel_err(grad[i, j], num))
+                hp[0, i, j] += eps
+                hm[0, i, j] -= eps
+                num = (_head_loss_and_grad(hp, feats, labels)[0][0]
+                       - _head_loss_and_grad(hm, feats, labels)[0][0]) / (2 * eps)
+                worst = max(worst, rel_err(grad[0, i, j], num))
 
     for _ in range(10):
         feats = rng.normal(size=(9, 5))

@@ -21,7 +21,7 @@ from hashexit.difficulty import (
 )
 from hashexit import difficulty, encoder
 from hashexit.encoder import ExitSchedule, forward, random_model
-from hashexit.experiments import DifficultyOutcome
+from hashexit.experiments import DifficultyOutcome, run_difficulty_pipeline
 
 from helpers import greedy_batches
 
@@ -258,6 +258,38 @@ class TestPackedWalk:
         alone = train_annotator(model, seqs, golds, epochs=30)
         for a, b in zip(packed.heads, alone.heads):
             assert np.abs(a - b).max() <= 1e-9
+
+    def test_given_states_stand_in_for_the_walk(self, monkeypatch):
+        # states a caller already holds give what the walk would, with no
+        # forward; states of another shape are refused
+        model = random_model(9, 3, 8, 2, 16, seed=25)
+        rng, seqs = self.ragged(26)
+        golds = [int(rng.integers(0, 2)) for _ in seqs]
+        walked = train_annotator(model, seqs, golds, epochs=20)
+        ds = annotate(walked, seqs, golds)
+        states = difficulty._instance_states(model, seqs, [1] * len(seqs))
+        calls = self.count_forward_calls(monkeypatch)
+        given = train_annotator(model, seqs, golds, epochs=20, states=states)
+        again = annotate(given, seqs, golds, states=states)
+        assert calls == []
+        for a, b in zip(walked.heads, given.heads):
+            assert np.array_equal(a, b)
+        assert np.array_equal(ds.bits, again.bits)
+        assert np.array_equal(ds.features, again.features)
+        with pytest.raises(ShapeError, match="states of shape"):
+            train_annotator(model, seqs, golds, epochs=1, states=states[1:])
+        with pytest.raises(ShapeError, match="states of shape"):
+            annotate(given, seqs, golds, states=states[:, :2])
+
+    @pytest.mark.filterwarnings(
+        "ignore:slot .* has no negative instances:UserWarning")
+    def test_pipeline_walks_the_training_set_once(self, monkeypatch):
+        # the annotator's training and the training set's annotation share
+        # one walk; the evaluation set takes its own
+        calls = self.count_forward_calls(monkeypatch)
+        run_difficulty_pipeline(seed=0, num_train=12, num_eval=8,
+                                annotator_epochs=5, predictor_epochs=5)
+        assert calls == [12, 8]
 
     def test_sentence_annotation_memory_stays_near_one_batch(self):
         # a batch's states are read at the instances' rows as each layer

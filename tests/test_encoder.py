@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +29,7 @@ from hashexit.encoder import (
     schedule,
     train_toy,
 )
-from hashexit import encoder
+from hashexit import difficulty, encoder
 from hashexit.difficulty import annotate, linear_b, train_annotator
 from hashexit.experiments import make_separable_task
 from hashexit.flops import ModelDims, _fewest_standard, reassociates, report
@@ -1529,27 +1531,115 @@ class TestTrainToy:
             accuracy(model, seqs, labels, table)
         assert calls == []
 
+    @staticmethod
+    def numeric_grads(heads, feats, labels, eps=1e-6):
+        """Central differences of each problem's loss in its own head, and
+        the largest move of any other problem's loss on the way."""
+        num = np.zeros_like(heads)
+        moved = 0.0
+        for p, i, j in np.ndindex(*heads.shape):
+            hp, hm = heads.copy(), heads.copy()
+            hp[p, i, j] += eps
+            hm[p, i, j] -= eps
+            lp, _ = encoder._head_loss_and_grad(hp, feats, labels)
+            lm, _ = encoder._head_loss_and_grad(hm, feats, labels)
+            num[p, i, j] = (lp[p] - lm[p]) / (2 * eps)
+            others = np.arange(len(heads)) != p
+            moved = max(moved, np.abs(lp - lm)[others].max(initial=0.0))
+        return num, moved
+
+    @staticmethod
+    def rel_err(num, grad):
+        denom = np.maximum(np.abs(num), np.abs(grad))
+        denom[denom == 0] = 1.0
+        return np.max(np.abs(num - grad) / denom)
+
     def test_gradcheck_head_loss(self):
+        # the stacked kernel on stacks of one
         rng = np.random.default_rng(21)
         for _ in range(5):
-            feats = rng.normal(size=(6, 5))
-            labels = rng.integers(0, 3, size=6)
-            head = rng.normal(size=(5, 3))
-            _, grad = encoder._head_loss_and_grad(head, feats, labels)
-            num = np.zeros_like(head)
-            eps = 1e-6
-            for i in range(5):
-                for j in range(3):
-                    hp = head.copy()
-                    hp[i, j] += eps
-                    hm = head.copy()
-                    hm[i, j] -= eps
-                    lp, _ = encoder._head_loss_and_grad(hp, feats, labels)
-                    lm, _ = encoder._head_loss_and_grad(hm, feats, labels)
-                    num[i, j] = (lp - lm) / (2 * eps)
-            denom = np.maximum(np.abs(num), np.abs(grad))
-            denom[denom == 0] = 1.0
-            assert np.max(np.abs(num - grad) / denom) < 1e-4
+            feats = rng.normal(size=(1, 6, 5))
+            labels = rng.integers(0, 3, size=(1, 6))
+            head = rng.normal(size=(1, 5, 3))
+            loss, grad = encoder._head_loss_and_grad(head, feats, labels)
+            assert loss.shape == (1,) and grad.shape == head.shape
+            num, _ = self.numeric_grads(head, feats, labels)
+            assert self.rel_err(num, grad) < 1e-4
+
+    def test_gradcheck_stacked_head_loss(self):
+        # four problems with their own features and labels: each gradient
+        # slice must match its own problem's finite differences, and no
+        # problem's loss may move with another's head
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            feats = rng.normal(size=(4, 7, 5)) * rng.uniform(0.5, 2.0, (4, 1, 1))
+            labels = rng.integers(0, 3, size=(4, 7))
+            heads = rng.normal(size=(4, 5, 3))
+            loss, grad = encoder._head_loss_and_grad(heads, feats, labels)
+            assert loss.shape == (4,) and grad.shape == heads.shape
+            num, moved = self.numeric_grads(heads, feats, labels)
+            assert self.rel_err(num, grad) < 1e-4
+            assert moved == 0.0
+            for p in range(4):
+                alone = encoder._head_loss_and_grad(
+                    heads[p:p + 1], feats[p:p + 1], labels[p:p + 1])
+                assert alone[0][0] == loss[p]
+                assert np.array_equal(alone[1][0], grad[p])
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stacked_fit_is_bit_exact(self, data):
+        # P problems trained as one stack end with the very heads of P
+        # fits of a stack of one each
+        P = data.draw(st.integers(1, 5), label="P")
+        n = data.draw(st.integers(1, 12), label="n")
+        d = data.draw(st.integers(1, 9), label="d")
+        C = data.draw(st.integers(1, 4), label="C")
+        epochs = data.draw(st.integers(0, 12), label="epochs")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        feats = rng.normal(size=(P, n, d))
+        labels = rng.integers(0, C, size=(P, n))
+        heads = rng.normal(0.0, 0.1, size=(P, d, C))
+        stacked = encoder._fit_heads(heads, feats, labels, epochs=epochs,
+                                     lr=0.5, names=["h"] * P)
+        assert stacked.shape == (P, d, C)
+        for p in range(P):
+            alone = encoder._fit_heads(heads[p:p + 1], feats[p:p + 1],
+                                       labels[p:p + 1], epochs=epochs, lr=0.5,
+                                       names=["h"])
+            assert np.array_equal(alone[0], stacked[p])
+
+    def test_divergence_names_the_first_problem(self):
+        # problems 1 and 2 blow up; the error names problem 1 and its loss
+        # alone, not the loss vector
+        rng = np.random.default_rng(23)
+        feats = rng.normal(size=(3, 6, 4)) * np.array([1.0, 1e200, 1e200])[:, None, None]
+        labels = rng.integers(0, 2, size=(3, 6))
+        heads = rng.normal(size=(3, 4, 2))
+        with pytest.raises(TrainingError) as excinfo:
+            encoder._fit_heads(heads, feats, labels, epochs=3, lr=1.0,
+                               names=["first", "second", "third"])
+        assert str(excinfo.value) in ("second diverged: loss nan",
+                                      "second diverged: loss inf")
+
+
+def test_annotator_heads_equal_per_layer_fits():
+    # the stack of L heads train_annotator fits holds what L fits of a
+    # stack of one give, from the heads drawn in turn from the same seed
+    task = make_separable_task(num_train=25, seed=4)
+    model = random_model(11, 3, 8, 2, 16, seed=5)
+    annotator = train_annotator(model, task.train_seqs, task.train_labels,
+                                epochs=40, lr=0.5, seed=6)
+    states = difficulty._instance_states(model, task.train_seqs,
+                                         [1] * len(task.train_seqs))
+    labels = np.array(task.train_labels)
+    rng = np.random.default_rng(6)
+    for l in range(3):
+        head = rng.normal(0.0, 0.01, size=(8, 2))
+        alone, = fit(lambda h: encoder._head_loss_and_grad(
+                         h, states[None, :, l], labels[None]),
+                     (head[None],), epochs=40, lr=0.5, what=["head"])
+        assert np.array_equal(annotator.heads[l], alone[0])
 
 
 def _diverging_trainers():
@@ -1597,6 +1687,59 @@ class TestFit:
         with pytest.raises(TrainingError) as excinfo:
             _diverging_trainers()[trainer]()
         assert excinfo.traceback[-1].name == "fit"
+
+
+def epoch_loops(tree):
+    """Name of the function around each loop (for, while or comprehension)
+    whose iterable or condition reads a name or attribute with "epoch" in
+    it, in any case; None for a loop outside any function."""
+    found = []
+
+    def reads_epochs(node):
+        return any("epoch" in (n.id if isinstance(n, ast.Name)
+                               else n.attr).lower()
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.For, ast.AsyncFor, ast.comprehension)):
+                if reads_epochs(child.iter):
+                    found.append(func)
+            elif isinstance(child, ast.While) and reads_epochs(child.test):
+                found.append(func)
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_fit_loops_over_epochs():
+    # one gradient loop: every learned part steps through encoder.fit, and
+    # classifier heads train there as one stack (encoder._fit_heads)
+    found = [(path.name, func)
+             for path in sorted(Path(encoder.__file__).parent.glob("*.py"))
+             for func in epoch_loops(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("encoder.py", "fit")]
+
+
+def test_the_epoch_rule_finds_loops():
+    tree = ast.parse("def fit(epochs):\n"
+                     "    for _ in range(epochs):\n"
+                     "        pass\n"
+                     "def g(cfg, n_epochs, step=0):\n"
+                     "    while step < cfg.epochs:\n"
+                     "        step += 1\n"
+                     "    return [f(x) for x in range(n_epochs)]\n"
+                     "def h(xs):\n"
+                     "    for x in xs:\n"
+                     "        pass\n"
+                     "for e in range(EPOCHS // 2):\n"
+                     "    pass\n")
+    assert epoch_loops(tree) == ["fit", "g", "g", None]
 
 
 def saved_model_bytes(tmp_path, model):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hashexit.errors import ConfigError, InputError
+from hashexit.errors import ConfigError, InputError, TrainingError
 from hashexit.difficulty import serialize_difficulty_dataset
 from hashexit.experiments import (
     make_separable_task,
@@ -88,6 +88,20 @@ class TestAblation:
         b = run_consistency_ablation([0, 1], epochs=40)
         assert a.cons_accuracies == b.cons_accuracies
         assert a.incons_accuracies == b.incons_accuracies
+
+
+    @pytest.mark.parametrize("seeds", [[0, 1], [6, 7]])
+    def test_a_one_class_training_draw_still_trains_two_classes(self, seeds):
+        # one training document of class 0 gave its seed a one-class head,
+        # which then refused the evaluation set's class-1 labels
+        res = run_consistency_ablation(seeds, num_train=1, epochs=5)
+        assert len(res.cons_accuracies) == len(res.incons_accuracies) == 2
+
+    def test_divergence_names_the_seed_and_arm(self):
+        with pytest.raises(TrainingError,
+                           match=r"^classifier head of seed 3, cons arm "
+                                 r"diverged: loss nan$"):
+            run_consistency_ablation([3, 4], lr=float("inf"), epochs=2)
 
 
 class TestDifficultyPipeline:
