@@ -168,8 +168,8 @@ def annotate(annotator, sequences, labels, mode="sentence", tokens=None, *,
     token. Also records per-layer states (features) for the linear
     predictor. Instances keep the order of `sequences`. `states` takes
     the instances' states when the caller already has them, as
-    `run_difficulty_pipeline` has the training set's from
-    `train_annotator`'s walk; by default they are computed here.
+    `run_difficulty_pipeline` has both sets' from its one walk; by
+    default they are computed here.
     """
     if mode not in ("sentence", "token"):
         raise ConfigError(f"unknown annotation mode {mode!r}")
@@ -247,26 +247,34 @@ def majority_baseline(dataset):
     return MajorityPredictor(slot_bits=(positives >= negatives).astype(np.int8))
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z, e=None):
+    """1 / (1 + exp(-z)) without overflow: e is exp(-|z|), computed here
+    unless the caller has it."""
+    if e is None:
+        e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def bce_loss_and_grad(w, b, feats, targets):
-    """Mean binary cross entropy of sigmoid(feats @ w + b) and gradients."""
+    """Mean binary cross entropy of sigmoid(feats @ w + b) and its
+    gradients in w and b.
+
+    w is (..., d), b (...), feats (..., n, d) (a strided view will do)
+    and targets (..., n): leading axes stack probes side by side, and
+    each probe of a stack takes the gemv and the row reductions it would
+    take alone."""
     # runaway weights surface as a non-finite loss, which callers treat
     # as divergence instead of crashing mid-epoch
     with np.errstate(over="ignore", invalid="ignore"):
-        z = feats @ w + b
+        z = np.matmul(feats, w[..., None])[..., 0]
+        z += np.asarray(b)[..., None]
+        e = np.exp(-np.abs(z))
         # softplus(z) - y*z, computed without overflowing exp
-        loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-                             - targets * z))
-        delta = _sigmoid(z) - targets
-        return loss, feats.T @ delta / len(targets), float(delta.mean())
+        loss = np.mean(np.maximum(z, 0.0) + np.log1p(e) - targets * z,
+                       axis=-1)
+        delta = _sigmoid(z, e) - targets
+        grad = np.matmul(feats.swapaxes(-1, -2), delta[..., None])[..., 0]
+        return loss, grad / targets.shape[-1], delta.mean(axis=-1)
 
 
 @dataclass
@@ -295,23 +303,28 @@ class LinearBPredictor:
 def linear_b(dataset, *, per_layer=False, epochs=300, lr=0.5, seed=0):
     """Fit the linear difficulty predictor with gradient descent on BCE:
     one probe on every slot's states and bits, or with per_layer one per
-    slot."""
+    slot. The L per-slot probes train side by side as one stack in `fit`
+    (`bce_loss_and_grad`), from one (L, d) draw from `seed`, the numbers
+    of L probes drawn in turn; each ends where it would trained alone."""
     if len(dataset) == 0:
         raise InputError("cannot train on an empty dataset")
     if dataset.features is None:
         raise ConfigError("linear predictor needs hidden-state features")
     n, L, d = dataset.features.shape
-    rng = np.random.default_rng(seed)
-    groups = [slice(l, l + 1) for l in range(L)] if per_layer else [slice(0, L)]
-    weights, biases = np.empty((L, d)), np.empty(L)
-    for group in groups:
-        feats = dataset.features[:, group].reshape(-1, d)
-        targets = dataset.bits[:, group].astype(np.float64).reshape(-1)
-        w = rng.normal(0.0, 0.01, size=d)
-        weights[group], biases[group] = fit(
-            lambda w, b: bce_loss_and_grad(w, b, feats, targets), (w, 0.0),
-            epochs=epochs, lr=lr, what="linear difficulty predictor")
-    return LinearBPredictor(weights=weights, biases=biases)
+    what = "linear difficulty predictor"
+    feats, bits = dataset.features, dataset.bits
+    if per_layer:
+        feats, bits = feats.transpose(1, 0, 2), bits.T
+        names = [f"{what} of slot {l + 1}" for l in range(L)]
+    else:
+        feats, bits = feats.reshape(1, n * L, d), bits.reshape(1, n * L)
+        names = [what]
+    targets = np.ascontiguousarray(bits, dtype=np.float64)
+    w = np.random.default_rng(seed).normal(0.0, 0.01, size=(len(names), d))
+    w, b = fit(lambda w, b: bce_loss_and_grad(w, b, feats, targets),
+               (w, np.zeros(len(names))), epochs=epochs, lr=lr, what=names)
+    return LinearBPredictor(weights=np.broadcast_to(w, (L, d)).copy(),
+                            biases=np.broadcast_to(b, (L,)).copy())
 
 
 def negative_class_metrics(bits_true, bits_pred):

@@ -712,41 +712,72 @@ def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
     return ids
 
 
-def cls_features(model, sequences, table):
-    """Frozen-encoder features: final state of position 0 per sequence,
-    the sequences packed and routed once, then run in `batches`."""
-    feats = np.empty((len(sequences), model.d))
-    corpus = route(*pack(sequences), table, model.num_layers)
+def _joined(routed):
+    """One PackedBatch of the PackedBatches `routed`, their documents in
+    order."""
+    offsets = np.zeros(sum(map(len, routed)) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(part.offsets) for part in routed]),
+              out=offsets[1:])
+    return PackedBatch(np.concatenate([part.ids for part in routed]),
+                       np.concatenate([part.exits for part in routed]),
+                       offsets)
+
+
+def cls_features(model, parts):
+    """Frozen-encoder features: the final state of position 0 of every
+    sequence of the (sequences, table) pairs `parts`, one (sequences, d)
+    array, the parts in order. Each part is packed and routed under its
+    own table (`route`), and the routed parts join one PackedBatch, which
+    runs in `batches`: one walk, however many parts share the model."""
+    # the routed parts are dropped once joined, before the walk
+    corpus = _joined([route(*pack(sequences), table, model.num_layers)
+                      for sequences, table in parts])
+    feats = np.empty((len(corpus), model.d))
     for batch, packed in batches(model, corpus):
         feats[batch] = forward(model, packed)[packed.offsets[:-1]]
     return feats
 
 
-def _toy_problem(model, sequences, labels, table, seed):
-    """What `train_toy` fits: the initial (d, C) head, the (n, d) features
-    and the n labels. The head is a copy of the model's, or without one a
-    fresh head drawn from `seed` whose classes the labels set. The labels
-    are read before any forward runs."""
+def _training_labels(model, sequences, labels):
+    """The labels `train_toy` fits, read before any forward runs: the
+    model's head sets the classes, or without one the labels do. An empty
+    training set is an InputError."""
     if len(sequences) == 0:
         raise InputError("training set is empty")
-    labels = _label_ids(sequences, labels,
-                        None if model.head is None else model.head.shape[1])
-    feats = cls_features(model, sequences, table)
-    if model.head is not None:
-        head = model.head.copy()
-    else:
-        head = _new_heads(seed, model.d, int(labels.max()) + 1)
-    return head, feats, labels
+    return _label_ids(sequences, labels,
+                      None if model.head is None else model.head.shape[1])
+
+
+def _evaluation_labels(model, sequences, labels):
+    """The labels `accuracy` scores against, read before any forward runs
+    and checked against the model's head. An empty evaluation set is an
+    InputError."""
+    if len(sequences) == 0:
+        raise InputError("evaluation set is empty")
+    return _label_ids(sequences, labels, _head(model).shape[1])
+
+
+def _hit_rate(model, feats, labels):
+    """Fraction of the rows of feats whose argmax class (`classify`) is
+    their label."""
+    preds = np.argmax(classify(model, feats), axis=1)
+    return int(np.count_nonzero(preds == labels)) / len(labels)
 
 
 def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
     """Head-only gradient descent on cross entropy over frozen features.
 
     `table` schedules the exits. The encoder weights never move; only the
-    classifier head is (re)fit, as a stack of one in `_fit_heads`. Returns
-    a new model.
+    classifier head is (re)fit, as a stack of one in `_fit_heads`, from a
+    copy of the model's head or, without one, a fresh head drawn from
+    `seed` whose classes the labels set. Returns a new model.
     """
-    head, feats, labels = _toy_problem(model, sequences, labels, table, seed)
+    labels = _training_labels(model, sequences, labels)
+    feats = cls_features(model, [(sequences, table)])
+    if model.head is not None:
+        head = model.head.copy()
+    else:
+        head = _new_heads(seed, model.d, int(labels.max()) + 1)
     heads = _fit_heads(head[None], feats[None], labels[None], epochs=epochs,
                        lr=lr, names=["classifier head"])
     return replace(model, layers=list(model.layers), head=heads[0])
@@ -754,13 +785,8 @@ def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
 
 def accuracy(model, sequences, labels, table):
     """Fraction of sequences whose argmax class matches the label."""
-    if len(sequences) == 0:
-        raise InputError("evaluation set is empty")
-    labels = _label_ids(sequences, labels, _head(model).shape[1])
-    preds = np.argmax(classify(model, cls_features(model, sequences, table)),
-                      axis=1)
-    hits = np.count_nonzero(preds == labels)
-    return int(hits) / len(sequences)
+    labels = _evaluation_labels(model, sequences, labels)
+    return _hit_rate(model, cls_features(model, [(sequences, table)]), labels)
 
 
 def random_model(vocab_size, num_layers, d, heads, d_ff, *, seed=0,

@@ -12,9 +12,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, rng_seed
-# train_toy is not called here; it stays importable because bench/ wraps it
-from .encoder import (_fit_heads, _new_heads, _toy_problem, accuracy,
-                      random_model, train_toy)
+# train_toy and accuracy are not called here; they stay importable
+# because bench/ wraps them
+from .encoder import (_evaluation_labels, _fit_heads, _hit_rate, _new_heads,
+                      _training_labels, accuracy, cls_features, random_model,
+                      train_toy)
 from .difficulty import (
     _instance_states,
     annotate,
@@ -104,16 +106,18 @@ def run_consistency_ablation(seeds, *, buckets=2, num_layers=4, d=8, heads=2,
     read by `errors.rng_seed`. The keyword parameters, defaults included,
     are the `ablate-consistency` flags (`cli.build_parser`).
 
-    Every arm's features come first (`cls_features`, under its training
-    table); then the 2 x seeds heads train as one stack
+    Per seed, one walk (`encoder.cls_features`) gives every arm's
+    features: the training docs under the cons table and under incons'
+    training table, the evaluation docs under cons and under incons'
+    inference table. Then the 2 x seeds heads train as one stack
     (`encoder._fit_heads`), each from the two-class head `train_toy`
-    draws from its seed; then each arm is scored under its inference
-    table.
+    draws from its seed, and each arm is scored on its evaluation
+    features as `accuracy` scores them.
     """
     seeds = [rng_seed(seed, "seeds") for seed in seeds]
     if len(seeds) < 2:
         raise ConfigError("ablation needs at least 2 seeds to average over")
-    problems, names, arms = [], [], []
+    inits, feats, labels, names, scored = [], [], [], [], []
     for seed in seeds:
         task = make_separable_task(num_train=num_train, num_eval=num_eval,
                                    vocab_size=vocab_size, seq_len=seq_len,
@@ -122,20 +126,28 @@ def run_consistency_ablation(seeds, *, buckets=2, num_layers=4, d=8, heads=2,
         model = replace(random_model(len(task.vocab.tokens), num_layers, d,
                                      heads, d_ff, seed=seed),
                         head=_new_heads(seed, d, 2))
+        train = _training_labels(model, task.train_seqs, task.train_labels)
+        gold = _evaluation_labels(model, task.eval_seqs, task.eval_labels)
         cons = build_random(task.vocab, buckets, num_layers, seed=seed)
-        incons = (cons, cons) if force_identical else build_random(
-            task.vocab, buckets, num_layers, seed=seed, consistent=False)
-        for arm, (train_table, infer_table) in (("cons", (cons, cons)),
-                                                ("incons", incons)):
-            problems.append(_toy_problem(model, task.train_seqs,
-                                         task.train_labels, train_table, seed))
+        train_incons, infer_incons = (cons, cons) if force_identical else \
+            build_random(task.vocab, buckets, num_layers, seed=seed,
+                         consistent=False)
+        n = len(task.train_seqs)
+        parts = np.split(cls_features(model, [
+            (task.train_seqs, cons), (task.train_seqs, train_incons),
+            (task.eval_seqs, cons), (task.eval_seqs, infer_incons)]),
+            [n, 2 * n, 2 * n + len(task.eval_seqs)])
+        for arm, train_feats, eval_feats in (("cons", *parts[0::2]),
+                                             ("incons", *parts[1::2])):
+            inits.append(model.head)
+            feats.append(train_feats)
+            labels.append(train)
             names.append(f"classifier head of seed {seed}, {arm} arm")
-            arms.append((model, task, infer_table))
-    trained = _fit_heads(*(np.stack(part) for part in zip(*problems)),
+            scored.append((model, eval_feats, gold))
+    trained = _fit_heads(np.stack(inits), np.stack(feats), np.stack(labels),
                          epochs=epochs, lr=lr, names=names)
-    accs = [accuracy(replace(model, head=head), task.eval_seqs,
-                     task.eval_labels, infer_table)
-            for head, (model, task, infer_table) in zip(trained, arms)]
+    accs = [_hit_rate(replace(model, head=head), eval_feats, gold)
+            for head, (model, eval_feats, gold) in zip(trained, scored)]
     return AblationResult(seeds=seeds, cons_accuracies=accs[0::2],
                           incons_accuracies=accs[1::2])
 
@@ -168,24 +180,30 @@ def run_difficulty_pipeline(*, seed=0, num_train=40, num_eval=40,
     """Annotate a toy task with a multi-exit model, then fit and score the
     majority and linear difficulty predictors on held-out instances. The
     seed is read by `errors.rng_seed`. The parameters, defaults included,
-    are the `difficulty` flags (`cli.build_parser`)."""
+    are the `difficulty` flags (`cli.build_parser`).
+
+    The training and evaluation sets walk the model once, together
+    (`difficulty._instance_states`); the training states serve the
+    annotator's training and the training set's annotation, and the
+    evaluation states that set's annotation, each passed as `states=`."""
     seed = rng_seed(seed)
     task = make_separable_task(num_train=num_train, num_eval=num_eval,
                                vocab_size=vocab_size, seq_len=seq_len,
                                seed=seed)
     model = random_model(len(task.vocab.tokens), num_layers, d, heads, d_ff,
                          seed=seed)
-    # one walk of the training set's states serves the annotator's
-    # training and the training set's annotation
-    states = _instance_states(model, task.train_seqs,
-                              [1] * len(task.train_seqs))
+    seqs = task.train_seqs + task.eval_seqs
+    train_states, eval_states = np.split(
+        _instance_states(model, seqs, [1] * len(seqs)), [len(task.train_seqs)])
     annotator = train_annotator(model, task.train_seqs, task.train_labels,
                                 epochs=annotator_epochs, lr=lr, seed=seed,
-                                states=states)
+                                states=train_states)
     train_ds = annotate(annotator, task.train_seqs, task.train_labels,
-                        tokens=task.token_text(task.train_seqs), states=states)
+                        tokens=task.token_text(task.train_seqs),
+                        states=train_states)
     eval_ds = annotate(annotator, task.eval_seqs, task.eval_labels,
-                       tokens=task.token_text(task.eval_seqs))
+                       tokens=task.token_text(task.eval_seqs),
+                       states=eval_states)
     train_ds = oversample(train_ds, seed=seed, floor=floor)
     majority = majority_baseline(train_ds)
     linear = linear_b(train_ds, per_layer=per_layer, epochs=predictor_epochs,

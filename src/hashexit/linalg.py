@@ -13,6 +13,8 @@ from .errors import ShapeError
 
 __all__ = ["softmax_rows", "layer_norm", "relu"]
 
+NARROW_ROWS = 32
+
 
 def _as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D float64 array, raising ShapeError otherwise."""
@@ -23,9 +25,22 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def softmax_rows(a) -> np.ndarray:
-    """Row-wise softmax, computed with max-subtraction for stability."""
+    """Row-wise softmax, computed with max-subtraction for stability.
+
+    Rows at most NARROW_ROWS (32) wide take their max from a transposed
+    copy, np.ascontiguousarray(a.T).max(axis=0), one column reduction;
+    wider rows take a.max(axis=1). The width alone picks the way. The
+    time of a.max(axis=1) over that of the transposed copy, at 48 to 4000
+    rows on one core of a Xeon, was 1.2-2.2 at width 32 and 0.4-0.9 at
+    width 64, and 1.6-9.6 at width 7: numpy reduces the rows one call
+    each. A max is exact in any order, so both ways give the same bits,
+    save the sign and payload of a NaN: a row with a NaN comes out all NaN
+    either way."""
     a = _as_matrix(a)
-    a -= a.max(axis=1, keepdims=True)
+    if a.shape[1] <= NARROW_ROWS:
+        a -= np.ascontiguousarray(a.T).max(axis=0)[:, None]
+    else:
+        a -= a.max(axis=1, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=1, keepdims=True)
     return a

@@ -20,7 +20,7 @@ from hashexit.difficulty import (
     train_annotator,
 )
 from hashexit import difficulty, encoder
-from hashexit.encoder import ExitSchedule, forward, random_model
+from hashexit.encoder import ExitSchedule, fit, forward, random_model
 from hashexit.experiments import DifficultyOutcome, run_difficulty_pipeline
 
 from helpers import greedy_batches
@@ -284,12 +284,12 @@ class TestPackedWalk:
     @pytest.mark.filterwarnings(
         "ignore:slot .* has no negative instances:UserWarning")
     def test_pipeline_walks_the_training_set_once(self, monkeypatch):
-        # the annotator's training and the training set's annotation share
-        # one walk; the evaluation set takes its own
+        # the annotator's training and both sets' annotations share one
+        # walk of the training and evaluation sets together
         calls = self.count_forward_calls(monkeypatch)
         run_difficulty_pipeline(seed=0, num_train=12, num_eval=8,
                                 annotator_epochs=5, predictor_epochs=5)
-        assert calls == [12, 8]
+        assert calls == [20]
 
     def test_sentence_annotation_memory_stays_near_one_batch(self):
         # a batch's states are read at the instances' rows as each layer
@@ -509,6 +509,27 @@ class TestLinearB:
             denom[denom == 0] = 1.0
             assert np.max(np.abs(num_w - gw) / denom) < 1e-4
             assert abs(num_b - gb) / max(abs(num_b), abs(gb), 1.0) < 1e-4
+
+    def test_stacked_probes_equal_lone_fits(self):
+        # the per-layer probes train as one stack; each holds what a lone
+        # probe gives on its slot's states, from the weights drawn in turn
+        ds = self.make_separable(flip_slots=(1,), seed=5)
+        split = linear_b(ds, per_layer=True, epochs=60, lr=0.5, seed=7)
+        rng = np.random.default_rng(7)
+        for l in range(ds.num_layers):
+            w = rng.normal(0.0, 0.01, size=ds.features.shape[2])
+            targets = ds.bits[:, l].astype(np.float64)
+            alone = fit(lambda w, b: bce_loss_and_grad(
+                            w, b, ds.features[:, l], targets),
+                        (w, 0.0), epochs=60, lr=0.5, what="probe")
+            assert np.array_equal(split.weights[l], alone[0])
+            assert split.biases[l] == alone[1]
+
+    def test_per_layer_divergence_names_the_slot(self):
+        ds = self.make_separable(seed=2)
+        with pytest.raises(TrainingError, match=r"^linear difficulty "
+                           r"predictor of slot 1 diverged"):
+            linear_b(ds, per_layer=True, epochs=80, lr=1e308)
 
     def test_divergence(self):
         ds = self.make_separable(seed=2)

@@ -864,7 +864,7 @@ class TestForwardBatch:
         assert cut[0][1].offsets.tolist() == [0, 0, 0, 1]
         for seqs in ([[], []], [[]], [[], [1, 2]]):
             with pytest.raises(InputError, match="empty sequence"):
-                encoder.cls_features(model, seqs, table)
+                encoder.cls_features(model, [(seqs, table)])
             with pytest.raises(InputError, match="empty sequence"):
                 accuracy(model, seqs, [0] * len(seqs), table)
             with pytest.raises(InputError, match="empty sequence"):
@@ -875,13 +875,13 @@ class TestForwardBatch:
         model = random_model(11, 2, 8, 2, 16, seed=50)
         table = build_random(Vocab(tuple(f"w{i}" for i in range(11))), 2, 2, seed=3)
         seqs = [list(rng.integers(0, 11, size=int(rng.integers(1, 9)))) for _ in range(30)]
-        whole = encoder.cls_features(model, seqs, table)
+        whole = encoder.cls_features(model, [(seqs, table)])
         # batches of 16 rows, and layers run in groups of about 4 rows
         monkeypatch.setattr(encoder, "BATCH_ROWS", 16)
         monkeypatch.setattr(encoder, "BATCH_FLOATS", 16 * 4)
         assert row_budget(model) == 16
         assert len(list(encoder.batches(model, route(*pack(seqs), table, 2)))) > 3
-        split = encoder.cls_features(model, seqs, table)
+        split = encoder.cls_features(model, [(seqs, table)])
         for seq, got in zip(seqs, split):
             sched = schedule(seq, table, 2, pin_first=True)
             assert np.max(np.abs(got - forward(model, seq, sched).final[0])) <= 1e-12
@@ -1215,7 +1215,7 @@ class TestLayerGroups:
         def peak_of(seqs):
             tracemalloc.start()
             try:
-                feats = encoder.cls_features(model, seqs, table)
+                feats = encoder.cls_features(model, [(seqs, table)])
                 return feats, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1242,7 +1242,7 @@ class TestLayerGroups:
         assert len(cut) >= 2 and cut[0] > budget - 128
         tracemalloc.start()
         try:
-            encoder.cls_features(model, seqs, table)
+            encoder.cls_features(model, [(seqs, table)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hashexit import encoder
 from hashexit.errors import ConfigError, InputError, TrainingError
 from hashexit.difficulty import serialize_difficulty_dataset
 from hashexit.experiments import (
@@ -97,6 +98,31 @@ class TestAblation:
         res = run_consistency_ablation(seeds, num_train=1, epochs=5)
         assert len(res.cons_accuracies) == len(res.incons_accuracies) == 2
 
+    def test_one_walk_per_seed(self, monkeypatch):
+        # a seed's training docs under both arms' training tables and its
+        # evaluation docs under both inference tables share one forward
+        calls = []
+        real = encoder.forward
+
+        def counted(model, batch, *args, **kwargs):
+            calls.append(len(batch))
+            return real(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward", counted)
+        run_consistency_ablation([0, 1, 2], num_train=6, num_eval=4, epochs=2)
+        assert calls == [2 * 6 + 2 * 4] * 3
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((0, 4), "training set is empty"),
+        ((0, 0), "training set is empty"),
+        ((4, 0), "evaluation set is empty"),
+    ], ids=["train", "both", "eval"])
+    def test_empty_sets_rejected(self, sizes, message):
+        num_train, num_eval = sizes
+        with pytest.raises(InputError, match=message):
+            run_consistency_ablation([0, 1], num_train=num_train,
+                                     num_eval=num_eval, epochs=2)
+
     def test_divergence_names_the_seed_and_arm(self):
         with pytest.raises(TrainingError,
                            match=r"^classifier head of seed 3, cons arm "
@@ -135,6 +161,16 @@ class TestDifficultyPipeline:
             serialize_difficulty_dataset(b.train_dataset)
         assert serialize_difficulty_dataset(a.eval_dataset) == \
             serialize_difficulty_dataset(b.eval_dataset)
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((0, 4), "annotator training set is empty"),
+        ((4, 0), "nothing to annotate"),
+    ], ids=["train", "eval"])
+    def test_empty_sets_rejected(self, sizes, message):
+        num_train, num_eval = sizes
+        with pytest.raises(InputError, match=message):
+            run_difficulty_pipeline(num_train=num_train, num_eval=num_eval,
+                                    annotator_epochs=2, predictor_epochs=2)
 
     def test_oversample_floor_respected_per_slot_pass(self):
         out = run_difficulty_pipeline(seed=0, num_train=20, num_eval=20,
