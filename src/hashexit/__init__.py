@@ -70,11 +70,11 @@ from .difficulty import (
     DifficultyDataset,
     LinearBPredictor,
     MajorityPredictor,
-    MultiExitAnnotator,
     NegClassMetrics,
     annotate,
     bce_loss_and_grad,
     evaluate,
+    instance_states,
     linear_b,
     majority_baseline,
     negative_class_metrics,

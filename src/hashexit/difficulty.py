@@ -1,11 +1,15 @@
 """Model-defined difficulty at toy scale.
 
-A multi-exit annotator (one classifier head per encoder layer, all reading
-the pinned first position) stamps every instance with an L-bit vector: bit
-l says whether head l got the gold label right. Difficulty predictors then
-try to anticipate those bits: a per-slot majority baseline and a shared
-linear+sigmoid model over the per-layer hidden states. Metrics target the
-negative (incorrect) class, micro-averaged across slots.
+One walk (`instance_states`) reads every instance's per-layer states: the
+pinned first position of each document in sentence mode, every position
+in token mode. The lab's trainers and scorers take those states and run
+no forward of their own. A multi-exit annotator, one classifier head per
+encoder layer trained as one (L, d, C) stack, stamps every instance with
+an L-bit vector: bit l says whether head l got the gold label right.
+Difficulty predictors then try to anticipate those bits: a per-slot
+majority baseline and a shared linear+sigmoid model over the per-layer
+states. Metrics target the negative (incorrect) class, micro-averaged
+across slots.
 """
 
 import warnings
@@ -15,25 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import check_field, check_tokens, write_text
-from .errors import ConfigError, InputError, ShapeError, int_vector
-from .encoder import (PackedBatch, _fit_heads, _label_ids, _new_heads, batches,
-                      fit, forward, pack)
-
-
-@dataclass
-class MultiExitAnnotator:
-    model: object
-    heads: list
-
-    def __post_init__(self):
-        if len(self.heads) != self.model.num_layers:
-            raise ConfigError(f"{len(self.heads)} heads for "
-                              f"{self.model.num_layers} layers")
-        self.heads = [np.asarray(h, dtype=np.float64) for h in self.heads]
-        for h in self.heads:
-            if h.ndim != 2 or h.shape[0] != self.model.d:
-                raise ConfigError(f"head shape {h.shape} does not read "
-                                  f"d={self.model.d} states")
+from .errors import ConfigError, InputError, ShapeError, int_vector, rng_seed
+from .encoder import (PackedBatch, _fit_heads, _hits, _label_ids, _new_heads,
+                      batches, fit, forward, pack)
 
 
 @dataclass
@@ -96,16 +84,26 @@ class NegClassMetrics:
     fn: int
 
 
-def _instance_states(model, sequences, counts):
-    """Per-layer states of every instance, an (instances, L, d) array in
-    `sequences` order: [k, l] is instance k's state after layer l + 1. An
-    instance is a (document, row) pair, and document i's instances are its
-    first counts[i] rows. One no-exit forward per batch of `batches`, its
-    traces read as they arrive: H^0 is skipped and each layer's state is
-    read only at the instances' rows, so a batch holds about two states,
-    not L+1. No sequences give no instances."""
-    feats = np.empty((sum(counts), model.num_layers, model.d))
-    counts = np.asarray(counts)
+def _counts(sequences, mode):
+    """Instances per document: its pinned first position in sentence mode,
+    each of its positions in token mode. Another mode is a ConfigError."""
+    if mode not in ("sentence", "token"):
+        raise ConfigError(f"unknown annotation mode {mode!r}")
+    if mode == "sentence":
+        return [1] * len(sequences)
+    return [len(seq) for seq in sequences]
+
+
+def instance_states(model, sequences, mode="sentence"):
+    """Per-layer states of every instance of `sequences` in `mode`
+    (`_counts`), an (instances, L, d) array in `sequences` order: [k, l] is
+    instance k's state after layer l + 1. The lab's one walk: one no-exit
+    forward per batch of `batches`, its traces read as they arrive. H^0 is
+    skipped and each layer's state is read only at the instances' rows, so
+    a batch holds about two states, not L+1. No sequences give no
+    instances."""
+    counts = np.asarray(_counts(sequences, mode), dtype=np.int64)
+    feats = np.empty((counts.sum(), model.num_layers, model.d))
     starts = np.cumsum(counts) - counts
     ids, offsets = pack(sequences)
     corpus = PackedBatch(ids, np.full(ids.size, model.num_layers), offsets)
@@ -123,76 +121,62 @@ def _instance_states(model, sequences, counts):
     return feats
 
 
-def _states_of(model, sequences, counts, states):
-    """The instance states of `sequences` (`_instance_states`), or
-    `states` when the caller passes them, which must then hold one
-    (L, d) state per instance: another shape is a ShapeError."""
-    if states is None:
-        return _instance_states(model, sequences, counts)
-    want = (sum(counts), model.num_layers, model.d)
-    if np.shape(states) != want:
-        raise ShapeError(f"states of shape {np.shape(states)} where the "
-                         f"instances take {want}")
-    return states
-
-
-def train_annotator(model, sequences, labels, *, epochs=200, lr=0.5, seed=0,
-                    states=None):
-    """Fit one classifier head per layer on the pinned position's states.
+def train_annotator(states, labels, *, epochs=200, lr=0.5, seed=0):
+    """Fit one classifier head per layer on the instances' (instances, L,
+    d) `states` (`instance_states` in sentence mode), one label each.
 
     The L heads train side by side as one stack (`encoder._fit_heads`),
     head l on the layer-l states, from one (L, d, C) draw from `seed`.
-    `states` takes the sequences' sentence-mode states (`_instance_states`)
-    when the caller already has them; by default they are computed here.
+    Returns the (L, d, C) trained stack. States of another rank are a
+    ShapeError.
     """
-    if len(sequences) == 0:
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 3:
+        raise ShapeError(f"states of shape {states.shape} are not "
+                         "(instances, layers, d)")
+    if len(states) == 0:
         raise InputError("annotator training set is empty")
-    labels = _label_ids(sequences, labels)
-    feats = _states_of(model, sequences, [1] * len(sequences), states)
-    L = model.num_layers
-    heads = _fit_heads(_new_heads(seed, L, model.d, int(labels.max()) + 1),
-                       feats.transpose(1, 0, 2),
-                       np.broadcast_to(labels, (L, labels.size)),
-                       epochs=epochs, lr=lr,
-                       names=[f"annotator head {l + 1}" for l in range(L)])
-    return MultiExitAnnotator(model=model, heads=list(heads))
+    labels = _label_ids(states, labels)
+    _, L, d = states.shape
+    return _fit_heads(_new_heads(seed, L, d, int(labels.max()) + 1),
+                      states.transpose(1, 0, 2),
+                      np.broadcast_to(labels, (L, labels.size)),
+                      epochs=epochs, lr=lr,
+                      names=[f"annotator head {l + 1}" for l in range(L)])
 
 
-def annotate(annotator, sequences, labels, mode="sentence", tokens=None, *,
-             states=None):
+def annotate(heads, sequences, labels, states, mode="sentence", tokens=None):
     """Stamp correctness bits per instance (or per token).
 
-    Sentence mode reads the pinned first position through every head and
-    compares argmax to the instance label. Token mode does the same at
-    every position against per-token labels, producing one instance per
-    token. Also records per-layer states (features) for the linear
-    predictor. Instances keep the order of `sequences`. `states` takes
-    the instances' states when the caller already has them, as
-    `run_difficulty_pipeline` has both sets' from its one walk; by
-    default they are computed here.
+    `states` are the instances' states (`instance_states` of `sequences`
+    in `mode`), and bit l says whether head l of the (L, d, C) stack
+    `heads` reads an instance's layer-l state as its label: the
+    document's in sentence mode, the token's in token mode, where
+    `labels` holds one list per document. The states stay on as the
+    features of the linear predictor. Instances keep the order of
+    `sequences`. States or heads of other shapes are a ShapeError.
     """
-    if mode not in ("sentence", "token"):
-        raise ConfigError(f"unknown annotation mode {mode!r}")
+    counts = _counts(sequences, mode)
     if len(sequences) == 0:
         raise InputError("nothing to annotate")
+    want = (sum(counts), *np.shape(heads)[:2])
+    if np.ndim(heads) != 3 or np.shape(states) != want:
+        raise ShapeError(f"states of shape {np.shape(states)} and heads of "
+                         f"shape {np.shape(heads)} where the instances "
+                         f"take states of shape {want}")
     sentence = mode == "sentence"
-    gold = _label_ids(sequences, labels,
-                      min(head.shape[1] for head in annotator.heads),
+    gold = _label_ids(sequences, labels, np.shape(heads)[2],
                       per_token=not sentence)
     if tokens is not None and len(tokens) != len(sequences):
         raise ShapeError("sequences and tokens differ in length")
-    counts = [1 if sentence else len(seq) for seq in sequences]
-    feats = _states_of(annotator.model, sequences, counts, states)
     instances = [(i, p) for i, n in enumerate(counts) for p in range(n)]
     ids = [str(i) if sentence else f"{i}.{p}" for i, p in instances]
-    bits = np.empty(feats.shape[:2], dtype=np.int8)
-    for l, head in enumerate(annotator.heads):
-        bits[:, l] = np.argmax(feats[:, l] @ head, axis=1) == gold
+    bits = _hits(np.asarray(states).transpose(1, 0, 2), heads, gold).T
     out_tokens = None
     if tokens is not None:
         out_tokens = [list(tokens[i]) for i, _ in instances]
-    return DifficultyDataset(bits=bits, features=feats, tokens=out_tokens,
-                             ids=ids)
+    return DifficultyDataset(bits=bits.astype(np.int8), features=states,
+                             tokens=out_tokens, ids=ids)
 
 
 def oversample(dataset, seed=0, floor=0.3):
@@ -202,13 +186,13 @@ def oversample(dataset, seed=0, floor=0.3):
     seeded random choices among its negative instances) until its negative
     fraction reaches the floor. Nothing is ever removed and no bit changes.
     A slot with no negatives at all cannot be helped and is left alone with
-    a warning.
+    a warning. `seed` is read by `errors.rng_seed`.
     """
     if len(dataset) == 0:
         raise InputError("cannot oversample an empty dataset")
     if not 0.0 <= floor < 1.0:
         raise ConfigError(f"floor must sit in [0, 1), got {floor}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng_seed(seed))
     keep = list(range(len(dataset)))
     bits = dataset.bits
     for slot in range(dataset.num_layers):
@@ -255,6 +239,14 @@ def _sigmoid(z, e=None):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _logits(w, b, feats):
+    """feats @ w + b for each probe of a stack: w (..., d), b (...) and
+    feats (..., n, d) give (..., n), one gemv per probe."""
+    z = np.matmul(feats, w[..., None])[..., 0]
+    z += np.asarray(b)[..., None]
+    return z
+
+
 def bce_loss_and_grad(w, b, feats, targets):
     """Mean binary cross entropy of sigmoid(feats @ w + b) and its
     gradients in w and b.
@@ -266,8 +258,7 @@ def bce_loss_and_grad(w, b, feats, targets):
     # runaway weights surface as a non-finite loss, which callers treat
     # as divergence instead of crashing mid-epoch
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.matmul(feats, w[..., None])[..., 0]
-        z += np.asarray(b)[..., None]
+        z = _logits(w, b, feats)
         e = np.exp(-np.abs(z))
         # softplus(z) - y*z, computed without overflowing exp
         loss = np.mean(np.maximum(z, 0.0) + np.log1p(e) - targets * z,
@@ -289,23 +280,22 @@ class LinearBPredictor:
     def predict_bits(self, dataset):
         if dataset.features is None:
             raise ConfigError("dataset carries no hidden-state features")
-        n, L, _ = dataset.features.shape
+        L = dataset.features.shape[1]
         if L != len(self.weights):
             raise ConfigError(f"predictor has {len(self.weights)} slots, "
                               f"dataset has {L} layers")
-        out = np.empty((n, L), dtype=np.int8)
-        for l in range(L):
-            z = dataset.features[:, l] @ self.weights[l] + self.biases[l]
-            out[:, l] = (_sigmoid(z) >= 0.5).astype(np.int8)
-        return out
+        z = _logits(self.weights, self.biases,
+                    dataset.features.transpose(1, 0, 2))
+        return (_sigmoid(z) >= 0.5).T.astype(np.int8)
 
 
 def linear_b(dataset, *, per_layer=False, epochs=300, lr=0.5, seed=0):
     """Fit the linear difficulty predictor with gradient descent on BCE:
     one probe on every slot's states and bits, or with per_layer one per
     slot. The L per-slot probes train side by side as one stack in `fit`
-    (`bce_loss_and_grad`), from one (L, d) draw from `seed`, the numbers
-    of L probes drawn in turn; each ends where it would trained alone."""
+    (`bce_loss_and_grad`), from one (L, d) draw from `seed`
+    (`encoder._new_heads`), the numbers of L probes drawn in turn; each
+    ends where it would trained alone."""
     if len(dataset) == 0:
         raise InputError("cannot train on an empty dataset")
     if dataset.features is None:
@@ -320,9 +310,9 @@ def linear_b(dataset, *, per_layer=False, epochs=300, lr=0.5, seed=0):
         feats, bits = feats.reshape(1, n * L, d), bits.reshape(1, n * L)
         names = [what]
     targets = np.ascontiguousarray(bits, dtype=np.float64)
-    w = np.random.default_rng(seed).normal(0.0, 0.01, size=(len(names), d))
     w, b = fit(lambda w, b: bce_loss_and_grad(w, b, feats, targets),
-               (w, np.zeros(len(names))), epochs=epochs, lr=lr, what=names)
+               (_new_heads(seed, len(names), d), np.zeros(len(names))),
+               epochs=epochs, lr=lr, what=names)
     return LinearBPredictor(weights=np.broadcast_to(w, (L, d)).copy(),
                             biases=np.broadcast_to(b, (L,)).copy())
 

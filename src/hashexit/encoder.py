@@ -609,12 +609,12 @@ def classify(model, feats):
 def fit(loss_and_grad, params, *, epochs, lr, what):
     """Full-batch gradient descent from the parameter tuple `params`.
 
-    loss_and_grad(*params) returns the loss followed by one gradient per
+    loss_and_grad(*params) returns the losses followed by one gradient per
     parameter, and each epoch steps every parameter p to p - lr * g. The
-    loss is a scalar, and `what` names what trains; or it is a vector with
-    one loss per problem of a stack trained side by side, and `what` names
-    each problem in stack order. A non-finite loss raises TrainingError
-    naming the first problem whose loss is not finite. Returns the final
+    losses form a vector, one per problem of a stack trained side by side
+    (a lone problem is a stack of one), and the list `what` names each
+    problem in stack order. A non-finite loss raises TrainingError naming
+    the first problem whose loss is not finite. Returns the final
     parameters as a tuple. `epochs` is read by `errors.int_scalar`. Every
     learned part (the classifier heads, as one stack, and the difficulty
     lab's predictors) trains through this one loop.
@@ -627,8 +627,7 @@ def fit(loss_and_grad, params, *, epochs, lr, what):
         finite = np.isfinite(loss)
         if not finite.all():
             first = int(np.argmin(finite))
-            name = what[first] if np.ndim(loss) else what
-            raise TrainingError(f"{name} diverged: loss {np.ravel(loss)[first]}")
+            raise TrainingError(f"{what[first]} diverged: loss {loss[first]}")
         params = tuple(p - lr * g for p, g in zip(params, grads))
     return params
 
@@ -658,10 +657,11 @@ def _head_loss_and_grad(heads, feats, labels):
 
 
 def _new_heads(seed, *shape):
-    """Untrained classifier heads of `shape`, whose last two axes are
-    (d, C): N(0, 0.01^2) entries in one draw from `seed`, so a stack of
-    L heads holds the numbers of L heads drawn in turn."""
-    return np.random.default_rng(seed).normal(0.0, 0.01, size=shape)
+    """Untrained weights of `shape`: N(0, 0.01^2) entries in one draw from
+    `seed`, read by `errors.rng_seed`, so a stack of L heads (or probes)
+    holds the numbers of L drawn in turn. Classifier heads end in (d, C),
+    `difficulty.linear_b`'s probes in (d,)."""
+    return np.random.default_rng(rng_seed(seed)).normal(0.0, 0.01, size=shape)
 
 
 def _fit_heads(heads, feats, labels, *, epochs, lr, names):
@@ -686,8 +686,9 @@ def _label_ids(sequences, labels, num_classes=None, *, per_token=False):
     ShapeError, and labels other than integers an InputError. A label outside
     0..num_classes - 1 is an InputError naming it; num_classes None stands
     for a head not made yet, whose classes the labels set, so only negative
-    labels are rejected. train_toy, accuracy (after its head check) and the
-    difficulty lab read their labels here, before any forward runs.
+    labels are rejected. train_toy and accuracy (after its head check) read
+    their labels here before any forward runs, and the difficulty lab's
+    trainers, which run none, read theirs here too.
     """
     if per_token:
         try:
@@ -757,11 +758,12 @@ def _evaluation_labels(model, sequences, labels):
     return _label_ids(sequences, labels, _head(model).shape[1])
 
 
-def _hit_rate(model, feats, labels):
-    """Fraction of the rows of feats whose argmax class (`classify`) is
-    their label."""
-    preds = np.argmax(classify(model, feats), axis=1)
-    return int(np.count_nonzero(preds == labels)) / len(labels)
+def _hits(feats, heads, labels):
+    """Whether each row's argmax class is its label: feats (..., n, d)
+    scored by heads (..., d, C) against labels broadcasting to (..., n).
+    Leading axes stack problems, each scored by the gemm it takes alone:
+    the annotator's layers, the ablation's arms, or `accuracy`'s one."""
+    return np.argmax(feats @ heads, axis=-1) == labels
 
 
 def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
@@ -786,7 +788,8 @@ def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
 def accuracy(model, sequences, labels, table):
     """Fraction of sequences whose argmax class matches the label."""
     labels = _evaluation_labels(model, sequences, labels)
-    return _hit_rate(model, cls_features(model, [(sequences, table)]), labels)
+    hits = _hits(cls_features(model, [(sequences, table)]), model.head, labels)
+    return np.count_nonzero(hits) / len(labels)
 
 
 def random_model(vocab_size, num_layers, d, heads, d_ff, *, seed=0,

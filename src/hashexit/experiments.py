@@ -14,13 +14,13 @@ import numpy as np
 from .errors import ConfigError, rng_seed
 # train_toy and accuracy are not called here; they stay importable
 # because bench/ wraps them
-from .encoder import (_evaluation_labels, _fit_heads, _hit_rate, _new_heads,
+from .encoder import (_evaluation_labels, _fit_heads, _hits, _new_heads,
                       _training_labels, accuracy, cls_features, random_model,
                       train_toy)
 from .difficulty import (
-    _instance_states,
     annotate,
     evaluate,
+    instance_states,
     linear_b,
     majority_baseline,
     oversample,
@@ -111,13 +111,13 @@ def run_consistency_ablation(seeds, *, buckets=2, num_layers=4, d=8, heads=2,
     training table, the evaluation docs under cons and under incons'
     inference table. Then the 2 x seeds heads train as one stack
     (`encoder._fit_heads`), each from the two-class head `train_toy`
-    draws from its seed, and each arm is scored on its evaluation
-    features as `accuracy` scores them.
+    draws from its seed, and every arm is scored on its evaluation
+    features in one call (`encoder._hits`), as `accuracy` scores them.
     """
     seeds = [rng_seed(seed, "seeds") for seed in seeds]
     if len(seeds) < 2:
         raise ConfigError("ablation needs at least 2 seeds to average over")
-    inits, feats, labels, names, scored = [], [], [], [], []
+    inits, feats, labels, names, evals, golds = [], [], [], [], [], []
     for seed in seeds:
         task = make_separable_task(num_train=num_train, num_eval=num_eval,
                                    vocab_size=vocab_size, seq_len=seq_len,
@@ -143,11 +143,12 @@ def run_consistency_ablation(seeds, *, buckets=2, num_layers=4, d=8, heads=2,
             feats.append(train_feats)
             labels.append(train)
             names.append(f"classifier head of seed {seed}, {arm} arm")
-            scored.append((model, eval_feats, gold))
+            evals.append(eval_feats)
+            golds.append(gold)
     trained = _fit_heads(np.stack(inits), np.stack(feats), np.stack(labels),
                          epochs=epochs, lr=lr, names=names)
-    accs = [_hit_rate(replace(model, head=head), eval_feats, gold)
-            for head, (model, eval_feats, gold) in zip(trained, scored)]
+    hits = _hits(np.stack(evals), trained, np.stack(golds))
+    accs = hits.mean(axis=1).tolist()
     return AblationResult(seeds=seeds, cons_accuracies=accs[0::2],
                           incons_accuracies=accs[1::2])
 
@@ -183,27 +184,24 @@ def run_difficulty_pipeline(*, seed=0, num_train=40, num_eval=40,
     are the `difficulty` flags (`cli.build_parser`).
 
     The training and evaluation sets walk the model once, together
-    (`difficulty._instance_states`); the training states serve the
+    (`difficulty.instance_states`); the training states serve the
     annotator's training and the training set's annotation, and the
-    evaluation states that set's annotation, each passed as `states=`."""
+    evaluation states that set's annotation."""
     seed = rng_seed(seed)
     task = make_separable_task(num_train=num_train, num_eval=num_eval,
                                vocab_size=vocab_size, seq_len=seq_len,
                                seed=seed)
     model = random_model(len(task.vocab.tokens), num_layers, d, heads, d_ff,
                          seed=seed)
-    seqs = task.train_seqs + task.eval_seqs
     train_states, eval_states = np.split(
-        _instance_states(model, seqs, [1] * len(seqs)), [len(task.train_seqs)])
-    annotator = train_annotator(model, task.train_seqs, task.train_labels,
-                                epochs=annotator_epochs, lr=lr, seed=seed,
-                                states=train_states)
-    train_ds = annotate(annotator, task.train_seqs, task.train_labels,
-                        tokens=task.token_text(task.train_seqs),
-                        states=train_states)
-    eval_ds = annotate(annotator, task.eval_seqs, task.eval_labels,
-                       tokens=task.token_text(task.eval_seqs),
-                       states=eval_states)
+        instance_states(model, task.train_seqs + task.eval_seqs),
+        [len(task.train_seqs)])
+    heads = train_annotator(train_states, task.train_labels,
+                            epochs=annotator_epochs, lr=lr, seed=seed)
+    train_ds = annotate(heads, task.train_seqs, task.train_labels,
+                        train_states, tokens=task.token_text(task.train_seqs))
+    eval_ds = annotate(heads, task.eval_seqs, task.eval_labels, eval_states,
+                       tokens=task.token_text(task.eval_seqs))
     train_ds = oversample(train_ds, seed=seed, floor=floor)
     majority = majority_baseline(train_ds)
     linear = linear_b(train_ds, per_layer=per_layer, epochs=predictor_epochs,

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ import pytest
 from hashexit.errors import ConfigError, InputError, ShapeError, TrainingError
 from hashexit.difficulty import (
     DifficultyDataset,
-    MultiExitAnnotator,
     annotate,
     bce_loss_and_grad,
     evaluate,
+    instance_states,
     linear_b,
     majority_baseline,
     negative_class_metrics,
@@ -20,17 +22,25 @@ from hashexit.difficulty import (
     train_annotator,
 )
 from hashexit import difficulty, encoder
-from hashexit.encoder import ExitSchedule, fit, forward, random_model
-from hashexit.experiments import DifficultyOutcome, run_difficulty_pipeline
+from hashexit.encoder import ExitSchedule, fit, forward, random_model, train_toy
+from hashexit.experiments import (DifficultyOutcome, make_separable_task,
+                                  run_difficulty_pipeline)
+from hashexit.hashing import build_random
 
 from helpers import greedy_batches
 
 
 def random_annotator(seed=0, L=3, num_classes=2, d=8):
+    """A random model and a random (L, d, C) head stack reading its states."""
     rng = np.random.default_rng(seed)
     model = random_model(9, L, d, 2, 16, seed=seed)
-    heads = [rng.normal(size=(d, num_classes)) for _ in range(L)]
-    return MultiExitAnnotator(model=model, heads=heads)
+    return model, rng.normal(size=(L, d, num_classes))
+
+
+def annotated(model, heads, seqs, labels, mode="sentence", tokens=None):
+    """`annotate` of the states of one walk of `seqs` in `mode`."""
+    return annotate(heads, seqs, labels, instance_states(model, seqs, mode),
+                    mode=mode, tokens=tokens)
 
 
 def dataset_from_bits(bits, seed=0, d=4):
@@ -43,49 +53,61 @@ def dataset_from_bits(bits, seed=0, d=4):
 class TestAnnotate:
     def test_single_class_heads_are_always_right(self):
         # a 1-class head cannot be wrong, so every bit comes out 1
-        ann = random_annotator(seed=1, num_classes=1)
+        model, heads = random_annotator(seed=1, num_classes=1)
         seqs = [[0, 1, 2], [3, 4]]
-        ds = annotate(ann, seqs, [0, 0])
+        ds = annotated(model, heads, seqs, [0, 0])
         assert ds.bits.shape == (2, 3)
         assert np.all(ds.bits == 1)
 
     def test_bits_match_direct_head_evaluation(self):
-        ann = random_annotator(seed=2)
+        model, heads = random_annotator(seed=2)
         rng = np.random.default_rng(3)
         seqs = [list(rng.integers(0, 9, size=int(rng.integers(2, 6))))
                 for _ in range(8)]
         golds = [int(rng.integers(0, 2)) for _ in range(8)]
-        ds = annotate(ann, seqs, golds)
+        ds = annotated(model, heads, seqs, golds)
         for i, seq in enumerate(seqs):
             n = len(seq)
             sched = ExitSchedule(np.full(n, 3), np.ones(n, dtype=bool))
-            trace = forward(ann.model, seq, sched)
+            trace = forward(model, seq, sched)
             for l in range(3):
-                scores = trace.hidden[l + 1][0] @ ann.heads[l]
+                scores = trace.hidden[l + 1][0] @ heads[l]
                 assert ds.bits[i, l] == int(np.argmax(scores) == golds[i])
                 assert np.array_equal(ds.features[i, l], trace.hidden[l + 1][0])
 
     def test_single_layer_gives_one_bit(self):
-        ann = random_annotator(seed=4, L=1)
-        ds = annotate(ann, [[0, 1]], [1])
+        model, heads = random_annotator(seed=4, L=1)
+        ds = annotated(model, heads, [[0, 1]], [1])
         assert ds.bits.shape == (1, 1)
 
     def test_token_mode(self):
-        ann = random_annotator(seed=5)
+        model, heads = random_annotator(seed=5)
         seqs = [[0, 1, 2], [3, 4]]
         token_labels = [[0, 1, 0], [1, 1]]
-        ds = annotate(ann, seqs, token_labels, mode="token")
+        ds = annotated(model, heads, seqs, token_labels, mode="token")
         assert len(ds) == 5
         assert ds.ids == ["0.0", "0.1", "0.2", "1.0", "1.1"]
         sched = ExitSchedule(np.full(3, 3), np.ones(3, dtype=bool))
-        trace = forward(ann.model, seqs[0], sched)
-        scores = trace.hidden[2][1] @ ann.heads[1]
+        trace = forward(model, seqs[0], sched)
+        scores = trace.hidden[2][1] @ heads[1]
         assert ds.bits[1, 1] == int(np.argmax(scores) == 1)
 
     def test_head_count_mismatch(self):
-        model = random_model(9, 3, 8, 2, 16, seed=0)
-        with pytest.raises(ConfigError):
-            MultiExitAnnotator(model=model, heads=[np.zeros((8, 2))] * 2)
+        # the heads must be an (L, d, C) stack reading the states, and the
+        # states one (L, d) block per instance
+        model, heads = random_annotator(seed=0)
+        seqs = [[0, 1], [2, 3, 4]]
+        states = instance_states(model, seqs)
+        for bad_heads, bad_states in ((heads[:2], states),
+                                      (heads[:, :4], states),
+                                      (heads[0], states),
+                                      (heads, states[1:]),
+                                      (heads, states[:, :2]),
+                                      (heads, states[0])):
+            with pytest.raises(ShapeError, match="states of shape"):
+                annotate(bad_heads, seqs, [0, 1], bad_states)
+        with pytest.raises(ShapeError, match="states of shape"):
+            train_annotator(states[0], [0, 1], epochs=1)
 
     def test_trained_annotator_beats_chance_at_top(self):
         rng = np.random.default_rng(6)
@@ -96,62 +118,69 @@ class TestAnnotate:
             pool = np.arange(1, 6) if lab == 0 else np.arange(6, 11)
             seqs.append([0] + list(rng.choice(pool, size=4)))
             golds.append(lab)
-        ann = train_annotator(model, seqs, golds, epochs=300, lr=0.5, seed=0)
-        ds = annotate(ann, seqs, golds)
+        states = instance_states(model, seqs)
+        heads = train_annotator(states, golds, epochs=300, lr=0.5, seed=0)
+        assert heads.shape == (2, 8, 2)
+        ds = annotate(heads, seqs, golds, states)
         assert ds.bits[:, -1].mean() >= 0.9
 
     def test_bad_mode(self):
-        ann = random_annotator(seed=8)
-        with pytest.raises(ConfigError):
-            annotate(ann, [[0]], [0], mode="word")
+        model, heads = random_annotator(seed=8)
+        with pytest.raises(ConfigError, match="unknown annotation mode"):
+            instance_states(model, [[0]], mode="word")
+        with pytest.raises(ConfigError, match="unknown annotation mode"):
+            annotate(heads, [[0]], [0], instance_states(model, [[0]]),
+                     mode="word")
 
     def test_empty_input(self):
-        ann = random_annotator(seed=9)
-        with pytest.raises(InputError):
-            annotate(ann, [], [])
+        model, heads = random_annotator(seed=9)
+        nothing = instance_states(model, [])
+        assert nothing.shape == (0, 3, 8)
+        with pytest.raises(InputError, match="nothing to annotate"):
+            annotate(heads, [], [], nothing)
+        with pytest.raises(InputError, match="training set is empty"):
+            train_annotator(nothing, [])
 
     @pytest.mark.parametrize("seqs", [[[]], [[], []]])
     def test_empty_documents_raise(self, seqs):
         # documents with no rows run through forward, which rejects them,
         # rather than leaving their states unset
-        ann = random_annotator(seed=10)
-        with pytest.raises(InputError, match="empty sequence"):
-            train_annotator(ann.model, seqs, [0] * len(seqs), epochs=1)
-        for mode, labels in (("sentence", [0] * len(seqs)),
-                             ("token", [[] for _ in seqs])):
+        model, _ = random_annotator(seed=10)
+        for mode in ("sentence", "token"):
             with pytest.raises(InputError, match="empty sequence"):
-                annotate(ann, seqs, labels, mode=mode)
+                instance_states(model, seqs, mode)
 
     @pytest.mark.parametrize("golds", [[0], [0, 1, 0]])
     def test_label_count_must_match_sequences(self, golds):
-        ann = random_annotator(seed=19)
+        model, heads = random_annotator(seed=19)
         seqs = [[0, 1], [2, 3, 4]]
         with pytest.raises(ShapeError, match="differ in length"):
-            train_annotator(ann.model, seqs, golds, epochs=1)
+            train_annotator(instance_states(model, seqs), golds, epochs=1)
         with pytest.raises(ShapeError, match="differ in length"):
-            annotate(ann, seqs, golds)
+            annotated(model, heads, seqs, golds)
         with pytest.raises(ShapeError, match="differ in length"):
-            annotate(ann, seqs, [[g] * 2 for g in golds], mode="token")
+            annotated(model, heads, seqs, [[g] * 2 for g in golds],
+                      mode="token")
 
     @pytest.mark.parametrize("labels", [[[0, 1], [1, 0]], [[0, 1], [1, 0, 1, 1]]])
     def test_token_labels_must_cover_each_document(self, labels):
-        ann = random_annotator(seed=20)
+        model, heads = random_annotator(seed=20)
         with pytest.raises(ShapeError, match="document 1 has 3 tokens"):
-            annotate(ann, [[0, 1], [2, 3, 4]], labels, mode="token")
+            annotated(model, heads, [[0, 1], [2, 3, 4]], labels, mode="token")
 
     @pytest.mark.parametrize("tokens", [[["a"]], [["a"], ["b"], ["c"]]])
     def test_token_count_must_match_sequences(self, tokens):
-        ann = random_annotator(seed=21)
+        model, heads = random_annotator(seed=21)
         with pytest.raises(ShapeError, match="sequences and tokens"):
-            annotate(ann, [[0, 1], [2, 3]], [0, 1], tokens=tokens)
+            annotated(model, heads, [[0, 1], [2, 3]], [0, 1], tokens=tokens)
 
     @pytest.mark.parametrize("mode, labels, bad", [
         ("sentence", [0, -1], -1), ("sentence", [2, 0], 2),
         ("token", [[0, 1], [1, 2]], 2), ("token", [[0, 1], [-3, 0]], -3)])
     def test_labels_must_be_classes_of_the_heads(self, mode, labels, bad):
-        ann = random_annotator(seed=22, num_classes=2)
+        model, heads = random_annotator(seed=22, num_classes=2)
         with pytest.raises(InputError, match=f"label {bad} is not a class"):
-            annotate(ann, [[0, 1], [2, 3]], labels, mode=mode)
+            annotated(model, heads, [[0, 1], [2, 3]], labels, mode=mode)
 
     @pytest.mark.parametrize("mode, labels, error", [
         ("sentence", ["a", "b"], InputError),
@@ -165,17 +194,48 @@ class TestAnnotate:
         ("token", 5, ShapeError),
         ("token", [0, 1], ShapeError)])
     def test_labels_must_be_integers(self, mode, labels, error):
-        ann = random_annotator(seed=24, num_classes=2)
+        model, heads = random_annotator(seed=24, num_classes=2)
+        seqs = [[0, 1], [2, 3]]
         with pytest.raises(error):
-            annotate(ann, [[0, 1], [2, 3]], labels, mode=mode)
+            annotated(model, heads, seqs, labels, mode=mode)
         if mode == "sentence":
             with pytest.raises(error):
-                train_annotator(ann.model, [[0, 1], [2, 3]], labels, epochs=1)
+                train_annotator(instance_states(model, seqs), labels, epochs=1)
 
     def test_new_heads_reject_negative_labels(self):
         model = random_model(9, 3, 8, 2, 16, seed=23)
+        states = instance_states(model, [[0, 1], [2, 3], [4]])
         with pytest.raises(InputError, match="label -1 is not a class"):
-            train_annotator(model, [[0, 1], [2, 3], [4]], [0, -1, 1], epochs=1)
+            train_annotator(states, [0, -1, 1], epochs=1)
+
+
+def lab_seed_calls():
+    """Each seeded draw of the lab, and of train_toy's fresh head, as a
+    function of its seed."""
+    task = make_separable_task(num_train=12, seed=0)
+    model = random_model(11, 2, 8, 2, 16, seed=1)
+    states = instance_states(model, task.train_seqs)
+    table = build_random(task.vocab, 2, 2, seed=3)
+    ds = dataset_from_bits([[0, 1], [1, 1], [1, 0], [1, 1]])
+    return {
+        "oversample": lambda seed: oversample(ds, seed=seed),
+        "linear_b": lambda seed: linear_b(ds, epochs=1, seed=seed),
+        "train_toy": lambda seed: train_toy(model, task.train_seqs,
+                                            task.train_labels, table,
+                                            epochs=1, seed=seed),
+        "train_annotator": lambda seed: train_annotator(
+            states, task.train_labels, epochs=1, seed=seed),
+    }
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ConfigError), (0.5, InputError),
+                                         (True, InputError), ("1", InputError)])
+@pytest.mark.parametrize("call", ["oversample", "linear_b", "train_toy",
+                                  "train_annotator"])
+def test_lab_seeds_are_read_as_seeds(call, seed, error):
+    # a seed numpy would refuse, truncate or read as 1 is a typed error
+    with pytest.raises(error, match="seed"):
+        lab_seed_calls()[call](seed)
 
 
 class TestPackedWalk:
@@ -209,38 +269,35 @@ class TestPackedWalk:
         return calls
 
     def test_one_forward_per_packed_batch(self, monkeypatch, small_batches):
-        ann = random_annotator(seed=11)
-        rng, seqs = self.ragged(12, longest=6)
-        golds = [int(rng.integers(0, 2)) for _ in seqs]
-        token_golds = [[int(g) for g in rng.integers(0, 2, len(s))] for s in seqs]
+        model, _ = random_annotator(seed=11)
+        _, seqs = self.ragged(12, longest=6)
         batches = greedy_batches([len(s) for s in seqs], encoder.BATCH_ROWS)
         assert 1 < len(batches) < len(seqs)
         calls = self.count_forward_calls(monkeypatch)
-        train_annotator(ann.model, seqs, golds, epochs=2)
-        annotate(ann, seqs, golds)
-        annotate(ann, seqs, token_golds, mode="token")
-        assert calls == [len(b) for b in batches] * 3
+        instance_states(model, seqs)
+        instance_states(model, seqs, mode="token")
+        assert calls == [len(b) for b in batches] * 2
 
     @pytest.mark.parametrize("mode", ["sentence", "token"])
     def test_matches_per_document_annotation(self, small_batches, mode):
-        ann = random_annotator(seed=13)
+        model, heads = random_annotator(seed=13)
         rng, seqs = self.ragged(14)
         if mode == "sentence":
             labels = [int(rng.integers(0, 2)) for _ in seqs]
         else:
             labels = [[int(g) for g in rng.integers(0, 2, len(s))] for s in seqs]
         tokens = [[f"w{t}" for t in seq] for seq in seqs]
-        ds = annotate(ann, seqs, labels, mode=mode, tokens=tokens)
+        ds = annotated(model, heads, seqs, labels, mode=mode, tokens=tokens)
         bits, feats, ids, toks = [], [], [], []
         for i, seq in enumerate(seqs):
             n = len(seq)
-            trace = forward(ann.model, seq,
+            trace = forward(model, seq,
                             ExitSchedule(np.full(n, 3), np.ones(n, dtype=bool)))
             for p in [0] if mode == "sentence" else range(n):
                 gold = labels[i] if mode == "sentence" else labels[i][p]
                 states = [h[p] for h in trace.hidden[1:]]
                 bits.append([int(np.argmax(s @ w) == gold)
-                             for s, w in zip(states, ann.heads)])
+                             for s, w in zip(states, heads)])
                 feats.append(states)
                 ids.append(str(i) if mode == "sentence" else f"{i}.{p}")
                 toks.append(tokens[i])
@@ -253,33 +310,31 @@ class TestPackedWalk:
         model = random_model(9, 3, 8, 2, 16, seed=15)
         rng, seqs = self.ragged(16)
         golds = [int(rng.integers(0, 2)) for _ in seqs]
-        packed = train_annotator(model, seqs, golds, epochs=30)
+        packed = train_annotator(instance_states(model, seqs), golds,
+                                 epochs=30)
         monkeypatch.setattr(encoder, "BATCH_ROWS", 1)  # a batch per document
-        alone = train_annotator(model, seqs, golds, epochs=30)
-        for a, b in zip(packed.heads, alone.heads):
-            assert np.abs(a - b).max() <= 1e-9
+        alone = train_annotator(instance_states(model, seqs), golds,
+                                epochs=30)
+        assert np.abs(packed - alone).max() <= 1e-9
 
     def test_given_states_stand_in_for_the_walk(self, monkeypatch):
-        # states a caller already holds give what the walk would, with no
-        # forward; states of another shape are refused
+        # the trainer and the scorer read the states of one walk and run
+        # no forward of their own, in either mode
         model = random_model(9, 3, 8, 2, 16, seed=25)
         rng, seqs = self.ragged(26)
         golds = [int(rng.integers(0, 2)) for _ in seqs]
-        walked = train_annotator(model, seqs, golds, epochs=20)
-        ds = annotate(walked, seqs, golds)
-        states = difficulty._instance_states(model, seqs, [1] * len(seqs))
+        token_golds = [[int(g) for g in rng.integers(0, 2, len(s))]
+                       for s in seqs]
+        states = instance_states(model, seqs)
+        token_states = instance_states(model, seqs, mode="token")
         calls = self.count_forward_calls(monkeypatch)
-        given = train_annotator(model, seqs, golds, epochs=20, states=states)
-        again = annotate(given, seqs, golds, states=states)
+        heads = train_annotator(states, golds, epochs=20)
+        ds = annotate(heads, seqs, golds, states)
+        by_token = annotate(heads, seqs, token_golds, token_states,
+                            mode="token")
         assert calls == []
-        for a, b in zip(walked.heads, given.heads):
-            assert np.array_equal(a, b)
-        assert np.array_equal(ds.bits, again.bits)
-        assert np.array_equal(ds.features, again.features)
-        with pytest.raises(ShapeError, match="states of shape"):
-            train_annotator(model, seqs, golds, epochs=1, states=states[1:])
-        with pytest.raises(ShapeError, match="states of shape"):
-            annotate(given, seqs, golds, states=states[:, :2])
+        assert ds.features is states
+        assert np.array_equal(by_token.features, token_states)
 
     @pytest.mark.filterwarnings(
         "ignore:slot .* has no negative instances:UserWarning")
@@ -295,17 +350,66 @@ class TestPackedWalk:
         # a batch's states are read at the instances' rows as each layer
         # yields them; holding a batch's L+1 trace states reached 26.7x here
         # and a further copy of every row's states 47x
-        ann = random_annotator(seed=17, L=12, d=64)
+        model, heads = random_annotator(seed=17, L=12, d=64)
         rng, seqs = self.ragged(18, count=200, longest=60)
         golds = [int(rng.integers(0, 2)) for _ in seqs]
         rows = min(encoder.BATCH_ROWS, encoder.STATE_FLOATS // 64)
         tracemalloc.start()
         try:
-            annotate(ann, seqs, golds)
+            annotated(model, heads, seqs, golds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 18 * rows * 64 * 8
+
+
+def walk_callers(tree, names=("forward", "batches", "instance_states")):
+    """Name of the function around each call of one of `names`, called
+    bare or as an attribute, in source order; None for a call outside any
+    function."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = (callee.id if isinstance(callee, ast.Name) else
+                        callee.attr if isinstance(callee, ast.Attribute)
+                        else None)
+                if name in names:
+                    found.append(func)
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_instance_states_walks():
+    # one walk: the lab's trainers and scorers take states, and only
+    # instance_states runs the model
+    tree = ast.parse(Path(difficulty.__file__).read_text(encoding="utf-8"))
+    assert walk_callers(tree) == ["instance_states", "instance_states"]
+
+
+def test_the_walk_rule_finds_calls():
+    tree = ast.parse("def instance_states(m, s):\n"
+                     "    for b, p in batches(m, s):\n"
+                     "        forward(m, p)\n"
+                     "def annotate(m, s):\n"
+                     "    return instance_states(m, s)\n"
+                     "def g(m, p):\n"
+                     "    return encoder.forward(m, p)\n"
+                     "def h(m):\n"
+                     "    f = lambda: batches(m, 0)\n"
+                     "    def inner():\n"
+                     "        return [forward(m, x) for x in m]\n"
+                     "    return inner, f, forward\n"
+                     "forward(0, 1)\n")
+    assert walk_callers(tree) == ["instance_states", "instance_states",
+                                  "annotate", "g", "h", "inner", None]
 
 
 class TestOversample:

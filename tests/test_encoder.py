@@ -30,7 +30,8 @@ from hashexit.encoder import (
     train_toy,
 )
 from hashexit import difficulty, encoder
-from hashexit.difficulty import annotate, linear_b, train_annotator
+from hashexit.difficulty import (annotate, instance_states, linear_b,
+                                  train_annotator)
 from hashexit.experiments import make_separable_task
 from hashexit.flops import ModelDims, _fewest_standard, reassociates, report
 from hashexit.hashing import (CorpusStats, EmbeddingTable, HashTable, Vocab,
@@ -1628,10 +1629,9 @@ def test_annotator_heads_equal_per_layer_fits():
     # stack of one give, from the heads drawn in turn from the same seed
     task = make_separable_task(num_train=25, seed=4)
     model = random_model(11, 3, 8, 2, 16, seed=5)
-    annotator = train_annotator(model, task.train_seqs, task.train_labels,
-                                epochs=40, lr=0.5, seed=6)
-    states = difficulty._instance_states(model, task.train_seqs,
-                                         [1] * len(task.train_seqs))
+    states = instance_states(model, task.train_seqs)
+    heads = train_annotator(states, task.train_labels, epochs=40, lr=0.5,
+                            seed=6)
     labels = np.array(task.train_labels)
     rng = np.random.default_rng(6)
     for l in range(3):
@@ -1639,7 +1639,7 @@ def test_annotator_heads_equal_per_layer_fits():
         alone, = fit(lambda h: encoder._head_loss_and_grad(
                          h, states[None, :, l], labels[None]),
                      (head[None],), epochs=40, lr=0.5, what=["head"])
-        assert np.array_equal(annotator.heads[l], alone[0])
+        assert np.array_equal(heads[l], alone[0])
 
 
 def _diverging_trainers():
@@ -1648,12 +1648,13 @@ def _diverging_trainers():
     model = random_model(11, 2, 8, 2, 16, seed=2)
     table = build_random(task.vocab, 2, 2, seed=3)
     data = (task.train_seqs, task.train_labels)
-    annotator = train_annotator(model, *data, epochs=20)
-    dataset = annotate(annotator, *data)
+    states = instance_states(model, task.train_seqs)
+    dataset = annotate(train_annotator(states, task.train_labels, epochs=20),
+                       *data, states)
     return {
         "train_toy": lambda: train_toy(model, *data, table, epochs=50, lr=1e30),
-        "train_annotator": lambda: train_annotator(model, *data, epochs=50,
-                                                   lr=1e30),
+        "train_annotator": lambda: train_annotator(states, task.train_labels,
+                                                   epochs=50, lr=1e30),
         "linear_b": lambda: linear_b(dataset, epochs=80, lr=1e308),
     }
 
@@ -1661,25 +1662,27 @@ def _diverging_trainers():
 class TestFit:
     def test_steps_every_parameter(self):
         # loss a^2 + b^2 has gradients (2a, 2b); half a step lands on 0
-        got = fit(lambda a, b: (a * a + b * b, 2 * a, 2 * b), (1.0, -2.0),
-                  epochs=1, lr=0.5, what="bowl")
-        assert got == (0.0, 0.0)
+        got = fit(lambda a, b: (a * a + b * b, 2 * a, 2 * b),
+                  (np.array([1.0]), np.array([-2.0])), epochs=1, lr=0.5,
+                  what=["bowl"])
+        assert np.array_equal(np.concatenate(got), [0.0, 0.0])
 
     def test_zero_epochs_keep_params(self):
-        head = np.ones((2, 2))
-        got, = fit(lambda h: (0.0, h), (head,), epochs=0, lr=1.0, what="head")
+        head = np.ones((1, 2, 2))
+        got, = fit(lambda h: (np.zeros(1), h), (head,), epochs=0, lr=1.0,
+                   what=["head"])
         assert got is head
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ConfigError):
-            fit(lambda h: (0.0, h), (np.ones(2),), epochs=-1, lr=1.0,
-                what="head")
+            fit(lambda h: (np.zeros(1), h), (np.ones((1, 2)),), epochs=-1,
+                lr=1.0, what=["head"])
 
     @pytest.mark.parametrize("epochs", [1.5, True, "2"])
     def test_epochs_are_an_integer(self, epochs):
         with pytest.raises(InputError, match="epochs"):
-            fit(lambda h: (0.0, h), (np.ones(2),), epochs=epochs, lr=1.0,
-                what="head")
+            fit(lambda h: (np.zeros(1), h), (np.ones((1, 2)),), epochs=epochs,
+                lr=1.0, what=["head"])
 
     @pytest.mark.parametrize("trainer", ["train_toy", "train_annotator",
                                          "linear_b"])
