@@ -772,8 +772,10 @@ def train_toy(model, sequences, labels, table, *, epochs=200, lr=0.5, seed=0):
     `table` schedules the exits. The encoder weights never move; only the
     classifier head is (re)fit, as a stack of one in `_fit_heads`, from a
     copy of the model's head or, without one, a fresh head drawn from
-    `seed` whose classes the labels set. Returns a new model.
+    `seed` whose classes the labels set. `seed` is read by
+    `errors.rng_seed` whether or not a head is drawn. Returns a new model.
     """
+    seed = rng_seed(seed)
     labels = _training_labels(model, sequences, labels)
     feats = cls_features(model, [(sequences, table)])
     if model.head is not None:

@@ -63,8 +63,10 @@ def make_separable_task(*, num_train=40, num_eval=40, vocab_size=11,
         seqs, labels = [], []
         for _ in range(count):
             lab = int(rng.integers(0, 2))
-            body = rng.choice(pools[lab], size=seq_len - 1)
-            seqs.append([0] + [int(t) for t in body])
+            pool = pools[lab]
+            # the draw `rng.choice(pool, size=...)` makes, without its checks
+            body = pool[rng.integers(0, pool.size, size=seq_len - 1)]
+            seqs.append([0, *body.tolist()])
             labels.append(lab)
         return seqs, labels
 

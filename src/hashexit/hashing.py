@@ -9,8 +9,11 @@ k-means clustering of token embeddings ranked by mean vector norm.
 Building works on whole arrays, sized for vocabularies of about 30k
 tokens: corpus counts are integer `np.bincount`s, presence and MI
 grouping sort rather than hash, MI runs once per distinct co-occurrence
-row, and k-means holds neither an (n, k, dim) tensor nor an (n, dim)
-temporary. Each table is byte-identical to one built a token at a time.
+row, and k-means works in row blocks: it holds no (n, k, dim) tensor, no
+(n, dim) temporary and no copy of a cluster's rows, so its peak is a
+formula of k*n and the budgets `_ROW_FLOATS` and `_RECHECK_FLOATS` (see
+`kmeans`), whatever the clustering. Each table is byte-identical to one
+built a token at a time.
 
 Grouping sorts because numpy 2.4 runs an integer `np.unique` through a
 hash table, about 16 times slower than a sort and a neighbour mask on the
@@ -298,13 +301,19 @@ def token_label_mi(stats: CorpusStats, token_id: int) -> float:
     if not 0 <= token_id < len(stats.cooccur):
         raise InputError(f"token id {token_id} out of range "
                          f"0..{len(stats.cooccur) - 1}")
-    with_token = stats.cooccur[token_id].astype(np.float64)
-    without_token = stats.label_counts - with_token
-    p_label = stats.label_counts / n
+    return _mi_of(stats.cooccur[token_id], stats.label_counts, n)
+
+
+def _mi_of(row, label_counts, n) -> float:
+    """`token_label_mi` of a token whose co-occurrence row is `row`, in a
+    corpus of n documents whose label counts are `label_counts`."""
+    with_token = row.astype(np.float64)
     p_present = with_token.sum() / n
+    counts = (with_token.tolist(), (label_counts - with_token).tolist())
+    p_label = (label_counts / n).tolist()
     mi = 0.0
-    for p_t, counts in ((p_present, with_token), (1.0 - p_present, without_token)):
-        for p_y, c in zip(p_label, counts):
+    for p_t, part in zip((p_present, 1.0 - p_present), counts):
+        for p_y, c in zip(p_label, part):
             if c > 0 and p_t > 0:
                 p_ty = c / n
                 mi += p_ty * math.log(p_ty / (p_t * p_y))
@@ -315,11 +324,11 @@ def token_label_mi(stats: CorpusStats, token_id: int) -> float:
 def _mi_scores(stats: CorpusStats) -> np.ndarray:
     """`token_label_mi` of every token id, in id order.
 
-    A score depends only on the token's row of `stats.cooccur`, so the
-    function runs once per distinct row and the scores are gathered back:
-    the same floats as one call per token. One `np.lexsort` over the
-    label columns brings equal rows together, and a row that differs from
-    its left neighbour starts a new group.
+    A score depends only on the token's row of `stats.cooccur`, so
+    `_mi_of` runs once per distinct row and the scores are gathered back:
+    the same floats as one `token_label_mi` call per token. One
+    `np.lexsort` over the label columns brings equal rows together, and a
+    row that differs from its left neighbour starts a new group.
     """
     if not stats.labeled:
         raise ConfigError("mutual information requires a labeled corpus")
@@ -330,7 +339,11 @@ def _mi_scores(stats: CorpusStats) -> np.ndarray:
     first = np.empty(len(rows), dtype=bool)
     first[:1] = True  # no head at all when there is no row
     (rows[1:] != rows[:-1]).any(axis=1, out=first[1:])
-    distinct = np.array([token_label_mi(stats, int(t)) for t in order[first]])
+    n = stats.doc_count
+    if n == 0:
+        raise InputError("empty corpus")
+    distinct = np.array([_mi_of(row, stats.label_counts, n)
+                         for row in rows[first]])
     scores = np.empty(len(rows))
     scores[order] = distinct[np.cumsum(first) - 1]
     return scores
@@ -379,7 +392,8 @@ class EmbeddingTable:
 # recheck in `_nearest` may hold.
 _RECHECK_FLOATS = 1 << 20
 
-# Floats of the (rows, dim) temporary one block of `_row_sq_sums` may hold.
+# Floats of the (rows, dim) temporary one block of `_row_sq_sums`, or the
+# gather buffer of `_means`, may hold.
 _ROW_FLOATS = 1 << 16
 
 
@@ -401,8 +415,11 @@ def _row_sq_sums(points: np.ndarray, centers=None, labels=None) -> np.ndarray:
         if centers is None:
             rows = np.square(rows)
         else:
-            rows = rows - (centers if labels is None
-                           else centers[labels[start:stop]])
+            if labels is None:
+                rows = rows - centers
+            else:  # each row's own center, subtracted in place
+                own = centers[labels[start:stop]]
+                rows = np.subtract(rows, own, out=own)
             np.square(rows, out=rows)
         rows.sum(axis=1, out=out[start:stop])
     return out
@@ -463,18 +480,55 @@ def _repair_empty(points, centers, labels, k):
     return labels
 
 
+def _means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The (k, dim) means of the points of each cluster 0..k-1; every
+    cluster must hold a point.
+
+    Each cluster's rows are read in blocks of `_ROW_FLOATS` floats: a
+    block is gathered, in index order, behind the cluster's running sum
+    in one reused buffer, and `np.add.reduce` adds the buffer's rows in
+    order. numpy reduces axis 0 of a C-ordered array row after row, so
+    each sum adds the cluster's rows in the order `np.compress(labels ==
+    c, points, axis=0).sum(axis=0)` does, and the means equal that
+    copy's `.mean(axis=0)` bit for bit. A cluster's first block is
+    reduced without a running sum ahead of it, as that copy starts. A
+    single column is summed pairwise instead, so at dim 1 the block is
+    every point. Beside `points` this holds the buffer, (block + 1) rows,
+    and one cluster's indices, never a cluster's rows.
+    """
+    n, dim = points.shape
+    block = n if dim == 1 else max(1, _ROW_FLOATS // dim)
+    buf = np.empty((min(block, n) + 1, dim))
+    sums = np.empty((k, dim))
+    counts = np.empty(k, dtype=np.int64)
+    for c in range(k):
+        idx = np.flatnonzero(labels == c)
+        counts[c] = len(idx)
+        head = 1  # no running sum yet
+        for start in range(0, len(idx), block):
+            part = idx[start:start + block]
+            m = len(part)
+            # mode="raise" would buffer `out`; the indices are all in range
+            points.take(part, axis=0, out=buf[1:m + 1], mode="clip")
+            np.add.reduce(buf[head:m + 1], axis=0, out=sums[c])
+            buf[0] = sums[c]
+            head = 0
+    return sums / counts[:, None]
+
+
 def kmeans(points: np.ndarray, k: int, seed: int):
     """Lloyd's k-means with k-means++ seeding.
 
     Stops after 50 sweeps or once the summed centroid movement drops
     below 1e-6. Empty clusters claim the point farthest from its
     current centroid. Deterministic for a fixed seed. Beside `points`
-    it holds one (k, n) distance array, each cluster's rows while its
-    mean is taken, and row blocks, never an (n, dim) temporary. A
-    cluster's rows are gathered by one `np.compress`, in their original
-    order, so each mean sums in the order a boolean-mask copy would; that
-    copy of the largest cluster sets the peak, which is highest when a
-    sweep puts nearly every point in one cluster.
+    it holds one (k, n) distance array, about eight n-vectors, one
+    block of at most `_ROW_FLOATS` floats at a time (rows squared, or
+    `_means`' gather buffer) and the recheck's blocks of at most
+    `_RECHECK_FLOATS` floats, three at a time: a peak of at most about
+    8 * (k*n + 8*n + _ROW_FLOATS + 3*_RECHECK_FLOATS) bytes, whichever
+    way the points cluster. (At dim 1 the gather buffer is one column of
+    n + 1 floats; see `_means`.)
 
     Returns (labels, centroids); centroids are the means of the returned
     assignment. `k` is read by `errors.int_scalar` and `seed` by
@@ -505,8 +559,7 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     for _ in range(50):
         labels = _nearest(points, sq_norms, centers)
         labels = _repair_empty(points, centers, labels, k)
-        new_centers = np.stack([np.compress(labels == c, points, axis=0)
-                                .mean(axis=0) for c in range(k)])
+        new_centers = _means(points, labels, k)
         movement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).sum()
         centers = new_centers
         if movement < 1e-6:
@@ -540,8 +593,13 @@ def serialize_hash_table(table: HashTable) -> str:
     head = format_header(*_TABLE_HEADER, {
         "method": table.method, "B": table.num_buckets,
         "L": table.num_layers, "seed": table.seed})
-    rows = zip(table.tokens, table.buckets.tolist(), table.layers.tolist())
-    return head + "\n" + "".join(f"{t}\t{b}\t{layer}\n" for t, b, layer in rows)
+    buckets = table.buckets.tolist()
+    distinct = list(set(buckets))
+    layers = bucket_to_layer(np.array(distinct, dtype=np.int64),
+                             table.num_buckets, table.num_layers).tolist()
+    suffix = {b: f"\t{b}\t{layer}\n" for b, layer in zip(distinct, layers)}
+    return head + "\n" + "".join([t + suffix[b]
+                                  for t, b in zip(table.tokens, buckets)])
 
 
 def parse_hash_table(text: str) -> HashTable:

@@ -210,10 +210,11 @@ class TestAnnotate:
 
 
 def lab_seed_calls():
-    """Each seeded draw of the lab, and of train_toy's fresh head, as a
-    function of its seed."""
+    """Each seeded draw of the lab, and of train_toy with and without a
+    head to start from, as a function of its seed."""
     task = make_separable_task(num_train=12, seed=0)
     model = random_model(11, 2, 8, 2, 16, seed=1)
+    headed = random_model(11, 2, 8, 2, 16, seed=1, num_classes=2)
     states = instance_states(model, task.train_seqs)
     table = build_random(task.vocab, 2, 2, seed=3)
     ds = dataset_from_bits([[0, 1], [1, 1], [1, 0], [1, 1]])
@@ -223,15 +224,19 @@ def lab_seed_calls():
         "train_toy": lambda seed: train_toy(model, task.train_seqs,
                                             task.train_labels, table,
                                             epochs=1, seed=seed),
+        "train_toy_headed": lambda seed: train_toy(headed, task.train_seqs,
+                                                   task.train_labels, table,
+                                                   epochs=1, seed=seed),
         "train_annotator": lambda seed: train_annotator(
             states, task.train_labels, epochs=1, seed=seed),
     }
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ConfigError), (0.5, InputError),
-                                         (True, InputError), ("1", InputError)])
+                                         (True, InputError), ("1", InputError),
+                                         ("x", InputError)])
 @pytest.mark.parametrize("call", ["oversample", "linear_b", "train_toy",
-                                  "train_annotator"])
+                                  "train_toy_headed", "train_annotator"])
 def test_lab_seeds_are_read_as_seeds(call, seed, error):
     # a seed numpy would refuse, truncate or read as 1 is a typed error
     with pytest.raises(error, match="seed"):

@@ -41,6 +41,37 @@ class TestSeparableTask:
         text = task.token_text(task.train_seqs)
         assert text[0][0] == "cls"
 
+    @staticmethod
+    def choice_draws(count, *, vocab_size, seq_len, rng):
+        """The task's draws made through `Generator.choice`."""
+        half = 1 + (vocab_size - 1) // 2
+        pools = (np.arange(1, half), np.arange(half, vocab_size))
+        seqs, labels = [], []
+        for _ in range(count):
+            lab = int(rng.integers(0, 2))
+            body = rng.choice(pools[lab], size=seq_len - 1)
+            seqs.append([0] + [int(t) for t in body])
+            labels.append(lab)
+        return seqs, labels
+
+    @pytest.mark.parametrize("vocab_size", [3, 8, 12, 23, 40])
+    @pytest.mark.parametrize("seq_len", [1, 2, 7])
+    def test_draws_are_those_of_generator_choice(self, vocab_size, seq_len):
+        # pools of 1, 3-4, 5-6, 11 and 19-20 tokens: sizes off powers of two
+        for seed in range(120):
+            task = make_separable_task(num_train=6, num_eval=4,
+                                       vocab_size=vocab_size,
+                                       seq_len=seq_len, seed=seed)
+            rng = np.random.default_rng(seed)
+            want = (self.choice_draws(6, vocab_size=vocab_size,
+                                      seq_len=seq_len, rng=rng),
+                    self.choice_draws(4, vocab_size=vocab_size,
+                                      seq_len=seq_len, rng=rng))
+            got = ((task.train_seqs, task.train_labels),
+                   (task.eval_seqs, task.eval_labels))
+            assert got == want
+            assert {type(t) for seq in task.train_seqs for t in seq} == {int}
+
     def test_tiny_vocab_rejected(self):
         with pytest.raises(ConfigError):
             make_separable_task(vocab_size=2)
